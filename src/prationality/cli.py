@@ -10,7 +10,6 @@ selftest (invariant suites).  Exit codes: 0 success, 1 input error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import InvariantViolation, SplittingUndetermined
@@ -21,6 +20,8 @@ from .harness import (
     bundled_records,
     density_scan,
     load_records,
+    parse_h_csv,
+    parse_ints,
     render_table_csv,
     render_table_text,
     reproduce_table,
@@ -34,10 +35,6 @@ from .rationality import (
 )
 from .recurrence import cross_check, minimal_poly_spec, screen, splitting_type
 from .numberfield import split_prime
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(";"))
 
 
 def _poly_str(coords, modulus=None) -> str:
@@ -58,12 +55,12 @@ def _poly_str(coords, modulus=None) -> str:
 def _cmd_check(args) -> int:
     record = FieldRecord(
         label="cli",
-        poly_coeffs=_ints(args.poly),
+        poly_coeffs=parse_ints(args.poly),
         class_number=args.h,
-        unit_coeffs=_ints(args.unit),
+        unit_coeffs=parse_ints(args.unit),
         unit_den=args.unit_den,
         torsion_order=args.torsion_order,
-        torsion_gen_coeffs=_ints(args.torsion_gen) if args.torsion_gen else None,
+        torsion_gen_coeffs=parse_ints(args.torsion_gen) or None,
     )
     p = args.prime
     K = record.build_field()
@@ -168,12 +165,8 @@ def _cmd_recurrence(args) -> int:
 def _cmd_pure_cubic(args) -> int:
     h_data = bundled_pure_cubic_h()
     if args.h_data:
-        for record_line in open(args.h_data, encoding="ascii"):
-            if record_line.startswith("#") or record_line.startswith("p,"):
-                continue
-            if record_line.strip():
-                p, h = record_line.split(",")
-                h_data[int(p)] = int(h)
+        with open(args.h_data, encoding="ascii") as fh:
+            h_data.update(parse_h_csv(fh.read()))
     results = pure_cubic_scan(args.pmin, args.pmax, h_data=h_data)
     bad = 0
     for r in results:
@@ -292,17 +285,6 @@ def _normalize_argv(argv):
 
 
 def cli(argv=None) -> int:
-    # PRAT_THREADS caps parallelism; evaluation is sequential, so any positive
-    # value is honored as-is
-    threads = os.environ.get("PRAT_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                print("PRAT_THREADS must be positive", file=sys.stderr)
-                return 1
-        except ValueError:
-            print("PRAT_THREADS must be an integer", file=sys.stderr)
-            return 1
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()

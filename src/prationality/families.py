@@ -12,12 +12,10 @@ from fractions import Fraction
 
 from .errors import InvariantViolation
 from .numberfield import FieldElement, NumberField, make_field, split_prime
+from .recurrence import MIXED_1_2, SPLIT_COMPLETELY, splitting_type
 from . import torsion as torsion_mod
 
 EULER_GAMMA = 0.5772156649015329
-
-R1 = "split-completely"
-R2 = "1+2"
 
 TRIAL_DIVISION_CAP = 10**7
 
@@ -108,15 +106,8 @@ def pure_cubic_scan(pmin: int, pmax: int,
             continue
         inst = PureCubicInstance.build(p)
         factors = split_prime(inst.field, p)
-        shapes = sorted((pf.e, pf.f) for pf in factors)
-        if shapes == [(1, 1), (1, 1), (1, 1)]:
-            splitting = R1
-            expected = 1
-        elif shapes == [(1, 1), (1, 2)]:
-            splitting = R2
-            expected = 2
-        else:
-            raise InvariantViolation(f"unexpected splitting {shapes} at p={p}")
+        splitting = splitting_type(factors)
+        expected = {SPLIT_COMPLETELY: 1, MIXED_1_2: 2}.get(splitting)
         if p % 3 != expected:
             raise InvariantViolation("splitting does not match p mod 3 law")
         rep = torsion_mod.condition2(inst.field, p, inst.unit, factors)

@@ -109,7 +109,7 @@ class RecordParseError(ValueError):
         self.line = line
 
 
-def _ints(text: str) -> tuple[int, ...]:
+def parse_ints(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
@@ -128,7 +128,7 @@ def _parse_basis(text: str):
 
 def _record_from_fields(fields: dict[str, str], line: int) -> FieldRecord:
     try:
-        poly_coeffs = _ints(fields["poly"])
+        poly_coeffs = parse_ints(fields["poly"])
         degree = int(fields["degree"])
         if len(poly_coeffs) - 1 != degree:
             raise ValueError(
@@ -140,17 +140,17 @@ def _record_from_fields(fields: dict[str, str], line: int) -> FieldRecord:
         if fields.get("aux_q", "").strip():
             aux = AuxIdealData(
                 q=int(fields["aux_q"]),
-                gen_poly=_ints(fields["aux_gen_poly"]),
-                power_gen=_ints(fields["aux_power_gen"]),
+                gen_poly=parse_ints(fields["aux_gen_poly"]),
+                power_gen=parse_ints(fields["aux_power_gen"]),
             )
         return FieldRecord(
             label=fields["label"].strip(),
             poly_coeffs=poly_coeffs,
             class_number=int(h) if h else None,
-            unit_coeffs=_ints(fields["unit"]),
+            unit_coeffs=parse_ints(fields["unit"]),
             unit_den=int(fields.get("unit_den", "") or 1),
             torsion_order=int(fields.get("torsion_order", "") or 2),
-            torsion_gen_coeffs=_ints(fields["torsion_gen"]) or None
+            torsion_gen_coeffs=parse_ints(fields["torsion_gen"]) or None
             if fields.get("torsion_gen", "").strip()
             else None,
             torsion_gen_den=int(fields.get("torsion_gen_den", "") or 1),
@@ -200,32 +200,13 @@ def load_records(source, fmt: str = "csv") -> list[FieldRecord]:
         with open(source, "r", encoding="ascii") as fh:
             text = fh.read()
     if fmt == "csv":
-        return _load_csv(text)
-    if fmt == "json":
-        return _load_json(text)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def _load_csv(text: str) -> list[FieldRecord]:
+        rows = _csv_fields(text)
+    elif fmt == "json":
+        rows = _json_fields(text)
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
     records = []
-    buffered = []
-    line_numbers = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        buffered.append(raw)
-        line_numbers.append(i)
-    if not buffered:
-        return []
-    reader = csv.reader(io.StringIO("\n".join(buffered)))
-    rows = list(reader)
-    header = [h.strip() for h in rows[0]]
-    if "label" not in header or "poly" not in header:
-        raise RecordParseError(line_numbers[0], "missing header row")
-    for row, line in zip(rows[1:], line_numbers[1:]):
-        if len(row) > len(header):
-            raise RecordParseError(line, "too many columns")
-        fields = dict(zip(header, row + [""] * (len(header) - len(row))))
+    for fields, line in rows:
         record = _record_from_fields(fields, line)
         diag = _validate(record, line)
         if diag is not None:
@@ -235,18 +216,32 @@ def _load_csv(text: str) -> list[FieldRecord]:
     return records
 
 
-def _load_json(text: str) -> list[FieldRecord]:
-    data = json.loads(text)
-    records = []
-    for i, obj in enumerate(data, start=1):
-        fields = {k: _stringify(v) for k, v in obj.items()}
-        record = _record_from_fields(fields, i)
-        diag = _validate(record, i)
-        if diag is not None:
-            log.warning("skipping record %s: %s", record.label, diag)
+def _csv_fields(text: str):
+    """(column dict, line number) per data row of a record CSV."""
+    buffered = []
+    line_numbers = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip() or raw.lstrip().startswith("#"):
             continue
-        records.append(record)
-    return records
+        buffered.append(raw)
+        line_numbers.append(i)
+    if not buffered:
+        return
+    reader = csv.reader(io.StringIO("\n".join(buffered)))
+    rows = list(reader)
+    header = [h.strip() for h in rows[0]]
+    if "label" not in header or "poly" not in header:
+        raise RecordParseError(line_numbers[0], "missing header row")
+    for row, line in zip(rows[1:], line_numbers[1:]):
+        if len(row) > len(header):
+            raise RecordParseError(line, "too many columns")
+        yield dict(zip(header, row + [""] * (len(header) - len(row)))), line
+
+
+def _json_fields(text: str):
+    """(field dict, 1-based position) per object of a record JSON list."""
+    for i, obj in enumerate(json.loads(text), start=1):
+        yield {k: _stringify(v) for k, v in obj.items()}, i
 
 
 def _stringify(v) -> str:
@@ -295,15 +290,20 @@ def bundled_records(name: str) -> list[FieldRecord]:
     return load_records(io.StringIO(data), "csv")
 
 
-def bundled_pure_cubic_h() -> dict[int, int]:
-    data = resources.files("prationality.data").joinpath("pure_cubic_h.csv").read_text()
+def parse_h_csv(text: str) -> dict[int, int]:
+    """Class numbers from `p,h` rows; blank, `#` and header lines skipped."""
     out = {}
-    for line in data.splitlines():
+    for line in text.splitlines():
         if not line.strip() or line.startswith("#") or line.startswith("p,"):
             continue
         p, h = line.split(",")
         out[int(p)] = int(h)
     return out
+
+
+def bundled_pure_cubic_h() -> dict[int, int]:
+    data = resources.files("prationality.data").joinpath("pure_cubic_h.csv").read_text()
+    return parse_h_csv(data)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .errors import SplittingUndetermined
 from . import ring
@@ -49,47 +49,6 @@ def _mat_inv(rows):
                 factor = a[r][col]
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
-
-
-def _det_bareiss(rows) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _det_fraction(rows) -> Fraction:
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
 
 
 @dataclass(frozen=True)
@@ -139,17 +98,10 @@ class IdealHNF:
 
     @property
     def norm(self) -> int:
-        return _prod(self.rows[i][i] for i in range(self.n))
+        return prod(self.rows[i][i] for i in range(self.n))
 
     def columns(self):
         return [tuple(self.rows[i][j] for i in range(self.n)) for j in range(self.n)]
-
-
-def _prod(it):
-    out = 1
-    for x in it:
-        out *= x
-    return out
 
 
 class NumberField:
@@ -168,7 +120,11 @@ class NumberField:
         if list(self.basis[0]) != [Fraction(1)] + [Fraction(0)] * (n - 1):
             raise ValueError("first basis element must be 1")
         self.basis_den = lcm(*[x.denominator for row in self.basis for x in row], 1)
-        det = _det_fraction(self.basis)
+        d = self.basis_den
+        det = Fraction(
+            ring.det_bareiss([[int(x * d) for x in row] for row in self.basis]),
+            d**n,
+        )
         if det == 0:
             raise ValueError("basis matrix is singular")
         inv_det = 1 / abs(det)
@@ -276,25 +232,9 @@ class NumberField:
     def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
         return self.add(a, FieldElement(tuple(-c for c in b.coords), b.den))
 
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        n = self.n
-        out = [0] * n
-        T = self._structure
-        for i, x in enumerate(a.coords):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coords):
-                if y == 0:
-                    continue
-                tij = T[i][j]
-                c = x * y
-                for k in range(n):
-                    if tij[k]:
-                        out[k] += c * tij[k]
-        return FieldElement(tuple(out), a.den * b.den).normalized()
-
-    def mul_mod(self, a, b, m: int):
-        """Product of integral coordinate tuples reduced mod m."""
+    def mul_coords(self, a, b) -> list[int]:
+        """Integer coordinates of the product of two coordinate tuples, read
+        off the structure constants."""
         n = self.n
         out = [0] * n
         T = self._structure
@@ -308,8 +248,17 @@ class NumberField:
                 c = x * y
                 for k in range(n):
                     if tij[k]:
-                        out[k] = (out[k] + c * tij[k]) % m
-        return tuple(out)
+                        out[k] += c * tij[k]
+        return out
+
+    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        return FieldElement(
+            tuple(self.mul_coords(a.coords, b.coords)), a.den * b.den
+        ).normalized()
+
+    def mul_mod(self, a, b, m: int):
+        """Product of integral coordinate tuples reduced mod m."""
+        return tuple([c % m for c in self.mul_coords(a, b)])
 
     def pow_mod(self, a: FieldElement, exponent: int, modulus: int) -> FieldElement:
         """a^exponent with coordinates reduced mod modulus after every step.
@@ -340,26 +289,14 @@ class NumberField:
     def mul_matrix(self, a: FieldElement):
         """Columns are the coords of a * b_j (denominator kept aside)."""
         n = self.n
-        T = self._structure
-        cols = []
-        for j in range(n):
-            col = [0] * n
-            for i, x in enumerate(a.coords):
-                if x == 0:
-                    continue
-                tij = T[i][j]
-                for k in range(n):
-                    col[k] += x * tij[k]
-            cols.append(col)
-        return cols
+        return [
+            self.mul_coords(a.coords, [int(i == j) for i in range(n)])
+            for j in range(n)
+        ]
 
     def norm(self, a: FieldElement) -> Fraction:
-        cols = self.mul_matrix(a)
-        if a.den == 1:
-            return Fraction(_det_bareiss([[cols[j][i] for j in range(self.n)]
-                                          for i in range(self.n)]))
-        rows = [[Fraction(cols[j][i]) for j in range(self.n)] for i in range(self.n)]
-        return _det_fraction(rows) / Fraction(a.den) ** self.n
+        # the determinant of the columns equals that of their transpose
+        return Fraction(ring.det_bareiss(self.mul_matrix(a)), a.den**self.n)
 
     def equals(self, a: FieldElement, b: FieldElement) -> bool:
         a, b = a.normalized(), b.normalized()
@@ -387,18 +324,21 @@ def make_field(poly_coeffs, basis=None) -> NumberField:
     return NumberField(f, basis)
 
 
+def _divisors(c: int) -> set[int]:
+    """Positive and negative divisors of a nonzero integer."""
+    c = abs(c)
+    out = set()
+    for d in range(1, isqrt(c) + 1):
+        if c % d == 0:
+            out.update((d, -d, c // d, -(c // d)))
+    return out
+
+
 def _has_rational_root(f) -> bool:
     # monic integer polynomial: rational roots are integer divisors of f(0)
-    c0 = f[0]
-    if c0 == 0:
+    if f[0] == 0:
         return True
-    divs = set()
-    d = 1
-    while d * d <= abs(c0):
-        if c0 % d == 0:
-            divs.update({d, -d, abs(c0) // d, -(abs(c0) // d)})
-        d += 1
-    return any(ring.poly_eval(f, r) == 0 for r in divs)
+    return any(ring.poly_eval(f, r) == 0 for r in _divisors(f[0]))
 
 
 def _has_quadratic_factor(f) -> bool:
@@ -406,36 +346,22 @@ def _has_quadratic_factor(f) -> bool:
     c0, c1, c2, c3 = f[0], f[1], f[2], f[3]
     if c0 == 0:
         return True
-    bs = set()
-    d = 1
-    while d * d <= abs(c0):
-        if c0 % d == 0:
-            bs.update({d, -d, c0 // d, -(c0 // d)})
-        d += 1
-    for b in bs:
-        if b == 0 or c0 % b != 0:
-            continue
+    for b in _divisors(c0):
         dd = c0 // b
         # a + c = c3, ac = c2 - b - d, ad + bc = c1
         s = c3
-        prod = c2 - b - dd
-        disc = s * s - 4 * prod
+        ac = c2 - b - dd
+        disc = s * s - 4 * ac
         if disc < 0:
             continue
-        r = _isqrt(disc)
+        r = isqrt(disc)
         if r * r != disc:
             continue
         for a in {(s + r) // 2, (s - r) // 2}:
             c = s - a
-            if a * c == prod and a * dd + b * c == c1:
+            if a * c == ac and a * dd + b * c == c1:
                 return True
     return False
-
-
-def _isqrt(x: int) -> int:
-    from math import isqrt
-
-    return isqrt(x)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +476,7 @@ def ideal_from_two_elements(K: NumberField, a: FieldElement, b: FieldElement) ->
     """HNF of the lattice spanned by {a*b_i} and {b*b_i}."""
     if not (a.is_integral and b.is_integral):
         raise ValueError("ideal generators must be integral")
-    cols = [tuple(c) for c in K.mul_matrix(a)] + [tuple(c) for c in K.mul_matrix(b)]
-    return _hnf_from_columns(cols, K.n)
+    return _hnf_from_columns(K.mul_matrix(a) + K.mul_matrix(b), K.n)
 
 
 def ideal_from_two_generators(K: NumberField, p: int, g: ModPoly) -> IdealHNF:
@@ -570,37 +495,22 @@ def ideal_from_two_generators(K: NumberField, p: int, g: ModPoly) -> IdealHNF:
 def principal_ideal(K: NumberField, x: FieldElement) -> IdealHNF:
     if not x.is_integral:
         raise ValueError("principal ideal requires an integral generator")
-    cols = [tuple(c) for c in K.mul_matrix(x)]
-    return _hnf_from_columns(cols, K.n)
+    return _hnf_from_columns(K.mul_matrix(x), K.n)
 
 
 def ideal_multiply(K: NumberField, A: IdealHNF, B: IdealHNF) -> IdealHNF:
-    cols = [_mul_cols(K, u, v) for u in A.columns() for v in B.columns()]
+    cols = [K.mul_coords(u, v) for u in A.columns() for v in B.columns()]
     return _hnf_from_columns(cols, K.n)
 
 
-def _mul_cols(K, u, v):
-    n = K.n
-    out = [0] * n
-    T = K._structure
-    for i, x in enumerate(u):
-        if x == 0:
-            continue
-        for j, y in enumerate(v):
-            if y == 0:
-                continue
-            tij = T[i][j]
-            for k in range(n):
-                if tij[k]:
-                    out[k] += x * y * tij[k]
-    return tuple(out)
-
-
 def ideal_pow(K: NumberField, A: IdealHNF, e: int) -> IdealHNF:
+    """A^e by e - 1 multiplications (A is already in HNF)."""
     if e < 0:
         raise ValueError("negative ideal power")
-    result = identity_ideal(K)
-    for _ in range(e):
+    if e == 0:
+        return identity_ideal(K)
+    result = A
+    for _ in range(e - 1):
         result = ideal_multiply(K, result, A)
     return result
 

@@ -18,10 +18,12 @@ from .errors import PrecisionExhausted, SplittingUndetermined
 from .numberfield import (
     FieldElement,
     NumberField,
+    ideal_from_two_generators,
     ideal_pow,
     principal_ideal,
+    split_prime,
 )
-from .ring import PadicApprox, factor_mod_p, hensel_lift_root, padic_log
+from .ring import ModPoly, PadicApprox, factor_mod_p, hensel_lift_root, padic_log
 from . import torsion as torsion_mod
 
 PRECISION_CAP = 16
@@ -197,16 +199,11 @@ def condition1(K: NumberField, p: int, *, class_number: int | None,
     if aux is None:
         return Condition1Report(UNDETERMINED, detail="no auxiliary ideal data")
     try:
-        from .numberfield import split_prime
-
         factors = split_prime(K, p)
     except SplittingUndetermined as exc:
         return Condition1Report(UNDETERMINED, detail=str(exc))
     if len(factors) != K.n or any((pf.e, pf.f) != (1, 1) for pf in factors):
         return Condition1Report(UNDETERMINED, detail="p is not completely split")
-    from .numberfield import ideal_from_two_generators
-    from .ring import ModPoly
-
     Q = ideal_from_two_generators(
         K, aux.q, ModPoly(tuple(c % aux.q for c in aux.gen_poly), aux.q)
     )
@@ -223,8 +220,6 @@ def verdict(K: NumberField, p: int, *, unit: FieldElement,
             torsion_gen: FieldElement | None = None,
             aux: AuxIdealData | None = None) -> Verdict:
     """Assemble the final p-rationality verdict for one (field, prime)."""
-    from .numberfield import split_prime
-
     if not K.criterion_eligible:
         return Verdict(NOT_APPLICABLE, (GUARD,), guard_reason=
                        "field is not complex cubic or pure imaginary quartic")

@@ -103,9 +103,31 @@ def poly_divmod_exact(f, g):
     return poly(quo), poly(rem)
 
 
+def det_bareiss(rows) -> int:
+    """Exact determinant of a square integer matrix by fraction-free
+    Gaussian elimination (Bareiss); the input is not modified."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def resultant(f, g) -> int:
-    """Resultant of integer polynomials via fraction-free Gaussian elimination
-    on the Sylvester matrix (Bareiss)."""
+    """Resultant of integer polynomials: the determinant of the Sylvester
+    matrix."""
     n, m = degree(f), degree(g)
     if n < 0 or m < 0:
         return 0
@@ -113,32 +135,11 @@ def resultant(f, g) -> int:
         return f[0] ** m
     if m == 0:
         return g[0] ** n
-    size = n + m
-    rows = []
     fr = list(reversed(f))
     gr = list(reversed(g))
-    for i in range(m):
-        rows.append([0] * i + fr + [0] * (m - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + gr + [0] * (n - 1 - i))
-    # Bareiss: exact integer determinant
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if rows[k][k] == 0:
-            for r in range(k + 1, size):
-                if rows[r][k] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * rows[size - 1][size - 1]
+    rows = [[0] * i + fr + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + gr + [0] * (n - 1 - i) for i in range(n)]
+    return det_bareiss(rows)
 
 
 def discriminant(f) -> int:

@@ -89,10 +89,8 @@ def condition2(K: NumberField, p: int, unit: FieldElement, factors,
     for pf in factors:
         exponent = p**pf.f - 1
         modulus = p ** (pf.e + 1)
-        power = ideal_pow(
-            K, ideal_from_two_generators(K, p, pf.generator), pf.e + 1
-        )
         first = ideal_from_two_generators(K, p, pf.generator)
+        power = ideal_pow(K, first, pf.e + 1)
         congruent = True
         residue = None
         for u in variants:

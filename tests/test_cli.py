@@ -1,5 +1,3 @@
-import pytest
-
 from prationality.cli import cli
 
 
@@ -111,13 +109,6 @@ def test_table_cli_with_input(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.startswith("label,p,cell")
-
-
-def test_prat_threads_validation(monkeypatch, capsys):
-    monkeypatch.setenv("PRAT_THREADS", "boom")
-    assert cli(["ggc", "--xmax", "20", "--T", "1"]) == 1
-    monkeypatch.setenv("PRAT_THREADS", "4")
-    assert cli(["ggc", "--xmax", "20", "--T", "1"]) == 0
 
 
 def test_missing_input_file_exits_one(capsys):

@@ -5,8 +5,6 @@ import pytest
 from prationality.families import (
     GgcCandidate,
     PureCubicInstance,
-    dirichlet_class_number,
-    fundamental_discriminant,
     ggc_scan,
     imag_quadratic_class_number,
     kuroda_check,
@@ -16,6 +14,7 @@ from prationality.families import (
     pure_cubic_scan,
     squarefree_part,
 )
+from prationality.selftest import suite_forms_vs_dirichlet
 
 
 def test_pure_cubic_instance_identity():
@@ -82,17 +81,8 @@ def test_class_number_rejects_bad_radicand():
 
 
 def test_forms_vs_dirichlet_oracle():
-    for radicand in range(-200, -1):
-        if squarefree_part(radicand) != radicand:
-            continue
-        D = fundamental_discriminant(radicand)
-        if abs(D) > 200:
-            continue
-        forms = imag_quadratic_class_number(radicand)
-        if D < -4:
-            assert forms == dirichlet_class_number(D), f"D={D}"
-        else:
-            assert forms == 1
+    _, ok, detail = suite_forms_vs_dirichlet()
+    assert ok, detail
 
 
 def test_lemma_b_examples():

@@ -17,6 +17,7 @@ from prationality.numberfield import (
     split_prime,
 )
 from prationality.ring import ModPoly, discriminant, poly
+from prationality.selftest import suite_ef_sum
 
 EX62 = (27, -4, 0, 1)  # x^3 - 4x + 27
 EX63 = (3, 0, -2, 0, 1)  # x^4 - 2x^2 + 3
@@ -84,6 +85,8 @@ def test_norm_is_multiplicative():
         a = FieldElement(tuple(rng.randint(-9, 9) for _ in range(4)))
         b = FieldElement(tuple(rng.randint(-9, 9) for _ in range(4)))
         assert K.norm(K.mul(a, b)) == K.norm(a) * K.norm(b)
+        d = rng.randint(2, 9)
+        assert K.norm(FieldElement(a.coords, d)) == K.norm(a) / d**4
 
 
 def test_dedekind_examples():
@@ -127,21 +130,8 @@ def test_split_prime_refuses_without_certificate():
 
 
 def test_ef_sum_fuzz():
-    rng = random.Random(314159)
-    checked = 0
-    while checked < 1000:
-        n = rng.choice([3, 4])
-        f = tuple(rng.randint(-30, 30) for _ in range(n)) + (1,)
-        try:
-            K = make_field(f)
-        except ValueError:
-            continue
-        p = rng.choice([2, 3, 5, 7, 11, 13, 17, 101, 499])
-        if K.poly_disc % p == 0:
-            continue
-        facs = split_prime(K, p)
-        assert sum(pf.e * pf.f for pf in facs) == K.n
-        checked += 1
+    _, ok, detail = suite_ef_sum()
+    assert ok, detail
 
 
 def test_ideal_hnf_examples():
@@ -248,6 +238,7 @@ def test_nonpower_basis_order():
     # N((a^2+a)/2) = N(a)N(a+1)/8 = 8*8/8 = 8
     theta = FieldElement((0, 0, 1))
     assert K.norm(theta) == 8
+    assert K.norm(FieldElement((0, 0, 1), 3)) == Fraction(8, 27)
     # p = 2 divides both disc(f) and the basis denominator: refuse
     with pytest.raises(SplittingUndetermined):
         split_prime(K, 2)

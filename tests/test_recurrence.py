@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from prationality.numberfield import FieldElement, make_field
@@ -13,6 +11,7 @@ from prationality.recurrence import (
     minimal_poly_spec,
     screen,
 )
+from prationality.selftest import suite_recurrence_matrix_vs_iteration
 
 EX62 = (27, -4, 0, 1)
 EPS62 = FieldElement((-3280, -3462, -729))
@@ -46,14 +45,8 @@ def test_f_index_period_three_shift():
 
 
 def test_matrix_power_vs_iteration_fuzz():
-    rng = random.Random(1102)
-    for _ in range(100):
-        spec = RecurrenceSpec(
-            rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9)
-        )
-        m = rng.choice([4, 9, 25, 49, 1000003])
-        n = rng.randint(0, 2000)
-        assert f_index_mod(spec, n, m) == _iterate(spec, n, m)
+    _, ok, detail = suite_recurrence_matrix_vs_iteration()
+    assert ok, detail
 
 
 def test_recurrence_window_identity():
