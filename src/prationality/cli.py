@@ -10,6 +10,7 @@ selftest (invariant suites).  Exit codes: 0 success, 1 input error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import InvariantViolation, SplittingUndetermined
@@ -33,8 +34,8 @@ from .rationality import (
     P_RATIONAL,
     VERDICT_UNDETERMINED,
 )
-from .recurrence import cross_check, minimal_poly_spec, screen, splitting_type
-from .numberfield import split_prime
+from .recurrence import cross_check, minimal_poly_spec
+from .numberfield import is_completely_split, split_prime
 
 
 def _poly_str(coords, modulus=None) -> str:
@@ -74,7 +75,7 @@ def _cmd_check(args) -> int:
             shape_word = f"inert f = {pf.f}"
         else:
             shape_word = shape
-    elif all(pf.e == 1 and pf.f == 1 for pf in factors) and len(factors) == K.n:
+    elif is_completely_split(K, factors):
         shape_word = "split completely"
     else:
         shape_word = shape
@@ -143,15 +144,13 @@ def _cmd_recurrence(args) -> int:
         spec = minimal_poly_spec(K, unit)
         p = args.prime
         try:
-            factors = split_prime(K, p)
-            stype = splitting_type(factors)
-            sres = screen(spec, p, stype)
             rep = cross_check(K, unit, spec, p)
         except ValueError as exc:
             print(f"{record.label}: not applicable at {p}: {exc}")
             continue
+        sres = rep.screen
         print(
-            f"{record.label}: splitting {stype}, F_{sres.index} = "
+            f"{record.label}: splitting {rep.splitting}, F_{sres.index} = "
             f"{sres.value} (mod {p*p}), screen "
             f"{'nonzero' if sres.nonzero else 'zero'}, witness "
             f"{'present' if rep.witness_exists else 'absent'}, violation "
@@ -294,6 +293,9 @@ def cli(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout early, as in `prat table | head`
+        return 0
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
@@ -303,4 +305,14 @@ def cli(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(cli())
+    code = cli()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # send the interpreter's final flush of the closed pipe to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -107,12 +107,11 @@ class IdealHNF:
 class NumberField:
     """Immutable field/order data; construct via make_field."""
 
-    def __init__(self, poly_coeffs, basis_rows):
-        f = ring.poly(poly_coeffs)
+    def __init__(self, f, poly_disc: int, basis_rows):
         n = ring.degree(f)
         self.poly = f
         self.n = n
-        self.poly_disc = ring.discriminant(f)
+        self.poly_disc = poly_disc
         r1 = ring.count_real_roots(f)
         self.signature = (r1, (n - r1) // 2)
         self.criterion_eligible = (n, *self.signature) in ((3, 1, 1), (4, 0, 2))
@@ -313,7 +312,8 @@ def make_field(poly_coeffs, basis=None) -> NumberField:
         raise ValueError("defining polynomial must have degree >= 2")
     if not ring.is_monic(f):
         raise ValueError("defining polynomial must be monic")
-    if ring.discriminant(f) == 0:
+    poly_disc = ring.discriminant(f)
+    if poly_disc == 0:
         raise ValueError("defining polynomial must be squarefree")
     if _has_rational_root(f):
         raise ValueError("defining polynomial is reducible (rational root)")
@@ -321,7 +321,7 @@ def make_field(poly_coeffs, basis=None) -> NumberField:
         raise ValueError("defining polynomial is reducible (quadratic factor)")
     if basis is None:
         basis = [[int(i == j) for j in range(n)] for i in range(n)]
-    return NumberField(f, basis)
+    return NumberField(f, poly_disc, basis)
 
 
 def _divisors(c: int) -> set[int]:
@@ -368,21 +368,12 @@ def _has_quadratic_factor(f) -> bool:
 # Dedekind's criterion and prime splitting
 
 
-def dedekind_p_maximal(field_or_poly, p: int) -> bool:
+def dedekind_p_maximal(f, p: int, factors) -> bool:
     """Dedekind's criterion: is Z[alpha] maximal at p?
 
-    Accepts a NumberField over the power basis or a raw monic coefficient
-    sequence (the latter is used for unit tests of the gcd formula itself).
+    f is the monic defining polynomial and factors its factorization mod p,
+    as returned by ring.factor_mod_p.
     """
-    if isinstance(field_or_poly, NumberField):
-        if not field_or_poly.is_power_basis:
-            raise ValueError("Dedekind criterion requires the power basis")
-        f = field_or_poly.poly
-    else:
-        f = ring.poly(field_or_poly)
-        if not ring.is_monic(f):
-            raise ValueError("Dedekind criterion requires a monic polynomial")
-    factors = ring.factor_mod_p(f, p)
     gbar = (1,)
     hbar = (1,)
     for fac, mult in factors:
@@ -406,23 +397,28 @@ def split_prime(K: NumberField, p: int) -> list[PrimeFactor]:
     disc(f), or Dedekind p-maximality of the power basis, or an ingested
     basis whose common denominator is coprime to p.
     """
+    factors = ring.factor_mod_p(K.poly, p)
     if K.poly_disc % p != 0:
         certified = True
     elif K.is_power_basis:
-        certified = dedekind_p_maximal(K, p)
+        certified = dedekind_p_maximal(K.poly, p, factors)
     else:
         certified = K.basis_den % p != 0
     if not certified:
         raise SplittingUndetermined(
             f"p = {p} may divide the index; splitting undetermined"
         )
-    factors = ring.factor_mod_p(K.poly, p)
     out = [
         PrimeFactor(p, fac, mult, fac.degree, i + 1)
         for i, (fac, mult) in enumerate(factors)
     ]
     assert sum(pf.e * pf.f for pf in out) == K.n
     return out
+
+
+def is_completely_split(K: NumberField, factors) -> bool:
+    """True when the prime factors are n distinct primes with e = f = 1."""
+    return len(factors) == K.n and all((pf.e, pf.f) == (1, 1) for pf in factors)
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import PrecisionExhausted, SplittingUndetermined
+from .errors import PrecisionExhausted
 from .numberfield import (
     FieldElement,
     NumberField,
     ideal_from_two_generators,
     ideal_pow,
+    is_completely_split,
     principal_ideal,
     split_prime,
 )
-from .ring import ModPoly, PadicApprox, factor_mod_p, hensel_lift_root, padic_log
+from .ring import ModPoly, PadicApprox, hensel_lift_root, padic_log
 from . import torsion as torsion_mod
 
 PRECISION_CAP = 16
@@ -88,21 +89,20 @@ def _embed(K: NumberField, x: FieldElement, root: PadicApprox) -> int:
     return acc
 
 
-def _principal_unit_log(value: int, p: int, k: int) -> PadicApprox:
-    u = PadicApprox(value % p**k, k, p)
-    return padic_log(u)
-
-
-def log_index_split_cyclic(K: NumberField, p: int, Q, g: FieldElement,
-                           unit: FieldElement, precision: int = 4,
-                           root_order=None) -> int:
+def log_index_split_cyclic(K: NumberField, p: int, factors, Q,
+                           g: FieldElement, unit: FieldElement,
+                           precision: int = 4) -> int:
     """The lattice index (Log(I_p) : Log(P_p)) in {1, p} for a completely
-    split odd prime p, computed from a generator g of Q^p.
+    split odd prime p with prime factors `factors`, computed from a generator
+    g of Q^p.
+
+    The p completions send alpha to the Hensel lifts of the roots of f mod p,
+    read off the linear factors and labelled in the order of `factors` (the
+    index is label-invariant).
 
     Valuations that stay undecided at the working precision trigger a retry
     with doubled precision, capped at 16 digits; past the cap the decision is
-    abandoned (PrecisionExhausted).  root_order permutes the deterministic
-    completion labels (the index is label-invariant; exposed for tests).
+    abandoned (PrecisionExhausted).
     """
     if p == 2:
         raise ValueError("p must be odd")
@@ -112,27 +112,21 @@ def log_index_split_cyclic(K: NumberField, p: int, Q, g: FieldElement,
         raise ValueError("generator of Q^p must be integral")
     if principal_ideal(K, g).rows != ideal_pow(K, Q, p).rows:
         raise ValueError("generator does not generate Q^p")
+    if not is_completely_split(K, factors):
+        raise ValueError("p is not completely split")
+    roots = [(-pf.generator.coeffs[0]) % p for pf in factors]
     k = max(precision, 2)
     while True:
         try:
-            return _log_index_at_precision(K, p, g, unit, k,
-                                           root_order=root_order)
+            return _log_index_at_precision(K, p, roots, g, unit, k)
         except PrecisionExhausted:
             if 2 * k > PRECISION_CAP:
                 raise
             k *= 2
 
 
-def _log_index_at_precision(K: NumberField, p: int, g: FieldElement,
-                            unit: FieldElement, k: int,
-                            root_order=None) -> int:
-    roots = []
-    for fac, mult in factor_mod_p(K.poly, p):
-        if fac.degree != 1 or mult != 1:
-            raise ValueError("p is not completely split")
-        roots.append((-fac.coeffs[0]) % p)
-    if root_order is not None:
-        roots = [roots[i] for i in root_order]
+def _log_index_at_precision(K: NumberField, p: int, roots, g: FieldElement,
+                            unit: FieldElement, k: int) -> int:
     lifted = [hensel_lift_root(K.poly, p, r, k) for r in roots]
     pk = p**k
 
@@ -143,28 +137,17 @@ def _log_index_at_precision(K: NumberField, p: int, g: FieldElement,
         gi = _embed(K, g, root)
         if gi % p == 0:
             raise ValueError("generator is not a unit at p")
-        li = _principal_unit_log(pow(gi, p - 1, pk), p, k).value
+        li = padic_log(PadicApprox(pow(gi, p - 1, pk), k, p)).value
         assert li % p == 0, "log of a (p-1)-st power has positive valuation"
         u_res.append((li // p) * inv_p1 % p ** (k - 1))
         ei = _embed(K, unit, root)
-        wi = _principal_unit_log(pow(ei, p - 1, pk), p, k).value
-        w_res.append(wi)
+        w_res.append(padic_log(PadicApprox(pow(ei, p - 1, pk), k, p)))
 
-    def val(x: int, bound: int) -> int | None:
-        if x % p**bound == 0:
-            return None
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
-
-    w_vals = [val(w, k) for w in w_res]
-    known = [v for v in w_vals if v is not None]
+    known = [v for v in (w.valuation() for w in w_res) if v is not None]
     if not known or min(known) >= k - 1:
         raise PrecisionExhausted("unit logs vanish at the working precision")
     m = min(known)
-    wbar = [(w // p**m) % p for w in w_res]
+    wbar = [(w.value // p**m) % p for w in w_res]
     ubar = [u % p for u in u_res]
     # index 1 iff ubar lies on the F_p line spanned by wbar
     pivot = next(i for i, w in enumerate(wbar) if w != 0)
@@ -173,10 +156,10 @@ def _log_index_at_precision(K: NumberField, p: int, g: FieldElement,
     return 1 if on_line else p
 
 
-def condition1(K: NumberField, p: int, *, class_number: int | None,
-               unit: FieldElement, aux: AuxIdealData | None = None,
-               precision: int = 4) -> Condition1Report:
-    """Decide condition (1) where possible.
+def condition1(K: NumberField, p: int, factors, *, class_number: int | None,
+               unit: FieldElement,
+               aux: AuxIdealData | None = None) -> Condition1Report:
+    """Decide condition (1) where possible, given the prime factors of p.
 
     p coprime to h(K) settles it trivially.  Otherwise the split-cyclic
     branch requires: p completely split, p-part of the class group cyclic of
@@ -198,18 +181,14 @@ def condition1(K: NumberField, p: int, *, class_number: int | None,
         )
     if aux is None:
         return Condition1Report(UNDETERMINED, detail="no auxiliary ideal data")
-    try:
-        factors = split_prime(K, p)
-    except SplittingUndetermined as exc:
-        return Condition1Report(UNDETERMINED, detail=str(exc))
-    if len(factors) != K.n or any((pf.e, pf.f) != (1, 1) for pf in factors):
+    if not is_completely_split(K, factors):
         return Condition1Report(UNDETERMINED, detail="p is not completely split")
     Q = ideal_from_two_generators(
         K, aux.q, ModPoly(tuple(c % aux.q for c in aux.gen_poly), aux.q)
     )
     g = K.element_from_power_coords(aux.power_gen, aux.power_gen_den)
     try:
-        idx = log_index_split_cyclic(K, p, Q, g, unit, precision)
+        idx = log_index_split_cyclic(K, p, factors, Q, g, unit)
     except PrecisionExhausted as exc:
         return Condition1Report(UNDETERMINED, detail=str(exc))
     return Condition1Report(SPLIT_CYCLIC_INDEX, index=idx, holds=(idx == p))
@@ -230,7 +209,8 @@ def verdict(K: NumberField, p: int, *, unit: FieldElement,
     rep2 = torsion_mod.condition2(
         K, p, unit, factors, torsion_order=torsion_order, torsion_gen=torsion_gen
     )
-    rep1 = condition1(K, p, class_number=class_number, unit=unit, aux=aux)
+    rep1 = condition1(K, p, factors, class_number=class_number, unit=unit,
+                      aux=aux)
     reasons = []
     if class_number is not None and class_number % p == 0:
         reasons.append(CLASS_NUMBER_DIVISIBLE)

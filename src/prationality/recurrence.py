@@ -42,16 +42,19 @@ class ScreenResult:
     index: int
     value: int
     nonzero: bool
-    implied_witness: bool
 
 
 @dataclass(frozen=True)
 class ConsistencyReport:
     p: int
     splitting: str
-    screen_nonzero: bool
+    screen: ScreenResult
     witness_exists: bool
     violation: bool
+
+    @property
+    def screen_nonzero(self) -> bool:
+        return self.screen.nonzero
 
 
 def _mat_mul(A, B, m):
@@ -111,7 +114,7 @@ def screen(spec: RecurrenceSpec, p: int, splitting: str) -> ScreenResult:
         INERT: p**3 - 1,
     }[splitting]
     value = f_index_mod(spec, index, p * p)
-    return ScreenResult(index, value, value != 0, value != 0)
+    return ScreenResult(index, value, value != 0)
 
 
 def minimal_poly_spec(K: NumberField, unit: FieldElement) -> RecurrenceSpec:
@@ -163,4 +166,4 @@ def cross_check(K: NumberField, unit: FieldElement, spec: RecurrenceSpec,
     sres = screen(spec, p, stype)
     rep = torsion_mod.condition2(K, p, unit, factors)
     violation = sres.nonzero and not rep.holds
-    return ConsistencyReport(p, stype, sres.nonzero, rep.holds, violation)
+    return ConsistencyReport(p, stype, sres, rep.holds, violation)

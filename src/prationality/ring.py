@@ -30,12 +30,6 @@ def degree(f) -> int:
     return len(f) - 1
 
 
-def leading(f):
-    if not f:
-        raise ValueError("zero polynomial has no leading coefficient")
-    return f[-1]
-
-
 def is_monic(f) -> bool:
     return bool(f) and f[-1] == 1
 
@@ -65,10 +59,6 @@ def poly_mul(f, g):
         for j, b in enumerate(g):
             out[i + j] += a * b
     return poly(out)
-
-
-def poly_scale(f, c):
-    return poly(a * c for a in f)
 
 
 def poly_eval(f, x):

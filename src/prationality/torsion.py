@@ -20,6 +20,7 @@ from .numberfield import (
     ideal_contains,
     ideal_from_two_generators,
     ideal_pow,
+    is_completely_split,
 )
 
 
@@ -57,9 +58,6 @@ def applicability_guard(K: NumberField, p: int, factors) -> NotApplicableReason 
         return NotApplicableReason("p = 3 must be unramified")
     if K.n == 4 and p == 5 and len(factors) == 1 and factors[0].e == 4:
         return NotApplicableReason("5 totally ramified in a quartic field")
-    if K.n == 3 and p < 5 and sorted(pf.e for pf in factors) == [1, 2]:
-        # redundant with the p = 3 unramified guard, kept for clarity
-        return NotApplicableReason("ramified-split cubic shape needs p >= 5")
     return None
 
 
@@ -114,7 +112,7 @@ def condition2_split_crt_check(K: NumberField, p: int, unit: FieldElement,
                                factors) -> bool:
     """Completely split cubic case: the single global congruence
     eps^(p-1) mod p^2 O_K decides the same predicate (CRT)."""
-    if K.n != 3 or len(factors) != 3 or any((pf.e, pf.f) != (1, 1) for pf in factors):
+    if K.n != 3 or not is_completely_split(K, factors):
         raise ValueError("requires a completely split cubic instance")
     if p < 3:
         raise ValueError("requires p >= 3")

@@ -1,4 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import prationality
 from prationality.cli import cli
+
+
+def _run_module(args, stdout):
+    """Run `python -m prationality ARGS` with this checkout's package."""
+    env = dict(os.environ)
+    src = str(Path(prationality.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "prationality", *args],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=300,
+    )
 
 
 def test_check_example_63(capsys):
@@ -113,3 +130,20 @@ def test_table_cli_with_input(tmp_path, capsys):
 
 def test_missing_input_file_exits_one(capsys):
     assert cli(["scan", "--input", "/nonexistent.csv", "--xmax", "20"]) == 1
+
+
+def test_python_m_runs_the_cli():
+    proc = _run_module(["ggc", "--xmax", "100", "--T", "1"], subprocess.PIPE)
+    assert proc.returncode == 0, proc.stderr
+    assert "p = 17: " in proc.stdout
+
+
+def test_closed_stdout_is_not_an_error():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has already exited
+    try:
+        proc = _run_module(["table", "--pmin", "5", "--pmax", "7"], write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -16,7 +16,7 @@ from prationality.numberfield import (
     principal_ideal,
     split_prime,
 )
-from prationality.ring import ModPoly, discriminant, poly
+from prationality.ring import ModPoly, discriminant, factor_mod_p, poly
 from prationality.selftest import suite_ef_sum
 
 EX62 = (27, -4, 0, 1)  # x^3 - 4x + 27
@@ -89,11 +89,15 @@ def test_norm_is_multiplicative():
         assert K.norm(FieldElement(a.coords, d)) == K.norm(a) / d**4
 
 
+def _dedekind(f, p):
+    return dedekind_p_maximal(f, p, factor_mod_p(f, p))
+
+
 def test_dedekind_examples():
-    assert dedekind_p_maximal(make_field(EX62), 3) is True
-    assert dedekind_p_maximal(make_field(EX63), 5) is True
+    assert _dedekind(make_field(EX62).poly, 3) is True
+    assert _dedekind(make_field(EX63).poly, 5) is True
     for p in (3, 5, 7, 11):
-        assert dedekind_p_maximal((0, 0, 1) if False else (-(p**2), 0, 1), p) is False
+        assert _dedekind((-(p**2), 0, 1), p) is False
 
 
 def test_split_prime_examples():
@@ -119,12 +123,20 @@ def test_split_prime_totally_ramified_via_dedekind():
     assert [(pf.e, pf.f) for pf in facs] == [(4, 1)]
 
 
+def test_split_prime_factors_once_at_a_dedekind_prime(factor_mod_p_calls):
+    # p = 5 divides disc(f) = 125 and the order is the power basis, so the
+    # Dedekind test runs; it reuses the one factorization of f mod 5
+    K = make_field((1, -1, 1, -1, 1))
+    split_prime(K, 5)
+    assert factor_mod_p_calls == [(K.poly, 5)]
+
+
 def test_split_prime_refuses_without_certificate():
     # x^2 - p^2 is reducible so use a genuine index-divisible case:
     # f = x^3 - x^2 - 2x - 8 has index 2 at p = 2 (classical Dedekind example)
     K = make_field((-8, -2, -1, 1))
     assert K.poly_disc % 2 == 0
-    assert dedekind_p_maximal(K, 2) is False
+    assert _dedekind(K.poly, 2) is False
     with pytest.raises(SplittingUndetermined):
         split_prime(K, 2)
 

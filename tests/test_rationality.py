@@ -1,12 +1,14 @@
 import pytest
 
 from prationality.errors import PrecisionExhausted
+from prationality.harness import bundled_records
 from prationality.numberfield import (
     FieldElement,
     ideal_from_two_generators,
     ideal_pow,
     make_field,
     principal_ideal,
+    split_prime,
 )
 from prationality.rationality import (
     AuxIdealData,
@@ -33,19 +35,20 @@ AUX62 = AuxIdealData(q=2, gen_poly=(1, 1), power_gen=(-604, 265, -77))
 
 def test_condition1_trivial_class_number():
     L = make_field(EX63)
-    rep = condition1(L, 5, class_number=1, unit=EPS63)
+    rep = condition1(L, 5, split_prime(L, 5), class_number=1, unit=EPS63)
     assert rep.branch == TRIVIAL_CLASS_NUMBER and rep.holds is True
 
 
 def test_condition1_requires_class_number():
     L = make_field(EX63)
     with pytest.raises(ValueError):
-        condition1(L, 5, class_number=None, unit=EPS63)
+        condition1(L, 5, split_prime(L, 5), class_number=None, unit=EPS63)
 
 
 def test_condition1_split_cyclic_example_62():
     K = make_field(EX62)
-    rep = condition1(K, 3, class_number=3, unit=EPS62, aux=AUX62)
+    rep = condition1(K, 3, split_prime(K, 3), class_number=3, unit=EPS62,
+                     aux=AUX62)
     assert rep.branch == SPLIT_CYCLIC_INDEX
     assert rep.index == 3
     assert rep.holds is True
@@ -53,7 +56,7 @@ def test_condition1_split_cyclic_example_62():
 
 def test_condition1_undetermined_without_aux():
     K = make_field(EX62)
-    rep = condition1(K, 3, class_number=3, unit=EPS62)
+    rep = condition1(K, 3, split_prime(K, 3), class_number=3, unit=EPS62)
     assert rep.branch == UNDETERMINED and rep.holds is None
 
 
@@ -61,10 +64,11 @@ def test_log_index_example_62_at_low_precision():
     K = make_field(EX62)
     Q = ideal_from_two_generators(K, 2, ModPoly((1, 1), 2))
     g = FieldElement((-604, 265, -77))
-    assert log_index_split_cyclic(K, 3, Q, g, EPS62, precision=2) == 3
+    factors = split_prime(K, 3)
+    assert log_index_split_cyclic(K, 3, factors, Q, g, EPS62, precision=2) == 3
     # doubling precision never changes a decided index
-    assert log_index_split_cyclic(K, 3, Q, g, EPS62, precision=4) == 3
-    assert log_index_split_cyclic(K, 3, Q, g, EPS62, precision=8) == 3
+    assert log_index_split_cyclic(K, 3, factors, Q, g, EPS62, precision=4) == 3
+    assert log_index_split_cyclic(K, 3, factors, Q, g, EPS62, precision=8) == 3
 
 
 def test_log_index_invariant_under_principal_unit_shift():
@@ -76,7 +80,8 @@ def test_log_index_invariant_under_principal_unit_shift():
     g2 = K.mul(g, shift)
     # (g2) no longer equals Q^3 exactly, so compare at the raw decision level:
     # embed both and check the derived index via the validated path for g only
-    idx = log_index_split_cyclic(K, 3, Q, g, EPS62, precision=3)
+    idx = log_index_split_cyclic(K, 3, split_prime(K, 3), Q, g, EPS62,
+                                 precision=3)
     assert idx == 3
     # and the shifted generator generates Q^3 * (1 + 9 alpha), still index 3
     Qs = principal_ideal(K, g2)
@@ -104,14 +109,16 @@ def test_log_index_principal_ideal_gives_one():
     assert g0 is not None
     Q0 = principal_ideal(K, g0)
     g = K.mul(K.mul(g0, g0), g0)
-    assert log_index_split_cyclic(K, 3, Q0, g, EPS62, precision=4) == 1
+    assert log_index_split_cyclic(K, 3, split_prime(K, 3), Q0, g, EPS62,
+                                  precision=4) == 1
 
 
 def test_log_index_validates_generator():
     K = make_field(EX62)
     Q = ideal_from_two_generators(K, 2, ModPoly((1, 1), 2))
     with pytest.raises(ValueError):
-        log_index_split_cyclic(K, 3, Q, FieldElement((1, 1, 0)), EPS62)
+        log_index_split_cyclic(K, 3, split_prime(K, 3), Q,
+                               FieldElement((1, 1, 0)), EPS62)
 
 
 def test_log_index_root_label_invariance():
@@ -120,13 +127,14 @@ def test_log_index_root_label_invariance():
     K = make_field(EX62)
     Q = ideal_from_two_generators(K, 2, ModPoly((1, 1), 2))
     g = FieldElement((-604, 265, -77))
-    for perm in itertools.permutations(range(3)):
+    factors = split_prime(K, 3)
+    for perm in itertools.permutations(factors):
         assert log_index_split_cyclic(
-            K, 3, Q, g, EPS62, precision=4, root_order=list(perm)
+            K, 3, list(perm), Q, g, EPS62, precision=4
         ) == 3
     # the line is spanned by any power of the unit; same answer for eps^2
     eps_sq = K.mul(EPS62, EPS62)
-    assert log_index_split_cyclic(K, 3, Q, g, eps_sq, precision=4) == 3
+    assert log_index_split_cyclic(K, 3, factors, Q, g, eps_sq, precision=4) == 3
 
 
 def test_verdict_examples():
@@ -144,6 +152,15 @@ def test_verdict_examples():
     v = verdict(K10, 5, unit=golden, class_number=1, torsion_order=10,
                 torsion_gen=FieldElement((0, 1, 0, 0)))
     assert v.status == NOT_APPLICABLE
+
+
+def test_verdict_factors_once_on_the_split_cyclic_branch(factor_mod_p_calls):
+    rec = [r for r in bundled_records("examples") if r.poly_coeffs == EX62][0]
+    K = rec.build_field()
+    v = verdict(K, 3, unit=rec.unit_element(), class_number=rec.class_number,
+                aux=rec.aux)
+    assert v.condition1.branch == SPLIT_CYCLIC_INDEX
+    assert factor_mod_p_calls == [(K.poly, 3)]
 
 
 def test_verdict_undetermined_when_p_divides_h():
