@@ -28,12 +28,7 @@ from .harness import (
     reproduce_table,
     verdict_for_record,
 )
-from .rationality import (
-    NOT_APPLICABLE,
-    NOT_P_RATIONAL,
-    P_RATIONAL,
-    VERDICT_UNDETERMINED,
-)
+from .rationality import NOT_P_RATIONAL, P_RATIONAL, VERDICT_UNDETERMINED
 from .recurrence import cross_check, minimal_poly_spec
 from .numberfield import is_completely_split, split_prime
 
@@ -60,8 +55,6 @@ def _cmd_check(args) -> int:
         class_number=args.h,
         unit_coeffs=parse_ints(args.unit),
         unit_den=args.unit_den,
-        torsion_order=args.torsion_order,
-        torsion_gen_coeffs=parse_ints(args.torsion_gen) or None,
     )
     p = args.prime
     K = record.build_field()
@@ -218,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--unit-den", type=int, default=1)
     c.add_argument("--h", type=int, required=True, help="class number")
     c.add_argument("--prime", type=int, required=True)
-    c.add_argument("--torsion-order", type=int, default=2)
-    c.add_argument("--torsion-gen", default="")
     c.set_defaults(func=_cmd_check)
 
     t = sub.add_parser("table", help="reproduce the exception table")

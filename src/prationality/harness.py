@@ -87,13 +87,6 @@ class FieldRecord:
             self.unit_coeffs, self.unit_den
         )
 
-    def torsion_gen_element(self) -> FieldElement | None:
-        if self.torsion_gen_coeffs is None:
-            return None
-        return self.build_field().element_from_power_coords(
-            self.torsion_gen_coeffs, self.torsion_gen_den
-        )
-
 
 @dataclass(frozen=True)
 class TableRow:
@@ -342,8 +335,6 @@ def verdict_for_record(record: FieldRecord, p: int) -> Verdict:
         p,
         unit=record.unit_element(),
         class_number=record.class_number,
-        torsion_order=record.torsion_order,
-        torsion_gen=record.torsion_gen_element(),
         aux=record.aux,
     )
 

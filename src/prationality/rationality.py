@@ -195,8 +195,7 @@ def condition1(K: NumberField, p: int, factors, *, class_number: int | None,
 
 
 def verdict(K: NumberField, p: int, *, unit: FieldElement,
-            class_number: int | None, torsion_order: int = 2,
-            torsion_gen: FieldElement | None = None,
+            class_number: int | None,
             aux: AuxIdealData | None = None) -> Verdict:
     """Assemble the final p-rationality verdict for one (field, prime)."""
     if not K.criterion_eligible:
@@ -206,9 +205,7 @@ def verdict(K: NumberField, p: int, *, unit: FieldElement,
     guard = torsion_mod.applicability_guard(K, p, factors)
     if guard is not None:
         return Verdict(NOT_APPLICABLE, (GUARD,), guard_reason=guard.reason)
-    rep2 = torsion_mod.condition2(
-        K, p, unit, factors, torsion_order=torsion_order, torsion_gen=torsion_gen
-    )
+    rep2 = torsion_mod.condition2(K, p, unit, factors)
     rep1 = condition1(K, p, factors, class_number=class_number, unit=unit,
                       aux=aux)
     reasons = []

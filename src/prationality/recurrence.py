@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import InvariantViolation
 from .numberfield import FieldElement, NumberField, split_prime
@@ -140,26 +139,33 @@ def minimal_poly_spec(K: NumberField, unit: FieldElement) -> RecurrenceSpec:
     if any(x.denominator != 1 for x in (tr, s2, det)):
         raise ValueError("unit is not integral")
     spec = RecurrenceSpec(a2=int(tr), a1=-int(s2), a0=int(det))
-    f = spec.companion_poly
-    if discriminant(f) == 0:
+    if discriminant(spec.companion_poly) == 0:
         raise ValueError("unit generates a proper subfield (degree drop)")
-    # sanity: the unit satisfies its characteristic polynomial
-    acc = K.zero()
-    powv = K.one()
-    for c in f:
-        if c:
-            acc = K.add(acc, FieldElement(tuple(c * x for x in powv.coords), powv.den))
-        powv = K.mul(powv, unit)
-    if not K.equals(acc, K.zero()):
+    if not _satisfies(K, unit, spec.companion_poly):
         raise InvariantViolation("unit does not satisfy its characteristic polynomial")
     return spec
 
 
+def _satisfies(K: NumberField, x: FieldElement, f) -> bool:
+    """Whether f(x) = 0 in K."""
+    acc = K.zero()
+    powv = K.one()
+    for c in f:
+        if c:
+            acc = K.add(acc, FieldElement(tuple(c * v for v in powv.coords), powv.den))
+        powv = K.mul(powv, x)
+    return K.equals(acc, K.zero())
+
+
 def cross_check(K: NumberField, unit: FieldElement, spec: RecurrenceSpec,
                 p: int) -> ConsistencyReport:
-    """Assert the screen's implication against the direct congruence test."""
-    expected = minimal_poly_spec(K, unit)
-    if expected != spec:
+    """Assert the screen's implication against the direct congruence test.
+
+    spec must be the characteristic polynomial of the unit.  In a cubic
+    field that holds iff the unit is irrational and satisfies the spec's
+    companion polynomial, which is cheaper to check than recomputing it.
+    """
+    if not any(unit.coords[1:]) or not _satisfies(K, unit, spec.companion_poly):
         raise ValueError("spec does not match the minimal polynomial of the unit")
     factors = split_prime(K, p)
     stype = splitting_type(factors)

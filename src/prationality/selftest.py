@@ -3,14 +3,16 @@
 Each suite returns (name, passed, detail); run_all aggregates them.  These are
 the engine's internal consistency oracles: the reduced-form class numbers
 against the Dirichlet character sum, the companion-matrix recurrence against
-direct iteration, the e*f sum over random fields, Fermat first-power
-membership, and the split/CRT and two-exponent congruence equivalences.
+direct iteration, the e*f sum over random fields, and condition (2)'s
+per-prime verdicts (with their Fermat first-power checks) against HNF ideal
+membership on every bundled field.
 """
 
 from __future__ import annotations
 
 import random
 
+from .errors import SplittingUndetermined
 from .families import (
     dirichlet_class_number,
     fundamental_discriminant,
@@ -19,12 +21,7 @@ from .families import (
 )
 from .numberfield import FieldElement, make_field, split_prime
 from .recurrence import RecurrenceSpec, f_index_mod
-from .torsion import (
-    applicability_guard,
-    condition2,
-    condition2_split_crt_check,
-    prop24_equivalence_check,
-)
+from .torsion import _congruent_by_hnf, applicability_guard, condition2
 
 
 def suite_forms_vs_dirichlet(limit: int = 200):
@@ -89,55 +86,41 @@ def suite_ef_sum(pairs: int = 1000):
     return ("ef-sum", True, f"{pairs} random (field, prime) pairs")
 
 
-def _bundled_cubic_instances():
+def suite_condition2_oracles(pmax: int = 100):
+    """condition2's per-prime flags (the cofactor congruence at e = 1, the
+    Fermat check inside) against the HNF reference, on every bundled field
+    at every prime the guard admits."""
+    from .families import primes_up_to
     from .harness import bundled_records
 
-    for record in bundled_records("table1") + bundled_records("examples"):
-        if record.degree != 3:
-            continue
-        yield record
-
-
-def suite_condition2_oracles(pmax: int = 100):
-    """Fermat membership (checked inside condition2), the split/CRT
-    equivalence, and the two-exponent equivalence on the bundled fields."""
-    from .families import primes_up_to
-
-    crt_checked = 0
-    prop24_checked = 0
-    for record in _bundled_cubic_instances():
+    compared = {False: 0, True: 0}  # keyed by "ramified"
+    records = (bundled_records("table1") + bundled_records("table2")
+               + bundled_records("examples"))
+    for record in records:
         K = record.build_field()
         unit = record.unit_element()
         for p in primes_up_to(pmax):
-            if p < 3 or K.poly_disc % p == 0:
+            try:
+                factors = split_prime(K, p)
+            except SplittingUndetermined:
                 continue
-            factors = split_prime(K, p)
             if applicability_guard(K, p, factors) is not None:
                 continue
-            rep = condition2(K, p, unit, factors)  # Fermat asserted inside
-            shapes = sorted((pf.e, pf.f) for pf in factors)
-            if shapes == [(1, 1), (1, 1), (1, 1)]:
-                if condition2_split_crt_check(K, p, unit, factors) != rep.holds:
+            for entry in condition2(K, p, unit, factors).per_prime:
+                pf = entry.factor
+                residue = FieldElement(entry.residue)
+                if _congruent_by_hnf(K, p, pf, residue) != entry.congruent:
                     return (
                         "condition2-oracles",
                         False,
-                        f"CRT mismatch at {record.label}, p={p}",
+                        f"HNF mismatch at {record.label}, p={p}, P{pf.label}",
                     )
-                crt_checked += 1
-            for pf in factors:
-                if (pf.e, pf.f) == (1, 1):
-                    if not prop24_equivalence_check(K, p, unit, pf):
-                        return (
-                            "condition2-oracles",
-                            False,
-                            f"two-exponent mismatch at {record.label}, p={p}",
-                        )
-                    prop24_checked += 1
-                    break
+                compared[pf.e > 1] += 1
     return (
         "condition2-oracles",
         True,
-        f"{crt_checked} CRT instances, {prop24_checked} two-exponent instances",
+        f"{compared[False]} unramified and {compared[True]} ramified "
+        "prime factors agree with HNF",
     )
 
 

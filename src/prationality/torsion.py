@@ -1,17 +1,31 @@
 """The unit-congruence test: search for a prime ideal over p witnessing
-eps^(p^f - 1) != 1 (mod p^(e+1)).
+eps^(p^f - 1) != 1 (mod P^(e+1)).
 
-Every splitting shape runs through one uniform algorithm: for each prime
-ideal over p, raise the fundamental unit to p^f - 1 with coordinates reduced
-mod p^(e+1) and test membership of the residue minus 1 in the HNF of the
-(e+1)-st ideal power.  Reduction mod p^(e+1) is legitimate because
-p^(e+1) O_K is contained in every such ideal power.
+For each prime ideal P = (p, g(alpha)) over p the fundamental unit is raised
+to p^f - 1 with coordinates reduced mod p^(e+1).  Reduction mod p^(e+1) is
+legitimate because p^(e+1) O_K is contained in P^(e+1).  The residue r is
+then tested on one of two paths:
+
+- e = 1, by a cofactor congruence.  split_prime only returns when p does not
+  divide the index of Z[alpha], so the Kummer-Dedekind factorization
+  p O_K = prod P'^(e') holds with P' = (p, g'(alpha)).  Let h be the lift of
+  (f mod p) / g, the product of the other g'^(e').  Then h(alpha) is a unit
+  at P and lies in every other P'^(e'), so by CRT x = r - 1 lies in P iff
+  x h(alpha) is in p O_K, and in P^2 iff x h(alpha)^2 is in p^2 O_K.  Both
+  are read off the coordinates mod p^2, which is why the residue mod
+  p^(e+1) = p^2 suffices and no ideal is built.
+- e > 1, by HNF membership of r - 1 in P^(e+1); the same HNF test is the
+  reference the selftest compares the cofactor path against.
+
+Either path first checks x in P (Fermat), which always holds for a unit, and
+raises InvariantViolation if it does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import ring
 from .errors import InvariantViolation
 from .numberfield import (
     FieldElement,
@@ -20,8 +34,9 @@ from .numberfield import (
     ideal_contains,
     ideal_from_two_generators,
     ideal_pow,
-    is_completely_split,
 )
+
+_FERMAT_FAILURE = "Fermat failure: eps^(p^f-1) - 1 not in the first power"
 
 
 @dataclass(frozen=True)
@@ -51,7 +66,15 @@ class Condition2Report:
 
 
 def applicability_guard(K: NumberField, p: int, factors) -> NotApplicableReason | None:
-    """Guards from the criterion's hypotheses; None means applicable."""
+    """Guards from the criterion's hypotheses; None means applicable.
+
+    No (K, p) that passes has p | w, the number of roots of unity in K, so
+    zeta^(p^f - 1) = 1 for every root of unity zeta and every eps * zeta has
+    the same congruences as eps: the torsion never changes condition (2).
+    For w in degree <= 4, p | w with p odd means p = 3 or p = 5.  If 3 | w
+    then sqrt(-3) is in K, so 3 ramifies and the guard refuses p = 3.  If
+    5 | w then K = Q(zeta_5), which is totally ramified at 5.
+    """
     if p == 2:
         return NotApplicableReason("p = 2 is outside the criterion")
     if p == 3 and any(pf.e > 1 for pf in factors):
@@ -61,76 +84,42 @@ def applicability_guard(K: NumberField, p: int, factors) -> NotApplicableReason 
     return None
 
 
-def _unit_variants(K: NumberField, unit: FieldElement, torsion_order: int,
-                   torsion_gen: FieldElement | None):
-    """eps * zeta^j for every torsion generator power (trivial when w <= 2:
-    the sign never changes any congruence since p^f - 1 is even)."""
-    if torsion_order <= 2 or torsion_gen is None:
-        return [unit]
-    variants = []
-    cur = unit
-    for _ in range(torsion_order):
-        variants.append(cur)
-        cur = K.mul(cur, torsion_gen)
-    return variants
+def _congruent_by_cofactor(K: NumberField, p: int, pf: PrimeFactor,
+                           residue: FieldElement) -> bool:
+    """residue = 1 (mod P^2) for P = pf with e = 1, by the cofactor
+    congruence of the module docstring."""
+    cofactor, _ = ring._mp_divmod(ring._mp(K.poly, p), pf.generator.coeffs, p)
+    h = K.element_from_power_coords(cofactor).coords
+    x = K.sub(residue, K.one()).coords
+    xh = K.mul_mod(x, h, p * p)
+    if any(c % p for c in xh):
+        raise InvariantViolation(_FERMAT_FAILURE)
+    return not any(K.mul_mod(xh, h, p * p))
 
 
-def condition2(K: NumberField, p: int, unit: FieldElement, factors,
-               torsion_order: int = 2,
-               torsion_gen: FieldElement | None = None) -> Condition2Report:
+def _congruent_by_hnf(K: NumberField, p: int, pf: PrimeFactor,
+                      residue: FieldElement) -> bool:
+    """residue = 1 (mod P^(e+1)) for P = pf, by HNF ideal membership."""
+    first = ideal_from_two_generators(K, p, pf.generator)
+    x = K.sub(residue, K.one())
+    if not ideal_contains(K, first, x):
+        raise InvariantViolation(_FERMAT_FAILURE)
+    return ideal_contains(K, ideal_pow(K, first, pf.e + 1), x)
+
+
+def condition2(K: NumberField, p: int, unit: FieldElement,
+               factors) -> Condition2Report:
     """Evaluate the witness search over the given prime factors of p."""
     if abs(K.norm(unit)) != 1:
         raise ValueError("unit must have norm +-1")
-    variants = _unit_variants(K, unit, torsion_order, torsion_gen)
     per = []
     witness = None
     for pf in factors:
         exponent = p**pf.f - 1
-        modulus = p ** (pf.e + 1)
-        first = ideal_from_two_generators(K, p, pf.generator)
-        power = ideal_pow(K, first, pf.e + 1)
-        congruent = True
-        residue = None
-        for u in variants:
-            r = K.pow_mod(u, exponent, modulus)
-            if residue is None:
-                residue = r.coords
-            shifted = K.sub(r, K.one())
-            if not ideal_contains(K, first, shifted):
-                raise InvariantViolation(
-                    "Fermat failure: eps^(p^f-1) - 1 not in the first power"
-                )
-            if not ideal_contains(K, power, shifted):
-                congruent = False
-        per.append(PerPrimeResult(pf, exponent, residue, congruent))
+        r = K.pow_mod(unit, exponent, p ** (pf.e + 1))
+        test = _congruent_by_cofactor if pf.e == 1 else _congruent_by_hnf
+        congruent = test(K, p, pf, r)
+        per.append(PerPrimeResult(pf, exponent, r.coords, congruent))
         if not congruent and witness is None:
             witness = pf.label
     return Condition2Report(p, tuple(per), witness, witness is not None)
-
-
-def condition2_split_crt_check(K: NumberField, p: int, unit: FieldElement,
-                               factors) -> bool:
-    """Completely split cubic case: the single global congruence
-    eps^(p-1) mod p^2 O_K decides the same predicate (CRT)."""
-    if K.n != 3 or not is_completely_split(K, factors):
-        raise ValueError("requires a completely split cubic instance")
-    if p < 3:
-        raise ValueError("requires p >= 3")
-    r = K.pow_mod(unit, p - 1, p * p)
-    return r.coords != K.one().coords
-
-
-def prop24_equivalence_check(K: NumberField, p: int, unit: FieldElement,
-                             pf2: PrimeFactor) -> bool:
-    """For a degree-1 unramified factor, eps^(p-1) = 1 (mod pf2^2) iff
-    eps^(p^2-1) = 1 (mod pf2^2); returns whether the two tests agree."""
-    if (pf2.e, pf2.f) != (1, 1):
-        raise ValueError("requires a factor with e = 1, f = 1")
-    sq = ideal_pow(K, ideal_from_two_generators(K, p, pf2.generator), 2)
-    lhs = ideal_contains(
-        K, sq, K.sub(K.pow_mod(unit, p - 1, p * p), K.one())
-    )
-    rhs = ideal_contains(
-        K, sq, K.sub(K.pow_mod(unit, p * p - 1, p * p), K.one())
-    )
-    return lhs == rhs

@@ -149,8 +149,7 @@ def test_verdict_examples():
     # Q(zeta_10) at p = 5: totally ramified guard
     K10 = make_field((1, -1, 1, -1, 1))
     golden = FieldElement((1, 0, 1, -1))
-    v = verdict(K10, 5, unit=golden, class_number=1, torsion_order=10,
-                torsion_gen=FieldElement((0, 1, 0, 0)))
+    v = verdict(K10, 5, unit=golden, class_number=1)
     assert v.status == NOT_APPLICABLE
 
 

@@ -152,3 +152,6 @@ def test_cross_check_rejects_mismatched_spec():
     K = make_field(EX62)
     with pytest.raises(ValueError):
         cross_check(K, EPS62, RecurrenceSpec(1, 1, 1), 5)
+    # -1 satisfies x^3 + 1, but a rational unit has no cubic minimal polynomial
+    with pytest.raises(ValueError):
+        cross_check(K, K.from_int(-1), RecurrenceSpec(0, 0, -1), 5)

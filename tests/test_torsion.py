@@ -2,13 +2,11 @@ import random
 
 import pytest
 
+from prationality.errors import SplittingUndetermined
+from prationality.families import primes_up_to
+from prationality.harness import bundled_records
 from prationality.numberfield import FieldElement, make_field, split_prime
-from prationality.torsion import (
-    applicability_guard,
-    condition2,
-    condition2_split_crt_check,
-    prop24_equivalence_check,
-)
+from prationality.torsion import _congruent_by_hnf, applicability_guard, condition2
 
 EX62 = (27, -4, 0, 1)
 EX63 = (3, 0, -2, 0, 1)
@@ -42,52 +40,13 @@ def test_condition2_example_62():
     rep = condition2(K, 3, eps, factors)
     assert rep.holds
     # the paper's global form: eps^2 = 1 + 3(alpha+2), alpha+2 not in 3 O_k
-    assert condition2_split_crt_check(K, 3, eps, factors) is True
-    assert rep.holds == condition2_split_crt_check(K, 3, eps, factors)
+    assert K.pow_mod(eps, 2, 9).coords == (7, 3, 0)
 
 
 def test_condition2_requires_unit():
     K = make_field(EX62)
     with pytest.raises(ValueError):
         condition2(K, 3, FieldElement((2, 0, 0)), split_prime(K, 3))
-
-
-def test_crt_check_negative_branch():
-    # synthetic congruent element 1 + p^2*alpha (not a real unit; the check
-    # itself does not validate unit-ness)
-    K = make_field(EX62)
-    p = 7
-    factors = split_prime(K, p)
-    if sorted((pf.e, pf.f) for pf in factors) == [(1, 1)] * 3:
-        synthetic = FieldElement((1, p * p, 0))
-        assert condition2_split_crt_check(K, p, synthetic, factors) is False
-
-
-def test_crt_check_rejects_wrong_shape():
-    K = make_field(EX62)
-    with pytest.raises(ValueError):
-        condition2_split_crt_check(
-            K, 2, FieldElement((1, 0, 0)), split_prime(K, 2)
-        )
-
-
-def test_prop24_equivalence():
-    K = make_field(EX62)
-    eps = FieldElement((-3280, -3462, -729))
-    for pf in split_prime(K, 3):
-        assert prop24_equivalence_check(K, 3, eps, pf) is True
-    # a 1+2 split prime: p = 2 has shape (1,1),(1,2); use the f = 1 factor
-    pf2 = [pf for pf in split_prime(K, 5) if pf.f == 1]
-    for pf in pf2:
-        assert prop24_equivalence_check(K, 5, eps, pf) is True
-
-
-def test_prop24_rejects_wrong_factor():
-    K = make_field(EX62)
-    eps = FieldElement((-3280, -3462, -729))
-    deg2 = [pf for pf in split_prime(K, 2) if pf.f == 2][0]
-    with pytest.raises(ValueError):
-        prop24_equivalence_check(K, 2, eps, deg2)
 
 
 def test_sign_and_inversion_invariance():
@@ -132,3 +91,58 @@ def test_report_determinism():
     a = condition2(K, 3, eps, factors)
     b = condition2(K, 3, eps, factors)
     assert a == b
+
+
+def test_torsion_never_changes_condition2():
+    # the guard admits no p dividing w, so zeta^(p^f-1) = 1 and every
+    # eps * zeta^j has the report of eps
+    records = [r for name in ("table1", "table2", "examples")
+               for r in bundled_records(name) if r.torsion_order > 2]
+    assert records
+    for record in records:
+        K = record.build_field()
+        eps = record.unit_element()
+        zeta = K.element_from_power_coords(record.torsion_gen_coeffs,
+                                           record.torsion_gen_den)
+        for p in primes_up_to(100):
+            try:
+                factors = split_prime(K, p)
+            except SplittingUndetermined:
+                continue
+            if applicability_guard(K, p, factors) is not None:
+                continue
+            assert record.torsion_order % p != 0, (record.label, p)
+            base = condition2(K, p, eps, factors)
+            variant = eps
+            for _ in range(record.torsion_order - 1):
+                variant = K.mul(variant, zeta)
+                assert condition2(K, p, variant, factors) == base, (record.label, p)
+
+
+def test_condition2_matches_hnf_on_random_unit_fields():
+    # alpha is a unit when f(0) = +-1; the cofactor path (e = 1) and the HNF
+    # path (e > 1) must agree with HNF membership factor by factor
+    rng = random.Random(20231)
+    mixed = 0
+    fields = 0
+    while fields < 120:
+        n = rng.choice([3, 4])
+        middle = tuple(rng.randint(-12, 12) for _ in range(n - 1))
+        f = (rng.choice([1, -1]),) + middle + (1,)
+        try:
+            K = make_field(f)
+        except ValueError:
+            continue
+        fields += 1
+        alpha = FieldElement((0, 1) + (0,) * (n - 2))
+        for p in primes_up_to(60):
+            try:
+                factors = split_prime(K, p)
+            except SplittingUndetermined:
+                continue
+            for entry in condition2(K, p, alpha, factors).per_prime:
+                pf = entry.factor
+                hnf = _congruent_by_hnf(K, p, pf, FieldElement(entry.residue))
+                assert entry.congruent == hnf, (f, p, pf.label)
+            mixed += len({pf.e > 1 for pf in factors}) == 2
+    assert mixed > 0
