@@ -28,9 +28,15 @@ from .harness import (
     reproduce_table,
     verdict_for_record,
 )
-from .rationality import NOT_P_RATIONAL, P_RATIONAL, VERDICT_UNDETERMINED
+from .rationality import (
+    NOT_APPLICABLE,
+    NOT_P_RATIONAL,
+    P_RATIONAL,
+    VERDICT_UNDETERMINED,
+)
 from .recurrence import cross_check, minimal_poly_spec
 from .numberfield import is_completely_split, split_prime
+from .torsion import condition2
 
 
 def _poly_str(coords, modulus=None) -> str:
@@ -74,8 +80,9 @@ def _cmd_check(args) -> int:
         shape_word = shape
     print(f"splitting of {p}: {shape_word}")
     v = verdict_for_record(record, p)
-    if v.condition2 is not None:
-        for entry in v.condition2.per_prime:
+    if v.status != NOT_APPLICABLE:
+        rep = condition2(K, p, record.unit_element(), factors)
+        for entry in rep.per_prime:
             pf = entry.factor
             mod = p ** (pf.e + 1)
             rel = "=" if entry.congruent else "!="

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .numberfield import FieldElement, NumberField, make_field, split_prime
+from .numberfield import FieldElement, NumberField, make_field
 from .recurrence import MIXED_1_2, SPLIT_COMPLETELY, splitting_type
+from .ring import factor_degrees_mod_p
 from . import torsion as torsion_mod
 
 EULER_GAMMA = 0.5772156649015329
@@ -96,7 +97,9 @@ def pure_cubic_scan(pmin: int, pmax: int,
                     h_data: dict[int, int] | None = None) -> list[PureCubicResult]:
     """Evaluate condition (2) for Q(cbrt(p^3-1)) at p over a prime range.
 
-    Class numbers are only reported when ingested through h_data.
+    Class numbers are only reported when ingested through h_data.  Every
+    p >= 5 is unramified, as disc = -27 (p^3 - 1)^2, so condition (2) is
+    decided from the residue degrees alone.
     """
     if not (5 <= pmin <= pmax):
         raise ValueError("range must satisfy 5 <= pmin <= pmax")
@@ -105,17 +108,18 @@ def pure_cubic_scan(pmin: int, pmax: int,
         if p < pmin:
             continue
         inst = PureCubicInstance.build(p)
-        factors = split_prime(inst.field, p)
-        splitting = splitting_type(factors)
+        degrees = factor_degrees_mod_p(inst.field.poly, p)
+        splitting = splitting_type((1, d) for d in degrees)
         expected = {SPLIT_COMPLETELY: 1, MIXED_1_2: 2}.get(splitting)
         if p % 3 != expected:
             raise InvariantViolation("splitting does not match p mod 3 law")
-        rep = torsion_mod.condition2(inst.field, p, inst.unit, factors)
+        holds = torsion_mod.condition2_unramified(inst.field, p, inst.unit,
+                                                  degrees)
         if h_data and p in h_data:
             flag = "p|h" if h_data[p] % p == 0 else "p coprime to h"
         else:
             flag = "h-unknown"
-        results.append(PureCubicResult(p, splitting, rep.holds, flag))
+        results.append(PureCubicResult(p, splitting, holds, flag))
     return results
 
 

@@ -72,6 +72,7 @@ class FieldRecord:
     integral_basis: tuple[tuple[Fraction, ...], ...] | None = None
     aux: AuxIdealData | None = None
     _field: NumberField | None = field(default=None, repr=False, compare=False)
+    _unit: FieldElement | None = field(default=None, repr=False, compare=False)
 
     @property
     def degree(self) -> int:
@@ -83,9 +84,11 @@ class FieldRecord:
         return self._field
 
     def unit_element(self) -> FieldElement:
-        return self.build_field().element_from_power_coords(
-            self.unit_coeffs, self.unit_den
-        )
+        if self._unit is None:
+            self._unit = self.build_field().element_from_power_coords(
+                self.unit_coeffs, self.unit_den
+            )
+        return self._unit
 
 
 @dataclass(frozen=True)

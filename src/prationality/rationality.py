@@ -24,7 +24,13 @@ from .numberfield import (
     principal_ideal,
     split_prime,
 )
-from .ring import ModPoly, PadicApprox, hensel_lift_root, padic_log
+from .ring import (
+    ModPoly,
+    PadicApprox,
+    factor_degrees_mod_p,
+    hensel_lift_root,
+    padic_log,
+)
 from . import torsion as torsion_mod
 
 PRECISION_CAP = 16
@@ -71,7 +77,6 @@ class Verdict:
     status: str
     reasons: tuple[str, ...]
     condition1: Condition1Report | None = None
-    condition2: "torsion_mod.Condition2Report | None" = None
     guard_reason: str = ""
 
 
@@ -159,7 +164,8 @@ def _log_index_at_precision(K: NumberField, p: int, roots, g: FieldElement,
 def condition1(K: NumberField, p: int, factors, *, class_number: int | None,
                unit: FieldElement,
                aux: AuxIdealData | None = None) -> Condition1Report:
-    """Decide condition (1) where possible, given the prime factors of p.
+    """Decide condition (1) where possible, given the prime factors of p, or
+    None to split p here, which only the split-cyclic branch needs.
 
     p coprime to h(K) settles it trivially.  Otherwise the split-cyclic
     branch requires: p completely split, p-part of the class group cyclic of
@@ -181,6 +187,8 @@ def condition1(K: NumberField, p: int, factors, *, class_number: int | None,
         )
     if aux is None:
         return Condition1Report(UNDETERMINED, detail="no auxiliary ideal data")
+    if factors is None:
+        factors = split_prime(K, p)
     if not is_completely_split(K, factors):
         return Condition1Report(UNDETERMINED, detail="p is not completely split")
     Q = ideal_from_two_generators(
@@ -197,26 +205,38 @@ def condition1(K: NumberField, p: int, factors, *, class_number: int | None,
 def verdict(K: NumberField, p: int, *, unit: FieldElement,
             class_number: int | None,
             aux: AuxIdealData | None = None) -> Verdict:
-    """Assemble the final p-rationality verdict for one (field, prime)."""
+    """Assemble the final p-rationality verdict for one (field, prime).
+
+    At odd p not dividing disc(f) condition (2) is decided from the residue
+    degrees alone and p is not split into prime ideals; the applicability
+    guard is skipped there because it refuses only p = 2 and ramified p.
+    Everywhere else p is split, the guard applied and condition (2)
+    decided per prime factor.
+    """
     if not K.criterion_eligible:
         return Verdict(NOT_APPLICABLE, (GUARD,), guard_reason=
                        "field is not complex cubic or pure imaginary quartic")
-    factors = split_prime(K, p)  # SplittingUndetermined propagates
-    guard = torsion_mod.applicability_guard(K, p, factors)
-    if guard is not None:
-        return Verdict(NOT_APPLICABLE, (GUARD,), guard_reason=guard.reason)
-    rep2 = torsion_mod.condition2(K, p, unit, factors)
+    if torsion_mod.global_test_applies(K, p):
+        factors = None
+        holds2 = torsion_mod.condition2_unramified(
+            K, p, unit, factor_degrees_mod_p(K.poly, p))
+    else:
+        factors = split_prime(K, p)  # SplittingUndetermined propagates
+        guard = torsion_mod.applicability_guard(K, p, factors)
+        if guard is not None:
+            return Verdict(NOT_APPLICABLE, (GUARD,), guard_reason=guard.reason)
+        holds2 = torsion_mod.condition2(K, p, unit, factors).holds
     rep1 = condition1(K, p, factors, class_number=class_number, unit=unit,
                       aux=aux)
     reasons = []
     if class_number is not None and class_number % p == 0:
         reasons.append(CLASS_NUMBER_DIVISIBLE)
-    if not rep2.holds:
+    if not holds2:
         reasons.insert(0, TORSION_NONTRIVIAL)
-        return Verdict(NOT_P_RATIONAL, tuple(reasons), rep1, rep2)
+        return Verdict(NOT_P_RATIONAL, tuple(reasons), rep1)
     if rep1.holds is True:
-        return Verdict(P_RATIONAL, (), rep1, rep2)
+        return Verdict(P_RATIONAL, (), rep1)
     if rep1.holds is False:
-        return Verdict(NOT_P_RATIONAL, tuple(reasons), rep1, rep2)
+        return Verdict(NOT_P_RATIONAL, tuple(reasons), rep1)
     reasons.append(CONDITION1_UNDETERMINED)
-    return Verdict(VERDICT_UNDETERMINED, tuple(reasons), rep1, rep2)
+    return Verdict(VERDICT_UNDETERMINED, tuple(reasons), rep1)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation
 from .numberfield import FieldElement, NumberField, split_prime
-from .ring import discriminant, poly
+from .ring import discriminant, factor_degrees_mod_p, poly
 from . import torsion as torsion_mod
 
 SPLIT_COMPLETELY = "split-completely"
@@ -89,8 +89,9 @@ def f_index_mod(spec: RecurrenceSpec, n: int, modulus: int) -> int:
     return R[0][2] % modulus
 
 
-def splitting_type(factors) -> str:
-    shapes = sorted((pf.e, pf.f) for pf in factors)
+def splitting_type(shape) -> str:
+    """Name of an unramified cubic splitting from its (e, f) pairs."""
+    shapes = sorted(shape)
     if shapes == [(1, 1), (1, 1), (1, 1)]:
         return SPLIT_COMPLETELY
     if shapes == [(1, 1), (1, 2)]:
@@ -167,9 +168,15 @@ def cross_check(K: NumberField, unit: FieldElement, spec: RecurrenceSpec,
     """
     if not any(unit.coords[1:]) or not _satisfies(K, unit, spec.companion_poly):
         raise ValueError("spec does not match the minimal polynomial of the unit")
-    factors = split_prime(K, p)
-    stype = splitting_type(factors)
-    sres = screen(spec, p, stype)
-    rep = torsion_mod.condition2(K, p, unit, factors)
-    violation = sres.nonzero and not rep.holds
-    return ConsistencyReport(p, stype, sres, rep.holds, violation)
+    if torsion_mod.global_test_applies(K, p):
+        degrees = factor_degrees_mod_p(K.poly, p)
+        stype = splitting_type((1, d) for d in degrees)
+        sres = screen(spec, p, stype)
+        holds = torsion_mod.condition2_unramified(K, p, unit, degrees)
+    else:
+        factors = split_prime(K, p)
+        stype = splitting_type((pf.e, pf.f) for pf in factors)
+        sres = screen(spec, p, stype)
+        holds = torsion_mod.condition2(K, p, unit, factors).holds
+    violation = sres.nonzero and not holds
+    return ConsistencyReport(p, stype, sres, holds, violation)

@@ -312,6 +312,14 @@ def _distinct_degree(f, p):
     return result
 
 
+def factor_degrees_mod_p(f, p: int) -> list[int]:
+    """Degrees of the monic irreducible factors of f over F_p, ascending,
+    read off the distinct-degree split alone; f must be monic and
+    squarefree mod p."""
+    return [d for part, d in _distinct_degree(_mp(f, p), p)
+            for _ in range(degree(part) // d)]
+
+
 def _candidate_polys(p, max_deg):
     """Deterministic enumeration of splitting candidates: the shifts
     x+0, x+1, ..., x+(p-1) first, then all monic polynomials by degree."""

@@ -21,7 +21,14 @@ from .families import (
 )
 from .numberfield import FieldElement, make_field, split_prime
 from .recurrence import RecurrenceSpec, f_index_mod
-from .torsion import _congruent_by_hnf, applicability_guard, condition2
+from .ring import factor_degrees_mod_p
+from .torsion import (
+    _congruent_by_hnf,
+    applicability_guard,
+    condition2,
+    condition2_unramified,
+    global_test_applies,
+)
 
 
 def suite_forms_vs_dirichlet(limit: int = 200):
@@ -88,12 +95,15 @@ def suite_ef_sum(pairs: int = 1000):
 
 def suite_condition2_oracles(pmax: int = 100):
     """condition2's per-prime flags (the cofactor congruence at e = 1, the
-    Fermat check inside) against the HNF reference, on every bundled field
-    at every prime the guard admits."""
+    Fermat check inside) against the HNF reference, and at odd p prime to
+    disc(f) the global test (with the residue degrees from the
+    distinct-degree split) against the report, on every bundled field at
+    every prime the guard admits."""
     from .families import primes_up_to
     from .harness import bundled_records
 
     compared = {False: 0, True: 0}  # keyed by "ramified"
+    global_cells = 0
     records = (bundled_records("table1") + bundled_records("table2")
                + bundled_records("examples"))
     for record in records:
@@ -106,7 +116,19 @@ def suite_condition2_oracles(pmax: int = 100):
                 continue
             if applicability_guard(K, p, factors) is not None:
                 continue
-            for entry in condition2(K, p, unit, factors).per_prime:
+            rep = condition2(K, p, unit, factors)
+            if global_test_applies(K, p):
+                degrees = factor_degrees_mod_p(K.poly, p)
+                if (degrees != sorted(pf.f for pf in factors)
+                        or condition2_unramified(K, p, unit, degrees)
+                        != rep.holds):
+                    return (
+                        "condition2-oracles",
+                        False,
+                        f"global test mismatch at {record.label}, p={p}",
+                    )
+                global_cells += 1
+            for entry in rep.per_prime:
                 pf = entry.factor
                 residue = FieldElement(entry.residue)
                 if _congruent_by_hnf(K, p, pf, residue) != entry.congruent:
@@ -120,7 +142,8 @@ def suite_condition2_oracles(pmax: int = 100):
         "condition2-oracles",
         True,
         f"{compared[False]} unramified and {compared[True]} ramified "
-        "prime factors agree with HNF",
+        f"prime factors agree with HNF; the global test agrees with the "
+        f"report at {global_cells} odd primes prime to disc(f)",
     )
 
 

@@ -19,11 +19,26 @@ then tested on one of two paths:
 
 Either path first checks x in P (Fermat), which always holds for a unit, and
 raises InvariantViolation if it does not.
+
+At odd p not dividing disc(f) no prime factor is needed (condition2_unramified,
+the Fermat-quotient form of the test; Gras, Canad. J. Math. 68, 2016).  There
+every e is 1 and p does not divide the index of Z[alpha], so
+O_K/p^2 O_K = Z[alpha]/p^2 and p^2 O_K = prod P^2; the same holds for the
+field's own basis, whose order lies between the two.  Let F be the lcm of the
+residue degrees, read off the distinct-degree split of f mod p (Cohen,
+GTM 138, 3.4.3), and r = eps^(p^F - 1) mod p^2.  For each P of degree f,
+r = u^k with u = eps^(p^f - 1) in 1 + P and
+k = (p^F - 1)/(p^f - 1) = 1 + p^f + p^(2f) + ... = 1 (mod p).  The group
+(1 + P)/(1 + P^2) has exponent p, so r = 1 (mod P^2) iff u = 1 (mod P^2).
+Hence condition (2) holds iff r != 1, and the Fermat check becomes
+r = 1 (mod p).  Since k = 1 (mod p) for every p, the test is valid at p = 3
+as well, whatever the degrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from . import ring
 from .errors import InvariantViolation
@@ -107,11 +122,36 @@ def _congruent_by_hnf(K: NumberField, p: int, pf: PrimeFactor,
     return ideal_contains(K, ideal_pow(K, first, pf.e + 1), x)
 
 
+def _check_unit(K: NumberField, unit: FieldElement) -> None:
+    if abs(K.norm(unit)) != 1:
+        raise ValueError("unit must have norm +-1")
+
+
+def global_test_applies(K: NumberField, p: int) -> bool:
+    """Whether condition2_unramified decides condition (2) at p."""
+    return p != 2 and K.poly_disc % p != 0
+
+
+def condition2_unramified(K: NumberField, p: int, unit: FieldElement,
+                          degrees) -> bool:
+    """Condition (2) at an odd p not dividing disc(f), decided for every
+    prime factor at once from r = eps^(p^F - 1) mod p^2 (module docstring);
+    degrees are the residue degrees, as from ring.factor_degrees_mod_p."""
+    if not global_test_applies(K, p):
+        raise ValueError("p must be odd and prime to disc(f)")
+    _check_unit(K, unit)
+    pp = p * p
+    r = K.pow_mod(unit, p ** lcm(*degrees) - 1, pp).coords
+    x = (r[0] - 1,) + r[1:]
+    if any(c % p for c in x):
+        raise InvariantViolation(_FERMAT_FAILURE)
+    return any(c % pp for c in x)
+
+
 def condition2(K: NumberField, p: int, unit: FieldElement,
                factors) -> Condition2Report:
     """Evaluate the witness search over the given prime factors of p."""
-    if abs(K.norm(unit)) != 1:
-        raise ValueError("unit must have norm +-1")
+    _check_unit(K, unit)
     per = []
     witness = None
     for pf in factors:

@@ -162,6 +162,14 @@ def test_verdict_factors_once_on_the_split_cyclic_branch(factor_mod_p_calls):
     assert factor_mod_p_calls == [(K.poly, 3)]
 
 
+def test_verdict_does_not_factor_at_unramified_p_prime_to_h(factor_mod_p_calls):
+    L = make_field(EX63)
+    assert L.poly_disc % 5 != 0
+    v = verdict(L, 5, unit=EPS63, class_number=1)
+    assert v.status == P_RATIONAL
+    assert factor_mod_p_calls == []
+
+
 def test_verdict_undetermined_when_p_divides_h():
     # x^3 - x^2 + 7x - 6 with h = 5 at p = 5 must come out Undetermined
     K = make_field((-6, 7, -1, 1))

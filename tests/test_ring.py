@@ -7,6 +7,7 @@ from prationality.ring import (
     count_real_roots,
     derivative,
     discriminant,
+    factor_degrees_mod_p,
     factor_mod_p,
     hensel_lift_root,
     mod_poly,
@@ -118,6 +119,8 @@ def test_factor_mod_p_reassembles_and_factors_irreducible():
         fbar = poly(c % p for c in f)
         assert prod == fbar
         assert total == len(fbar) - 1
+        if all(m == 1 for _, m in facs):
+            assert factor_degrees_mod_p(f, p) == [g.degree for g, _ in facs]
 
 
 def test_factor_mod_p_repeated_factors():

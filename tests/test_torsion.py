@@ -6,7 +6,13 @@ from prationality.errors import SplittingUndetermined
 from prationality.families import primes_up_to
 from prationality.harness import bundled_records
 from prationality.numberfield import FieldElement, make_field, split_prime
-from prationality.torsion import _congruent_by_hnf, applicability_guard, condition2
+from prationality.ring import factor_degrees_mod_p
+from prationality.torsion import (
+    _congruent_by_hnf,
+    applicability_guard,
+    condition2,
+    condition2_unramified,
+)
 
 EX62 = (27, -4, 0, 1)
 EX63 = (3, 0, -2, 0, 1)
@@ -47,6 +53,12 @@ def test_condition2_requires_unit():
     K = make_field(EX62)
     with pytest.raises(ValueError):
         condition2(K, 3, FieldElement((2, 0, 0)), split_prime(K, 3))
+    with pytest.raises(ValueError):
+        condition2_unramified(K, 3, FieldElement((2, 0, 0)), [1, 1, 1])
+    eps = FieldElement((-3280, -3462, -729))
+    for p in (2, 19427):  # disc(f) = -19427, a prime
+        with pytest.raises(ValueError):
+            condition2_unramified(K, p, eps, [1, 1, 1])
 
 
 def test_sign_and_inversion_invariance():
@@ -119,11 +131,10 @@ def test_torsion_never_changes_condition2():
                 assert condition2(K, p, variant, factors) == base, (record.label, p)
 
 
-def test_condition2_matches_hnf_on_random_unit_fields():
-    # alpha is a unit when f(0) = +-1; the cofactor path (e = 1) and the HNF
-    # path (e > 1) must agree with HNF membership factor by factor
+def _random_unit_fields():
+    """Seeded random monic cubics and quartics with f(0) = +-1, so that alpha
+    is a unit: (K, alpha) pairs."""
     rng = random.Random(20231)
-    mixed = 0
     fields = 0
     while fields < 120:
         n = rng.choice([3, 4])
@@ -134,7 +145,14 @@ def test_condition2_matches_hnf_on_random_unit_fields():
         except ValueError:
             continue
         fields += 1
-        alpha = FieldElement((0, 1) + (0,) * (n - 2))
+        yield K, FieldElement((0, 1) + (0,) * (n - 2))
+
+
+def test_condition2_matches_hnf_on_random_unit_fields():
+    # the cofactor path (e = 1) and the HNF path (e > 1) must agree with HNF
+    # membership factor by factor
+    mixed = 0
+    for K, alpha in _random_unit_fields():
         for p in primes_up_to(60):
             try:
                 factors = split_prime(K, p)
@@ -143,6 +161,27 @@ def test_condition2_matches_hnf_on_random_unit_fields():
             for entry in condition2(K, p, alpha, factors).per_prime:
                 pf = entry.factor
                 hnf = _congruent_by_hnf(K, p, pf, FieldElement(entry.residue))
-                assert entry.congruent == hnf, (f, p, pf.label)
+                assert entry.congruent == hnf, (K.poly, p, pf.label)
             mixed += len({pf.e > 1 for pf in factors}) == 2
     assert mixed > 0
+
+
+def test_global_test_matches_report_on_random_unit_fields():
+    # at odd p prime to disc(f) one residue eps^(p^F - 1) mod p^2 decides
+    # condition (2) for every prime factor; (p^F - 1)/(p^f - 1) = 1 (mod p)
+    # also when p divides F/f, as for degrees (1, 3) at p = 3
+    cells = 0
+    p3_shape_13 = 0
+    for K, alpha in _random_unit_fields():
+        for p in (3, 5, 7, 11, 13):
+            if K.poly_disc % p == 0:
+                continue
+            factors = split_prime(K, p)
+            degrees = factor_degrees_mod_p(K.poly, p)
+            assert degrees == sorted(pf.f for pf in factors), (K.poly, p)
+            fast = condition2_unramified(K, p, alpha, degrees)
+            assert fast == condition2(K, p, alpha, factors).holds, (K.poly, p)
+            cells += 1
+            p3_shape_13 += p == 3 and degrees == [1, 3]
+    assert cells > 400
+    assert p3_shape_13 > 0
