@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .errors import InvariantViolation, SplittingUndetermined
@@ -260,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _normalize_argv(argv):
     """Join '--flag -2;-1;...' into '--flag=-2;-1;...' so coefficient lists
     with a leading minus survive argparse."""
-    import re
-
     out = []
     i = 0
     value_like = re.compile(r"^-\d[\d;,./-]*$")

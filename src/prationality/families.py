@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .numberfield import FieldElement, NumberField, make_field
+from .numberfield import (FieldElement, NumberField, make_field, part_shapes,
+                          squarefree_parts)
 from .recurrence import MIXED_1_2, SPLIT_COMPLETELY, splitting_type
-from .ring import factor_degrees_mod_p
 from . import torsion as torsion_mod
 
 EULER_GAMMA = 0.5772156649015329
@@ -98,8 +98,8 @@ def pure_cubic_scan(pmin: int, pmax: int,
     """Evaluate condition (2) for Q(cbrt(p^3-1)) at p over a prime range.
 
     Class numbers are only reported when ingested through h_data.  Every
-    p >= 5 is unramified, as disc = -27 (p^3 - 1)^2, so condition (2) is
-    decided from the residue degrees alone.
+    p >= 5 is unramified, as disc = -27 (p^3 - 1)^2, so f mod p is its own
+    squarefree part and is never factored into prime ideals.
     """
     if not (5 <= pmin <= pmax):
         raise ValueError("range must satisfy 5 <= pmin <= pmax")
@@ -108,13 +108,12 @@ def pure_cubic_scan(pmin: int, pmax: int,
         if p < pmin:
             continue
         inst = PureCubicInstance.build(p)
-        degrees = factor_degrees_mod_p(inst.field.poly, p)
-        splitting = splitting_type((1, d) for d in degrees)
+        parts = squarefree_parts(inst.field, p)
+        splitting = splitting_type(part_shapes(parts))
         expected = {SPLIT_COMPLETELY: 1, MIXED_1_2: 2}.get(splitting)
         if p % 3 != expected:
             raise InvariantViolation("splitting does not match p mod 3 law")
-        holds = torsion_mod.condition2_unramified(inst.field, p, inst.unit,
-                                                  degrees)
+        holds = torsion_mod.condition2_holds(inst.field, p, inst.unit, parts)
         if h_data and p in h_data:
             flag = "p|h" if h_data[p] % p == 0 else "p coprime to h"
         else:

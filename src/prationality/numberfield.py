@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 
 from .errors import SplittingUndetermined
@@ -368,18 +369,28 @@ def _has_quadratic_factor(f) -> bool:
 # Dedekind's criterion and prime splitting
 
 
+def radical_cofactor(factors, p: int) -> tuple[int, ...]:
+    """prod g^(m - 1) over F_p for (g, m) pairs that multiply to f mod p,
+    so that f = rad(f) * cofactor mod p."""
+    out = (1,)
+    for fac, mult in factors:
+        for _ in range(mult - 1):
+            out = ring._mp_mul(out, fac.coeffs, p)
+    return out
+
+
 def dedekind_p_maximal(f, p: int, factors) -> bool:
     """Dedekind's criterion: is Z[alpha] maximal at p?
 
-    f is the monic defining polynomial and factors its factorization mod p,
-    as returned by ring.factor_mod_p.
+    f is the monic defining polynomial and factors its factorization mod p
+    as (ModPoly, multiplicity) pairs: the irreducible factors of
+    ring.factor_mod_p or the squarefree parts of squarefree_parts.  Only
+    the radical and its cofactor are read, and they are the same for both.
     """
     gbar = (1,)
-    hbar = (1,)
-    for fac, mult in factors:
+    for fac, _ in factors:
         gbar = ring._mp_mul(gbar, fac.coeffs, p)
-        for _ in range(mult - 1):
-            hbar = ring._mp_mul(hbar, fac.coeffs, p)
+    hbar = radical_cofactor(factors, p)
     glift = ring.poly(gbar)
     hlift = ring.poly(hbar)
     diff = ring.poly_sub(f, ring.poly_mul(glift, hlift))
@@ -390,24 +401,51 @@ def dedekind_p_maximal(f, p: int, factors) -> bool:
     return ring.degree(g2) == 0
 
 
-def split_prime(K: NumberField, p: int) -> list[PrimeFactor]:
-    """Prime ideals over p with (e, f), read off from factoring f mod p.
-
-    Requires a certificate that p does not divide the index: p coprime to
+def _require_certificate(K: NumberField, p: int, factors) -> None:
+    """Refuse p unless it provably does not divide the index: p coprime to
     disc(f), or Dedekind p-maximality of the power basis, or an ingested
-    basis whose common denominator is coprime to p.
-    """
-    factors = ring.factor_mod_p(K.poly, p)
-    if K.poly_disc % p != 0:
-        certified = True
-    elif K.is_power_basis:
-        certified = dedekind_p_maximal(K.poly, p, factors)
-    else:
-        certified = K.basis_den % p != 0
-    if not certified:
+    basis whose common denominator is coprime to p."""
+    if K.poly_disc % p == 0 and not (
+            dedekind_p_maximal(K.poly, p, factors) if K.is_power_basis
+            else K.basis_den % p != 0):
         raise SplittingUndetermined(
             f"p = {p} may divide the index; splitting undetermined"
         )
+
+
+def squarefree_parts(K: NumberField,
+                     p: int) -> tuple[tuple[ModPoly, int], ...]:
+    """f mod p = prod g_m^m as (g_m, m) pairs, the g_m monic, squarefree and
+    pairwise coprime, under split_prime's certificate.  At p not dividing
+    disc(f) this is ((f mod p, 1),) with no polynomial work.
+
+    Since p does not divide the index, each irreducible factor g of g_m
+    gives the prime ideal (p, g(alpha)) with e = m and f = deg g.
+    """
+    fbar = ring.mod_poly(K.poly, p)
+    if K.poly_disc % p != 0:
+        return ((fbar, 1),)
+    parts = tuple((ModPoly(g, p), m)
+                  for g, m in ring._sqf_decomposition(fbar.coeffs, p))
+    _require_certificate(K, p, parts)
+    return parts
+
+
+@lru_cache(maxsize=8)
+def part_shapes(parts) -> tuple[tuple[int, int], ...]:
+    """(e, f) of every prime ideal over p, read off the squarefree parts by
+    the distinct-degree split of each part.  Cached, because a recurrence
+    cross-check reads them for its splitting type and again for
+    condition (2)."""
+    return tuple((m, d) for g, m in parts
+                 for d in ring.factor_degrees_mod_p(g.coeffs, g.modulus))
+
+
+def split_prime(K: NumberField, p: int) -> list[PrimeFactor]:
+    """Prime ideals over p with (e, f), read off from factoring f mod p,
+    under the certificate of _require_certificate."""
+    factors = ring.factor_mod_p(K.poly, p)
+    _require_certificate(K, p, factors)
     out = [
         PrimeFactor(p, fac, mult, fac.degree, i + 1)
         for i, (fac, mult) in enumerate(factors)

@@ -23,11 +23,11 @@ from .numberfield import (
     is_completely_split,
     principal_ideal,
     split_prime,
+    squarefree_parts,
 )
 from .ring import (
     ModPoly,
     PadicApprox,
-    factor_degrees_mod_p,
     hensel_lift_root,
     padic_log,
 )
@@ -161,16 +161,15 @@ def _log_index_at_precision(K: NumberField, p: int, roots, g: FieldElement,
     return 1 if on_line else p
 
 
-def condition1(K: NumberField, p: int, factors, *, class_number: int | None,
+def condition1(K: NumberField, p: int, *, class_number: int | None,
                unit: FieldElement,
                aux: AuxIdealData | None = None) -> Condition1Report:
-    """Decide condition (1) where possible, given the prime factors of p, or
-    None to split p here, which only the split-cyclic branch needs.
+    """Decide condition (1) where possible.
 
     p coprime to h(K) settles it trivially.  Otherwise the split-cyclic
     branch requires: p completely split, p-part of the class group cyclic of
-    order exactly p, and record-supplied auxiliary ideal data.  Anything else
-    is Undetermined.
+    order exactly p, and record-supplied auxiliary ideal data; only this
+    branch splits p into prime ideals.  Anything else is Undetermined.
     """
     if class_number is None:
         raise ValueError("class number is required for condition (1)")
@@ -187,8 +186,7 @@ def condition1(K: NumberField, p: int, factors, *, class_number: int | None,
         )
     if aux is None:
         return Condition1Report(UNDETERMINED, detail="no auxiliary ideal data")
-    if factors is None:
-        factors = split_prime(K, p)
+    factors = split_prime(K, p)
     if not is_completely_split(K, factors):
         return Condition1Report(UNDETERMINED, detail="p is not completely split")
     Q = ideal_from_two_generators(
@@ -207,27 +205,19 @@ def verdict(K: NumberField, p: int, *, unit: FieldElement,
             aux: AuxIdealData | None = None) -> Verdict:
     """Assemble the final p-rationality verdict for one (field, prime).
 
-    At odd p not dividing disc(f) condition (2) is decided from the residue
-    degrees alone and p is not split into prime ideals; the applicability
-    guard is skipped there because it refuses only p = 2 and ramified p.
-    Everywhere else p is split, the guard applied and condition (2)
-    decided per prime factor.
+    One path for every p: the squarefree parts of f mod p (certified, and
+    free at p not dividing disc(f)), the applicability guard on their
+    multiplicities, condition (2) from the parts, then condition (1).
     """
     if not K.criterion_eligible:
         return Verdict(NOT_APPLICABLE, (GUARD,), guard_reason=
                        "field is not complex cubic or pure imaginary quartic")
-    if torsion_mod.global_test_applies(K, p):
-        factors = None
-        holds2 = torsion_mod.condition2_unramified(
-            K, p, unit, factor_degrees_mod_p(K.poly, p))
-    else:
-        factors = split_prime(K, p)  # SplittingUndetermined propagates
-        guard = torsion_mod.applicability_guard(K, p, factors)
-        if guard is not None:
-            return Verdict(NOT_APPLICABLE, (GUARD,), guard_reason=guard.reason)
-        holds2 = torsion_mod.condition2(K, p, unit, factors).holds
-    rep1 = condition1(K, p, factors, class_number=class_number, unit=unit,
-                      aux=aux)
+    parts = squarefree_parts(K, p)  # SplittingUndetermined propagates
+    guard = torsion_mod.applicability_guard(K, p, [m for _, m in parts])
+    if guard is not None:
+        return Verdict(NOT_APPLICABLE, (GUARD,), guard_reason=guard.reason)
+    holds2 = torsion_mod.condition2_holds(K, p, unit, parts)
+    rep1 = condition1(K, p, class_number=class_number, unit=unit, aux=aux)
     reasons = []
     if class_number is not None and class_number % p == 0:
         reasons.append(CLASS_NUMBER_DIVISIBLE)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .numberfield import FieldElement, NumberField, split_prime
-from .ring import discriminant, factor_degrees_mod_p, poly
+from .numberfield import (FieldElement, NumberField, part_shapes,
+                          squarefree_parts)
+from .ring import discriminant, poly
 from . import torsion as torsion_mod
 
 SPLIT_COMPLETELY = "split-completely"
@@ -168,15 +169,9 @@ def cross_check(K: NumberField, unit: FieldElement, spec: RecurrenceSpec,
     """
     if not any(unit.coords[1:]) or not _satisfies(K, unit, spec.companion_poly):
         raise ValueError("spec does not match the minimal polynomial of the unit")
-    if torsion_mod.global_test_applies(K, p):
-        degrees = factor_degrees_mod_p(K.poly, p)
-        stype = splitting_type((1, d) for d in degrees)
-        sres = screen(spec, p, stype)
-        holds = torsion_mod.condition2_unramified(K, p, unit, degrees)
-    else:
-        factors = split_prime(K, p)
-        stype = splitting_type((pf.e, pf.f) for pf in factors)
-        sres = screen(spec, p, stype)
-        holds = torsion_mod.condition2(K, p, unit, factors).holds
+    parts = squarefree_parts(K, p)
+    stype = splitting_type(part_shapes(parts))
+    sres = screen(spec, p, stype)
+    holds = torsion_mod.condition2_holds(K, p, unit, parts)
     violation = sres.nonzero and not holds
     return ConsistencyReport(p, stype, sres, holds, violation)

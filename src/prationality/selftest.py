@@ -3,9 +3,9 @@
 Each suite returns (name, passed, detail); run_all aggregates them.  These are
 the engine's internal consistency oracles: the reduced-form class numbers
 against the Dirichlet character sum, the companion-matrix recurrence against
-direct iteration, the e*f sum over random fields, and condition (2)'s
-per-prime verdicts (with their Fermat first-power checks) against HNF ideal
-membership on every bundled field.
+direct iteration, the e*f sum over random fields, and condition (2) from the
+squarefree parts of f mod p against the per-P HNF report on every bundled
+field.
 """
 
 from __future__ import annotations
@@ -17,18 +17,13 @@ from .families import (
     dirichlet_class_number,
     fundamental_discriminant,
     imag_quadratic_class_number,
+    primes_up_to,
     squarefree_part,
 )
-from .numberfield import FieldElement, make_field, split_prime
+from .harness import bundled_records
+from .numberfield import make_field, part_shapes, split_prime, squarefree_parts
 from .recurrence import RecurrenceSpec, f_index_mod
-from .ring import factor_degrees_mod_p
-from .torsion import (
-    _congruent_by_hnf,
-    applicability_guard,
-    condition2,
-    condition2_unramified,
-    global_test_applies,
-)
+from .torsion import applicability_guard, condition2, condition2_holds
 
 
 def suite_forms_vs_dirichlet(limit: int = 200):
@@ -94,16 +89,10 @@ def suite_ef_sum(pairs: int = 1000):
 
 
 def suite_condition2_oracles(pmax: int = 100):
-    """condition2's per-prime flags (the cofactor congruence at e = 1, the
-    Fermat check inside) against the HNF reference, and at odd p prime to
-    disc(f) the global test (with the residue degrees from the
-    distinct-degree split) against the report, on every bundled field at
-    every prime the guard admits."""
-    from .families import primes_up_to
-    from .harness import bundled_records
-
+    """condition2_holds and the (e, f) read off the squarefree parts
+    against the per-P HNF report, on every bundled field at every certified
+    prime the guard admits, ramified primes included."""
     compared = {False: 0, True: 0}  # keyed by "ramified"
-    global_cells = 0
     records = (bundled_records("table1") + bundled_records("table2")
                + bundled_records("examples"))
     for record in records:
@@ -114,36 +103,24 @@ def suite_condition2_oracles(pmax: int = 100):
                 factors = split_prime(K, p)
             except SplittingUndetermined:
                 continue
-            if applicability_guard(K, p, factors) is not None:
+            if applicability_guard(K, p, [pf.e for pf in factors]) is not None:
                 continue
-            rep = condition2(K, p, unit, factors)
-            if global_test_applies(K, p):
-                degrees = factor_degrees_mod_p(K.poly, p)
-                if (degrees != sorted(pf.f for pf in factors)
-                        or condition2_unramified(K, p, unit, degrees)
-                        != rep.holds):
-                    return (
-                        "condition2-oracles",
-                        False,
-                        f"global test mismatch at {record.label}, p={p}",
-                    )
-                global_cells += 1
-            for entry in rep.per_prime:
-                pf = entry.factor
-                residue = FieldElement(entry.residue)
-                if _congruent_by_hnf(K, p, pf, residue) != entry.congruent:
-                    return (
-                        "condition2-oracles",
-                        False,
-                        f"HNF mismatch at {record.label}, p={p}, P{pf.label}",
-                    )
-                compared[pf.e > 1] += 1
+            parts = squarefree_parts(K, p)
+            if (sorted(part_shapes(parts))
+                    != sorted((pf.e, pf.f) for pf in factors)
+                    or condition2_holds(K, p, unit, parts)
+                    != condition2(K, p, unit, factors).holds):
+                return (
+                    "condition2-oracles",
+                    False,
+                    f"mismatch with the HNF report at {record.label}, p={p}",
+                )
+            compared[any(pf.e > 1 for pf in factors)] += 1
     return (
         "condition2-oracles",
         True,
-        f"{compared[False]} unramified and {compared[True]} ramified "
-        f"prime factors agree with HNF; the global test agrees with the "
-        f"report at {global_cells} odd primes prime to disc(f)",
+        f"condition2_holds agrees with the HNF report at {compared[False]} "
+        f"unramified and {compared[True]} ramified primes",
     )
 
 

@@ -1,38 +1,39 @@
-"""The unit-congruence test: search for a prime ideal over p witnessing
-eps^(p^f - 1) != 1 (mod P^(e+1)).
+"""The unit-congruence test: is there a prime ideal P over p with
+eps^(p^f - 1) != 1 (mod P^(e+1))?
 
-For each prime ideal P = (p, g(alpha)) over p the fundamental unit is raised
-to p^f - 1 with coordinates reduced mod p^(e+1).  Reduction mod p^(e+1) is
-legitimate because p^(e+1) O_K is contained in P^(e+1).  The residue r is
-then tested on one of two paths:
+condition2_holds decides this for every P at once from the squarefree parts
+f = prod g_m^m (mod p) of numberfield.squarefree_parts, with one residue mod
+p^2 (Gras, Canad. J. Math. 68, 2016, for the Fermat-quotient form of the
+test; Cohen, GTM 138, 4.8.2, for Kummer-Dedekind).  The parts are only
+returned when p does not divide the index of Z[alpha], so every P is
+(p, g(alpha)) for an irreducible factor g of some g_m, with e = m and
+f = deg g, and O_K/p^2 O_K is read off the field's basis coordinates mod p^2.
+Let F be the lcm of the residue degrees, c the lift of prod g_m^(m-1)
+(c = 1 when p is unramified), and x = eps^(p^F - 1) - 1 mod p^2.
 
-- e = 1, by a cofactor congruence.  split_prime only returns when p does not
-  divide the index of Z[alpha], so the Kummer-Dedekind factorization
-  p O_K = prod P'^(e') holds with P' = (p, g'(alpha)).  Let h be the lift of
-  (f mod p) / g, the product of the other g'^(e').  Then h(alpha) is a unit
-  at P and lies in every other P'^(e'), so by CRT x = r - 1 lies in P iff
-  x h(alpha) is in p O_K, and in P^2 iff x h(alpha)^2 is in p^2 O_K.  Both
-  are read off the coordinates mod p^2, which is why the residue mod
-  p^(e+1) = p^2 suffices and no ideal is built.
-- e > 1, by HNF membership of r - 1 in P^(e+1); the same HNF test is the
-  reference the selftest compares the cofactor path against.
+- For P of degree f, eps^(p^F - 1) = u^k with u = eps^(p^f - 1) in 1 + P
+  and k = (p^F - 1)/(p^f - 1) = 1 + p^f + p^(2f) + ... = 1 (mod p).
+- When e + 1 <= p, the group (1 + P)/(1 + P^(e+1)) has exponent p: for
+  y in P, (1 + y)^p - 1 is p*y plus multiples of p*y^2 plus y^p, all in
+  P^(e+1).  So u^k = u (mod P^(e+1)), and v_P(x) >= e + 1 iff u is
+  congruent to 1 mod P^(e+1).
+- v_P(c) = e - 1.  The other factors g'(alpha) are units at P.  When
+  e >= 2, p lies in P^2 and P = (p, g(alpha)), so g(alpha) is not in P^2
+  and v_P(g(alpha)) = 1.
+- Hence x c lies in p^2 O_K = prod P^(2e) iff v_P(x) >= e + 1 for every P:
+  condition (2) fails iff x c = 0 (mod p^2).  Likewise the Fermat check,
+  v_P(x) >= 1 for every P, which always holds for a unit and raises
+  InvariantViolation if it does not, is x c = 0 (mod p).
 
-Either path first checks x in P (Fermat), which always holds for a unit, and
-raises InvariantViolation if it does not.
+condition2_holds raises ValueError at p = 2, which the criterion excludes,
+and when some m >= p, where the exponent-p step fails.  The applicability
+guard refuses both anyway: p = 3 must be unramified, and m <= 4 < p for
+p >= 5.
 
-At odd p not dividing disc(f) no prime factor is needed (condition2_unramified,
-the Fermat-quotient form of the test; Gras, Canad. J. Math. 68, 2016).  There
-every e is 1 and p does not divide the index of Z[alpha], so
-O_K/p^2 O_K = Z[alpha]/p^2 and p^2 O_K = prod P^2; the same holds for the
-field's own basis, whose order lies between the two.  Let F be the lcm of the
-residue degrees, read off the distinct-degree split of f mod p (Cohen,
-GTM 138, 3.4.3), and r = eps^(p^F - 1) mod p^2.  For each P of degree f,
-r = u^k with u = eps^(p^f - 1) in 1 + P and
-k = (p^F - 1)/(p^f - 1) = 1 + p^f + p^(2f) + ... = 1 (mod p).  The group
-(1 + P)/(1 + P^2) has exponent p, so r = 1 (mod P^2) iff u = 1 (mod P^2).
-Hence condition (2) holds iff r != 1, and the Fermat check becomes
-r = 1 (mod p).  Since k = 1 (mod p) for every p, the test is valid at p = 3
-as well, whatever the degrees.
+condition2 is the per-P report that `prat check` prints and the selftest
+compares against: each P is tested by HNF membership of
+eps^(p^f - 1) - 1 in P^(e+1), with the residue reduced mod p^(e+1), which is
+legitimate because p^(e+1) O_K is contained in P^(e+1).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from . import ring
 from .errors import InvariantViolation
 from .numberfield import (
     FieldElement,
@@ -49,6 +49,8 @@ from .numberfield import (
     ideal_contains,
     ideal_from_two_generators,
     ideal_pow,
+    part_shapes,
+    radical_cofactor,
 )
 
 _FERMAT_FAILURE = "Fermat failure: eps^(p^f-1) - 1 not in the first power"
@@ -80,8 +82,12 @@ class Condition2Report:
             raise InvariantViolation("inconsistent Condition2Report")
 
 
-def applicability_guard(K: NumberField, p: int, factors) -> NotApplicableReason | None:
+def applicability_guard(K: NumberField, p: int,
+                        multiplicities) -> NotApplicableReason | None:
     """Guards from the criterion's hypotheses; None means applicable.
+
+    multiplicities are the m of the squarefree parts of f mod p or the e of
+    the prime factors; only their maximum is read, and it is the same.
 
     No (K, p) that passes has p | w, the number of roots of unity in K, so
     zeta^(p^f - 1) = 1 for every root of unity zeta and every eps * zeta has
@@ -92,24 +98,11 @@ def applicability_guard(K: NumberField, p: int, factors) -> NotApplicableReason 
     """
     if p == 2:
         return NotApplicableReason("p = 2 is outside the criterion")
-    if p == 3 and any(pf.e > 1 for pf in factors):
+    if p == 3 and max(multiplicities) > 1:
         return NotApplicableReason("p = 3 must be unramified")
-    if K.n == 4 and p == 5 and len(factors) == 1 and factors[0].e == 4:
+    if K.n == 4 and p == 5 and max(multiplicities) == 4:
         return NotApplicableReason("5 totally ramified in a quartic field")
     return None
-
-
-def _congruent_by_cofactor(K: NumberField, p: int, pf: PrimeFactor,
-                           residue: FieldElement) -> bool:
-    """residue = 1 (mod P^2) for P = pf with e = 1, by the cofactor
-    congruence of the module docstring."""
-    cofactor, _ = ring._mp_divmod(ring._mp(K.poly, p), pf.generator.coeffs, p)
-    h = K.element_from_power_coords(cofactor).coords
-    x = K.sub(residue, K.one()).coords
-    xh = K.mul_mod(x, h, p * p)
-    if any(c % p for c in xh):
-        raise InvariantViolation(_FERMAT_FAILURE)
-    return not any(K.mul_mod(xh, h, p * p))
 
 
 def _congruent_by_hnf(K: NumberField, p: int, pf: PrimeFactor,
@@ -127,38 +120,37 @@ def _check_unit(K: NumberField, unit: FieldElement) -> None:
         raise ValueError("unit must have norm +-1")
 
 
-def global_test_applies(K: NumberField, p: int) -> bool:
-    """Whether condition2_unramified decides condition (2) at p."""
-    return p != 2 and K.poly_disc % p != 0
-
-
-def condition2_unramified(K: NumberField, p: int, unit: FieldElement,
-                          degrees) -> bool:
-    """Condition (2) at an odd p not dividing disc(f), decided for every
-    prime factor at once from r = eps^(p^F - 1) mod p^2 (module docstring);
-    degrees are the residue degrees, as from ring.factor_degrees_mod_p."""
-    if not global_test_applies(K, p):
-        raise ValueError("p must be odd and prime to disc(f)")
+def condition2_holds(K: NumberField, p: int, unit: FieldElement,
+                     parts) -> bool:
+    """Condition (2) at p for every prime factor at once, from the
+    squarefree parts of f mod p that numberfield.squarefree_parts returns
+    (module docstring)."""
+    if p == 2 or any(m >= p for _, m in parts):
+        raise ValueError("p must be odd and exceed every multiplicity")
     _check_unit(K, unit)
     pp = p * p
-    r = K.pow_mod(unit, p ** lcm(*degrees) - 1, pp).coords
+    F = lcm(*(f for _, f in part_shapes(parts)))
+    r = K.pow_mod(unit, p**F - 1, pp).coords
     x = (r[0] - 1,) + r[1:]
-    if any(c % p for c in x):
+    c = radical_cofactor(parts, p)
+    if c != (1,):
+        x = K.mul_mod(x, K.element_from_power_coords(c).coords, pp)
+    if any(v % p for v in x):
         raise InvariantViolation(_FERMAT_FAILURE)
-    return any(c % pp for c in x)
+    return any(v % pp for v in x)
 
 
 def condition2(K: NumberField, p: int, unit: FieldElement,
                factors) -> Condition2Report:
-    """Evaluate the witness search over the given prime factors of p."""
+    """The per-P report over the given prime factors of p, each decided by
+    HNF membership."""
     _check_unit(K, unit)
     per = []
     witness = None
     for pf in factors:
         exponent = p**pf.f - 1
         r = K.pow_mod(unit, exponent, p ** (pf.e + 1))
-        test = _congruent_by_cofactor if pf.e == 1 else _congruent_by_hnf
-        congruent = test(K, p, pf, r)
+        congruent = _congruent_by_hnf(K, p, pf, r)
         per.append(PerPrimeResult(pf, exponent, r.coords, congruent))
         if not congruent and witness is None:
             witness = pf.label

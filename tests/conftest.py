@@ -2,19 +2,17 @@ import sys
 
 import pytest
 
-from prationality import ring
+from prationality import numberfield, ring
 
 
-@pytest.fixture
-def factor_mod_p_calls(monkeypatch):
-    """Record every ring.factor_mod_p call, including calls through a name
-    that a prationality module imported from ring."""
+def _record_calls(monkeypatch, original, entry):
+    """Record entry(*args) for every call of original, including calls
+    through a name that a prationality module imported."""
     calls = []
-    original = ring.factor_mod_p
 
-    def counted(f, p):
-        calls.append((tuple(f), p))
-        return original(f, p)
+    def counted(*args):
+        calls.append(entry(*args))
+        return original(*args)
 
     for name, module in list(sys.modules.items()):
         if name == "prationality" or name.startswith("prationality."):
@@ -22,3 +20,17 @@ def factor_mod_p_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.fixture
+def factor_mod_p_calls(monkeypatch):
+    """(f, p) of every ring.factor_mod_p call."""
+    return _record_calls(monkeypatch, ring.factor_mod_p,
+                         lambda f, p: (tuple(f), p))
+
+
+@pytest.fixture
+def ideal_calls(monkeypatch):
+    """p of every numberfield.ideal_from_two_generators call."""
+    return _record_calls(monkeypatch, numberfield.ideal_from_two_generators,
+                         lambda K, p, g: p)

@@ -129,7 +129,7 @@ def test_acceptance_2_example_62():
     records = bundled_records("examples")
     rec = [r for r in records if r.poly_coeffs == (27, -4, 0, 1)][0]
     rep1 = condition1(
-        K, 3, factors, class_number=rec.class_number, unit=rec.unit_element(),
+        K, 3, class_number=rec.class_number, unit=rec.unit_element(),
         aux=rec.aux,
     )
     assert rep1.index == 3 and rep1.holds is True

@@ -1,11 +1,15 @@
-"""Every name a package module imports is read somewhere in that module."""
+"""Every name a package module imports is read somewhere in that module, and
+every engine name the benchmark tracer patches exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "prationality"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "prationality"
 
 
 def _unread_imports(tree: ast.Module) -> list[str]:
@@ -33,3 +37,20 @@ def _unread_imports(tree: ast.Module) -> list[str]:
 def test_no_unread_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _unread_imports(tree) == []
+
+
+def test_traced_layers_resolve():
+    # perfbench/tracing.py imports only the standard library; a traced name
+    # deleted from the engine should fail here, not crash a traced bench run
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, qualname, _ in tracing.TARGETS:
+        obj = importlib.import_module(f"prationality.{module}")
+        for attr in qualname.split("."):
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(f"{module}.{qualname}")
+    assert missing == []

@@ -1,7 +1,13 @@
 import pytest
 
 from prationality.errors import PrecisionExhausted
-from prationality.harness import bundled_records
+from prationality import ring
+from prationality.harness import (
+    CELL_ERROR,
+    FieldRecord,
+    bundled_records,
+    reproduce_table,
+)
 from prationality.numberfield import (
     FieldElement,
     ideal_from_two_generators,
@@ -35,20 +41,19 @@ AUX62 = AuxIdealData(q=2, gen_poly=(1, 1), power_gen=(-604, 265, -77))
 
 def test_condition1_trivial_class_number():
     L = make_field(EX63)
-    rep = condition1(L, 5, split_prime(L, 5), class_number=1, unit=EPS63)
+    rep = condition1(L, 5, class_number=1, unit=EPS63)
     assert rep.branch == TRIVIAL_CLASS_NUMBER and rep.holds is True
 
 
 def test_condition1_requires_class_number():
     L = make_field(EX63)
     with pytest.raises(ValueError):
-        condition1(L, 5, split_prime(L, 5), class_number=None, unit=EPS63)
+        condition1(L, 5, class_number=None, unit=EPS63)
 
 
 def test_condition1_split_cyclic_example_62():
     K = make_field(EX62)
-    rep = condition1(K, 3, split_prime(K, 3), class_number=3, unit=EPS62,
-                     aux=AUX62)
+    rep = condition1(K, 3, class_number=3, unit=EPS62, aux=AUX62)
     assert rep.branch == SPLIT_CYCLIC_INDEX
     assert rep.index == 3
     assert rep.holds is True
@@ -56,7 +61,7 @@ def test_condition1_split_cyclic_example_62():
 
 def test_condition1_undetermined_without_aux():
     K = make_field(EX62)
-    rep = condition1(K, 3, split_prime(K, 3), class_number=3, unit=EPS62)
+    rep = condition1(K, 3, class_number=3, unit=EPS62)
     assert rep.branch == UNDETERMINED and rep.holds is None
 
 
@@ -162,12 +167,61 @@ def test_verdict_factors_once_on_the_split_cyclic_branch(factor_mod_p_calls):
     assert factor_mod_p_calls == [(K.poly, 3)]
 
 
-def test_verdict_does_not_factor_at_unramified_p_prime_to_h(factor_mod_p_calls):
-    L = make_field(EX63)
-    assert L.poly_disc % 5 != 0
-    v = verdict(L, 5, unit=EPS63, class_number=1)
+@pytest.mark.parametrize("poly, unit, h, p", [
+    (EX63, EPS63, 1, 5),  # unramified
+    (EX62, EPS62, 3, 19427),  # disc(f) = -19427: ramified, Dedekind-certified
+], ids=["unramified", "ramified"])
+def test_verdict_does_not_factor_at_p_prime_to_h(factor_mod_p_calls,
+                                                 ideal_calls, poly, unit, h, p):
+    K = make_field(poly)
+    v = verdict(K, p, unit=unit, class_number=h)
     assert v.status == P_RATIONAL
     assert factor_mod_p_calls == []
+    assert ideal_calls == []
+
+
+def _shifted_poly(coeffs, c, length):
+    """sum a_i (x - c)^i, padded with zeros to length."""
+    out = ()
+    for a in reversed(coeffs):
+        out = ring.poly_add(ring.poly_mul(out, (-c, 1)), (a,))
+    return tuple(out) + (0,) * (length - len(out))
+
+
+def _shifted_record(record, c):
+    """The record over alpha + c: the polynomial f(x - c), with the unit,
+    the basis rows and the auxiliary ideal data composed with x - c."""
+    n = record.degree
+    aux = record.aux
+    if aux is not None:
+        aux = AuxIdealData(aux.q, _shifted_poly(aux.gen_poly, c, 0),
+                           _shifted_poly(aux.power_gen, c, n),
+                           aux.power_gen_den)
+    basis = record.integral_basis
+    if basis is not None:
+        basis = tuple(_shifted_poly(row, c, n) for row in basis)
+    return FieldRecord(
+        label=record.label,
+        poly_coeffs=_shifted_poly(record.poly_coeffs, c, n + 1),
+        class_number=record.class_number,
+        unit_coeffs=_shifted_poly(record.unit_coeffs, c, n),
+        unit_den=record.unit_den,
+        integral_basis=basis,
+        aux=aux,
+    )
+
+
+def test_verdicts_invariant_under_shift_of_alpha():
+    # alpha -> alpha + c changes the lifts of the squarefree parts of f mod p
+    # and every coordinate, but neither the field, the unit nor the index
+    records = (bundled_records("table1") + bundled_records("table2")
+               + bundled_records("examples"))
+    base = reproduce_table(records, 5, 100)
+    assert all(CELL_ERROR not in row.cells.values() for row in base)
+    for c in (-2, -1, 1, 2):
+        shifted = reproduce_table([_shifted_record(r, c) for r in records],
+                                  5, 100)
+        assert [row.cells for row in shifted] == [row.cells for row in base], c
 
 
 def test_verdict_undetermined_when_p_divides_h():

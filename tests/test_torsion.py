@@ -5,26 +5,32 @@ import pytest
 from prationality.errors import SplittingUndetermined
 from prationality.families import primes_up_to
 from prationality.harness import bundled_records
-from prationality.numberfield import FieldElement, make_field, split_prime
-from prationality.ring import factor_degrees_mod_p
-from prationality.torsion import (
-    _congruent_by_hnf,
-    applicability_guard,
-    condition2,
-    condition2_unramified,
+from prationality.numberfield import (
+    FieldElement,
+    make_field,
+    part_shapes,
+    split_prime,
+    squarefree_parts,
 )
+from prationality.torsion import applicability_guard, condition2, condition2_holds
 
 EX62 = (27, -4, 0, 1)
 EX63 = (3, 0, -2, 0, 1)
 
 
+def _multiplicities(K, p):
+    return [m for _, m in squarefree_parts(K, p)]
+
+
 def test_guard_examples():
     K10 = make_field((1, -1, 1, -1, 1))
-    guard = applicability_guard(K10, 5, split_prime(K10, 5))
+    guard = applicability_guard(K10, 5, _multiplicities(K10, 5))
     assert guard is not None and "ramified" in guard.reason
+    assert guard == applicability_guard(
+        K10, 5, [pf.e for pf in split_prime(K10, 5)])
     K = make_field(EX62)
-    assert applicability_guard(K, 3, split_prime(K, 3)) is None
-    assert applicability_guard(K, 2, split_prime(K, 2)) is not None
+    assert applicability_guard(K, 3, _multiplicities(K, 3)) is None
+    assert applicability_guard(K, 2, _multiplicities(K, 2)) is not None
 
 
 def test_condition2_example_63():
@@ -54,11 +60,19 @@ def test_condition2_requires_unit():
     with pytest.raises(ValueError):
         condition2(K, 3, FieldElement((2, 0, 0)), split_prime(K, 3))
     with pytest.raises(ValueError):
-        condition2_unramified(K, 3, FieldElement((2, 0, 0)), [1, 1, 1])
+        condition2_holds(K, 3, FieldElement((2, 0, 0)), squarefree_parts(K, 3))
     eps = FieldElement((-3280, -3462, -729))
-    for p in (2, 19427):  # disc(f) = -19427, a prime
-        with pytest.raises(ValueError):
-            condition2_unramified(K, p, eps, [1, 1, 1])
+    with pytest.raises(ValueError):
+        condition2_holds(K, 2, eps, squarefree_parts(K, 2))
+    # disc(f) = -19427, a prime: 19427 ramifies with e = 2 < p and is decided
+    # like any other prime
+    assert _multiplicities(K, 19427) == [1, 2]
+    assert condition2_holds(K, 19427, eps, squarefree_parts(K, 19427)) == (
+        condition2(K, 19427, eps, split_prime(K, 19427)).holds)
+    # x^3 + 3x + 3 is Eisenstein at 3, so f = x^3 (mod 3) with m = p
+    E = make_field((3, 3, 0, 1))
+    with pytest.raises(ValueError):
+        condition2_holds(E, 3, E.one(), squarefree_parts(E, 3))
 
 
 def test_sign_and_inversion_invariance():
@@ -68,7 +82,7 @@ def test_sign_and_inversion_invariance():
     primes = [3, 5, 7, 11, 13]
     for p in primes:
         factors = split_prime(K, p)
-        if applicability_guard(K, p, factors) is not None:
+        if applicability_guard(K, p, [pf.e for pf in factors]) is not None:
             continue
         base = condition2(K, p, eps, factors).holds
         neg = condition2(K, p, FieldElement(tuple(-c for c in eps.coords)), factors)
@@ -121,7 +135,7 @@ def test_torsion_never_changes_condition2():
                 factors = split_prime(K, p)
             except SplittingUndetermined:
                 continue
-            if applicability_guard(K, p, factors) is not None:
+            if applicability_guard(K, p, [pf.e for pf in factors]) is not None:
                 continue
             assert record.torsion_order % p != 0, (record.label, p)
             base = condition2(K, p, eps, factors)
@@ -148,40 +162,39 @@ def _random_unit_fields():
         yield K, FieldElement((0, 1) + (0,) * (n - 2))
 
 
-def test_condition2_matches_hnf_on_random_unit_fields():
-    # the cofactor path (e = 1) and the HNF path (e > 1) must agree with HNF
-    # membership factor by factor
-    mixed = 0
+def _power(K, x, k):
+    out = K.one()
+    for _ in range(k):
+        out = K.mul(out, x)
+    return out
+
+
+def test_condition2_holds_matches_hnf_on_random_unit_fields():
+    # the residue eps^(p^F - 1) mod p^2 times the radical cofactor c decides
+    # condition (2) like the per-P HNF report at every certified prime the
+    # guard admits, ramified ones included.  The unit alpha^p fails
+    # condition (2) everywhere, since (1 + P)/(1 + P^(e+1)) has exponent p;
+    # at ramified p only c tells that apart from a witness.  k = (p^F - 1) /
+    # (p^f - 1) = 1 (mod p) also when p divides F/f, as for degrees (1, 3)
+    # at p = 3
+    ramified = {False: 0, True: 0}  # keyed by "holds"
+    p3_shape_13 = 0
     for K, alpha in _random_unit_fields():
         for p in primes_up_to(60):
             try:
                 factors = split_prime(K, p)
             except SplittingUndetermined:
                 continue
-            for entry in condition2(K, p, alpha, factors).per_prime:
-                pf = entry.factor
-                hnf = _congruent_by_hnf(K, p, pf, FieldElement(entry.residue))
-                assert entry.congruent == hnf, (K.poly, p, pf.label)
-            mixed += len({pf.e > 1 for pf in factors}) == 2
-    assert mixed > 0
-
-
-def test_global_test_matches_report_on_random_unit_fields():
-    # at odd p prime to disc(f) one residue eps^(p^F - 1) mod p^2 decides
-    # condition (2) for every prime factor; (p^F - 1)/(p^f - 1) = 1 (mod p)
-    # also when p divides F/f, as for degrees (1, 3) at p = 3
-    cells = 0
-    p3_shape_13 = 0
-    for K, alpha in _random_unit_fields():
-        for p in (3, 5, 7, 11, 13):
-            if K.poly_disc % p == 0:
+            if applicability_guard(K, p, [pf.e for pf in factors]) is not None:
                 continue
-            factors = split_prime(K, p)
-            degrees = factor_degrees_mod_p(K.poly, p)
-            assert degrees == sorted(pf.f for pf in factors), (K.poly, p)
-            fast = condition2_unramified(K, p, alpha, degrees)
-            assert fast == condition2(K, p, alpha, factors).holds, (K.poly, p)
-            cells += 1
-            p3_shape_13 += p == 3 and degrees == [1, 3]
-    assert cells > 400
+            parts = squarefree_parts(K, p)
+            shapes = sorted(part_shapes(parts))
+            assert shapes == sorted((pf.e, pf.f) for pf in factors), (K.poly, p)
+            p3_shape_13 += p == 3 and shapes == [(1, 1), (1, 3)]
+            for unit in (alpha, _power(K, alpha, p)):
+                holds = condition2(K, p, unit, factors).holds
+                assert condition2_holds(K, p, unit, parts) == holds, (K.poly, p)
+                if any(pf.e > 1 for pf in factors):
+                    ramified[holds] += 1
+    assert ramified[False] > 0 and ramified[True] > 0
     assert p3_shape_13 > 0
