@@ -169,16 +169,36 @@ def _power(K, x, k):
     return out
 
 
-def test_condition2_holds_matches_hnf_on_random_unit_fields():
+def test_global_test_matches_report_on_random_unit_fields():
+    # at odd p prime to disc(f), where the radical cofactor c is 1, one
+    # residue eps^(p^F - 1) mod p^2 decides condition (2) for every prime
+    # factor; k = (p^F - 1)/(p^f - 1) = 1 (mod p) also when p divides F/f,
+    # as for degrees (1, 3) at p = 3
+    cells = 0
+    p3_shape_13 = 0
+    for K, alpha in _random_unit_fields():
+        for p in (3, 5, 7, 11, 13):
+            if K.poly_disc % p == 0:
+                continue
+            factors = split_prime(K, p)
+            parts = squarefree_parts(K, p)
+            shapes = sorted(part_shapes(parts))
+            assert shapes == sorted((1, pf.f) for pf in factors), (K.poly, p)
+            fast = condition2_holds(K, p, alpha, parts)
+            assert fast == condition2(K, p, alpha, factors).holds, (K.poly, p)
+            cells += 1
+            p3_shape_13 += p == 3 and shapes == [(1, 1), (1, 3)]
+    assert cells > 400
+    assert p3_shape_13 > 0
+
+
+def test_condition2_matches_hnf_on_random_unit_fields():
     # the residue eps^(p^F - 1) mod p^2 times the radical cofactor c decides
     # condition (2) like the per-P HNF report at every certified prime the
     # guard admits, ramified ones included.  The unit alpha^p fails
     # condition (2) everywhere, since (1 + P)/(1 + P^(e+1)) has exponent p;
-    # at ramified p only c tells that apart from a witness.  k = (p^F - 1) /
-    # (p^f - 1) = 1 (mod p) also when p divides F/f, as for degrees (1, 3)
-    # at p = 3
+    # at ramified p only c tells that apart from a witness
     ramified = {False: 0, True: 0}  # keyed by "holds"
-    p3_shape_13 = 0
     for K, alpha in _random_unit_fields():
         for p in primes_up_to(60):
             try:
@@ -190,11 +210,9 @@ def test_condition2_holds_matches_hnf_on_random_unit_fields():
             parts = squarefree_parts(K, p)
             shapes = sorted(part_shapes(parts))
             assert shapes == sorted((pf.e, pf.f) for pf in factors), (K.poly, p)
-            p3_shape_13 += p == 3 and shapes == [(1, 1), (1, 3)]
             for unit in (alpha, _power(K, alpha, p)):
                 holds = condition2(K, p, unit, factors).holds
                 assert condition2_holds(K, p, unit, parts) == holds, (K.poly, p)
                 if any(pf.e > 1 for pf in factors):
                     ramified[holds] += 1
     assert ramified[False] > 0 and ramified[True] > 0
-    assert p3_shape_13 > 0
