@@ -1,12 +1,14 @@
 """Number-field structure over an integral basis.
 
 A field K = Q[x]/(f) is described by its monic defining polynomial and a basis
-of an order given as rational rows over the power basis (identity rows for
-Z[alpha]).  Elements carry integer coordinates over that basis plus an optional
-denominator.  The module provides exact multiplication through precomputed
-integer structure constants, norms, Dedekind's p-maximality criterion, prime
-splitting read off from factoring f mod p, and ideal arithmetic in Hermite
-normal form.
+of an order containing Z[alpha], stored as integer rows over the power basis
+divided by one common denominator d (identity rows over d = 1 for Z[alpha]).
+Because the order contains Z[alpha], the inverse basis matrix, which gives
+the powers of alpha in basis coordinates, is an integer matrix.  Elements
+carry integer coordinates over the basis plus an optional denominator.  The
+module provides exact multiplication through precomputed integer structure
+constants, norms, Dedekind's p-maximality criterion, prime splitting read off
+from factoring f mod p, and ideal arithmetic in Hermite normal form.
 """
 
 from __future__ import annotations
@@ -31,25 +33,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
     return old_r, old_s, old_t
-
-
-def _mat_inv(rows):
-    """Inverse of a square Fraction matrix by Gauss-Jordan."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("basis matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 @dataclass(frozen=True)
@@ -116,32 +99,29 @@ class NumberField:
         r1 = ring.count_real_roots(f)
         self.signature = (r1, (n - r1) // 2)
         self.criterion_eligible = (n, *self.signature) in ((3, 1, 1), (4, 0, 2))
-        self.basis = tuple(tuple(Fraction(x) for x in row) for row in basis_rows)
-        if list(self.basis[0]) != [Fraction(1)] + [Fraction(0)] * (n - 1):
+        rows = [[Fraction(x) for x in row] for row in basis_rows]
+        d = lcm(*[x.denominator for row in rows for x in row], 1)
+        self.basis_den = d
+        self.basis = tuple(tuple(int(x * d) for x in row) for row in rows)
+        if list(self.basis[0]) != [d] + [0] * (n - 1):
             raise ValueError("first basis element must be 1")
-        self.basis_den = lcm(*[x.denominator for row in self.basis for x in row], 1)
-        d = self.basis_den
-        det = Fraction(
-            ring.det_bareiss([[int(x * d) for x in row] for row in self.basis]),
-            d**n,
-        )
+        det = ring.det_bareiss(self.basis)
         if det == 0:
             raise ValueError("basis matrix is singular")
-        inv_det = 1 / abs(det)
-        if inv_det.denominator != 1:
+        # B^-1 = d adj(dB) / det(dB); its rows are the basis coordinates of
+        # the powers of alpha, so it is integral iff the order contains Z[alpha]
+        inv = [[d * a for a in row] for row in ring.adjugate(self.basis)]
+        if any(a % det for row in inv for a in row):
             raise ValueError("basis does not contain the power basis lattice")
-        self.index = int(inv_det)
+        self._basis_inv = tuple(tuple(a // det for a in row) for row in inv)
+        self.index = d**n // abs(det)
         if self.poly_disc % (self.index**2) != 0:
             raise ValueError("basis determinant incompatible with disc(f)")
         self.field_disc = self.poly_disc // self.index**2
-        self._basis_inv = _mat_inv(self.basis)
         self._alpha_powers = self._power_table()
         self._structure = self._structure_constants()
-        self.is_power_basis = all(
-            self.basis[i][j] == (1 if i == j else 0)
-            for i in range(n)
-            for j in range(n)
-        )
+        # integral rows spanning a lattice that contains Z[alpha] span Z[alpha]
+        self.is_power_basis = d == 1
 
     # -- construction helpers -------------------------------------------------
 
@@ -162,38 +142,28 @@ class NumberField:
         return [shifted[i] - top * self.poly[i] for i in range(self.n)]
 
     def _structure_constants(self):
-        """T[i][j] = integer coords of b_i * b_j over the basis."""
-        n = self.n
+        """T[i][j] = integer coords of b_i * b_j over the basis: the product
+        of the integer rows d*b_i and d*b_j, reduced by f, in basis
+        coordinates, divided exactly by d^2."""
+        d2 = self.basis_den**2
         table = []
-        for i in range(n):
+        for bi in self.basis:
             row = []
-            for j in range(n):
-                prodpow = [Fraction(0)] * (2 * n - 1)
-                for a in range(n):
-                    if self.basis[i][a] == 0:
-                        continue
-                    for b in range(n):
-                        if self.basis[j][b] == 0:
-                            continue
-                        prodpow[a + b] += self.basis[i][a] * self.basis[j][b]
-                vec = [Fraction(0)] * n
-                for m, c in enumerate(prodpow):
-                    if c:
-                        for t in range(n):
-                            vec[t] += c * self._alpha_powers[m][t]
+            for bj in self.basis:
+                prodpow = ring.poly_mul(bi, bj)
+                vec = [sum(c * self._alpha_powers[m][t] for m, c in enumerate(prodpow))
+                       for t in range(self.n)]
                 coords = self._power_vec_to_coords(vec)
-                if any(c.denominator != 1 for c in coords):
+                if any(c % d2 for c in coords):
                     raise ValueError("basis rows do not span an order")
-                row.append(tuple(int(c) for c in coords))
+                row.append(tuple(c // d2 for c in coords))
             table.append(row)
         return table
 
     def _power_vec_to_coords(self, vec):
-        n = self.n
-        return [
-            sum(Fraction(vec[i]) * self._basis_inv[i][j] for i in range(n))
-            for j in range(n)
-        ]
+        inv = self._basis_inv
+        return [sum(v * inv[i][j] for i, v in enumerate(vec) if v)
+                for j in range(self.n)]
 
     # -- elements -------------------------------------------------------------
 
@@ -208,19 +178,23 @@ class NumberField:
 
     def element_from_power_coords(self, coeffs, den: int = 1) -> FieldElement:
         """Element given by power-basis coordinates / den, as basis coords."""
-        vec = list(coeffs) + [0] * (self.n - len(list(coeffs)))
+        vec = list(coeffs)
         if len(vec) > self.n:
             raise ValueError("too many coordinates")
-        coords = self._power_vec_to_coords([Fraction(v, den) for v in vec])
-        d = lcm(*[c.denominator for c in coords], 1)
-        return FieldElement(tuple(int(c * d) for c in coords), d).normalized()
+        if den < 0:
+            vec, den = [-v for v in vec], -den
+        return FieldElement(tuple(self._power_vec_to_coords(vec)), den).normalized()
 
-    def to_power_coords(self, x: FieldElement) -> tuple[Fraction, ...]:
+    def to_power_coords(self, x: FieldElement) -> tuple[tuple[int, ...], int]:
+        """(coeffs, den) in lowest terms with x = sum coeffs[j] alpha^j / den;
+        the inverse of element_from_power_coords."""
         n = self.n
-        return tuple(
-            sum(Fraction(x.coords[i], x.den) * self.basis[i][j] for i in range(n))
-            for j in range(n)
-        )
+        y = FieldElement(
+            tuple(sum(x.coords[i] * self.basis[i][j] for i in range(n))
+                  for j in range(n)),
+            x.den * self.basis_den,
+        ).normalized()
+        return y.coords, y.den
 
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
         d = lcm(a.den, b.den)
@@ -514,16 +488,12 @@ def ideal_from_two_elements(K: NumberField, a: FieldElement, b: FieldElement) ->
 
 
 def ideal_from_two_generators(K: NumberField, p: int, g: ModPoly) -> IdealHNF:
-    """HNF of (p, g(alpha)) over the integral basis."""
-    lifted = ring.poly(g.coeffs)
-    if ring.degree(lifted) >= K.n:
-        # reduce modulo the (monic) defining polynomial: f(alpha) = 0
-        _, rem = ring.poly_divmod_exact(lifted, K.poly)
-        lifted = ring.poly(int(c) for c in rem)
-    gelt = K.element_from_power_coords(lifted)
-    if not gelt.is_integral:
-        raise ValueError("generator is not integral over the basis")
-    return ideal_from_two_elements(K, K.from_int(p), gelt)
+    """HNF of (p, g(alpha)) over the integral basis.  g is reduced mod f
+    over F_p first: (p, g(alpha)) = (p, (g mod f)(alpha)), and the order
+    contains Z[alpha], so the reduced generator is integral."""
+    rem = ring._mp_divmod(g.coeffs, ring._mp(K.poly, p), p)[1]
+    return ideal_from_two_elements(K, K.from_int(p),
+                                   K.element_from_power_coords(rem))
 
 
 def principal_ideal(K: NumberField, x: FieldElement) -> IdealHNF:

@@ -84,14 +84,13 @@ def _embed(K: NumberField, x: FieldElement, root: PadicApprox) -> int:
     """Image of x in Z/p^k under alpha -> lifted root."""
     p, k = root.prime, root.precision
     m = p**k
-    if gcd(x.den, p) != 1:
+    coeffs, den = K.to_power_coords(x)
+    if gcd(den, p) != 1:
         raise ValueError("element denominator not invertible at p")
-    power = K.to_power_coords(x)
     acc = 0
-    for c in reversed(power):
-        num, den = c.numerator, c.denominator
-        acc = (acc * root.value + num * pow(den, -1, m)) % m
-    return acc
+    for c in reversed(coeffs):
+        acc = (acc * root.value + c) % m
+    return acc * pow(den, -1, m) % m
 
 
 def log_index_split_cyclic(K: NumberField, p: int, factors, Q,

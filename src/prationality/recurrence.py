@@ -11,12 +11,11 @@ directional and cross-checked against the direct evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantViolation
 from .numberfield import (FieldElement, NumberField, part_shapes,
                           squarefree_parts)
-from .ring import discriminant, poly
+from .ring import det_bareiss, discriminant, poly
 from . import torsion as torsion_mod
 
 SPLIT_COMPLETELY = "split-completely"
@@ -123,24 +122,18 @@ def minimal_poly_spec(K: NumberField, unit: FieldElement) -> RecurrenceSpec:
     the unit; rejects units generating a proper subfield."""
     if K.n != 3:
         raise ValueError("recurrence screen is for cubic fields")
-    cols = K.mul_matrix(unit)
+    # char poly of M/den: t^3 - tr t^2 + s2 t - det, with tr, s2 and det
+    # those of M over den, den^2 and den^3 (all transpose-invariant, so the
+    # columns of mul_matrix serve as M)
+    m = K.mul_matrix(unit)
     den = unit.den
-    a = [[Fraction(cols[j][i], den) for j in range(3)] for i in range(3)]
-    # char poly of 3x3: t^3 - tr t^2 + s2 t - det
-    tr = a[0][0] + a[1][1] + a[2][2]
-    s2 = (
-        a[0][0] * a[1][1] - a[0][1] * a[1][0]
-        + a[0][0] * a[2][2] - a[0][2] * a[2][0]
-        + a[1][1] * a[2][2] - a[1][2] * a[2][1]
-    )
-    det = (
-        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-    )
-    if any(x.denominator != 1 for x in (tr, s2, det)):
+    tr = m[0][0] + m[1][1] + m[2][2]
+    s2 = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i]
+             for i, j in ((0, 1), (0, 2), (1, 2)))
+    det = det_bareiss(m)
+    if tr % den or s2 % den**2 or det % den**3:
         raise ValueError("unit is not integral")
-    spec = RecurrenceSpec(a2=int(tr), a1=-int(s2), a0=int(det))
+    spec = RecurrenceSpec(a2=tr // den, a1=-(s2 // den**2), a0=det // den**3)
     if discriminant(spec.companion_poly) == 0:
         raise ValueError("unit generates a proper subfield (degree drop)")
     if not _satisfies(K, unit, spec.companion_poly):

@@ -115,6 +115,16 @@ def det_bareiss(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def adjugate(rows) -> list[list[int]]:
+    """Adjugate of a square integer matrix of size >= 2, so that
+    rows * adjugate(rows) = det(rows) * I: entry (i, j) is the (j, i)
+    cofactor."""
+    n = len(rows)
+    return [[(-1) ** (i + j) * det_bareiss(
+                [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+             for j in range(n)] for i in range(n)]
+
+
 def resultant(f, g) -> int:
     """Resultant of integer polynomials: the determinant of the Sylvester
     matrix."""

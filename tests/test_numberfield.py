@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from prationality.errors import SplittingUndetermined
+from prationality.harness import bundled_records
 from prationality.numberfield import (
     FieldElement,
     dedekind_p_maximal,
@@ -44,10 +45,38 @@ def test_make_field_rejects_reducible():
 
 
 def test_make_field_basis_validation():
-    with pytest.raises(ValueError):
-        make_field(EX62, basis=[[0, 1, 0], [1, 0, 0], [0, 0, 1]])  # 1 not first
-    with pytest.raises(ValueError):
-        make_field(EX62, basis=[[1, 0, 0], [0, 1, 0], [0, 2, 2]])  # det 2, not order
+    first = "first basis element must be 1"
+    lattice = "does not contain the power basis lattice"
+    with pytest.raises(ValueError, match=first):
+        make_field(EX62, basis=[[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match=lattice):  # det 2: misses a^2
+        make_field(EX62, basis=[[1, 0, 0], [0, 1, 0], [0, 2, 2]])
+    # Dedekind's x^3 - x^2 - 2x - 8: O_K = <1, a, (a^2 + a)/2>.  Both bases
+    # span index-2 suborders of O_K of determinant 1 that miss a itself.
+    f = (-8, -2, -1, 1)
+    half = Fraction(1, 2)
+    for basis in ([[1, 0, 0], [0, 2, 0], [0, half, half]],
+                  [[1, 0, 0], [0, 3 * half, half], [0, 1, 1]]):
+        with pytest.raises(ValueError, match=lattice):
+            make_field(f, basis=basis)
+    with pytest.raises(ValueError, match="singular"):
+        make_field(f, basis=[[1, 0, 0], [0, 1, 0], [0, 2, 0]])
+    with pytest.raises(ValueError, match=first):
+        make_field(f, basis=[[half, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # contains Z[a] with index 2, but (a^2/2)^2 = (3a^2 + 10a + 8)/4 is outside
+    with pytest.raises(ValueError, match="do not span an order"):
+        make_field(f, basis=[[1, 0, 0], [0, 1, 0], [0, 0, half]])
+
+
+def test_power_coords_roundtrip_on_bundled_records():
+    rng = random.Random(2024)
+    for record in (bundled_records("table1") + bundled_records("table2")
+                   + bundled_records("examples")):
+        K = record.build_field()
+        for _ in range(20):
+            x = FieldElement(tuple(rng.randint(-50, 50) for _ in range(K.n)),
+                             rng.randint(1, 12)).normalized()
+            assert K.element_from_power_coords(*K.to_power_coords(x)) == x
 
 
 def test_mul_reduction_by_defining_relation():
@@ -230,8 +259,7 @@ def test_element_from_power_coords_roundtrip():
     K = make_field(EX63)
     x = K.element_from_power_coords((1, 2, 3, 4), 1)
     assert x.coords == (1, 2, 3, 4)
-    back = K.to_power_coords(x)
-    assert back == (Fraction(1), Fraction(2), Fraction(3), Fraction(4))
+    assert K.to_power_coords(x) == ((1, 2, 3, 4), 1)
 
 
 def test_nonpower_basis_order():

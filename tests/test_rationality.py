@@ -1,3 +1,6 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from prationality.errors import PrecisionExhausted
@@ -222,6 +225,41 @@ def test_verdicts_invariant_under_shift_of_alpha():
         shifted = reproduce_table([_shifted_record(r, c) for r in records],
                                   5, 100)
         assert [row.cells for row in shifted] == [row.cells for row in base], c
+
+
+def _unimodular_record(record):
+    """The record over the basis b1 + b2, b1 + 2 b2 (b1 += b2, then
+    b2 += b1): a change of basis of the same order that keeps b0 = 1 and
+    is not triangular."""
+    b = list(record.integral_basis)
+    b[1] = tuple(x + y for x, y in zip(b[1], b[2]))
+    b[2] = tuple(x + y for x, y in zip(b[2], b[1]))
+    return replace(record, integral_basis=tuple(b), _field=None, _unit=None)
+
+
+def test_verdicts_invariant_under_unimodular_change_of_basis():
+    # the order, so its index, its discriminant and every verdict, does not
+    # depend on the basis that spans it; the changed basis matrices are full,
+    # so their integer inverses are too
+    records = [r for name in ("table1", "table2", "examples")
+               for r in bundled_records(name) if r.integral_basis is not None]
+    assert records
+    changed = [_unimodular_record(r) for r in records]
+    rng = random.Random(7)
+    for record, other in zip(records, changed):
+        K, L = record.build_field(), other.build_field()
+        assert L.basis != K.basis
+        assert (L.index, L.field_disc) == (K.index, K.field_disc)
+        assert (L.to_power_coords(other.unit_element())
+                == K.to_power_coords(record.unit_element()))
+        for _ in range(20):
+            x = FieldElement(tuple(rng.randint(-50, 50) for _ in range(L.n)),
+                             rng.randint(1, 12)).normalized()
+            assert L.element_from_power_coords(*L.to_power_coords(x)) == x
+    base = reproduce_table(records, 5, 100)
+    assert all(CELL_ERROR not in row.cells.values() for row in base)
+    assert ([row.cells for row in reproduce_table(changed, 5, 100)]
+            == [row.cells for row in base])
 
 
 def test_verdict_undetermined_when_p_divides_h():

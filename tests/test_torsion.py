@@ -12,6 +12,7 @@ from prationality.numberfield import (
     split_prime,
     squarefree_parts,
 )
+from prationality.ring import adjugate, det_bareiss
 from prationality.torsion import applicability_guard, condition2, condition2_holds
 
 EX62 = (27, -4, 0, 1)
@@ -95,19 +96,16 @@ def test_sign_and_inversion_invariance():
 
 
 def _unit_inverse(K, eps):
-    # solve (mul-by-eps matrix) x = e1 exactly
-    from fractions import Fraction
-    from math import lcm
-
-    from prationality.numberfield import _mat_inv
-
+    # multiplication by eps is A / den; its inverse den * adj(A) / det(A)
+    # sends 1 = e1 to eps^-1
     cols = K.mul_matrix(eps)
     n = K.n
-    rows = [[Fraction(cols[j][i]) for j in range(n)] for i in range(n)]
-    inv_rows = _mat_inv(rows)
-    coords = tuple(inv_rows[i][0] for i in range(n))
-    den = lcm(*[c.denominator for c in coords])
-    return FieldElement(tuple(int(c * den) for c in coords), den).normalized()
+    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
+    det = det_bareiss(rows)
+    sign = 1 if det > 0 else -1
+    adj = adjugate(rows)
+    return FieldElement(tuple(sign * eps.den * adj[i][0] for i in range(n)),
+                        abs(det)).normalized()
 
 
 def test_report_determinism():

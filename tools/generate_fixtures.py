@@ -146,7 +146,7 @@ class Embeddings:
                 for j in range(K.n):
                     c = K.basis[i][j]
                     if c:
-                        val += mpmath.mpf(c.numerator) / c.denominator * powers[j]
+                        val += mpmath.mpf(c) / K.basis_den * powers[j]
                 row.append(val)
             self.basis_emb.append(row)
 
@@ -697,18 +697,10 @@ def build_record(label, coeffs, expect, verbose=True, unit_override=None):
     est = analytic_class_number_estimate(K, reg, w)
     if abs(h - est) / max(est, 1e-9) > 0.25:
         raise RuntimeError(f"{label}: computed h = {h} vs analytic estimate {est:.3f}")
-    up = K.to_power_coords(unit)
-    uden = 1
-    for c in up:
-        uden = uden * c.denominator // math.gcd(uden, c.denominator)
-    ucoeffs = tuple(int(c * uden) for c in up)
+    ucoeffs, uden = K.to_power_coords(unit)
     tg_coeffs, tg_den = None, 1
     if tors_gen is not None and w > 2:
-        tp = K.to_power_coords(tors_gen)
-        tg_den = 1
-        for c in tp:
-            tg_den = tg_den * c.denominator // math.gcd(tg_den, c.denominator)
-        tg_coeffs = tuple(int(c * tg_den) for c in tp)
+        tg_coeffs, tg_den = K.to_power_coords(tors_gen)
     record = FieldRecord(
         label=label,
         poly_coeffs=tuple(coeffs),
