@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 
 from .errors import SplittingUndetermined
@@ -405,12 +404,9 @@ def squarefree_parts(K: NumberField,
     return parts
 
 
-@lru_cache(maxsize=8)
 def part_shapes(parts) -> tuple[tuple[int, int], ...]:
     """(e, f) of every prime ideal over p, read off the squarefree parts by
-    the distinct-degree split of each part.  Cached, because a recurrence
-    cross-check reads them for its splitting type and again for
-    condition (2)."""
+    the distinct-degree split of each part."""
     return tuple((m, d) for g, m in parts
                  for d in ring.factor_degrees_mod_p(g.coeffs, g.modulus))
 

@@ -3,9 +3,10 @@
 From the minimal polynomial x^3 - a2 x^2 - a1 x - a0 of a cubic fundamental
 unit, the sequence F_{n+3} = a2 F_{n+2} + a1 F_{n+1} + a0 F_n with
 F0 = F1 = 0, F2 = 1 is evaluated at the index matching the splitting type of
-p (p-1, p^2-1 or p^3-1) modulo p^2.  A nonzero value implies the existence
-of a witness prime for the unit-congruence test; the implication is one
-directional and cross-checked against the direct evaluation.
+p (p-1, p^2-1 or p^3-1) modulo p^2, read off x^n modulo the companion
+polynomial and p^2.  A nonzero value implies the existence of a witness
+prime for the unit-congruence test; the implication is one directional and
+cross-checked against the direct evaluation.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from .errors import InvariantViolation
 from .numberfield import (FieldElement, NumberField, part_shapes,
                           squarefree_parts)
-from .ring import det_bareiss, discriminant, poly
+from .ring import det_bareiss, discriminant, poly, powmod
 from . import torsion as torsion_mod
 
 SPLIT_COMPLETELY = "split-completely"
@@ -56,37 +57,13 @@ class ConsistencyReport:
         return self.screen.nonzero
 
 
-def _mat_mul(A, B, m):
-    return tuple(
-        tuple(
-            sum(A[i][k] * B[k][j] for k in range(3)) % m for j in range(3)
-        )
-        for i in range(3)
-    )
-
-
 def f_index_mod(spec: RecurrenceSpec, n: int, modulus: int) -> int:
-    """F_n mod modulus by companion-matrix exponentiation."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if modulus <= 1:
-        raise ValueError("modulus must exceed 1")
-    if n < 3:
-        return (0, 0, 1)[n] % modulus
-    M = (
-        (0, 1, 0),
-        (0, 0, 1),
-        (spec.a0 % modulus, spec.a1 % modulus, spec.a2 % modulus),
-    )
-    R = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    e = n
-    while e:
-        if e & 1:
-            R = _mat_mul(R, M, modulus)
-        M = _mat_mul(M, M, modulus)
-        e >>= 1
-    # (F_n, F_{n+1}, F_{n+2}) = M^n (F_0, F_1, F_2)
-    return R[0][2] % modulus
+    """F_n mod modulus by Fiduccia's method: x^k -> F_k vanishes on the
+    multiples of the companion polynomial, so with x^n = r0 + r1 x + r2 x^2
+    modulo it, F_n = r0 F0 + r1 F1 + r2 F2 = r2.  ValueError for n < 0 or
+    modulus < 2."""
+    r = powmod((0, 1), n, spec.companion_poly, modulus)
+    return r[2] if len(r) > 2 else 0
 
 
 def splitting_type(shape) -> str:

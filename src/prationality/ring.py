@@ -2,9 +2,9 @@
 
 Polynomials are tuples of arbitrary-precision integers, low degree first;
 the zero polynomial is the empty tuple and has degree -1.  On top of that
-convention this module provides resultant-based discriminants, deterministic
-factorization over prime fields, Sturm real-root counting, Hensel lifting of
-simple roots, and truncated p-adic logarithms of principal units.
+convention this module provides resultant-based discriminants, products and
+powers in Z[x]/(f, m) for monic f, deterministic factorization over prime
+fields, Sturm root counting, Hensel lifting and truncated p-adic logarithms.
 """
 
 from __future__ import annotations
@@ -254,15 +254,42 @@ def _mp_gcd(f, g, p):
     return _mp_monic(a, p)
 
 
-def _mp_pow_mod(base, e, mod, p):
-    # base^e in F_p[x]/(mod)
-    result = (1,)
-    base = _mp_divmod(base, mod, p)[1]
-    while e > 0:
+def _reduce_monic(c, f, m):
+    # the list c (consumed) reduced by monic f from the top down, then mod
+    # m: the remainder needs no quotient and no inverse of a leading term
+    n = len(f) - 1
+    for k in range(len(c) - 1, n - 1, -1):
+        t = c[k] % m
+        if t:
+            s = k - n
+            for i in range(n):
+                c[s + i] -= t * f[i]
+    return poly([x % m for x in c[:n]])
+
+
+def mulmod(a, b, f, m):
+    """a * b in Z[x]/(f, m) for monic integer f and any modulus m >= 2;
+    the result is reduced (degree < deg f, residues in [0, m))."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _reduce_monic(out, f, m)
+
+
+def powmod(a, e, f, m):
+    """a^e in Z[x]/(f, m) for monic integer f and any modulus m >= 2."""
+    if not is_monic(f) or m < 2 or e < 0:
+        raise ValueError("powmod needs monic f, m >= 2 and e >= 0")
+    result = _reduce_monic([1], f, m)
+    base = _reduce_monic(list(a), f, m)
+    while e:
         if e & 1:
-            result = _mp_divmod(_mp_mul(result, base, p), mod, p)[1]
-        base = _mp_divmod(_mp_mul(base, base, p), mod, p)[1]
+            result = mulmod(result, base, f, m)
         e >>= 1
+        if e:
+            base = mulmod(base, base, f, m)
     return result
 
 
@@ -313,7 +340,7 @@ def _distinct_degree(f, p):
         if degree(rest) < 2 * d:
             result.append((rest, degree(rest)))
             break
-        frob = _mp_pow_mod(frob, p, rest, p)
+        frob = powmod(frob, p, rest, p)
         g = _mp_gcd(_mp_sub(frob, x, p), rest, p)
         if degree(g) > 0:
             result.append((g, d))
@@ -362,11 +389,11 @@ def _equal_degree_split(f, d, p):
             term = _mp_divmod(t, f, p)[1]
             for _ in range(d):
                 acc = _mp_add(acc, term, p)
-                term = _mp_divmod(_mp_mul(term, term, p), f, p)[1]
+                term = mulmod(term, term, f, p)
             g = _mp_gcd(acc, f, p)
         else:
             e = (p**d - 1) // 2
-            h = _mp_pow_mod(t, e, f, p)
+            h = powmod(t, e, f, p)
             g = _mp_gcd(_mp_sub(h, (1,), p), f, p)
         if 0 < degree(g) < degree(f):
             left = _equal_degree_split(g, d, p)

@@ -2,10 +2,10 @@
 
 Each suite returns (name, passed, detail); run_all aggregates them.  These are
 the engine's internal consistency oracles: the reduced-form class numbers
-against the Dirichlet character sum, the companion-matrix recurrence against
-direct iteration, the e*f sum over random fields, and condition (2) from the
-squarefree parts of f mod p against the per-P HNF report on every bundled
-field.
+against the Dirichlet character sum, the recurrence read off x^n modulo its
+companion polynomial against direct iteration, the e*f sum over random
+fields, and condition (2) from the squarefree parts of f mod p against the
+per-P HNF report on every bundled field.
 """
 
 from __future__ import annotations

@@ -7,16 +7,35 @@ p^2 (Gras, Canad. J. Math. 68, 2016, for the Fermat-quotient form of the
 test; Cohen, GTM 138, 4.8.2, for Kummer-Dedekind).  The parts are only
 returned when p does not divide the index of Z[alpha], so every P is
 (p, g(alpha)) for an irreducible factor g of some g_m, with e = m and
-f = deg g, and O_K/p^2 O_K is read off the field's basis coordinates mod p^2.
-Let F be the lcm of the residue degrees, c the lift of prod g_m^(m-1)
-(c = 1 when p is unramified), and x = eps^(p^F - 1) - 1 mod p^2.
+f = deg g.  Let F be the lcm of the residue degrees.  For P of degree f,
+eps^(p^F - 1) = u^k with u = eps^(p^f - 1) in 1 + P and
+k = (p^F - 1)/(p^f - 1) = 1 (mod p); when e + 1 <= p, (1 + P)/(1 + P^(e+1))
+has exponent p (for y in P, (1 + y)^p - 1 is p*y plus multiples of p*y^2
+plus y^p), so u^k = u (mod P^(e+1)).
 
-- For P of degree f, eps^(p^F - 1) = u^k with u = eps^(p^f - 1) in 1 + P
-  and k = (p^F - 1)/(p^f - 1) = 1 + p^f + p^(2f) + ... = 1 (mod p).
-- When e + 1 <= p, the group (1 + P)/(1 + P^(e+1)) has exponent p: for
-  y in P, (1 + y)^p - 1 is p*y plus multiples of p*y^2 plus y^p, all in
-  P^(e+1).  So u^k = u (mod P^(e+1)), and v_P(x) >= e + 1 iff u is
-  congruent to 1 mod P^(e+1).
+At p not dividing disc(f) the parts are ((f mod p, 1),), Z_p[alpha] is
+etale and has a Frobenius lift phi (phi(y) = y^p mod p, phi^F = id), and
+O_K/p^2 = Z[alpha]/p^2.  With e(x) the power-basis coordinates of eps and
+gamma = x^p in Z[x]/(f, p^2), no factorization and no F are needed (Buium,
+J. Algebra 198, 1997: (phi(eps) - eps^p)/p is the p-derivation of eps):
+
+- phi(alpha) = gamma - f(gamma)/f'(gamma) (mod p^2), one Newton step from
+  gamma = phi(alpha) (mod p); f'(gamma) = f'(alpha)^p (mod p) is a unit.
+  So phi(eps) = e(gamma) - e'(gamma) f(gamma)/f'(gamma) (mod p^2).
+- If y = z (mod p) then y^p = z^p (mod p^2); with y = eps^p and
+  z = phi(eps), induction gives eps^(p^k) = phi^(k-1)(eps^p) (mod p^2).
+- As phi^F = id, eps^(p^F - 1) = 1 iff eps^p = phi(eps) (mod p^2).  Times
+  the unit f'(gamma): condition (2) fails iff
+  X = f'(gamma) (eps^p - e(gamma)) + e'(gamma) f(gamma) = 0 (mod p^2).
+  The Fermat check, which holds in characteristic p and raises
+  InvariantViolation if not, is f(gamma) = 0 and eps^p = e(gamma) (mod p).
+  The argument holds at p = 3.
+
+At ramified p no Frobenius lift exists.  Let c be the lift of
+prod g_m^(m-1) and x = eps^(p^F - 1) - 1 mod p^2 in basis coordinates, with
+F from the distinct-degree split of each g_m.
+
+- v_P(x) >= e + 1 iff eps^(p^f - 1) = 1 (mod P^(e+1)), by the above.
 - v_P(c) = e - 1.  The other factors g'(alpha) are units at P.  When
   e >= 2, p lies in P^2 and P = (p, g(alpha)), so g(alpha) is not in P^2
   and v_P(g(alpha)) = 1.
@@ -42,6 +61,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import InvariantViolation
+from . import ring
 from .numberfield import (
     FieldElement,
     NumberField,
@@ -120,21 +140,48 @@ def _check_unit(K: NumberField, unit: FieldElement) -> None:
         raise ValueError("unit must have norm +-1")
 
 
+def _frobenius_defect(K: NumberField, p: int, unit: FieldElement):
+    """X in Z[x]/(f, p^2) at p not dividing disc(f) (module docstring)."""
+    pp, f, n = p * p, K.poly, K.n
+    coeffs, den = K.to_power_coords(unit)
+    dinv = pow(den, -1, pp)
+    e = ring._mp([c * dinv for c in coeffs], pp)
+    powers = [(1,), ring.powmod((0, 1), p, f, pp)]
+    while len(powers) <= n:
+        powers.append(ring.mulmod(powers[-1], powers[1], f, pp))
+    cols = [w + (0,) * (n - len(w)) for w in powers]
+
+    def at_gamma(g):
+        return ring._mp([sum(c * w[i] for c, w in zip(g, cols))
+                         for i in range(n)], pp)
+
+    u = ring.powmod(e, p, f, pp)
+    e_g, f_g = at_gamma(e), at_gamma(f)
+    if ring._mp(f_g, p) or ring._mp_sub(u, e_g, p):
+        raise InvariantViolation(_FERMAT_FAILURE)
+    x = ring.mulmod(at_gamma(ring.derivative(f)), ring._mp_sub(u, e_g, pp),
+                    f, pp)
+    return ring._mp_add(x, ring.mulmod(at_gamma(ring.derivative(e)), f_g,
+                                       f, pp), pp)
+
+
 def condition2_holds(K: NumberField, p: int, unit: FieldElement,
                      parts) -> bool:
     """Condition (2) at p for every prime factor at once, from the
-    squarefree parts of f mod p that numberfield.squarefree_parts returns
-    (module docstring)."""
+    squarefree parts of f mod p that numberfield.squarefree_parts returns:
+    by the Frobenius lift at unramified p, by the radical cofactor
+    otherwise (module docstring)."""
     if p == 2 or any(m >= p for _, m in parts):
         raise ValueError("p must be odd and exceed every multiplicity")
     _check_unit(K, unit)
+    if len(parts) == 1 and parts[0][1] == 1:
+        return bool(_frobenius_defect(K, p, unit))
     pp = p * p
     F = lcm(*(f for _, f in part_shapes(parts)))
     r = K.pow_mod(unit, p**F - 1, pp).coords
     x = (r[0] - 1,) + r[1:]
-    c = radical_cofactor(parts, p)
-    if c != (1,):
-        x = K.mul_mod(x, K.element_from_power_coords(c).coords, pp)
+    x = K.mul_mod(x, K.element_from_power_coords(
+        radical_cofactor(parts, p)).coords, pp)
     if any(v % p for v in x):
         raise InvariantViolation(_FERMAT_FAILURE)
     return any(v % pp for v in x)

@@ -34,3 +34,24 @@ def ideal_calls(monkeypatch):
     """p of every numberfield.ideal_from_two_generators call."""
     return _record_calls(monkeypatch, numberfield.ideal_from_two_generators,
                          lambda K, p, g: p)
+
+
+@pytest.fixture
+def distinct_degree_calls(monkeypatch):
+    """(f, p) of every ring._distinct_degree call."""
+    return _record_calls(monkeypatch, ring._distinct_degree,
+                         lambda f, p: (tuple(f), p))
+
+
+@pytest.fixture
+def pow_mod_calls(monkeypatch):
+    """(exponent, modulus) of every NumberField.pow_mod call."""
+    calls = []
+    original = numberfield.NumberField.pow_mod
+
+    def counted(K, a, exponent, modulus):
+        calls.append((exponent, modulus))
+        return original(K, a, exponent, modulus)
+
+    monkeypatch.setattr(numberfield.NumberField, "pow_mod", counted)
+    return calls

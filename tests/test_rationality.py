@@ -183,6 +183,21 @@ def test_verdict_does_not_factor_at_p_prime_to_h(factor_mod_p_calls,
     assert ideal_calls == []
 
 
+@pytest.mark.parametrize("poly, unit, h, p", [
+    (EX63, EPS63, 1, 5),  # unramified: the Frobenius-lift congruence
+    (EX62, EPS62, 3, 19427),  # ramified: the radical-cofactor residue
+], ids=["unramified", "ramified"])
+def test_verdict_splits_by_degree_only_at_ramified_p(distinct_degree_calls,
+                                                     pow_mod_calls, poly,
+                                                     unit, h, p):
+    K = make_field(poly)
+    v = verdict(K, p, unit=unit, class_number=h)
+    assert v.status == P_RATIONAL
+    ramified = K.poly_disc % p == 0
+    assert bool(distinct_degree_calls) == ramified
+    assert bool(pow_mod_calls) == ramified
+
+
 def _shifted_poly(coeffs, c, length):
     """sum a_i (x - c)^i, padded with zeros to length."""
     out = ()

@@ -11,10 +11,13 @@ from prationality.ring import (
     factor_mod_p,
     hensel_lift_root,
     mod_poly,
+    mulmod,
     padic_log,
     poly,
+    poly_divmod_exact,
     poly_eval,
     poly_mul,
+    powmod,
 )
 
 
@@ -202,3 +205,37 @@ def test_padic_log_valuation_tracks_argument():
 def test_mod_poly_normalization():
     m = mod_poly((10, 7, 3), 3)
     assert m.coeffs == (1, 1) and m.modulus == 3
+
+
+def test_mulmod_and_powmod_match_division_by_f():
+    # the product-and-reduce kernel against the Q[x] remainder by monic f,
+    # modulo a prime, its square and composites
+    rng = random.Random(31337)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        f = tuple(rng.randint(-30, 30) for _ in range(n)) + (1,)
+        p = rng.choice([3, 5, 7, 101])
+        m = rng.choice([p, p * p, 12, 1155])
+
+        def rem(g):
+            r = poly_divmod_exact(g, f)[1]
+            assert all(c.denominator == 1 for c in r)
+            return poly(int(c) % m for c in r)
+
+        a, b = (tuple(rng.randint(-99, 99) for _ in range(rng.randint(0, 2 * n)))
+                for _ in range(2))
+        assert mulmod(a, b, f, m) == rem(poly_mul(a, b)), (f, m, a, b)
+        e = rng.randint(0, 30)
+        expected = (1,)
+        for _ in range(e):
+            expected = rem(poly_mul(expected, a))
+        assert powmod(a, e, f, m) == expected, (f, m, a, e)
+
+
+def test_powmod_rejects_bad_input():
+    with pytest.raises(ValueError):
+        powmod((1, 1), 3, (1, 2), 7)  # f not monic
+    with pytest.raises(ValueError):
+        powmod((1, 1), 3, (1, 0, 1), 1)
+    with pytest.raises(ValueError):
+        powmod((1, 1), -1, (1, 0, 1), 7)

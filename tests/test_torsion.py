@@ -1,4 +1,5 @@
 import random
+from math import lcm
 
 import pytest
 
@@ -214,3 +215,24 @@ def test_condition2_matches_hnf_on_random_unit_fields():
                 if any(pf.e > 1 for pf in factors):
                     ramified[holds] += 1
     assert ramified[False] > 0 and ramified[True] > 0
+
+
+def test_frobenius_lift_matches_exponent_form_on_bundled_records():
+    # at odd p not dividing disc(f), the congruence eps^p = phi(eps)
+    # (mod p^2) decides condition (2) like the slow exponent form
+    # eps^(p^F - 1) != 1 (mod p^2), F the lcm of the residue degrees
+    cells = {False: 0, True: 0}  # keyed by "holds"
+    for name in ("table1", "table2", "examples"):
+        for record in bundled_records(name):
+            K = record.build_field()
+            eps = record.unit_element()
+            for p in primes_up_to(200)[1:]:
+                if K.poly_disc % p == 0:
+                    continue
+                parts = squarefree_parts(K, p)
+                F = lcm(*(f for _, f in part_shapes(parts)))
+                slow = K.pow_mod(eps, p**F - 1, p * p) != K.one()
+                holds = condition2_holds(K, p, eps, parts)
+                assert holds == slow, (record.label, p)
+                cells[holds] += 1
+    assert cells[False] > 0 and cells[True] > 1000
