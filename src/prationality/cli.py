@@ -15,7 +15,7 @@ import re
 import sys
 
 from .errors import InvariantViolation, SplittingUndetermined
-from .families import ggc_scan, pure_cubic_scan
+from .families import factorize, ggc_scan, pure_cubic_scan
 from .harness import (
     FieldRecord,
     bundled_pure_cubic_h,
@@ -55,7 +55,15 @@ def _poly_str(coords, modulus=None) -> str:
     return " + ".join(terms) if terms else "0"
 
 
+def _prime_arg(p: int) -> int:
+    """--prime as given, or ValueError (exit 1) when it is not a prime."""
+    if p < 2 or factorize(p) != {p: 1}:
+        raise ValueError(f"--prime must be a prime, got {p}")
+    return p
+
+
 def _cmd_check(args) -> int:
+    p = _prime_arg(args.prime)
     record = FieldRecord(
         label="cli",
         poly_coeffs=parse_ints(args.poly),
@@ -63,7 +71,6 @@ def _cmd_check(args) -> int:
         unit_coeffs=parse_ints(args.unit),
         unit_den=args.unit_den,
     )
-    p = args.prime
     K = record.build_field()
     factors = split_prime(K, p)
     shape = ", ".join(f"(e={pf.e}, f={pf.f})" for pf in factors)
@@ -132,6 +139,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_recurrence(args) -> int:
+    p = _prime_arg(args.prime)
     records = (
         load_records(args.input, args.input_format)
         if args.input
@@ -143,7 +151,6 @@ def _cmd_recurrence(args) -> int:
         K = record.build_field()
         unit = record.unit_element()
         spec = minimal_poly_spec(K, unit)
-        p = args.prime
         try:
             rep = cross_check(K, unit, spec, p)
         except ValueError as exc:

@@ -237,7 +237,12 @@ def _csv_fields(text: str):
 
 def _json_fields(text: str):
     """(field dict, 1-based position) per object of a record JSON list."""
-    for i, obj in enumerate(json.loads(text), start=1):
+    data = json.loads(text)
+    if not isinstance(data, list):
+        raise RecordParseError(1, "expected a JSON list of record objects")
+    for i, obj in enumerate(data, start=1):
+        if not isinstance(obj, dict):
+            raise RecordParseError(i, "record must be a JSON object")
         yield {k: _stringify(v) for k, v in obj.items()}, i
 
 

@@ -229,10 +229,6 @@ class NumberField:
             tuple(self.mul_coords(a.coords, b.coords)), a.den * b.den
         ).normalized()
 
-    def mul_mod(self, a, b, m: int):
-        """Product of integral coordinate tuples reduced mod m."""
-        return tuple([c % m for c in self.mul_coords(a, b)])
-
     def pow_mod(self, a: FieldElement, exponent: int, modulus: int) -> FieldElement:
         """a^exponent with coordinates reduced mod modulus after every step.
 
@@ -249,14 +245,18 @@ class NumberField:
             raise ValueError("denominator not invertible modulo the modulus")
         dinv = pow(a.den, -1, modulus)
         base = tuple(c * dinv % modulus for c in a.coords)
+
+        def mul(x, y):
+            return tuple([c % modulus for c in self.mul_coords(x, y)])
+
         result = None
         e = exponent
         while e:
             if e & 1:
-                result = base if result is None else self.mul_mod(result, base, modulus)
+                result = base if result is None else mul(result, base)
             e >>= 1
             if e:
-                base = self.mul_mod(base, base, modulus)
+                base = mul(base, base)
         return FieldElement(result)
 
     def mul_matrix(self, a: FieldElement):
@@ -348,7 +348,7 @@ def radical_cofactor(factors, p: int) -> tuple[int, ...]:
     out = (1,)
     for fac, mult in factors:
         for _ in range(mult - 1):
-            out = ring._mp_mul(out, fac.coeffs, p)
+            out = ring._mp(ring.poly_mul(out, fac.coeffs), p)
     return out
 
 
@@ -362,7 +362,7 @@ def dedekind_p_maximal(f, p: int, factors) -> bool:
     """
     gbar = (1,)
     for fac, _ in factors:
-        gbar = ring._mp_mul(gbar, fac.coeffs, p)
+        gbar = ring._mp(ring.poly_mul(gbar, fac.coeffs), p)
     hbar = radical_cofactor(factors, p)
     glift = ring.poly(gbar)
     hlift = ring.poly(hbar)
@@ -406,7 +406,9 @@ def squarefree_parts(K: NumberField,
 
 def part_shapes(parts) -> tuple[tuple[int, int], ...]:
     """(e, f) of every prime ideal over p, read off the squarefree parts by
-    the distinct-degree split of each part."""
+    the distinct-degree split of each part.  Condition (2) needs no residue
+    degrees: only the recurrence cross-check, the pure-cubic scan and the
+    selftest, which report or compare the splitting type, call this."""
     return tuple((m, d) for g, m in parts
                  for d in ring.factor_degrees_mod_p(g.coeffs, g.modulus))
 

@@ -191,34 +191,6 @@ def _mp(coeffs, m):
     return poly(a % m for a in coeffs)
 
 
-def _mp_add(f, g, m):
-    n = max(len(f), len(g))
-    return poly(
-        ((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % m
-        for i in range(n)
-    )
-
-
-def _mp_sub(f, g, m):
-    n = max(len(f), len(g))
-    return poly(
-        ((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % m
-        for i in range(n)
-    )
-
-
-def _mp_mul(f, g, m):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % m
-    return poly(out)
-
-
 def _mp_monic(f, p):
     if not f:
         return f
@@ -341,7 +313,7 @@ def _distinct_degree(f, p):
             result.append((rest, degree(rest)))
             break
         frob = powmod(frob, p, rest, p)
-        g = _mp_gcd(_mp_sub(frob, x, p), rest, p)
+        g = _mp_gcd(poly_sub(frob, x), rest, p)
         if degree(g) > 0:
             result.append((g, d))
             rest = _mp_divmod(rest, g, p)[0]
@@ -388,13 +360,13 @@ def _equal_degree_split(f, d, p):
             acc = ()
             term = _mp_divmod(t, f, p)[1]
             for _ in range(d):
-                acc = _mp_add(acc, term, p)
+                acc = poly_add(acc, term)
                 term = mulmod(term, term, f, p)
             g = _mp_gcd(acc, f, p)
         else:
             e = (p**d - 1) // 2
             h = powmod(t, e, f, p)
-            g = _mp_gcd(_mp_sub(h, (1,), p), f, p)
+            g = _mp_gcd(poly_sub(h, (1,)), f, p)
         if 0 < degree(g) < degree(f):
             left = _equal_degree_split(g, d, p)
             right = _equal_degree_split(_mp_divmod(f, g, p)[0], d, p)

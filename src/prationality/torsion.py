@@ -7,17 +7,21 @@ p^2 (Gras, Canad. J. Math. 68, 2016, for the Fermat-quotient form of the
 test; Cohen, GTM 138, 4.8.2, for Kummer-Dedekind).  The parts are only
 returned when p does not divide the index of Z[alpha], so every P is
 (p, g(alpha)) for an irreducible factor g of some g_m, with e = m and
-f = deg g.  Let F be the lcm of the residue degrees.  For P of degree f,
-eps^(p^F - 1) = u^k with u = eps^(p^f - 1) in 1 + P and
-k = (p^F - 1)/(p^f - 1) = 1 (mod p); when e + 1 <= p, (1 + P)/(1 + P^(e+1))
-has exponent p (for y in P, (1 + y)^p - 1 is p*y plus multiples of p*y^2
-plus y^p), so u^k = u (mod P^(e+1)).
+f = deg g.  For the same reason O_K/p^2 = Z[alpha]/p^2 and the unit's
+denominator, which divides the index, is prime to p: both branches below
+compute in Z[x]/(f, p^2) on the power-basis coordinates of eps, by
+ring.mulmod and ring.powmod.  Let F be any common multiple of the residue
+degrees.  For P of degree f, eps^(p^F - 1) = u^k with u = eps^(p^f - 1) in
+1 + P and k = (p^F - 1)/(p^f - 1) = 1 (mod p); when e + 1 <= p,
+(1 + P)/(1 + P^(e+1)) has exponent p (for y in P, (1 + y)^p - 1 is p*y plus
+multiples of p*y^2 plus y^p), so u^k = u (mod P^(e+1)).
 
 At p not dividing disc(f) the parts are ((f mod p, 1),), Z_p[alpha] is
-etale and has a Frobenius lift phi (phi(y) = y^p mod p, phi^F = id), and
-O_K/p^2 = Z[alpha]/p^2.  With e(x) the power-basis coordinates of eps and
-gamma = x^p in Z[x]/(f, p^2), no factorization and no F are needed (Buium,
-J. Algebra 198, 1997: (phi(eps) - eps^p)/p is the p-derivation of eps):
+etale and has a Frobenius lift phi (phi(y) = y^p mod p, phi^F = id for F
+the lcm of the residue degrees).  With e(x) the power-basis coordinates of
+eps and gamma = x^p in Z[x]/(f, p^2), no factorization and no F are needed
+(Buium, J. Algebra 198, 1997: (phi(eps) - eps^p)/p is the p-derivation of
+eps):
 
 - phi(alpha) = gamma - f(gamma)/f'(gamma) (mod p^2), one Newton step from
   gamma = phi(alpha) (mod p); f'(gamma) = f'(alpha)^p (mod p) is a unit.
@@ -32,8 +36,10 @@ J. Algebra 198, 1997: (phi(eps) - eps^p)/p is the p-derivation of eps):
   The argument holds at p = 3.
 
 At ramified p no Frobenius lift exists.  Let c be the lift of
-prod g_m^(m-1) and x = eps^(p^F - 1) - 1 mod p^2 in basis coordinates, with
-F from the distinct-degree split of each g_m.
+prod g_m^(m-1) and x = eps^(p^F - 1) - 1 mod p^2, with
+F = lcm(1, ..., max deg g_m): every residue degree is the degree of a
+factor of some g_m, so it divides F, and no factorization is needed.  In
+degree n <= 4 with some m >= 2 every g_m has degree at most 2, so F <= 2.
 
 - v_P(x) >= e + 1 iff eps^(p^f - 1) = 1 (mod P^(e+1)), by the above.
 - v_P(c) = e - 1.  The other factors g'(alpha) are units at P.  When
@@ -58,6 +64,7 @@ legitimate because p^(e+1) O_K is contained in P^(e+1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 
 from .errors import InvariantViolation
@@ -69,7 +76,6 @@ from .numberfield import (
     ideal_contains,
     ideal_from_two_generators,
     ideal_pow,
-    part_shapes,
     radical_cofactor,
 )
 
@@ -135,17 +141,17 @@ def _congruent_by_hnf(K: NumberField, p: int, pf: PrimeFactor,
     return ideal_contains(K, ideal_pow(K, first, pf.e + 1), x)
 
 
+@lru_cache(maxsize=64)
 def _check_unit(K: NumberField, unit: FieldElement) -> None:
+    """Raise ValueError unless N(unit) = +-1; once per (field, unit)."""
     if abs(K.norm(unit)) != 1:
         raise ValueError("unit must have norm +-1")
 
 
-def _frobenius_defect(K: NumberField, p: int, unit: FieldElement):
-    """X in Z[x]/(f, p^2) at p not dividing disc(f) (module docstring)."""
-    pp, f, n = p * p, K.poly, K.n
-    coeffs, den = K.to_power_coords(unit)
-    dinv = pow(den, -1, pp)
-    e = ring._mp([c * dinv for c in coeffs], pp)
+def _frobenius_defect(f, p: int, e):
+    """X in Z[x]/(f, p^2) for the unit coordinates e at p not dividing
+    disc(f) (module docstring)."""
+    pp, n = p * p, ring.degree(f)
     powers = [(1,), ring.powmod((0, 1), p, f, pp)]
     while len(powers) <= n:
         powers.append(ring.mulmod(powers[-1], powers[1], f, pp))
@@ -157,12 +163,12 @@ def _frobenius_defect(K: NumberField, p: int, unit: FieldElement):
 
     u = ring.powmod(e, p, f, pp)
     e_g, f_g = at_gamma(e), at_gamma(f)
-    if ring._mp(f_g, p) or ring._mp_sub(u, e_g, p):
+    d = ring.poly_sub(u, e_g)
+    if ring._mp(f_g, p) or ring._mp(d, p):
         raise InvariantViolation(_FERMAT_FAILURE)
-    x = ring.mulmod(at_gamma(ring.derivative(f)), ring._mp_sub(u, e_g, pp),
-                    f, pp)
-    return ring._mp_add(x, ring.mulmod(at_gamma(ring.derivative(e)), f_g,
-                                       f, pp), pp)
+    return ring._mp(ring.poly_add(
+        ring.mulmod(at_gamma(ring.derivative(f)), d, f, pp),
+        ring.mulmod(at_gamma(ring.derivative(e)), f_g, f, pp)), pp)
 
 
 def condition2_holds(K: NumberField, p: int, unit: FieldElement,
@@ -174,17 +180,19 @@ def condition2_holds(K: NumberField, p: int, unit: FieldElement,
     if p == 2 or any(m >= p for _, m in parts):
         raise ValueError("p must be odd and exceed every multiplicity")
     _check_unit(K, unit)
+    # the unit in Z[x]/(f, p^2); its denominator divides the index
+    pp, f = p * p, K.poly
+    coeffs, den = K.to_power_coords(unit)
+    dinv = pow(den, -1, pp)
+    e = ring._mp([c * dinv for c in coeffs], pp)
     if len(parts) == 1 and parts[0][1] == 1:
-        return bool(_frobenius_defect(K, p, unit))
-    pp = p * p
-    F = lcm(*(f for _, f in part_shapes(parts)))
-    r = K.pow_mod(unit, p**F - 1, pp).coords
-    x = (r[0] - 1,) + r[1:]
-    x = K.mul_mod(x, K.element_from_power_coords(
-        radical_cofactor(parts, p)).coords, pp)
-    if any(v % p for v in x):
+        return bool(_frobenius_defect(f, p, e))
+    F = lcm(*range(1, max(g.degree for g, _ in parts) + 1))
+    x = ring.poly_sub(ring.powmod(e, p**F - 1, f, pp), (1,))
+    x = ring.mulmod(x, radical_cofactor(parts, p), f, pp)
+    if ring._mp(x, p):
         raise InvariantViolation(_FERMAT_FAILURE)
-    return any(v % pp for v in x)
+    return bool(x)
 
 
 def condition2(K: NumberField, p: int, unit: FieldElement,

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import prationality
 from prationality.cli import cli
 
@@ -60,6 +62,29 @@ def test_check_example_62(capsys):
     assert "split completely" in out
     # without aux data the p | h case stays undetermined
     assert "undetermined" in out
+
+
+EX62_CHECK = ["check", "--poly", "27;-4;0;1", "--unit", "-3280;-3462;-729",
+              "--h", "3"]
+
+
+@pytest.mark.parametrize("command", [EX62_CHECK, ["recurrence"]],
+                         ids=["check", "recurrence"])
+@pytest.mark.parametrize("prime", ["0", "1", "-5", "77", "143"])
+def test_non_prime_prime_is_an_input_error(capsys, command, prime):
+    rc = cli([*command, "--prime", prime])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: --prime must be a prime, got {prime}\n"
+
+
+def test_prime_two_is_not_applicable(capsys):
+    assert cli([*EX62_CHECK, "--prime", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "splitting of 2: (e=1, f=1), (e=1, f=2)\n"
+        "verdict: not applicable (p = 2 is outside the criterion)\n")
+    assert cli(["recurrence", "--prime", "2"]) == 0
+    assert "not applicable at 2" in capsys.readouterr().out
 
 
 def test_unknown_flag_exits_one(capsys):

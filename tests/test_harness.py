@@ -18,6 +18,7 @@ from prationality.harness import (
     render_table_text,
     reproduce_table,
 )
+from prationality.numberfield import NumberField
 
 EX63_CSV = """label,degree,poly,h,unit,unit_den,torsion_order,basis,aux_q,aux_gen_poly,aux_power_gen
 x^4-2*x^2+3,4,3;0;-2;0;1,1,-2;-1;1;1,1,2,,,,
@@ -95,6 +96,19 @@ def test_load_json():
     assert records[0].unit_coeffs == (-2, -1, 1, 1)
 
 
+@pytest.mark.parametrize("data, line", [
+    ('{"label": "a"}', 1),  # not a list
+    ('[1, 2]', 1),
+    ('[{"label": "x", "degree": 4, "poly": [3, 0, -2, 0, 1], "h": 1,'
+     ' "unit": [-2, -1, 1, 1]}, "b"]', 2),
+], ids=["object", "int-element", "str-element"])
+def test_load_json_rejects_non_object_records(data, line):
+    with pytest.raises(RecordParseError) as err:
+        load_records(io.StringIO(data), "json")
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ")
+
+
 def test_reproduce_table_examples():
     records = load_records(io.StringIO(EX62_CSV + EX63_CSV.splitlines()[1] + "\n"), "csv")
     rows = reproduce_table(records, 5, 13)
@@ -127,6 +141,21 @@ def test_density_scan_example_63():
     # monotone in xmax
     res50 = density_scan(records[0], 50)
     assert res50.count <= res.count
+
+
+def test_density_scan_checks_the_unit_norm_once(monkeypatch):
+    records = load_records(io.StringIO(EX63_CSV), "csv")
+    calls = []
+    original = NumberField.norm
+
+    def counted(K, a):
+        calls.append(a)
+        return original(K, a)
+
+    monkeypatch.setattr(NumberField, "norm", counted)
+    res = density_scan(records[0], 200)
+    assert res.count > 0
+    assert len(calls) <= 1
 
 
 def test_density_scan_small_range():

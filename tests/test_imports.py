@@ -1,4 +1,5 @@
-"""Every name a package module imports is read somewhere in that module, and
+"""Every name a package module imports is read somewhere in that module,
+every private function or method is read somewhere in the package, and
 every engine name the benchmark tracer patches exists."""
 
 import ast
@@ -37,6 +38,31 @@ def _unread_imports(tree: ast.Module) -> list[str]:
 def test_no_unread_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _unread_imports(tree) == []
+
+
+def _private_defs(tree: ast.Module):
+    """Module-level functions and methods named _x (dunders excepted)."""
+    scopes = [tree.body] + [node.body for node in tree.body
+                            if isinstance(node, ast.ClassDef)]
+    return [node for body in scopes for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+
+
+def test_no_unread_private_defs():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [f"{name}: {node.name} (line {node.lineno})"
+              for name, tree in trees.items() for node in _private_defs(tree)
+              if node.name not in read]
+    assert unread == []
 
 
 def test_traced_layers_resolve():

@@ -187,15 +187,15 @@ def test_verdict_does_not_factor_at_p_prime_to_h(factor_mod_p_calls,
     (EX63, EPS63, 1, 5),  # unramified: the Frobenius-lift congruence
     (EX62, EPS62, 3, 19427),  # ramified: the radical-cofactor residue
 ], ids=["unramified", "ramified"])
-def test_verdict_splits_by_degree_only_at_ramified_p(distinct_degree_calls,
-                                                     pow_mod_calls, poly,
-                                                     unit, h, p):
+def test_verdict_never_splits_by_degree_nor_calls_pow_mod(
+        distinct_degree_calls, pow_mod_calls, poly, unit, h, p):
+    # both branches of condition (2) run on the Z[x]/(f, p^2) kernel from
+    # the squarefree parts alone: no residue degrees, no structure constants
     K = make_field(poly)
     v = verdict(K, p, unit=unit, class_number=h)
     assert v.status == P_RATIONAL
-    ramified = K.poly_disc % p == 0
-    assert bool(distinct_degree_calls) == ramified
-    assert bool(pow_mod_calls) == ramified
+    assert distinct_degree_calls == []
+    assert pow_mod_calls == []
 
 
 def _shifted_poly(coeffs, c, length):

@@ -196,8 +196,12 @@ def test_condition2_matches_hnf_on_random_unit_fields():
     # condition (2) like the per-P HNF report at every certified prime the
     # guard admits, ramified ones included.  The unit alpha^p fails
     # condition (2) everywhere, since (1 + P)/(1 + P^(e+1)) has exponent p;
-    # at ramified p only c tells that apart from a witness
+    # at ramified p only c tells that apart from a witness.  F is
+    # lcm(1..max deg g_m), a common multiple of the residue degrees that
+    # is not always their lcm, as for p = P1 P2 P3^2 in a quartic, all of
+    # degree 1, where g_1 = g(P1) g(P2) has degree 2
     ramified = {False: 0, True: 0}  # keyed by "holds"
+    coarse_F = 0
     for K, alpha in _random_unit_fields():
         for p in primes_up_to(60):
             try:
@@ -209,12 +213,17 @@ def test_condition2_matches_hnf_on_random_unit_fields():
             parts = squarefree_parts(K, p)
             shapes = sorted(part_shapes(parts))
             assert shapes == sorted((pf.e, pf.f) for pf in factors), (K.poly, p)
+            is_ramified = any(pf.e > 1 for pf in factors)
             for unit in (alpha, _power(K, alpha, p)):
                 holds = condition2(K, p, unit, factors).holds
                 assert condition2_holds(K, p, unit, parts) == holds, (K.poly, p)
-                if any(pf.e > 1 for pf in factors):
-                    ramified[holds] += 1
+                ramified[holds] += is_ramified
+            if is_ramified:
+                max_deg = max(g.degree for g, _ in parts)
+                coarse_F += (lcm(*range(1, max_deg + 1))
+                             != lcm(*(pf.f for pf in factors)))
     assert ramified[False] > 0 and ramified[True] > 0
+    assert coarse_F > 0
 
 
 def test_frobenius_lift_matches_exponent_form_on_bundled_records():
