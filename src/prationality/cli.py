@@ -3,8 +3,8 @@
 Subcommands: check (single verdict with residues), table (exception-table
 reproduction), scan (density over primes for one record), recurrence (screen
 plus cross-check), pure-cubic (family scan), ggc (biquadratic scanner), and
-selftest (invariant suites).  Exit codes: 0 success, 1 input error,
-2 internal invariant violation.
+selftest (invariant suites).  Exit codes: 0 success, 1 input error (and a
+table with any `error` cell), 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import sys
 from .errors import InvariantViolation, SplittingUndetermined
 from .families import factorize, ggc_scan, pure_cubic_scan
 from .harness import (
+    CELL_ERROR,
     FieldRecord,
     bundled_pure_cubic_h,
     bundled_records,
@@ -120,6 +121,10 @@ def _cmd_table(args) -> int:
         sys.stdout.write(render_table_csv(rows))
     else:
         print(render_table_text(rows))
+    errors = sum(c == CELL_ERROR for row in rows for c in row.cells.values())
+    if errors:
+        print(f"{errors} error cells", file=sys.stderr)
+        return 1
     return 0
 
 

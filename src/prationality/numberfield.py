@@ -1,6 +1,7 @@
 """Number-field structure over an integral basis.
 
-A field K = Q[x]/(f) is described by its monic defining polynomial and a basis
+A field K = Q[x]/(f) of degree 2, 3 or 4 is described by its monic defining
+polynomial, whose discriminant fixes the signature, and a basis
 of an order containing Z[alpha], stored as integer rows over the power basis
 divided by one common denominator d (identity rows over d = 1 for Z[alpha]).
 Because the order contains Z[alpha], the inverse basis matrix, which gives
@@ -87,6 +88,23 @@ class IdealHNF:
         return [tuple(self.rows[i][j] for i in range(self.n)) for j in range(self.n)]
 
 
+def _real_root_count(f, disc: int) -> int:
+    """r1 of a squarefree f of degree n <= 4 from the sign of its
+    discriminant, (-1)^(r2): disc < 0 leaves one complex pair.  A quartic
+    with disc > 0 has four real roots iff 8b - 3a^2 < 0 and
+    64d - 16b^2 + 16a^2b - 16ac - 3a^4 < 0, none otherwise, for
+    f = x^4 + ax^3 + bx^2 + cx + d (Rees, Amer. Math. Monthly 29, 1922)."""
+    n = ring.degree(f)
+    if disc < 0:
+        return n - 2
+    if n < 4:
+        return n
+    d, c, b, a = f[:4]
+    p = 8 * b - 3 * a * a
+    q = 64 * d - 16 * b * b + 16 * a * a * b - 16 * a * c - 3 * a**4
+    return 4 if p < 0 and q < 0 else 0
+
+
 class NumberField:
     """Immutable field/order data; construct via make_field."""
 
@@ -95,7 +113,7 @@ class NumberField:
         self.poly = f
         self.n = n
         self.poly_disc = poly_disc
-        r1 = ring.count_real_roots(f)
+        r1 = _real_root_count(f, poly_disc)
         self.signature = (r1, (n - r1) // 2)
         self.criterion_eligible = (n, *self.signature) in ((3, 1, 1), (4, 0, 2))
         rows = [[Fraction(x) for x in row] for row in basis_rows]
@@ -277,63 +295,77 @@ class NumberField:
 
 
 def make_field(poly_coeffs, basis=None) -> NumberField:
-    """Build a NumberField; degree-3/4 monic irreducible polynomials are
-    criterion-eligible, other shapes are accepted as data carriers but
-    flagged via criterion_eligible = False."""
+    """Build a NumberField from a monic squarefree irreducible polynomial of
+    degree 2, 3 or 4; cubics and quartics of the right signature are
+    criterion-eligible, the other shapes are accepted as data carriers but
+    flagged via criterion_eligible = False.  Irreducibility is decided by
+    integer roots of f and, for quartics, of its resolvent cubic; both tests
+    are complete only up to degree 4, so higher degrees are refused."""
     f = ring.poly(poly_coeffs)
     n = ring.degree(f)
     if n < 2:
         raise ValueError("defining polynomial must have degree >= 2")
+    if n > 4:
+        raise ValueError("defining polynomial must have degree <= 4")
     if not ring.is_monic(f):
         raise ValueError("defining polynomial must be monic")
     poly_disc = ring.discriminant(f)
     if poly_disc == 0:
         raise ValueError("defining polynomial must be squarefree")
-    if _has_rational_root(f):
+    if _integer_roots(f, poly_disc):
         raise ValueError("defining polynomial is reducible (rational root)")
-    if n == 4 and _has_quadratic_factor(f):
+    if n == 4 and _has_quadratic_factor(f, poly_disc):
         raise ValueError("defining polynomial is reducible (quadratic factor)")
     if basis is None:
         basis = [[int(i == j) for j in range(n)] for i in range(n)]
     return NumberField(f, poly_disc, basis)
 
 
-def _divisors(c: int) -> set[int]:
-    """Positive and negative divisors of a nonzero integer."""
-    c = abs(c)
-    out = set()
-    for d in range(1, isqrt(c) + 1):
-        if c % d == 0:
-            out.update((d, -d, c // d, -(c // d)))
-    return out
+def _integer_roots(f, disc: int) -> list[int]:
+    """The integer roots (the rational ones) of monic f with disc(f) = disc,
+    nonzero.  The least q >= 2 prime to disc is a prime, f mod q is
+    squarefree, and an integer root r is the unique q-adic lift of the
+    simple root r mod q.  Lifted to q^k > 2(1 + max|f_i|), twice the Cauchy
+    bound on |r|, its symmetric residue is r itself (Cohen, GTM 138, 3.5)."""
+    q = 2
+    while gcd(q, disc) != 1:
+        q += 1
+    k, bound = 1, 2 * (1 + max(abs(c) for c in f[:-1]))
+    while q**k <= bound:
+        k += 1
+    roots = []
+    for r0 in range(q):
+        if ring.poly_eval(f, r0) % q == 0:
+            r = ring.hensel_lift_root(f, q, r0, k).value
+            if 2 * r > q**k:
+                r -= q**k
+            if ring.poly_eval(f, r) == 0:
+                roots.append(r)
+    return roots
 
 
-def _has_rational_root(f) -> bool:
-    # monic integer polynomial: rational roots are integer divisors of f(0)
-    if f[0] == 0:
-        return True
-    return any(ring.poly_eval(f, r) == 0 for r in _divisors(f[0]))
+def _sum_product_roots(s: int, t: int) -> tuple[int, int] | None:
+    """Integers (r, r') with r + r' = s and r r' = t, or None."""
+    disc = s * s - 4 * t
+    if disc < 0 or isqrt(disc) ** 2 != disc:
+        return None
+    r = isqrt(disc)
+    return (s + r) // 2, (s - r) // 2
 
 
-def _has_quadratic_factor(f) -> bool:
-    # monic quartic: f = (x^2+ax+b)(x^2+cx+d) over Z by Gauss's lemma
-    c0, c1, c2, c3 = f[0], f[1], f[2], f[3]
-    if c0 == 0:
-        return True
-    for b in _divisors(c0):
-        dd = c0 // b
-        # a + c = c3, ac = c2 - b - d, ad + bc = c1
-        s = c3
-        ac = c2 - b - dd
-        disc = s * s - 4 * ac
-        if disc < 0:
-            continue
-        r = isqrt(disc)
-        if r * r != disc:
-            continue
-        for a in {(s + r) // 2, (s - r) // 2}:
-            c = s - a
-            if a * c == ac and a * dd + b * c == c1:
+def _has_quadratic_factor(f, disc: int) -> bool:
+    # monic quartic x^4 + ax^3 + bx^2 + cx + d = (x^2 + ux + v)(x^2 + u'x + v')
+    # over Z (Gauss's lemma) iff theta = v + v' is an integer root of the
+    # resolvent cubic, which has the discriminant of f, with v, v' the roots
+    # of z^2 - theta z + d, u, u' those of t^2 - at + (b - theta), and
+    # uv' + u'v = c; such integers multiply back to f
+    d, c, b, a = f[:4]
+    resolvent = (-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, 1)
+    for theta in _integer_roots(resolvent, disc):
+        vs, us = _sum_product_roots(theta, d), _sum_product_roots(a, b - theta)
+        if vs and us:
+            (v, v2), (u, u2) = vs, us
+            if c in (u * v2 + u2 * v, u * v + u2 * v2):
                 return True
     return False
 

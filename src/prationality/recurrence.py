@@ -12,6 +12,7 @@ cross-checked against the direct evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvariantViolation
 from .numberfield import (FieldElement, NumberField, part_shapes,
@@ -129,16 +130,23 @@ def _satisfies(K: NumberField, x: FieldElement, f) -> bool:
     return K.equals(acc, K.zero())
 
 
+@lru_cache(maxsize=64)
+def _check_spec(K: NumberField, unit: FieldElement, spec: RecurrenceSpec) -> None:
+    """Raise ValueError unless spec is the characteristic polynomial of the
+    unit; once per (field, unit, spec).  In a cubic field that holds iff the
+    unit is irrational and satisfies the spec's companion polynomial, which
+    is cheaper to check than recomputing it."""
+    if not any(unit.coords[1:]) or not _satisfies(K, unit, spec.companion_poly):
+        raise ValueError("spec does not match the minimal polynomial of the unit")
+
+
 def cross_check(K: NumberField, unit: FieldElement, spec: RecurrenceSpec,
                 p: int) -> ConsistencyReport:
     """Assert the screen's implication against the direct congruence test.
 
-    spec must be the characteristic polynomial of the unit.  In a cubic
-    field that holds iff the unit is irrational and satisfies the spec's
-    companion polynomial, which is cheaper to check than recomputing it.
+    spec must be the characteristic polynomial of the unit (_check_spec).
     """
-    if not any(unit.coords[1:]) or not _satisfies(K, unit, spec.companion_poly):
-        raise ValueError("spec does not match the minimal polynomial of the unit")
+    _check_spec(K, unit, spec)
     parts = squarefree_parts(K, p)
     stype = splitting_type(part_shapes(parts))
     sres = screen(spec, p, stype)

@@ -4,13 +4,14 @@ Polynomials are tuples of arbitrary-precision integers, low degree first;
 the zero polynomial is the empty tuple and has degree -1.  On top of that
 convention this module provides resultant-based discriminants, products and
 powers in Z[x]/(f, m) for monic f, deterministic factorization over prime
-fields, Sturm root counting, Hensel lifting and truncated p-adic logarithms.
+fields, Hensel lifting of simple roots (used for integer roots in
+`numberfield.make_field` and for condition 1's embeddings) and truncated
+p-adic logarithms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -70,27 +71,6 @@ def poly_eval(f, x):
 
 def derivative(f):
     return poly(i * a for i, a in enumerate(f) if i > 0)
-
-
-def poly_divmod_exact(f, g):
-    """Division in Q[x] returning Fraction polys; g must be nonzero."""
-    if not g:
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = [Fraction(a) for a in f]
-    quo = [Fraction(0)] * max(len(f) - len(g) + 1, 1)
-    lg = Fraction(g[-1])
-    while len(rem) >= len(g) and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(g):
-            break
-        c = rem[-1] / lg
-        shift = len(rem) - len(g)
-        quo[shift] = c
-        for i, b in enumerate(g):
-            rem[shift + i] -= c * b
-        rem.pop()
-    return poly(quo), poly(rem)
 
 
 def det_bareiss(rows) -> int:
@@ -391,44 +371,6 @@ def factor_mod_p(f, p: int) -> list[tuple[ModPoly, int]]:
                 factors.append((irr, mult))
     factors.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return [(ModPoly(g, p), m) for g, m in factors]
-
-
-# ---------------------------------------------------------------------------
-# real root counting (Sturm)
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-def count_real_roots(f) -> int:
-    """Number of distinct real roots of a squarefree integer polynomial."""
-    if degree(f) < 1:
-        raise ValueError("degree must be at least 1")
-    fq = tuple(Fraction(a) for a in f)
-    dq = tuple(Fraction(a) for a in derivative(f))
-    g = _poly_gcd_q(fq, dq)
-    if degree(g) > 0:
-        raise ValueError("polynomial is not squarefree")
-    chain = [fq, dq]
-    while degree(chain[-1]) > 0:
-        rem = poly_divmod_exact(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(poly_neg(rem))
-    def changes(signs):
-        signs = [s for s in signs if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    at_pos = [_sign(c[-1]) for c in chain if c]
-    at_neg = [_sign(c[-1]) * (-1 if degree(c) % 2 else 1) for c in chain if c]
-    return changes(at_neg) - changes(at_pos)
-
-
-def _poly_gcd_q(f, g):
-    a, b = poly(f), poly(g)
-    while b:
-        a, b = b, poly_divmod_exact(a, b)[1]
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,31 @@ def test_table_cli_with_input(tmp_path, capsys):
     assert out.startswith("label,p,cell")
 
 
+def test_table_with_error_cells_exits_one(tmp_path, capsys):
+    # p = 5 may divide the index of Z[a] here, so that cell is an error;
+    # the table is still written in full
+    path = tmp_path / "rec.csv"
+    path.write_text("label,degree,poly,h,unit,unit_den,torsion_order\n"
+                    "bad,3,-1;5;2;1,1,0;1,1,2\n")
+    rc = cli(["table", "--input", str(path), "--pmin", "5", "--pmax", "11",
+              "--format", "csv"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ("label,p,cell\nbad,5,error\nbad,7,pRational\n"
+                            "bad,11,pRational\n")
+    assert captured.err.endswith("1 error cells\n")
+
+
+def test_quintic_is_an_input_error(capsys):
+    # (x^2+1)(x^3+x+1) was once accepted as a field of signature (1, 2)
+    rc = cli(["check", "--poly", "1;1;1;2;0;1", "--unit", "0;1", "--h", "1",
+              "--prime", "7"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: defining polynomial must have degree <= 4\n"
+
+
 def test_missing_input_file_exits_one(capsys):
     assert cli(["scan", "--input", "/nonexistent.csv", "--xmax", "20"]) == 1
 

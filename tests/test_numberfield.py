@@ -13,6 +13,7 @@ from prationality.numberfield import (
     ideal_multiply,
     ideal_pow,
     identity_ideal,
+    _real_root_count,
     make_field,
     principal_ideal,
     split_prime,
@@ -30,18 +31,37 @@ def test_make_field_signatures():
     L = make_field(EX63)
     assert L.n == 4 and L.signature == (0, 2) and L.criterion_eligible
     M = make_field((-2, 0, 1))  # x^2 - 2: data carrier only
-    assert M.n == 2 and not M.criterion_eligible
+    assert M.n == 2 and M.signature == (2, 0) and not M.criterion_eligible
+    assert make_field((1, 0, 1)).signature == (0, 1)
+    assert make_field((-2, 0, 0, 1)).signature == (1, 1)
+    assert make_field((1, -3, 0, 1)).signature == (3, 0)  # x^3 - 3x + 1
+    assert make_field((2, 0, -4, 0, 1)).signature == (4, 0)  # x^4 - 4x^2 + 2
+    assert make_field((-2, 0, 0, 0, 1)).signature == (2, 1)
+
+
+def test_real_root_count():
+    # the former Sturm cases; x^2 - 1 is refused as reducible, so its two
+    # real roots are read from the signature rule directly
+    for f, r1 in ((EX62, 1), (EX63, 0), ((-1, 0, 1), 2)):
+        assert _real_root_count(f, discriminant(f)) == r1
 
 
 def test_make_field_rejects_reducible():
-    with pytest.raises(ValueError):
-        make_field((-1, 0, 0, 1))  # x^3 - 1 has root 1
-    with pytest.raises(ValueError):
-        make_field((1, 2, 3, 2, 1))  # (x^2+x+1)^2
-    with pytest.raises(ValueError):
-        make_field((1, 0, 2, 0, 1))  # (x^2+1)^2 ... not squarefree
-    with pytest.raises(ValueError):
-        make_field((4, 0, 5, 0, 1))  # (x^2+1)(x^2+4)
+    for f, reason in [
+        ((-1, 0, 0, 1), "rational root"),  # x^3 - 1 has root 1
+        ((-8, 0, 0, 1), "rational root"),  # x^3 - 8 has root 2
+        ((-1, 0, 0, 0, 1), "rational root"),  # x^4 - 1
+        ((0, 0, 1), "squarefree"),  # x^2
+        ((1, 2, 3, 2, 1), "squarefree"),  # (x^2+x+1)^2
+        ((1, 0, 2, 0, 1), "squarefree"),  # (x^2+1)^2
+        ((4, 0, 5, 0, 1), "quadratic factor"),  # (x^2+1)(x^2+4)
+        ((2, 0, 3, 0, 1), "quadratic factor"),  # (x^2+1)(x^2+2)
+        ((4, 0, 0, 0, 1), "quadratic factor"),  # (x^2+2x+2)(x^2-2x+2)
+        # (x^2+1)(x^3+x+1): irreducibility is only decided up to degree 4
+        ((1, 1, 1, 2, 0, 1), "degree <= 4"),
+    ]:
+        with pytest.raises(ValueError, match=reason):
+            make_field(f)
 
 
 def test_make_field_basis_validation():

@@ -1,5 +1,7 @@
 import pytest
 
+from prationality import recurrence
+from prationality.families import primes_up_to
 from prationality.numberfield import FieldElement, make_field
 from prationality.recurrence import (
     INERT,
@@ -11,6 +13,7 @@ from prationality.recurrence import (
     minimal_poly_spec,
     screen,
 )
+from prationality.ring import discriminant
 from prationality.selftest import suite_recurrence_matrix_vs_iteration
 
 EX62 = (27, -4, 0, 1)
@@ -155,3 +158,21 @@ def test_cross_check_rejects_mismatched_spec():
     # -1 satisfies x^3 + 1, but a rational unit has no cubic minimal polynomial
     with pytest.raises(ValueError):
         cross_check(K, K.from_int(-1), RecurrenceSpec(0, 0, -1), 5)
+
+
+def test_cross_check_proves_the_spec_once(monkeypatch):
+    K = make_field(EX62)
+    spec = minimal_poly_spec(K, EPS62)
+    calls = []
+    original = recurrence._satisfies
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(recurrence, "_satisfies", counted)
+    d = discriminant(spec.companion_poly)
+    for p in primes_up_to(200):
+        if p >= 5 and d % p:
+            cross_check(K, EPS62, spec, p)
+    assert len(calls) <= 1
