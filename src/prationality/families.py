@@ -7,6 +7,7 @@ analytic class number bound, and Kuroda's unit-index relation.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,24 +139,21 @@ class GgcCandidate:
     verdict: str | None = None  # "GgcHolds" | "Unknown"
 
 
-def _largest_square_divisor_root(n: int) -> int:
-    out = 1
-    for q, e in factorize(n).items():
-        out *= q ** (e // 2)
-    return out
-
-
 def lemma_a_scan(xmax: int, T: float) -> list[GgcCandidate]:
     """Primes p = 1 mod 4 up to xmax with square divisors n^2 | p-1,
-    m^2 | p+1 and n, m beyond (log p)^T."""
+    m^2 | p+1 and n, m beyond (log p)^T, read off one sieve of the largest
+    r with r^2 | 2k for each 2k <= xmax + 1 (16 bits while xmax < 4 * 10^9)."""
     if xmax < 13:
         raise ValueError("xmax must be at least 13")
+    root = array("H", [1]) * ((xmax + 3) // 2)
+    for r in range(2, math.isqrt(xmax + 1) + 1):  # ascending: the last r wins
+        step = r * r // math.gcd(2, r)  # r^2 | 2k iff step | k
+        root[step::step] = array("H", [r]) * ((len(root) - 1) // step)
     out = []
     for p in primes_up_to(xmax):
         if p % 4 != 1:
             continue
-        n = _largest_square_divisor_root(p - 1)
-        m = _largest_square_divisor_root(p + 1)
+        n, m = root[(p - 1) // 2], root[(p + 1) // 2]
         threshold = math.log(p) ** T
         if n > threshold and m > threshold:
             out.append(GgcCandidate(p, n, m, threshold))
@@ -204,30 +202,71 @@ def fundamental_discriminant(radicand: int) -> int:
     return radicand if radicand % 4 == 1 else 4 * radicand
 
 
-def imag_quadratic_class_number(radicand: int) -> int:
+def _sqrts_mod_prime_power(D: int, q: int, qe: int) -> list[int]:
+    """Square roots of a fundamental D mod qe = q^e, q an odd prime: at q | D
+    only 0 mod q and none mod q^2 (q || D, and q | b gives q^2 | b^2), else a
+    Tonelli-Shanks root (Cohen, GTM 138, Algorithm 1.5.1) Hensel-lifted."""
+    if D % q == 0:
+        return [0] if qe == q else []
+    if pow(D, (q - 1) // 2, q) != 1:
+        return []
+    s = ((q - 1) & (1 - q)).bit_length() - 1
+    t = (q - 1) >> s
+    z = next(z for z in range(2, q) if pow(z, (q - 1) // 2, q) == q - 1)
+    c, x, b = pow(z, t, q), pow(D, (t + 1) // 2, q), pow(D, t, q)
+    while b != 1:
+        i = next(i for i in range(1, s) if pow(b, 1 << i, q) == 1)
+        c = pow(c, 1 << (s - i - 1), q)
+        x, c, s, b = x * c % q, c * c % q, i, b * c * c % q
+    while (x * x - D) % qe:  # each Newton step doubles the q-adic precision
+        x = (x - (x * x - D) * pow(2 * x, -1, qe)) % qe
+    return [x, qe - x]
+
+
+def _crt_pairs(r1: list[int], m1: int, r2: list[int], m2: int) -> list[int]:
+    """Every x mod m1*m2 with x = u mod m1, x = v mod m2, u in r1, v in r2."""
+    inv = pow(m1, -1, m2)
+    return [u + m1 * ((v - u) * inv % m2) for u in r1 for v in r2]
+
+
+def imag_quadratic_class_number(radicand: int, *, D: int | None = None) -> int:
     """Class number of Q(sqrt(radicand)), radicand squarefree negative, by
-    counting reduced primitive forms (a, b, c) of the field discriminant."""
+    counting the reduced forms (a, b, c) of the field discriminant D, which
+    a caller that holds it passes unchecked (Cohen, GTM 138, section 5.3).
+
+    For each a with 3a^2 <= |D| the admissible b are the square roots of D
+    mod 4a, taken mod 2a in (-a, a]: a brute-force 2-part joined by CRT to
+    the roots mod the least odd prime power of a and mod its cofactor.  All
+    forms of a fundamental D are primitive: g = gcd(a, b, c) has g^2 | D, so
+    g | 2, and g = 2 would give 16 | D = 4d, d = 2, 3 mod 4.  No gcd test.
+    """
     if radicand >= 0:
         raise ValueError("radicand must be negative")
-    D = fundamental_discriminant(radicand)
+    D = D or fundamental_discriminant(radicand)
+    amax = math.isqrt(-D // 3)
+    spf = list(range(amax + 1))
+    for q in range(math.isqrt(amax), 1, -1):
+        spf[q * q :: q] = [q] * len(range(q * q, amax + 1, q))
+    two_roots = [[b for b in range(2 << k) if (b * b - D) % (4 << k) == 0]
+                 for k in range(amax.bit_length())]
+    odd_roots: list = [[0], [0]] + [None] * (amax - 1)
     count = 0
-    # enumeration bound: the reduction conditions force 3a^2 <= |D|
-    amax = math.isqrt(-D // 3) + 1
     for a in range(1, amax + 1):
-        for b in range(-a, a + 1):
-            if (b - D) % 2 != 0:
-                continue
-            num = b * b - D
-            if num % (4 * a) != 0:
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if math.gcd(math.gcd(a, abs(b)), c) != 1:
-                continue
-            if (abs(b) == a or a == c) and b < 0:
-                continue
-            count += 1
+        k = (a & -a).bit_length() - 1
+        odd = a >> k
+        if odd_roots[odd] is None:  # first visit: here odd == a
+            q = qe = spf[a]
+            while a % (qe * q) == 0:
+                qe *= q
+            roots = odd_roots[qe] if qe < a else _sqrts_mod_prime_power(D, q, qe)
+            odd_roots[a] = _crt_pairs(roots, qe, odd_roots[a // qe], a // qe)
+        if 4 * a * a < -D:  # then c > a for every root
+            count += len(two_roots[k]) * len(odd_roots[odd])
+            continue
+        for b in _crt_pairs(two_roots[k], 2 << k, odd_roots[odd], odd):
+            # b > a stands for b - 2a < 0; -a is not in (-a, a]: only c = a needs b >= 0
+            c = (min(b, 2 * a - b) ** 2 - D) // (4 * a)
+            count += c > a or (c == a and b <= a)
     return count
 
 
@@ -235,9 +274,7 @@ def dirichlet_class_number(D: int) -> int:
     """Independent oracle: h(D) = -(w / 2|D|) sum chi_D(k) k for D < -4."""
     if D >= 0:
         raise ValueError("negative discriminant required")
-    if D == -3:
-        return 1
-    if D == -4:
+    if D in (-3, -4):
         return 1
     s = sum(kronecker_symbol(D, k) * k for k in range(1, abs(D)))
     h = Fraction(-2 * s, 2 * abs(D))
@@ -286,9 +323,12 @@ def ggc_scan(xmax: int, T: float) -> list[GgcCandidate]:
     out = []
     for cand in lemma_a_scan(xmax, T):
         p = cand.p
-        radicand = squarefree_part(1 - p * p)
-        h = imag_quadratic_class_number(radicand)
-        D = fundamental_discriminant(radicand)
+        # 1 - p^2 = -u v (nm)^2, u and v squarefree with gcd(u, v) | 2
+        u = (p - 1) // (cand.n * cand.n)
+        v = (p + 1) // (cand.m * cand.m)
+        radicand = -u * v // 4 if u % 2 == 0 and v % 2 == 0 else -u * v
+        D = radicand if radicand % 4 == 1 else 4 * radicand
+        h = imag_quadratic_class_number(radicand, D=D)
         bound = lemma_b_bound(abs(D), _roots_of_unity_count(radicand))
         if h > bound:
             raise InvariantViolation(f"class number exceeds the Lemma B bound at p={p}")

@@ -28,14 +28,14 @@ from .torsion import applicability_guard, condition2, condition2_holds
 
 def suite_forms_vs_dirichlet(limit: int = 200):
     checked = 0
-    for radicand in range(-limit, -1):
+    for radicand in range(-limit, 0):
         if squarefree_part(radicand) != radicand:
             continue
         D = fundamental_discriminant(radicand)
         if abs(D) > limit:
             continue
         forms = imag_quadratic_class_number(radicand)
-        expected = 1 if D >= -4 else dirichlet_class_number(D)
+        expected = dirichlet_class_number(D)
         if forms != expected:
             return (
                 "forms-vs-dirichlet",

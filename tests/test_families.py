@@ -1,10 +1,17 @@
+import inspect
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from prationality import families, numberfield, ring, torsion
 from prationality.families import (
     GgcCandidate,
     PureCubicInstance,
+    dirichlet_class_number,
+    factorize,
+    fundamental_discriminant,
     ggc_scan,
     imag_quadratic_class_number,
     kuroda_check,
@@ -15,6 +22,52 @@ from prationality.families import (
     squarefree_part,
 )
 from prationality.selftest import suite_forms_vs_dirichlet
+
+
+def _reference_class_number(radicand: int) -> int:
+    """Reduced primitive forms (a, b, c) counted over every a <= sqrt(|D|/3)
+    and every b in [-a, a]: O(|D|), the reference for the root-based counter."""
+    D = fundamental_discriminant(radicand)
+    count = 0
+    amax = math.isqrt(-D // 3) + 1
+    for a in range(1, amax + 1):
+        for b in range(-a, a + 1):
+            if (b - D) % 2 != 0:
+                continue
+            num = b * b - D
+            if num % (4 * a) != 0:
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if math.gcd(math.gcd(a, abs(b)), c) != 1:
+                continue
+            if (abs(b) == a or a == c) and b < 0:
+                continue
+            count += 1
+    return count
+
+
+def _reference_lemma_a_scan(xmax: int, T: float) -> list[GgcCandidate]:
+    """Lemma A with the square-divisor roots of p -+ 1 read off factorize."""
+    def square_divisor_root(n):
+        return math.prod(q ** (e // 2) for q, e in factorize(n).items())
+
+    out = []
+    for p in primes_up_to(xmax):
+        if p % 4 != 1:
+            continue
+        n, m = square_divisor_root(p - 1), square_divisor_root(p + 1)
+        threshold = math.log(p) ** T
+        if n > threshold and m > threshold:
+            out.append(GgcCandidate(p, n, m, threshold))
+    return out
+
+
+# D = -4, -8, -3; D = 1 mod 8 (-7); D = 5 mod 8 (-11); 4 || D (-5: D = -20);
+# 8 | D (-6: D = -24); a = q^e, e >= 2, with q | D (-255: a = 9, 3 | D;
+# -1995: a = 25, 5 | D) and with q prime to D (-251: a = 9, D = 1 mod 3)
+COVERING_RADICANDS = (-1, -2, -3, -7, -11, -5, -6, -255, -1995, -251)
 
 
 def test_pure_cubic_instance_identity():
@@ -47,6 +100,18 @@ def test_lemma_a_scan_examples():
     assert cands[17].n == 4 and cands[17].m == 3
     assert cands[17].threshold == pytest.approx(math.log(17))
     assert 13 not in cands  # largest n for p-1=12 is 2 < log 13
+
+
+@pytest.mark.parametrize("xmax", [17, 809, 1249, 4801, 19999])
+def test_lemma_a_sieve_matches_factorize(xmax):
+    # xmax + 1 = 2 * 3^4 * 5, 2 * 5^4, 2 * 7^4, 2^5 * 5^4: a q^4 step lands
+    # on the last slot; at 17, n = 4 comes from the last r = isqrt(18)
+    for T in (0.0, 1.0):
+        assert lemma_a_scan(xmax, T) == _reference_lemma_a_scan(xmax, T)
+    if xmax % 4 == 1:  # a prime candidate whose m is read off the last slot
+        assert lemma_a_scan(xmax, 0.0)[-1].p == xmax
+    with pytest.raises(ValueError):
+        lemma_a_scan(12, 1.0)
 
 
 def test_lemma_a_T_zero_forces_nontrivial_squares():
@@ -83,6 +148,49 @@ def test_class_number_rejects_bad_radicand():
 def test_forms_vs_dirichlet_oracle():
     _, ok, detail = suite_forms_vs_dirichlet()
     assert ok, detail
+    assert detail == "62 fundamental discriminants"  # radicand -1 included
+
+
+def test_class_number_matches_reference_on_ggc_candidates():
+    cands = ggc_scan(10**5, 1.0)
+    assert len(cands) > 20
+    for c in cands:
+        assert c.radicand == squarefree_part(1 - c.p * c.p)
+        assert c.hK2 == _reference_class_number(c.radicand), c.p
+
+
+def test_covering_radicands_meet_every_case():
+    Ds = [fundamental_discriminant(r) for r in COVERING_RADICANDS]
+    assert {-3, -4, -8} <= set(Ds)
+    assert {D % 8 for D in Ds} == {0, 1, 4, 5}
+
+    def odd_prime_squares(D):  # odd q with q^2 among the a of D
+        return [q for q in primes_up_to(math.isqrt(-D // 3))[1:]
+                if q * q <= math.isqrt(-D // 3)]
+
+    assert any(D % q == 0 for D in Ds for q in odd_prime_squares(D))
+    assert any(pow(D, (q - 1) // 2, q) == 1 for D in Ds for q in odd_prime_squares(D))
+
+
+@pytest.mark.parametrize("radicand", COVERING_RADICANDS)
+def test_class_number_matches_reference_on_covering_radicands(radicand):
+    assert imag_quadratic_class_number(radicand) == _reference_class_number(radicand)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-19999, -1).filter(lambda r: squarefree_part(r) == r))
+def test_class_number_matches_reference(radicand):
+    assert imag_quadratic_class_number(radicand) == _reference_class_number(radicand)
+
+
+def test_class_number_matches_dirichlet_on_a_seeded_sample():
+    rng = random.Random(5003)
+    radicands = [r for r in rng.sample(range(-1250, 0), 200)
+                 if squarefree_part(r) == r][:60]
+    for r in radicands:
+        D = fundamental_discriminant(r)
+        assert abs(D) <= 5000
+        assert imag_quadratic_class_number(r) == dirichlet_class_number(D), r
 
 
 def test_lemma_b_examples():
@@ -118,6 +226,30 @@ def test_ggc_scan_examples():
         # p does not divide small h automatically
         if c.hK2 < c.p:
             assert c.verdict == "GgcHolds"
+
+
+def test_ggc_scan_never_enters_the_field_layers(monkeypatch):
+    expected = ggc_scan(20000, 1.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ggc path called into ring, numberfield or torsion")
+
+    for mod in (ring, numberfield, torsion):
+        for name, obj in list(vars(mod).items()):
+            if inspect.isclass(obj) and obj.__module__ == mod.__name__:
+                for attr, fn in list(vars(obj).items()):
+                    if inspect.isfunction(fn) and not attr.startswith("_"):
+                        monkeypatch.setattr(obj, attr, refuse)
+            elif (inspect.isfunction(obj) and obj.__module__ == mod.__name__
+                  and not name.startswith("_")):
+                monkeypatch.setattr(mod, name, refuse)
+                if getattr(families, name, None) is obj:
+                    monkeypatch.setattr(families, name, refuse)
+    # the radicands come from the Lemma-A sieve, not from trial division
+    monkeypatch.setattr(families, "factorize", refuse)
+    with pytest.raises(AssertionError):
+        families.pure_cubic_scan(5, 5)  # the patches reach families' imports
+    assert ggc_scan(20000, 1.0) == expected
 
 
 def test_primes_up_to():
