@@ -6,6 +6,7 @@ analytic class number bound, and Kuroda's unit-index relation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ def primes_up_to(n: int) -> list[int]:
     for i in range(2, int(math.isqrt(n)) + 1):
         if sieve[i]:
             sieve[i * i :: i] = b"\x00" * len(range(i * i, n + 1, i))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 def factorize(n: int) -> dict[int, int]:

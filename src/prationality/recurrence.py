@@ -12,7 +12,7 @@ cross-checked against the direct evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InvariantViolation
 from .numberfield import (FieldElement, NumberField, part_shapes,
@@ -36,6 +36,10 @@ class RecurrenceSpec:
     @property
     def companion_poly(self) -> tuple[int, ...]:
         return poly((-self.a0, -self.a1, -self.a2, 1))
+
+    @cached_property
+    def companion_disc(self) -> int:
+        return discriminant(self.companion_poly)
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,7 @@ def screen(spec: RecurrenceSpec, p: int, splitting: str) -> ScreenResult:
     """Evaluate the case-appropriate F index mod p^2."""
     if p == 2:
         raise ValueError("p must be odd")
-    d = discriminant(spec.companion_poly)
-    if d % p == 0:
+    if spec.companion_disc % p == 0:
         raise ValueError("p divides the discriminant of the companion polynomial")
     index = {
         SPLIT_COMPLETELY: p - 1,
@@ -112,7 +115,7 @@ def minimal_poly_spec(K: NumberField, unit: FieldElement) -> RecurrenceSpec:
     if tr % den or s2 % den**2 or det % den**3:
         raise ValueError("unit is not integral")
     spec = RecurrenceSpec(a2=tr // den, a1=-(s2 // den**2), a0=det // den**3)
-    if discriminant(spec.companion_poly) == 0:
+    if spec.companion_disc == 0:
         raise ValueError("unit generates a proper subfield (degree drop)")
     if not _satisfies(K, unit, spec.companion_poly):
         raise InvariantViolation("unit does not satisfy its characteristic polynomial")

@@ -3,15 +3,19 @@
 Polynomials are tuples of arbitrary-precision integers, low degree first;
 the zero polynomial is the empty tuple and has degree -1.  On top of that
 convention this module provides resultant-based discriminants, products and
-powers in Z[x]/(f, m) for monic f, deterministic factorization over prime
-fields, Hensel lifting of simple roots (used for integer roots in
+powers in Z[x]/(f, m) for monic f on Kronecker-packed ints (kernel: one int
+per element; mulmod and powmod wrap it), deterministic factorization over
+prime fields, Hensel lifting of simple roots (used for integer roots in
 `numberfield.make_field` and for condition 1's embeddings) and truncated
 p-adic logarithms.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from math import gcd
 
 
@@ -42,12 +46,8 @@ def poly_add(f, g):
     )
 
 
-def poly_neg(f):
-    return tuple(-a for a in f)
-
-
 def poly_sub(f, g):
-    return poly_add(f, poly_neg(g))
+    return poly_add(f, tuple(-a for a in g))
 
 
 def poly_mul(f, g):
@@ -206,48 +206,78 @@ def _mp_gcd(f, g, p):
     return _mp_monic(a, p)
 
 
-def _reduce_monic(c, f, m):
-    # the list c (consumed) reduced by monic f from the top down, then mod
-    # m: the remainder needs no quotient and no inverse of a leading term
+Kernel = namedtuple("Kernel", "w pack unpack reduce pow")
+
+
+@lru_cache(maxsize=8)  # kept kernels scatter over the heap and raise RSS
+def kernel(f: tuple[int, ...], m: int) -> Kernel:
+    """Z[x]/(f, m) on packed ints, for monic f of degree n and m >= 2
+    (Kronecker substitution; von zur Gathen-Gerhard, Modern Computer
+    Algebra, 8.4).  The reduced element sum c_i x^i, i < n, 0 <= c_i < m,
+    is the int sum c_i 2^(w i).  pack(a) reduces any a in Z[x]; unpack(v)
+    is the poly of a reduced v; pow(v, e) is v^e for e >= 0.  reduce(v)
+    takes 2n - 1 slots of at most T n (m - 1)^2, T = 2, as in a sum of T
+    products of reduced elements (a slot of one sums at most n terms
+    a_i b_j <= (m - 1)^2).  It adds each high slot k >= n, mod m, times
+    row k = x^k mod (f, m) to the low slots, then takes those mod m.  Each
+    of the n - 1 folds adds at most (m - 1)^2 to a low slot, which ends
+    <= T n (m - 1)^2 + (n - 1)(m - 1)^2 <= T (2n - 1)(m - 1)^2 < 2^w for
+    w = bitlen(T (2n - 1)(m - 1)^2): no slot ever carries into the next.
+    """
+    if not is_monic(f) or m < 2:
+        raise ValueError("the kernel needs monic f and m >= 2")
     n = len(f) - 1
-    for k in range(len(c) - 1, n - 1, -1):
-        t = c[k] % m
-        if t:
-            s = k - n
-            for i in range(n):
-                c[s + i] -= t * f[i]
-    return poly([x % m for x in c[:n]])
+    w = (2 * (2 * n - 1) * (m - 1) ** 2).bit_length()  # n = 0: every v is 0
+    slot, nw = (1 << w) - 1, n * w
+
+    def reduce(v):
+        lo = v & (1 << nw) - 1
+        v >>= nw
+        for row in rows:
+            lo += (v & slot) % m * row
+            v >>= w
+        out = 0
+        for s in range(nw - w, -1, -w):
+            out = out << w | (lo >> s & slot) % m
+        return out
+
+    def pack(a):
+        if len(a) < 2 * n or not n:
+            return reduce(sum(c % m << w * i for i, c in enumerate(a)))
+        return reduce(pack(a[n:]) * rows[0] + pack(a[:n]))  # x^n = row 0
+
+    def unpack(v):
+        return poly(v >> s & slot for s in range(0, nw, w))
+
+    def power(v, e):
+        r = v if e else reduce(1)
+        for bit in bin(e)[3:]:
+            r = reduce(r * r)
+            if bit == "1":
+                r = reduce(r * v)
+        return r
+
+    # x^k mod (f, m) for n <= k <= max(n, 2n - 2); x * row_k has a single
+    # high slot, folded by the first row alone
+    rows = [sum(-c % m << w * i for i, c in enumerate(f[:n]))]
+    while len(rows) < n - 1:
+        rows.append(reduce(rows[-1] << w))
+    return Kernel(w, pack, unpack, reduce, power)
 
 
 def mulmod(a, b, f, m):
     """a * b in Z[x]/(f, m) for monic integer f and any modulus m >= 2;
     the result is reduced (degree < deg f, residues in [0, m))."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _reduce_monic(out, f, m)
+    k = kernel(tuple(f), m)
+    return k.unpack(k.reduce(k.pack(a) * k.pack(b)))
 
 
 def powmod(a, e, f, m):
     """a^e in Z[x]/(f, m) for monic integer f and any modulus m >= 2."""
-    if not is_monic(f) or m < 2 or e < 0:
-        raise ValueError("powmod needs monic f, m >= 2 and e >= 0")
-    result = _reduce_monic([1], f, m)
-    base = _reduce_monic(list(a), f, m)
-    while e:
-        if e & 1:
-            result = mulmod(result, base, f, m)
-        e >>= 1
-        if e:
-            base = mulmod(base, base, f, m)
-    return result
-
-
-def _mp_pth_root(f, p):
-    # f = g(x^p) over F_p  ->  g (Frobenius fixes F_p coefficients)
-    return poly(f[i] for i in range(0, len(f), p))
+    if e < 0:
+        raise ValueError("powmod needs e >= 0")
+    k = kernel(tuple(f), m)
+    return k.unpack(k.pow(k.pack(a), e))
 
 
 def _sqf_decomposition(f, p):
@@ -258,8 +288,8 @@ def _sqf_decomposition(f, p):
         return result
     fp = _mp(derivative(f), p)
     if not fp:
-        g = _mp_pth_root(f, p)
-        for h, m in _sqf_decomposition(g, p):
+        # f = g(x^p) over F_p (Frobenius fixes F_p coefficients)
+        for h, m in _sqf_decomposition(poly(f[::p]), p):
             result.append((h, m * p))
         return result
     t = _mp_gcd(f, fp, p)
@@ -284,8 +314,7 @@ def _distinct_degree(f, p):
     list of (product, factor degree)."""
     result = []
     rest = f
-    x = (0, 1)
-    frob = x  # x^(p^d) mod rest, recomputed as rest shrinks
+    x = frob = (0, 1)  # frob: x^(p^d) mod a multiple of rest
     d = 0
     while degree(rest) > 0:
         d += 1
@@ -297,7 +326,6 @@ def _distinct_degree(f, p):
         if degree(g) > 0:
             result.append((g, d))
             rest = _mp_divmod(rest, g, p)[0]
-            frob = _mp_divmod(frob, rest, p)[1]
     return result
 
 
@@ -315,18 +343,8 @@ def _candidate_polys(p, max_deg):
     for s in range(p):
         yield (s, 1)
     for d in range(2, max_deg + 1):
-        idx = [0] * d
-        while True:
-            yield tuple(idx) + (1,)
-            i = 0
-            while i < d:
-                idx[i] += 1
-                if idx[i] < p:
-                    break
-                idx[i] = 0
-                i += 1
-            if i == d:
-                break
+        for idx in product(range(p), repeat=d):
+            yield idx[::-1] + (1,)
 
 
 def _equal_degree_split(f, d, p):
@@ -335,10 +353,8 @@ def _equal_degree_split(f, d, p):
     if degree(f) == d:
         return [f]
     for t in _candidate_polys(p, 2 * d):
-        if p == 2:
-            # trace map to F_2
-            acc = ()
-            term = _mp_divmod(t, f, p)[1]
+        if p == 2:  # trace map to F_2
+            acc, term = (), t
             for _ in range(d):
                 acc = poly_add(acc, term)
                 term = mulmod(term, term, f, p)

@@ -10,9 +10,11 @@ returned when p does not divide the index of Z[alpha], so every P is
 f = deg g.  For the same reason O_K/p^2 = Z[alpha]/p^2 and the unit's
 denominator, which divides the index, is prime to p: both branches below
 compute in Z[x]/(f, p^2) on the power-basis coordinates of eps, by
-ring.mulmod and ring.powmod.  Let F be any common multiple of the residue
-degrees.  For P of degree f, eps^(p^F - 1) = u^k with u = eps^(p^f - 1) in
-1 + P and k = (p^F - 1)/(p^f - 1) = 1 (mod p); when e + 1 <= p,
+ring.mulmod and ring.powmod's packed kernel (ring.kernel): each element is
+one int from start to end, and each sum of products below is reduced once.
+Let F be any common multiple of the residue degrees.  For P of degree f,
+eps^(p^F - 1) = u^k with u = eps^(p^f - 1) in 1 + P and
+k = (p^F - 1)/(p^f - 1) = 1 (mod p); when e + 1 <= p,
 (1 + P)/(1 + P^(e+1)) has exponent p (for y in P, (1 + y)^p - 1 is p*y plus
 multiples of p*y^2 plus y^p), so u^k = u (mod P^(e+1)).
 
@@ -142,33 +144,34 @@ def _congruent_by_hnf(K: NumberField, p: int, pf: PrimeFactor,
 
 
 @lru_cache(maxsize=64)
-def _check_unit(K: NumberField, unit: FieldElement) -> None:
-    """Raise ValueError unless N(unit) = +-1; once per (field, unit)."""
+def _unit_power_coords(K: NumberField, unit: FieldElement):
+    """K.to_power_coords(unit), once per (field, unit); raise ValueError
+    unless N(unit) = +-1."""
     if abs(K.norm(unit)) != 1:
         raise ValueError("unit must have norm +-1")
+    return K.to_power_coords(unit)
 
 
-def _frobenius_defect(f, p: int, e):
-    """X in Z[x]/(f, p^2) for the unit coordinates e at p not dividing
-    disc(f) (module docstring)."""
+def _frobenius_defect(k: ring.Kernel, f, p: int, e) -> int:
+    """X in Z[x]/(f, p^2), packed by k, for the unit coordinates e at p not
+    dividing disc(f) (module docstring)."""
     pp, n = p * p, ring.degree(f)
-    powers = [(1,), ring.powmod((0, 1), p, f, pp)]
+    gamma = k.pow(k.pack((0, 1)), p)
+    powers = [k.pack((1,)), gamma]
     while len(powers) <= n:
-        powers.append(ring.mulmod(powers[-1], powers[1], f, pp))
-    cols = [w + (0,) * (n - len(w)) for w in powers]
+        powers.append(k.reduce(powers[-1] * gamma))
 
-    def at_gamma(g):
-        return ring._mp([sum(c * w[i] for c, w in zip(g, cols))
-                         for i in range(n)], pp)
+    def at_gamma(g):  # slots <= (n + 1)(p^2 - 1)^2, within reduce's bound
+        return k.reduce(sum(c % pp * w for c, w in zip(g, powers)))
 
-    u = ring.powmod(e, p, f, pp)
+    u = k.pow(k.pack(e), p)
     e_g, f_g = at_gamma(e), at_gamma(f)
-    d = ring.poly_sub(u, e_g)
-    if ring._mp(f_g, p) or ring._mp(d, p):
+    # eps^p - e(gamma) with p^2 added to every slot, so no slot goes negative
+    d = k.reduce(u + sum(pp << s for s in range(0, n * k.w, k.w)) - e_g)
+    if any(c % p for c in k.unpack(f_g) + k.unpack(d)):
         raise InvariantViolation(_FERMAT_FAILURE)
-    return ring._mp(ring.poly_add(
-        ring.mulmod(at_gamma(ring.derivative(f)), d, f, pp),
-        ring.mulmod(at_gamma(ring.derivative(e)), f_g, f, pp)), pp)
+    return k.reduce(at_gamma(ring.derivative(f)) * d
+                    + at_gamma(ring.derivative(e)) * f_g)
 
 
 def condition2_holds(K: NumberField, p: int, unit: FieldElement,
@@ -179,18 +182,19 @@ def condition2_holds(K: NumberField, p: int, unit: FieldElement,
     otherwise (module docstring)."""
     if p == 2 or any(m >= p for _, m in parts):
         raise ValueError("p must be odd and exceed every multiplicity")
-    _check_unit(K, unit)
     # the unit in Z[x]/(f, p^2); its denominator divides the index
+    coeffs, den = _unit_power_coords(K, unit)
     pp, f = p * p, K.poly
-    coeffs, den = K.to_power_coords(unit)
+    k = ring.kernel(f, pp)
     dinv = pow(den, -1, pp)
-    e = ring._mp([c * dinv for c in coeffs], pp)
+    e = [c * dinv % pp for c in coeffs]
     if len(parts) == 1 and parts[0][1] == 1:
-        return bool(_frobenius_defect(f, p, e))
+        return bool(_frobenius_defect(k, f, p, e))
     F = lcm(*range(1, max(g.degree for g, _ in parts) + 1))
-    x = ring.poly_sub(ring.powmod(e, p**F - 1, f, pp), (1,))
-    x = ring.mulmod(x, radical_cofactor(parts, p), f, pp)
-    if ring._mp(x, p):
+    # (x - 1) c as x c + (p^2 - 1) c: a sum of two products, one reduce
+    x = k.reduce((k.pow(k.pack(e), p**F - 1) + pp - 1)
+                 * k.pack(radical_cofactor(parts, p)))
+    if any(c % p for c in k.unpack(x)):
         raise InvariantViolation(_FERMAT_FAILURE)
     return bool(x)
 
@@ -199,7 +203,7 @@ def condition2(K: NumberField, p: int, unit: FieldElement,
                factors) -> Condition2Report:
     """The per-P report over the given prime factors of p, each decided by
     HNF membership."""
-    _check_unit(K, unit)
+    _unit_power_coords(K, unit)
     per = []
     witness = None
     for pf in factors:

@@ -1,3 +1,4 @@
+import bisect
 import inspect
 import math
 import random
@@ -255,3 +256,22 @@ def test_ggc_scan_never_enters_the_field_layers(monkeypatch):
 def test_primes_up_to():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_up_to(1) == []
+
+
+def _reference_primes(n: int) -> list[int]:
+    """The sieve read back by a comprehension over every index."""
+    sieve = [True] * (n + 1)
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            for j in range(i * i, n + 1, i):
+                sieve[j] = False
+    return [i for i in range(2, n + 1) if sieve[i]]
+
+
+def test_primes_up_to_matches_comprehension():
+    top = _reference_primes(3 * 10**5)
+    assert primes_up_to(3 * 10**5) == top
+    for n in range(3001):
+        expected = top[:bisect.bisect_right(top, n)]
+        got = primes_up_to(n)
+        assert type(got) is list and got == expected, n

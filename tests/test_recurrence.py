@@ -92,6 +92,24 @@ def test_screen_rejects_bad_p():
         screen(spec, 2, INERT)
 
 
+def test_companion_disc_is_computed_once_per_spec(monkeypatch):
+    spec = RecurrenceSpec(1, 1, 1)
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return discriminant(f)
+
+    monkeypatch.setattr(recurrence, "discriminant", counted)
+    assert spec.companion_disc == discriminant(spec.companion_poly) == -44
+    for p in (5, 7, 13):
+        screen(spec, p, INERT)
+    with pytest.raises(ValueError):
+        screen(spec, 11, INERT)  # 11 divides -44
+    assert len(calls) == 1
+    assert RecurrenceSpec(1, 1, 1) == spec
+
+
 def test_minimal_poly_spec_example_62():
     K = make_field(EX62)
     spec = minimal_poly_spec(K, EPS62)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prationality.ring import (
     PadicApprox,
@@ -9,6 +10,7 @@ from prationality.ring import (
     factor_degrees_mod_p,
     factor_mod_p,
     hensel_lift_root,
+    kernel,
     mod_poly,
     mulmod,
     padic_log,
@@ -238,3 +240,87 @@ def test_powmod_rejects_bad_input():
         powmod((1, 1), 3, (1, 0, 1), 1)
     with pytest.raises(ValueError):
         powmod((1, 1), -1, (1, 0, 1), 7)
+    with pytest.raises(ValueError):
+        mulmod((1, 1), (1, 1), (1, 2), 7)
+
+
+def _list_mulmod(a, b, f, m):
+    """a * b in Z[x]/(f, m) on coefficient lists: n^2 small products, then a
+    top-down reduction by monic f; the reference for the packed kernel."""
+    c = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                c[i + j] += x * y
+    n = len(f) - 1
+    for k in range(len(c) - 1, n - 1, -1):
+        t = c[k] % m
+        if t:
+            for i in range(n):
+                c[k - n + i] -= t * f[i]
+    return poly([x % m for x in c[:n]])
+
+
+def _list_powmod(a, e, f, m):
+    result, base = _list_mulmod((1,), (1,), f, m), _list_mulmod(a, (1,), f, m)
+    while e:
+        if e & 1:
+            result = _list_mulmod(result, base, f, m)
+        e >>= 1
+        base = _list_mulmod(base, base, f, m)
+    return result
+
+
+_P = 999983  # p^2 = 999966000289, near 10^12
+_MODULI = st.sampled_from([2, 3, 9, 12, 1155, 101, 101 * 101, _P, _P * _P])
+
+
+@st.composite
+def _ring_case(draw):
+    n = draw(st.integers(1, 5))
+    f = tuple(draw(st.lists(st.integers(-10**6, 10**6), min_size=n,
+                            max_size=n))) + (1,)
+    m = draw(_MODULI)
+    coeffs = st.integers(-3 * m, 3 * m)
+    a, b = (tuple(draw(st.lists(coeffs, max_size=3 * n))) for _ in range(2))
+    return f, m, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ring_case(), st.integers(0, 2**20))
+def test_packed_kernel_matches_list_reference(case, e):
+    # unreduced inputs of any sign and length, e = 0 included
+    f, m, a, b = case
+    assert mulmod(a, b, f, m) == _list_mulmod(a, b, f, m)
+    assert powmod(a, e, f, m) == _list_powmod(a, e, f, m)
+    assert powmod(a, e % 3, f, m) == _list_powmod(a, e % 3, f, m)
+
+
+@pytest.mark.parametrize("m", [2, 7, 49, 12, 1155, _P * _P])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_packed_kernel_at_full_slots(n, m):
+    # every slot m - 1, with f = 1 + x + ... + x^n so that the row of x^n
+    # is full as well; the reduction reads a sum of two such products
+    f = (1,) * (n + 1)
+    full = (m - 1,) * n
+    k = kernel(f, m)
+    assert k.w == (2 * (2 * n - 1) * (m - 1) ** 2).bit_length()
+    v = k.pack(full)
+    assert k.unpack(v) == full
+    square = _list_mulmod(full, full, f, m)
+    assert mulmod(full, full, f, m) == square
+    assert k.unpack(k.reduce(v * v + v * v)) == poly(2 * c % m for c in square)
+    assert powmod(full, 5, f, m) == _list_powmod(full, 5, f, m)
+
+
+def test_packed_kernel_at_degree_0_and_1():
+    # Z[x]/(1) is the zero ring; in Z[x]/(x + c, m), x = -c
+    for m in (2, 9, 1155):
+        assert mulmod((3, -1, 4), (1, 5), (1,), m) == ()
+        assert powmod((3, 1), 0, (1,), m) == ()
+        for c in (-4, 0, 7):
+            a = (3, -1, 4, 1)
+            value = poly_eval(a, -c) % m
+            assert mulmod(a, a, (c, 1), m) == poly((value * value % m,))
+            assert powmod(a, 0, (c, 1), m) == (1,)
+            assert powmod(a, 9, (c, 1), m) == poly((pow(value, 9, m),))

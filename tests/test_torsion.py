@@ -13,7 +13,9 @@ from prationality.numberfield import (
     split_prime,
     squarefree_parts,
 )
-from prationality.ring import adjugate, det_bareiss
+from prationality import ring, torsion
+from prationality.ring import (adjugate, degree, derivative, det_bareiss,
+                               mulmod, poly, poly_add, poly_sub, powmod)
 from prationality.torsion import applicability_guard, condition2, condition2_holds
 
 EX62 = (27, -4, 0, 1)
@@ -243,5 +245,52 @@ def test_frobenius_lift_matches_exponent_form_on_bundled_records():
                 slow = K.pow_mod(eps, p**F - 1, p * p) != K.one()
                 holds = condition2_holds(K, p, eps, parts)
                 assert holds == slow, (record.label, p)
+                cells[holds] += 1
+    assert cells[False] > 0 and cells[True] > 1000
+
+
+def _list_frobenius_defect(f, p, e):
+    """X = f'(gamma)(eps^p - e(gamma)) + e'(gamma) f(gamma) in
+    Z[x]/(f, p^2) on coefficient lists, gamma = x^p (torsion's module
+    docstring); the reference for the packed torsion._frobenius_defect."""
+    pp, n = p * p, degree(f)
+    powers = [(1,), powmod((0, 1), p, f, pp)]
+    while len(powers) <= n:
+        powers.append(mulmod(powers[-1], powers[1], f, pp))
+    cols = [w + (0,) * (n - len(w)) for w in powers]
+
+    def at_gamma(g):
+        return poly(sum(c * w[i] for c, w in zip(g, cols)) % pp
+                    for i in range(n))
+
+    u = powmod(e, p, f, pp)
+    e_g, f_g = at_gamma(e), at_gamma(f)
+    d = poly_sub(u, e_g)
+    assert not any(c % p for c in f_g + d), "Fermat check"
+    return poly(c % pp for c in poly_add(
+        mulmod(at_gamma(derivative(f)), d, f, pp),
+        mulmod(at_gamma(derivative(e)), f_g, f, pp)))
+
+
+def test_packed_frobenius_defect_matches_list_reference_on_bundled_records():
+    # the packed defect X and the verdict against the list computation at
+    # every odd unramified p <= 300
+    cells = {False: 0, True: 0}  # keyed by "holds"
+    for name in ("table1", "table2", "examples"):
+        for record in bundled_records(name):
+            K = record.build_field()
+            eps = record.unit_element()
+            coeffs, den = K.to_power_coords(eps)
+            for p in primes_up_to(300)[1:]:
+                if K.poly_disc % p == 0:
+                    continue
+                pp = p * p
+                e = [c * pow(den, -1, pp) % pp for c in coeffs]
+                expected = _list_frobenius_defect(K.poly, p, e)
+                k = ring.kernel(K.poly, pp)
+                packed = torsion._frobenius_defect(k, K.poly, p, e)
+                assert k.unpack(packed) == expected, (record.label, p)
+                holds = condition2_holds(K, p, eps, squarefree_parts(K, p))
+                assert holds == bool(expected), (record.label, p)
                 cells[holds] += 1
     assert cells[False] > 0 and cells[True] > 1000
