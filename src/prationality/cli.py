@@ -37,7 +37,7 @@ from .rationality import (
     VERDICT_UNDETERMINED,
 )
 from .recurrence import cross_check, minimal_poly_spec
-from .numberfield import is_completely_split, split_prime
+from .numberfield import split_prime
 from .torsion import condition2
 
 
@@ -83,7 +83,7 @@ def _cmd_check(args) -> int:
             shape_word = f"inert f = {pf.f}"
         else:
             shape_word = shape
-    elif is_completely_split(K, factors):
+    elif all((pf.e, pf.f) == (1, 1) for pf in factors):
         shape_word = "split completely"
     else:
         shape_word = shape

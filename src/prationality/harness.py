@@ -74,6 +74,10 @@ class FieldRecord:
     _field: NumberField | None = field(default=None, repr=False, compare=False)
     _unit: FieldElement | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.class_number is not None and self.class_number < 1:
+            raise ValueError("class number must be positive")
+
     @property
     def degree(self) -> int:
         return len(self.poly_coeffs) - 1
@@ -247,8 +251,11 @@ def _json_fields(text: str):
 
 
 def _stringify(v) -> str:
+    """A JSON value in CSV cell form: list entries joined by ';', and the
+    entries of nested lists (basis rows) by ','."""
     if isinstance(v, list):
-        return ";".join(str(x) for x in v)
+        return ";".join(",".join(map(str, x)) if isinstance(x, list) else str(x)
+                        for x in v)
     if v is None:
         return ""
     return str(v)

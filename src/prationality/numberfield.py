@@ -336,7 +336,7 @@ def _integer_roots(f, disc: int) -> list[int]:
     roots = []
     for r0 in range(q):
         if ring.poly_eval(f, r0) % q == 0:
-            r = ring.hensel_lift_root(f, q, r0, k).value
+            r = ring.hensel_lift_root(f, q, r0, k)
             if 2 * r > q**k:
                 r -= q**k
             if ring.poly_eval(f, r) == 0:
@@ -438,11 +438,13 @@ def squarefree_parts(K: NumberField,
 
 def part_shapes(parts) -> tuple[tuple[int, int], ...]:
     """(e, f) of every prime ideal over p, read off the squarefree parts by
-    the distinct-degree split of each part.  Condition (2) needs no residue
-    degrees: only the recurrence cross-check, the pure-cubic scan and the
-    selftest, which report or compare the splitting type, call this."""
+    the distinct-degree split of each part, with no equal-degree split.
+    Condition (2) needs no residue degrees: only condition 1's split-cyclic
+    branch, the recurrence cross-check, the pure-cubic scan and the
+    selftest, which test, report or compare the splitting type, call this."""
     return tuple((m, d) for g, m in parts
-                 for d in ring.factor_degrees_mod_p(g.coeffs, g.modulus))
+                 for part, d in ring._distinct_degree(g.coeffs, g.modulus)
+                 for _ in range(ring.degree(part) // d))
 
 
 def split_prime(K: NumberField, p: int) -> list[PrimeFactor]:
@@ -456,11 +458,6 @@ def split_prime(K: NumberField, p: int) -> list[PrimeFactor]:
     ]
     assert sum(pf.e * pf.f for pf in out) == K.n
     return out
-
-
-def is_completely_split(K: NumberField, factors) -> bool:
-    """True when the prime factors are n distinct primes with e = f = 1."""
-    return len(factors) == K.n and all((pf.e, pf.f) == (1, 1) for pf in factors)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 Condition (1) is decided on two branches: trivially when p does not divide
 the class number, and through the split-cyclic Log-index procedure when the
 record supplies an auxiliary non-principal prime ideal Q with a generator of
-Q^p.  The latter embeds the field into its p completions by Hensel lifting
-the roots of f mod p, takes truncated p-adic logarithms, and compares the
-image of Q against the lattice of principal logs modulo the line spanned by
-the fundamental unit's logs.
+Q^p.  The latter takes truncated p-adic logarithms in Z[x]/(f, p^k) on
+power-basis coordinates, on the same packed kernel as condition (2), and
+compares the image of Q against the line spanned by the fundamental unit's
+log modulo p.  No verdict factors f mod p into irreducibles.
 """
 
 from __future__ import annotations
@@ -20,17 +20,11 @@ from .numberfield import (
     NumberField,
     ideal_from_two_generators,
     ideal_pow,
-    is_completely_split,
+    part_shapes,
     principal_ideal,
-    split_prime,
     squarefree_parts,
 )
-from .ring import (
-    ModPoly,
-    PadicApprox,
-    hensel_lift_root,
-    padic_log,
-)
+from .ring import ModPoly, log_principal, poly_sub, powmod
 from . import torsion as torsion_mod
 
 PRECISION_CAP = 16
@@ -80,29 +74,24 @@ class Verdict:
     guard_reason: str = ""
 
 
-def _embed(K: NumberField, x: FieldElement, root: PadicApprox) -> int:
-    """Image of x in Z/p^k under alpha -> lifted root."""
-    p, k = root.prime, root.precision
-    m = p**k
-    coeffs, den = K.to_power_coords(x)
-    if gcd(den, p) != 1:
-        raise ValueError("element denominator not invertible at p")
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * root.value + c) % m
-    return acc * pow(den, -1, m) % m
+def _completely_split(K: NumberField, p: int) -> bool:
+    return part_shapes(squarefree_parts(K, p)) == ((1, 1),) * K.n
 
 
-def log_index_split_cyclic(K: NumberField, p: int, factors, Q,
-                           g: FieldElement, unit: FieldElement,
-                           precision: int = 4) -> int:
-    """The lattice index (Log(I_p) : Log(P_p)) in {1, p} for a completely
-    split odd prime p with prime factors `factors`, computed from a generator
-    g of Q^p.
+def log_index_split_cyclic(K: NumberField, p: int, Q, g: FieldElement,
+                           unit: FieldElement, precision: int = 4) -> int:
+    """The index (Log(I_p) : Log(P_p)) in {1, p} for a completely split
+    odd prime p, computed from a generator g of Q^p (Gras, Class Field
+    Theory: From Theory to Practice, Springer 2003, ch. III; Movahhedi,
+    Math. Nachr. 149, 1990).  Log(Q) = log(g^(p-1)) / (p (p-1)) and the
+    unit's log(eps^(p-1)) are taken in Z[x]/(f, p^k) on power-basis
+    coordinates; the index is 1 iff Log(Q) mod p lies on the F_p line of
+    the unit's log divided by its least power of p.
 
-    The p completions send alpha to the Hensel lifts of the roots of f mod p,
-    read off the linear factors and labelled in the order of `factors` (the
-    index is label-invariant).
+    For p not dividing the index, evaluation at the Hensel lifts of the n
+    roots of f mod p is a ring isomorphism (Z/p^k)[x]/(f) -> (Z/p^k)^n
+    whose Vandermonde matrix is invertible mod p, so log commutes with it
+    and valuations and F_p lines are the same in both coordinates.
 
     Valuations that stay undecided at the working precision trigger a retry
     with doubled precision, capped at 16 digits; past the cap the decision is
@@ -116,47 +105,46 @@ def log_index_split_cyclic(K: NumberField, p: int, factors, Q,
         raise ValueError("generator of Q^p must be integral")
     if principal_ideal(K, g).rows != ideal_pow(K, Q, p).rows:
         raise ValueError("generator does not generate Q^p")
-    if not is_completely_split(K, factors):
+    if not _completely_split(K, p):
         raise ValueError("p is not completely split")
-    roots = [(-pf.generator.coeffs[0]) % p for pf in factors]
     k = max(precision, 2)
     while True:
         try:
-            return _log_index_at_precision(K, p, roots, g, unit, k)
+            return _log_index_at_precision(K, p, g, unit, k)
         except PrecisionExhausted:
             if 2 * k > PRECISION_CAP:
                 raise
             k *= 2
 
 
-def _log_index_at_precision(K: NumberField, p: int, roots, g: FieldElement,
-                            unit: FieldElement, k: int) -> int:
-    lifted = [hensel_lift_root(K.poly, p, r, k) for r in roots]
+def _log_power(K: NumberField, p: int, k: int, x: FieldElement,
+               name: str) -> list[int]:
+    """log(x^(p-1)) mod p^k on power-basis coordinates."""
     pk = p**k
+    coeffs, den = K.to_power_coords(x)
+    if den % p == 0:
+        raise ValueError("element denominator not invertible at p")
+    d = pow(den, -1, pk)
+    v = powmod([c * d for c in coeffs], p - 1, K.poly, pk)
+    if any(c % p for c in poly_sub(v, (1,))):
+        raise ValueError(f"{name} is not a unit at p")
+    return log_principal(v, K.poly, p, k)
 
-    u_res = []  # Log(Q) coordinates, exact mod p^(k-1)
-    w_res = []  # log of the unit embeddings, exact mod p^k
-    inv_p1 = pow(p - 1, -1, pk)
-    for root in lifted:
-        gi = _embed(K, g, root)
-        if gi % p == 0:
-            raise ValueError("generator is not a unit at p")
-        li = padic_log(PadicApprox(pow(gi, p - 1, pk), k, p)).value
-        assert li % p == 0, "log of a (p-1)-st power has positive valuation"
-        u_res.append((li // p) * inv_p1 % p ** (k - 1))
-        ei = _embed(K, unit, root)
-        w_res.append(padic_log(PadicApprox(pow(ei, p - 1, pk), k, p)))
 
-    known = [v for v in (w.valuation() for w in w_res) if v is not None]
-    if not known or min(known) >= k - 1:
+def _log_index_at_precision(K: NumberField, p: int, g: FieldElement,
+                            unit: FieldElement, k: int) -> int:
+    u = _log_power(K, p, k, g, "generator")
+    w = _log_power(K, p, k, unit, "unit")
+    assert all(c % p == 0 for c in u), "log of a principal unit is 0 mod p"
+    d = gcd(p ** (k - 1), *w)  # p^min(v(w), k - 1)
+    if d == p ** (k - 1):
         raise PrecisionExhausted("unit logs vanish at the working precision")
-    m = min(known)
-    wbar = [(w.value // p**m) % p for w in w_res]
-    ubar = [u % p for u in u_res]
+    wbar = [c // d % p for c in w]
+    ubar = [c // p % p for c in u]  # (p - 1) Log(Q): the same F_p line
     # index 1 iff ubar lies on the F_p line spanned by wbar
-    pivot = next(i for i, w in enumerate(wbar) if w != 0)
+    pivot = next(i for i, c in enumerate(wbar) if c)
     c = ubar[pivot] * pow(wbar[pivot], -1, p) % p
-    on_line = all(u == c * w % p for u, w in zip(ubar, wbar))
+    on_line = all(x == c * y % p for x, y in zip(ubar, wbar))
     return 1 if on_line else p
 
 
@@ -167,11 +155,13 @@ def condition1(K: NumberField, p: int, *, class_number: int | None,
 
     p coprime to h(K) settles it trivially.  Otherwise the split-cyclic
     branch requires: p completely split, p-part of the class group cyclic of
-    order exactly p, and record-supplied auxiliary ideal data; only this
-    branch splits p into prime ideals.  Anything else is Undetermined.
+    order exactly p, and record-supplied auxiliary ideal data.  Anything
+    else is Undetermined.
     """
     if class_number is None:
         raise ValueError("class number is required for condition (1)")
+    if class_number < 1:
+        raise ValueError("class number must be positive")
     if class_number % p != 0:
         return Condition1Report(TRIVIAL_CLASS_NUMBER, holds=True)
     vp = 0
@@ -185,15 +175,14 @@ def condition1(K: NumberField, p: int, *, class_number: int | None,
         )
     if aux is None:
         return Condition1Report(UNDETERMINED, detail="no auxiliary ideal data")
-    factors = split_prime(K, p)
-    if not is_completely_split(K, factors):
+    if not _completely_split(K, p):
         return Condition1Report(UNDETERMINED, detail="p is not completely split")
     Q = ideal_from_two_generators(
         K, aux.q, ModPoly(tuple(c % aux.q for c in aux.gen_poly), aux.q)
     )
     g = K.element_from_power_coords(aux.power_gen, aux.power_gen_den)
     try:
-        idx = log_index_split_cyclic(K, p, factors, Q, g, unit)
+        idx = log_index_split_cyclic(K, p, Q, g, unit)
     except PrecisionExhausted as exc:
         return Condition1Report(UNDETERMINED, detail=str(exc))
     return Condition1Report(SPLIT_CYCLIC_INDEX, index=idx, holds=(idx == p))

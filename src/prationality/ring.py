@@ -4,10 +4,10 @@ Polynomials are tuples of arbitrary-precision integers, low degree first;
 the zero polynomial is the empty tuple and has degree -1.  On top of that
 convention this module provides resultant-based discriminants, products and
 powers in Z[x]/(f, m) for monic f on Kronecker-packed ints (kernel: one int
-per element; mulmod and powmod wrap it), deterministic factorization over
-prime fields, Hensel lifting of simple roots (used for integer roots in
-`numberfield.make_field` and for condition 1's embeddings) and truncated
-p-adic logarithms.
+per element; mulmod and powmod wrap it), the truncated p-adic logarithm on
+the same kernel (condition 1's Log index), deterministic factorization over
+prime fields and Hensel lifting of simple roots (used for integer roots in
+`numberfield.make_field`).
 """
 
 from __future__ import annotations
@@ -329,14 +329,6 @@ def _distinct_degree(f, p):
     return result
 
 
-def factor_degrees_mod_p(f, p: int) -> list[int]:
-    """Degrees of the monic irreducible factors of f over F_p, ascending,
-    read off the distinct-degree split alone; f must be monic and
-    squarefree mod p."""
-    return [d for part, d in _distinct_degree(_mp(f, p), p)
-            for _ in range(degree(part) // d)]
-
-
 def _candidate_polys(p, max_deg):
     """Deterministic enumeration of splitting candidates: the shifts
     x+0, x+1, ..., x+(p-1) first, then all monic polynomials by degree."""
@@ -389,37 +381,40 @@ def factor_mod_p(f, p: int) -> list[tuple[ModPoly, int]]:
     return [(ModPoly(g, p), m) for g, m in factors]
 
 
-# ---------------------------------------------------------------------------
-# p-adic approximations
+def log_principal(a, f, p: int, k: int) -> list[int]:
+    """log(a) = sum (-1)^(j+1) z^j / j, z = a - 1, in Z_p[x]/(f) mod p^k,
+    as deg f power-basis coordinates, for monic f, odd p and a with every
+    coordinate of z divisible by p (a mod p^k determines the result).
+    Every slot of z^j is then divisible by p^j, so the terms past
+    j = kp/(p - 1) + p vanish mod p^k.  z^j is computed on the kernel mod
+    p^(k+e), p^e the largest power of p up to that bound, and divided
+    exactly by the p-part of j on the packed int; the terms are summed per
+    coordinate after unpacking, as packed sums could carry between slots."""
+    if p == 2:
+        raise ValueError("p = 2 is unsupported")
+    z = poly_sub(a, (1,))
+    if any(c % p for c in z):
+        raise ValueError("argument must be a principal unit (1 mod p)")
+    pk, terms, e = p**k, k * p // (p - 1) + p, 0
+    while p ** (e + 1) <= terms:
+        e += 1
+    kern = kernel(tuple(f), p ** (k + e))
+    z, zj = kern.pack(z), 1
+    total = [0] * degree(f)
+    for j in range(1, terms + 1):
+        zj = kern.reduce(zj * z)
+        q, jj = 1, j
+        while jj % p == 0:
+            q, jj = q * p, jj // p
+        c = pow(jj if j % 2 else -jj, -1, pk)
+        for i, s in enumerate(kern.unpack(zj // q)):
+            total[i] += c * s
+    return [t % pk for t in total]
 
 
-@dataclass(frozen=True)
-class PadicApprox:
-    """An integer residue determining a p-adic number mod p^precision."""
-
-    value: int
-    precision: int
-    prime: int
-
-    def __post_init__(self):
-        if self.precision < 1:
-            raise ValueError("precision must be positive")
-        if not (0 <= self.value < self.prime**self.precision):
-            raise ValueError("value out of range for stated precision")
-
-    def valuation(self) -> int | None:
-        """v_p(value), or None when the residue is 0 (valuation >= precision)."""
-        if self.value == 0:
-            return None
-        v, x = 0, self.value
-        while x % self.prime == 0:
-            x //= self.prime
-            v += 1
-        return v
-
-
-def hensel_lift_root(f, p: int, r0: int, k: int) -> PadicApprox:
-    """Lift a simple root of f mod p to precision p^k by Newton iteration."""
+def hensel_lift_root(f, p: int, r0: int, k: int) -> int:
+    """Lift a simple root of f mod p to precision p^k by Newton iteration;
+    the lift is returned in [0, p^k)."""
     if poly_eval(f, r0) % p != 0:
         raise ValueError("r0 is not a root of f modulo p")
     fp = derivative(f)
@@ -433,37 +428,4 @@ def hensel_lift_root(f, p: int, r0: int, k: int) -> PadicApprox:
         d = poly_eval(fp, r) % m
         r = (r - poly_eval(f, r) * pow(d, -1, m)) % m
     assert poly_eval(f, r) % p**k == 0
-    return PadicApprox(r % p**k, k, p)
-
-
-def padic_log(u: PadicApprox) -> PadicApprox:
-    """log(u) = sum (-1)^(m+1) (u-1)^m / m truncated so every discarded term
-    has valuation >= the working precision.  Requires u = 1 mod p, p odd."""
-    p, k = u.prime, u.precision
-    if p == 2:
-        raise ValueError("p = 2 is unsupported")
-    if k < 1 or u.value % p != 1:
-        raise ValueError("argument must be a principal unit (1 mod p)")
-    pk = p**k
-    x = (u.value - 1) % pk
-    if x == 0:
-        return PadicApprox(0, k, p)
-    # v(term m) >= m - log_p(m); this many terms is always enough for v(u-1)>=1
-    mmax = (k * p) // (p - 1) + p
-    total = 0
-    for m in range(1, mmax + 1):
-        a = 0
-        mm = m
-        while mm % p == 0:
-            mm //= p
-            a += 1
-        # x^m is exactly divisible by p^a (since v(x^m) >= m > a), so the
-        # residue mod p^(k+a) determines x^m / p^a mod p^k.
-        xm = pow(x, m, p ** (k + a))
-        q = xm // p**a
-        term = q * pow(mm, -1, pk) % pk
-        if m % 2 == 0:
-            total = (total - term) % pk
-        else:
-            total = (total + term) % pk
-    return PadicApprox(total, k, p)
+    return r % p**k

@@ -1,4 +1,6 @@
+import signal
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -55,3 +57,23 @@ def pow_mod_calls(monkeypatch):
 
     monkeypatch.setattr(numberfield.NumberField, "pow_mod", counted)
     return calls
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds) is a context manager that fails the test when its
+    body runs longer than that (SIGALRM, so main thread only)."""
+    def expire(signum, frame):
+        raise TimeoutError("deadline passed")
+
+    @contextmanager
+    def within(seconds):
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return within

@@ -9,14 +9,15 @@ import prationality
 from prationality.cli import cli
 
 
-def _run_module(args, stdout):
+def _run_module(args, stdout, timeout=300):
     """Run `python -m prationality ARGS` with this checkout's package."""
     env = dict(os.environ)
     src = str(Path(prationality.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "prationality", *args],
-        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=300,
+        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True,
+        timeout=timeout,
     )
 
 
@@ -166,6 +167,28 @@ def test_table_with_error_cells_exits_one(tmp_path, capsys):
     assert captured.out == ("label,p,cell\nbad,5,error\nbad,7,pRational\n"
                             "bad,11,pRational\n")
     assert captured.err.endswith("1 error cells\n")
+
+
+@pytest.mark.parametrize("h, prime", [("0", "5"), ("-5", "5"), ("0", "2")])
+def test_nonpositive_class_number_is_an_input_error(h, prime):
+    # h = 0 once hung in condition (1)'s loop dividing h by p; it is refused
+    # before any output, also where the guard would decide the verdict
+    proc = _run_module(["check", "--poly", "3;0;-2;0;1", "--unit", "-2;-1;1;1",
+                        "--h", h, "--prime", prime], subprocess.PIPE, timeout=5)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: class number must be positive\n"
+
+
+def test_table_record_with_class_number_zero_is_an_input_error(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_text("label,degree,poly,h,unit,unit_den,torsion_order\n"
+                    "x^4-2*x^2+3,4,3;0;-2;0;1,0,-2;-1;1;1,1,2\n")
+    proc = _run_module(["table", "--input", str(path), "--pmin", "5",
+                        "--pmax", "30"], subprocess.PIPE, timeout=5)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: line 2: class number must be positive\n"
 
 
 def test_quintic_is_an_input_error(capsys):

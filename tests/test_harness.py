@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -94,6 +95,31 @@ def test_load_json():
     records = load_records(io.StringIO(data), "json")
     assert len(records) == 1
     assert records[0].unit_coeffs == (-2, -1, 1, 1)
+
+
+@pytest.mark.parametrize("h", [0, -5])
+def test_load_refuses_nonpositive_class_number(deadline, h):
+    csv_text = EX63_CSV.replace("3;0;-2;0;1,1,", f"3;0;-2;0;1,{h},")
+    json_text = ('[{"label": "x", "degree": 4, "poly": [3, 0, -2, 0, 1],'
+                 f' "h": {h}, "unit": [-2, -1, 1, 1]}}]')
+    for text, fmt, line in ((csv_text, "csv", 2), (json_text, "json", 1)):
+        with deadline(5), pytest.raises(RecordParseError) as err:
+            load_records(io.StringIO(text), fmt)
+        assert str(err.value) == f"line {line}: class number must be positive"
+
+
+def test_load_json_with_nested_basis_matches_csv():
+    # a bundled table record whose maximal order has the basis
+    # 1, alpha, (1 + alpha^2) / 2; JSON gives the basis as a list of rows
+    csv_text = ("label,degree,poly,h,unit,basis\n"
+                'x^3-x^2+x-9,3,-9;1;-1;1,1,193;63;49,"1,0,0;0,1,0;1/2,0,1/2"\n')
+    json_text = ('[{"label": "x^3-x^2+x-9", "degree": 3, "poly": [-9, 1, -1, 1],'
+                 ' "h": 1, "unit": [193, 63, 49],'
+                 ' "basis": [[1, 0, 0], [0, 1, 0], ["1/2", 0, "1/2"]]}]')
+    from_csv = load_records(io.StringIO(csv_text), "csv")
+    assert len(from_csv) == 1
+    assert load_records(io.StringIO(json_text), "json") == from_csv
+    assert from_csv[0].integral_basis[2] == (Fraction(1, 2), 0, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("data, line", [

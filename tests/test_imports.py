@@ -1,6 +1,7 @@
 """Every name a package module imports is read somewhere in that module,
 every private function or method is read somewhere in the package, and
-every engine name the benchmark tracer patches exists."""
+every engine name the benchmark tracer patches or the fixture generator
+imports exists."""
 
 import ast
 import importlib
@@ -79,4 +80,19 @@ def test_traced_layers_resolve():
             obj = getattr(obj, attr, None)
         if not callable(obj):
             missing.append(f"{module}.{qualname}")
+    assert missing == []
+
+
+def test_fixture_generator_imports_resolve():
+    # tools/generate_fixtures.py needs mpmath and is not run by the tests;
+    # an engine name it imports that was deleted should fail here
+    path = ROOT / "tools" / "generate_fixtures.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "prationality"
+                for alias in node.names]
+    assert imported
+    missing = [f"{module}.{name}" for module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
     assert missing == []

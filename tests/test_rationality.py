@@ -3,8 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from prationality.errors import PrecisionExhausted
-from prationality import ring
+from prationality.errors import PrecisionExhausted, SplittingUndetermined
+from prationality import rationality, ring
 from prationality.harness import (
     CELL_ERROR,
     FieldRecord,
@@ -14,12 +14,14 @@ from prationality.harness import (
 from prationality.numberfield import (
     FieldElement,
     ideal_from_two_generators,
-    ideal_pow,
     make_field,
+    part_shapes,
     principal_ideal,
     split_prime,
+    squarefree_parts,
 )
 from prationality.rationality import (
+    PRECISION_CAP,
     AuxIdealData,
     NOT_APPLICABLE,
     NOT_P_RATIONAL,
@@ -40,6 +42,106 @@ EX63 = (3, 0, -2, 0, 1)
 EPS62 = FieldElement((-3280, -3462, -729))
 EPS63 = FieldElement((-2, -1, 1, 1))
 AUX62 = AuxIdealData(q=2, gen_poly=(1, 1), power_gen=(-604, 265, -77))
+G62 = FieldElement((-604, 265, -77))
+
+
+def _q62(K):
+    return ideal_from_two_generators(K, 2, ModPoly((1, 1), 2))
+
+
+def _scalar_log(u: int, p: int, k: int) -> int:
+    """Reference: log(u) mod p^k for an integer u = 1 mod p, p odd, by
+    the truncated series term by term in Z/p^(k+a)."""
+    pk = p**k
+    x = (u - 1) % pk
+    total = 0
+    for m in range(1, k * p // (p - 1) + p + 1):
+        a, mm = 0, m
+        while mm % p == 0:
+            a, mm = a + 1, mm // p
+        # v(x^m) >= m > a, and x mod p^k fixes x^m / p^a mod p^k
+        term = pow(x, m, p ** (k + a)) // p**a * pow(mm, -1, pk)
+        total += term if m % 2 else -term
+    return total % pk
+
+
+def _valuation(x: int, p: int):
+    """v_p(x) for x != 0, None for 0."""
+    if x == 0:
+        return None
+    v = 0
+    while x % p == 0:
+        x, v = x // p, v + 1
+    return v
+
+
+def _embed(K, x, root: int, p: int, k: int) -> int:
+    """Image of x in Z/p^k under alpha -> root."""
+    m = p**k
+    coeffs, den = K.to_power_coords(x)
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * root + c) % m
+    return acc * pow(den, -1, m) % m
+
+
+def _reference_at_precision(K, p, g, unit, k):
+    """The Log-index decision at precision k in the p completions: alpha
+    goes to the Hensel lifts of the n roots of f mod p, and each embedding
+    takes the scalar log."""
+    roots = [ring.hensel_lift_root(K.poly, p, (-pf.generator.coeffs[0]) % p, k)
+             for pf in split_prime(K, p)]
+    pk = p**k
+    u_res, w_res = [], []
+    for root in roots:
+        gi = _embed(K, g, root, p, k)
+        if gi % p == 0:
+            raise ValueError("generator is not a unit at p")
+        li = _scalar_log(pow(gi, p - 1, pk), p, k)
+        assert li % p == 0
+        u_res.append((li // p) * pow(p - 1, -1, pk) % p ** (k - 1))
+        w_res.append(_scalar_log(pow(_embed(K, unit, root, p, k), p - 1, pk),
+                                 p, k))
+    known = [v for v in (_valuation(w, p) for w in w_res) if v is not None]
+    if not known or min(known) >= k - 1:
+        raise PrecisionExhausted("unit logs vanish at the working precision")
+    m = min(known)
+    wbar = [(w // p**m) % p for w in w_res]
+    ubar = [u % p for u in u_res]
+    pivot = next(i for i, w in enumerate(wbar) if w != 0)
+    c = ubar[pivot] * pow(wbar[pivot], -1, p) % p
+    return 1 if all(u == c * w % p for u, w in zip(ubar, wbar)) else p
+
+
+def _reference_log_index(K, p, g, unit, precision):
+    """The embedding path with the engine's precision doubling."""
+    k = max(precision, 2)
+    while True:
+        try:
+            return _reference_at_precision(K, p, g, unit, k)
+        except PrecisionExhausted:
+            if 2 * k > PRECISION_CAP:
+                raise
+            k *= 2
+
+
+def _outcome(decide, *args):
+    try:
+        return decide(*args)
+    except PrecisionExhausted:
+        return "PrecisionExhausted"
+
+
+def _inverse(K, x):
+    """x^-1 for a unit x of the order: the solution y of x * y = 1."""
+    cols = K.mul_matrix(x)
+    a = [[cols[j][i] for j in range(K.n)] for i in range(K.n)]
+    det = ring.det_bareiss(a)
+    sign = 1 if det > 0 else -1
+    y = FieldElement(tuple(sign * row[0] * x.den for row in ring.adjugate(a)),
+                     abs(det)).normalized()
+    assert K.equals(K.mul(x, y), K.one())
+    return y
 
 
 def test_condition1_trivial_class_number():
@@ -52,6 +154,14 @@ def test_condition1_requires_class_number():
     L = make_field(EX63)
     with pytest.raises(ValueError):
         condition1(L, 5, class_number=None, unit=EPS63)
+
+
+@pytest.mark.parametrize("h", [0, -5])
+def test_condition1_refuses_nonpositive_class_number(deadline, h):
+    # h = 0 once hung in the loop dividing h by p
+    K = make_field(EX62)
+    with deadline(5), pytest.raises(ValueError, match="must be positive"):
+        condition1(K, 3, class_number=h, unit=EPS62, aux=AUX62)
 
 
 def test_condition1_split_cyclic_example_62():
@@ -70,32 +180,63 @@ def test_condition1_undetermined_without_aux():
 
 def test_log_index_example_62_at_low_precision():
     K = make_field(EX62)
-    Q = ideal_from_two_generators(K, 2, ModPoly((1, 1), 2))
-    g = FieldElement((-604, 265, -77))
-    factors = split_prime(K, 3)
-    assert log_index_split_cyclic(K, 3, factors, Q, g, EPS62, precision=2) == 3
+    Q = _q62(K)
+    assert log_index_split_cyclic(K, 3, Q, G62, EPS62, precision=2) == 3
     # doubling precision never changes a decided index
-    assert log_index_split_cyclic(K, 3, factors, Q, g, EPS62, precision=4) == 3
-    assert log_index_split_cyclic(K, 3, factors, Q, g, EPS62, precision=8) == 3
+    assert log_index_split_cyclic(K, 3, Q, G62, EPS62, precision=4) == 3
+    assert log_index_split_cyclic(K, 3, Q, G62, EPS62, precision=8) == 3
 
 
 def test_log_index_invariant_under_principal_unit_shift():
-    # g' = g * (1 + 9 alpha) represents the same class data to precision 2
+    # g' = g * (1 + 9 alpha) differs from g by a unit at 3 that is 1 mod 9;
+    # (g') is no longer Q^3, so compare the raw decisions at each precision
     K = make_field(EX62)
-    Q = ideal_from_two_generators(K, 2, ModPoly((1, 1), 2))
-    g = FieldElement((-604, 265, -77))
-    shift = FieldElement((1, 9, 0))
-    g2 = K.mul(g, shift)
-    # (g2) no longer equals Q^3 exactly, so compare at the raw decision level:
-    # embed both and check the derived index via the validated path for g only
-    idx = log_index_split_cyclic(K, 3, split_prime(K, 3), Q, g, EPS62,
-                                 precision=3)
-    assert idx == 3
-    # and the shifted generator generates Q^3 * (1 + 9 alpha), still index 3
-    Qs = principal_ideal(K, g2)
-    # build an "ideal" wrapper: Qs = (g2) is principal; its p-th root data is
-    # synthetic, so validate through the norm relation instead
-    assert abs(K.norm(g2)) == abs(K.norm(g)) * abs(K.norm(shift))
+    g2 = K.mul(G62, FieldElement((1, 9, 0)))
+    for k in (3, 4, 8):
+        assert rationality._log_index_at_precision(K, 3, G62, EPS62, k) == 3
+        assert rationality._log_index_at_precision(K, 3, g2, EPS62, k) == 3
+
+
+def test_log_index_matches_embedding_reference_on_example_62():
+    K = make_field(EX62)
+    Q = _q62(K)
+    for k in range(2, PRECISION_CAP + 1):
+        assert (log_index_split_cyclic(K, 3, Q, G62, EPS62, precision=k)
+                == _reference_log_index(K, 3, G62, EPS62, k) == 3), k
+
+
+def test_log_index_matches_embedding_reference_on_bundled_records():
+    # the raw decision at fixed precision on power-basis coordinates against
+    # the Hensel-embedding reference, for every bundled record and completely
+    # split odd p <= 60 with a seeded g, and with g = eps * h^p, whose
+    # Log lies on the unit's line (index 1 whenever it is decided)
+    rng = random.Random(14)
+    outcomes = set()
+    records = (bundled_records("table1") + bundled_records("table2")
+               + bundled_records("examples"))
+    for record in records:
+        K, unit = record.build_field(), record.unit_element()
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+            try:
+                if part_shapes(squarefree_parts(K, p)) != ((1, 1),) * K.n:
+                    continue
+            except SplittingUndetermined:
+                continue
+            g, h = (FieldElement(tuple(rng.randint(-9, 9) for _ in range(K.n)))
+                    for _ in range(2))
+            hp = K.one()
+            for _ in range(p):
+                hp = K.mul(hp, h)
+            for x in (g, K.mul(unit, hp)):
+                if K.norm(x) % p == 0:
+                    continue
+                for k in (2, 4, 8):
+                    got = _outcome(rationality._log_index_at_precision,
+                                   K, p, x, unit, k)
+                    assert got == _outcome(_reference_at_precision,
+                                           K, p, x, unit, k), (record.label, p, k)
+                    outcomes.add(got if got == "PrecisionExhausted" else got == p)
+    assert outcomes == {"PrecisionExhausted", True, False}
 
 
 def test_log_index_principal_ideal_gives_one():
@@ -117,32 +258,49 @@ def test_log_index_principal_ideal_gives_one():
     assert g0 is not None
     Q0 = principal_ideal(K, g0)
     g = K.mul(K.mul(g0, g0), g0)
-    assert log_index_split_cyclic(K, 3, split_prime(K, 3), Q0, g, EPS62,
+    assert log_index_split_cyclic(K, 3, Q0, g, EPS62,
                                   precision=4) == 1
 
 
 def test_log_index_validates_generator():
     K = make_field(EX62)
-    Q = ideal_from_two_generators(K, 2, ModPoly((1, 1), 2))
     with pytest.raises(ValueError):
-        log_index_split_cyclic(K, 3, split_prime(K, 3), Q,
-                               FieldElement((1, 1, 0)), EPS62)
+        log_index_split_cyclic(K, 3, _q62(K), FieldElement((1, 1, 0)), EPS62)
 
 
-def test_log_index_root_label_invariance():
-    import itertools
-
+def test_log_index_refuses_a_prime_that_is_not_completely_split():
+    # x^3 - 4x + 27 mod 5 has one root and an irreducible quadratic factor
     K = make_field(EX62)
-    Q = ideal_from_two_generators(K, 2, ModPoly((1, 1), 2))
-    g = FieldElement((-604, 265, -77))
-    factors = split_prime(K, 3)
-    for perm in itertools.permutations(factors):
-        assert log_index_split_cyclic(
-            K, 3, list(perm), Q, g, EPS62, precision=4
-        ) == 3
-    # the line is spanned by any power of the unit; same answer for eps^2
-    eps_sq = K.mul(EPS62, EPS62)
-    assert log_index_split_cyclic(K, 3, factors, Q, g, eps_sq, precision=4) == 3
+    assert sorted(part_shapes(squarefree_parts(K, 5))) == [(1, 1), (1, 2)]
+    g0 = FieldElement((2, 1, 0))  # N(2 + alpha) = -f(-2) = -27
+    g = K.one()
+    for _ in range(5):
+        g = K.mul(g, g0)
+    with pytest.raises(ValueError, match="not completely split"):
+        log_index_split_cyclic(K, 5, principal_ideal(K, g0), g, EPS62)
+
+
+def test_log_index_invariant_under_unit_changes():
+    # the unit's line is the same for -eps, eps^-1 and eps^2, and g * eps
+    # generates Q^3 as g does
+    K = make_field(EX62)
+    Q = _q62(K)
+    units = (FieldElement(tuple(-c for c in EPS62.coords)),
+             _inverse(K, EPS62), K.mul(EPS62, EPS62))
+    for unit in units:
+        assert log_index_split_cyclic(K, 3, Q, G62, unit, precision=4) == 3
+    assert log_index_split_cyclic(K, 3, Q, K.mul(G62, EPS62), EPS62,
+                                  precision=4) == 3
+
+
+def test_log_index_invariant_under_shift_of_alpha():
+    rec = [r for r in bundled_records("examples") if r.poly_coeffs == EX62][0]
+    for c in (-2, -1, 1, 2):
+        shifted = _shifted_record(rec, c)
+        K = shifted.build_field()
+        rep = condition1(K, 3, class_number=3, unit=shifted.unit_element(),
+                         aux=shifted.aux)
+        assert (rep.branch, rep.index) == (SPLIT_CYCLIC_INDEX, 3), c
 
 
 def test_verdict_examples():
@@ -161,13 +319,13 @@ def test_verdict_examples():
     assert v.status == NOT_APPLICABLE
 
 
-def test_verdict_factors_once_on_the_split_cyclic_branch(factor_mod_p_calls):
+def test_verdict_never_factors_on_the_split_cyclic_branch(factor_mod_p_calls):
     rec = [r for r in bundled_records("examples") if r.poly_coeffs == EX62][0]
     K = rec.build_field()
     v = verdict(K, 3, unit=rec.unit_element(), class_number=rec.class_number,
                 aux=rec.aux)
-    assert v.condition1.branch == SPLIT_CYCLIC_INDEX
-    assert factor_mod_p_calls == [(K.poly, 3)]
+    assert (v.condition1.branch, v.condition1.index) == (SPLIT_CYCLIC_INDEX, 3)
+    assert factor_mod_p_calls == []
 
 
 @pytest.mark.parametrize("poly, unit, h, p", [

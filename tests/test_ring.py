@@ -3,17 +3,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prationality.numberfield import part_shapes
 from prationality.ring import (
-    PadicApprox,
+    ModPoly,
     derivative,
     discriminant,
-    factor_degrees_mod_p,
     factor_mod_p,
     hensel_lift_root,
     kernel,
+    log_principal,
     mod_poly,
     mulmod,
-    padic_log,
     poly,
     poly_eval,
     poly_mul,
@@ -123,7 +123,9 @@ def test_factor_mod_p_reassembles_and_factors_irreducible():
         assert prod == fbar
         assert total == len(fbar) - 1
         if all(m == 1 for _, m in facs):
-            assert factor_degrees_mod_p(f, p) == [g.degree for g, _ in facs]
+            parts = ((ModPoly(fbar, p), 1),)
+            assert (sorted(d for _, d in part_shapes(parts))
+                    == [g.degree for g, _ in facs])
 
 
 def test_factor_mod_p_repeated_factors():
@@ -133,15 +135,12 @@ def test_factor_mod_p_repeated_factors():
 
 
 def test_hensel_lift_examples():
-    r = hensel_lift_root((27, -4, 0, 1), 3, 1, 2)
-    assert (r.value, r.precision, r.prime) == (7, 2, 3)
-    r = hensel_lift_root((-5, 1), 3, 2, 4)
-    assert r.value == 5 and r.precision == 4
+    assert hensel_lift_root((27, -4, 0, 1), 3, 1, 2) == 7
+    assert hensel_lift_root((-5, 1), 3, 2, 4) == 5
     # unique lift of 0 mod 3: brute force over {0, 3, 6}
     expected = [c for c in (0, 3, 6) if poly_eval((27, -4, 0, 1), c) % 9 == 0]
     assert len(expected) == 1
-    r = hensel_lift_root((27, -4, 0, 1), 3, 0, 2)
-    assert r.value == expected[0]
+    assert hensel_lift_root((27, -4, 0, 1), 3, 0, 2) == expected[0]
 
 
 def test_hensel_lift_rejects_nonroot_and_nonsimple():
@@ -151,21 +150,33 @@ def test_hensel_lift_rejects_nonroot_and_nonsimple():
         hensel_lift_root((0, 0, 1), 3, 0, 2)  # x^2: f'(0) = 0
 
 
+X = (0, 1)  # Z[x]/(x, m) = Z/m: the packed log is the scalar p-adic log
+
+
+def _log(u, p, k):
+    return log_principal((u,), X, p, k)[0]
+
+
+def _valuation(x, p):
+    v = 0
+    while x % p == 0:
+        x, v = x // p, v + 1
+    return v
+
+
 def test_padic_log_examples():
     for p in (3, 5, 7):
-        u = PadicApprox(1 + p, 2, p)
-        assert padic_log(u).value == p
-    u = PadicApprox(4, 2, 3)  # 1 + 3 mod 9
-    assert padic_log(u).valuation() == 1
+        assert _log(1 + p, p, 2) == p
+    assert _valuation(_log(4, 3, 2), 3) == 1  # 1 + 3 mod 9
     for k in (2, 3, 5):
-        assert padic_log(PadicApprox(1, k, 5)).value == 0
+        assert _log(1, 5, k) == 0
 
 
 def test_padic_log_rejects_bad_input():
     with pytest.raises(ValueError):
-        padic_log(PadicApprox(2, 2, 3))  # not 1 mod 3
+        log_principal((2,), X, 3, 2)  # not 1 mod 3
     with pytest.raises(ValueError):
-        padic_log(PadicApprox(3, 2, 2))  # p = 2
+        log_principal((3,), X, 2, 2)  # p = 2
 
 
 def test_padic_log_is_additive():
@@ -176,10 +187,29 @@ def test_padic_log_is_additive():
         pk = p**k
         a = 1 + p * rng.randrange(pk // p)
         b = 1 + p * rng.randrange(pk // p)
-        la = padic_log(PadicApprox(a % pk, k, p)).value
-        lb = padic_log(PadicApprox(b % pk, k, p)).value
-        lab = padic_log(PadicApprox(a * b % pk, k, p)).value
-        assert (la + lb) % pk == lab
+        assert (_log(a, p, k) + _log(b, p, k)) % pk == _log(a * b % pk, p, k)
+    # and on the coordinates of Z[x]/(f) for the cubic x^3 - 4x + 27
+    f = (27, -4, 0, 1)
+    for _ in range(50):
+        p = rng.choice([3, 5, 7])
+        k = rng.randint(2, 6)
+        pk = p**k
+        a, b = ([int(i == 0) + p * rng.randrange(pk) for i in range(3)]
+                for _ in range(2))
+        lab = log_principal(mulmod(a, b, f, pk), f, p, k)
+        assert lab == [(x + y) % pk for x, y in zip(log_principal(a, f, p, k),
+                                                    log_principal(b, f, p, k))]
+
+
+def test_padic_log_agrees_across_precisions():
+    # log at precision 2k, reduced mod p^k, is log at precision k: the
+    # series is not cut too early (3^9 / 9 still counts at p = 3, k = 8)
+    rng = random.Random(11)
+    for _ in range(100):
+        p = rng.choice([3, 5, 7])
+        k = rng.randint(2, 16)
+        u = 1 + p * rng.randrange(p ** (2 * k))
+        assert _log(u, p, k) == _log(u, p, 2 * k) % p**k
 
 
 def test_padic_log_valuation_tracks_argument():
@@ -190,8 +220,7 @@ def test_padic_log_valuation_tracks_argument():
         t = rng.randint(1, k - 1)
         w = rng.randrange(1, p)  # unit digit
         u = (1 + p**t * w) % p**k
-        lv = padic_log(PadicApprox(u, k, p)).valuation()
-        assert lv == t
+        assert _valuation(_log(u, p, k), p) == t
 
 
 def test_mod_poly_normalization():
