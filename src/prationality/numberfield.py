@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .errors import SplittingUndetermined
+from .errors import InvariantViolation, SplittingUndetermined
 from . import ring
 from .ring import ModPoly
 
@@ -284,6 +284,33 @@ class NumberField:
             self.mul_coords(a.coords, [int(i == j) for i in range(n)])
             for j in range(n)
         ]
+
+    def char_poly(self, a: FieldElement) -> tuple[int, ...]:
+        """The characteristic polynomial c of a, monic of degree n.  With
+        v = den a, that of multiplication by v is C, C_i = c_i den^(n - i),
+        read off the power sums Tr(v^k), k <= n, by Newton's identities
+        (Tr(b_i) is the trace of multiplication by b_i).  ValueError unless
+        a is integral, InvariantViolation unless C(v) = 0 (Cayley-Hamilton)."""
+        n, v, T = self.n, a.coords, self._structure
+        tr = [sum(T[i][j][j] for j in range(n)) for i in range(n)]
+        powers = [list(v)]  # v^1, ..., v^n
+        while len(powers) < n:
+            powers.append(self.mul_coords(powers[-1], v))
+        s = [sum(x * t for x, t in zip(w, tr)) for w in powers]
+        e = [1]  # elementary symmetric functions of the conjugates of v
+        for k in range(1, n + 1):
+            e.append(sum((-1) ** (i - 1) * e[k - i] * s[i - 1]
+                         for i in range(1, k + 1)) // k)
+        c = [(-1) ** (n - i) * e[n - i] for i in range(n + 1)]
+        acc = [c[0]] + [0] * (n - 1)  # C(v) = sum C_i v^i
+        for ci, w in zip(c[1:], powers):
+            acc = [x + ci * y for x, y in zip(acc, w)]
+        if any(acc):
+            raise InvariantViolation("element does not satisfy its "
+                                     "characteristic polynomial")
+        if any(ci % a.den ** (n - i) for i, ci in enumerate(c)):
+            raise ValueError("element is not integral")
+        return tuple(ci // a.den ** (n - i) for i, ci in enumerate(c))
 
     def norm(self, a: FieldElement) -> Fraction:
         # the determinant of the columns equals that of their transpose

@@ -107,7 +107,8 @@ def log_index_split_cyclic(K: NumberField, p: int, Q, g: FieldElement,
         raise ValueError("generator does not generate Q^p")
     if not _completely_split(K, p):
         raise ValueError("p is not completely split")
-    k = max(precision, 2)
+    # k = 2 never decides: the unit's log is divisible by p = p^(k - 1)
+    k = precision if precision > 2 else 4
     while True:
         try:
             return _log_index_at_precision(K, p, g, unit, k)

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import InvariantViolation
 from .numberfield import (FieldElement, NumberField, part_shapes,
                           squarefree_parts)
-from .ring import det_bareiss, discriminant, poly, powmod
+from .ring import discriminant, poly, powmod
 from . import torsion as torsion_mod
 
 SPLIT_COMPLETELY = "split-completely"
@@ -99,47 +98,25 @@ def screen(spec: RecurrenceSpec, p: int, splitting: str) -> ScreenResult:
 
 
 def minimal_poly_spec(K: NumberField, unit: FieldElement) -> RecurrenceSpec:
-    """RecurrenceSpec from the characteristic polynomial of multiplication by
-    the unit; rejects units generating a proper subfield."""
+    """RecurrenceSpec from the characteristic polynomial of the unit
+    (NumberField.char_poly); rejects units generating a proper subfield."""
     if K.n != 3:
         raise ValueError("recurrence screen is for cubic fields")
-    # char poly of M/den: t^3 - tr t^2 + s2 t - det, with tr, s2 and det
-    # those of M over den, den^2 and den^3 (all transpose-invariant, so the
-    # columns of mul_matrix serve as M)
-    m = K.mul_matrix(unit)
-    den = unit.den
-    tr = m[0][0] + m[1][1] + m[2][2]
-    s2 = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i]
-             for i, j in ((0, 1), (0, 2), (1, 2)))
-    det = det_bareiss(m)
-    if tr % den or s2 % den**2 or det % den**3:
-        raise ValueError("unit is not integral")
-    spec = RecurrenceSpec(a2=tr // den, a1=-(s2 // den**2), a0=det // den**3)
+    try:
+        c = K.char_poly(unit)
+    except ValueError:
+        raise ValueError("unit is not integral") from None
+    spec = RecurrenceSpec(a2=-c[2], a1=-c[1], a0=-c[0])
     if spec.companion_disc == 0:
         raise ValueError("unit generates a proper subfield (degree drop)")
-    if not _satisfies(K, unit, spec.companion_poly):
-        raise InvariantViolation("unit does not satisfy its characteristic polynomial")
     return spec
-
-
-def _satisfies(K: NumberField, x: FieldElement, f) -> bool:
-    """Whether f(x) = 0 in K."""
-    acc = K.zero()
-    powv = K.one()
-    for c in f:
-        if c:
-            acc = K.add(acc, FieldElement(tuple(c * v for v in powv.coords), powv.den))
-        powv = K.mul(powv, x)
-    return K.equals(acc, K.zero())
 
 
 @lru_cache(maxsize=64)
 def _check_spec(K: NumberField, unit: FieldElement, spec: RecurrenceSpec) -> None:
     """Raise ValueError unless spec is the characteristic polynomial of the
-    unit; once per (field, unit, spec).  In a cubic field that holds iff the
-    unit is irrational and satisfies the spec's companion polynomial, which
-    is cheaper to check than recomputing it."""
-    if not any(unit.coords[1:]) or not _satisfies(K, unit, spec.companion_poly):
+    unit; once per (field, unit, spec)."""
+    if K.char_poly(unit) != spec.companion_poly:
         raise ValueError("spec does not match the minimal polynomial of the unit")
 
 

@@ -8,8 +8,9 @@ test; Cohen, GTM 138, 4.8.2, for Kummer-Dedekind).  The parts are only
 returned when p does not divide the index of Z[alpha], so every P is
 (p, g(alpha)) for an irreducible factor g of some g_m, with e = m and
 f = deg g.  For the same reason O_K/p^2 = Z[alpha]/p^2 and the unit's
-denominator, which divides the index, is prime to p: both branches below
-compute in Z[x]/(f, p^2) on the power-basis coordinates of eps, by
+denominator, which divides the index, is prime to p: the branches below
+compute in Z[x]/(f, p^2) on the power-basis coordinates of eps (or in the
+unit's own ring, see the unramified branch), by
 ring.mulmod and ring.powmod's packed kernel (ring.kernel): each element is
 one int from start to end, and each sum of products below is reduced once.
 Let F be any common multiple of the residue degrees.  For P of degree f,
@@ -36,6 +37,15 @@ eps):
   The Fermat check, which holds in characteristic p and raises
   InvariantViolation if not, is f(gamma) = 0 and eps^p = e(gamma) (mod p).
   The argument holds at p = 3.
+
+It holds for any monic g with Z_p[t]/(g) = O_K (x) Z_p in place of f.
+condition2_holds takes g = chi, the unit's characteristic polynomial
+(NumberField.char_poly), and eps = t whenever p does not divide
+disc(chi) = [O_K : Z[eps]]^2 d_K, which makes Z_p[eps] = O_K (x) Z_p: then
+e(t) = t and eps^p = gamma, so X = chi(gamma) and one p-th power decides.
+This is the recurrence screen's hypothesis, p not dividing companion_disc:
+the same ring and discriminant.  Where p divides [O_K : Z[eps]], or eps
+lies in a proper subfield (disc(chi) = 0), it uses Z[x]/(f, p^2).
 
 At ramified p no Frobenius lift exists.  Let c be the lift of
 prod g_m^(m-1) and x = eps^(p^F - 1) - 1 mod p^2, with
@@ -145,16 +155,21 @@ def _congruent_by_hnf(K: NumberField, p: int, pf: PrimeFactor,
 
 @lru_cache(maxsize=64)
 def _unit_power_coords(K: NumberField, unit: FieldElement):
-    """K.to_power_coords(unit), once per (field, unit); raise ValueError
-    unless N(unit) = +-1."""
-    if abs(K.norm(unit)) != 1:
+    """(coeffs, den) of K.to_power_coords(unit), its characteristic
+    polynomial chi and disc(chi), once per (field, unit); raise ValueError
+    unless unit is integral with N(unit) = (-1)^n chi(0) = +-1."""
+    try:
+        chi = K.char_poly(unit)
+    except ValueError:  # not integral, so not a unit
+        chi = (0,)
+    if abs(chi[0]) != 1:
         raise ValueError("unit must have norm +-1")
-    return K.to_power_coords(unit)
+    return (*K.to_power_coords(unit), chi, ring.discriminant(chi))
 
 
 def _frobenius_defect(k: ring.Kernel, f, p: int, e) -> int:
     """X in Z[x]/(f, p^2), packed by k, for the unit coordinates e at p not
-    dividing disc(f) (module docstring)."""
+    dividing disc(f) (module docstring); X = f(gamma) when e is x."""
     pp, n = p * p, ring.degree(f)
     gamma = k.pow(k.pack((0, 1)), p)
     powers = [k.pack((1,)), gamma]
@@ -164,12 +179,15 @@ def _frobenius_defect(k: ring.Kernel, f, p: int, e) -> int:
     def at_gamma(g):  # slots <= (n + 1)(p^2 - 1)^2, within reduce's bound
         return k.reduce(sum(c % pp * w for c, w in zip(g, powers)))
 
-    u = k.pow(k.pack(e), p)
-    e_g, f_g = at_gamma(e), at_gamma(f)
-    # eps^p - e(gamma) with p^2 added to every slot, so no slot goes negative
-    d = k.reduce(u + sum(pp << s for s in range(0, n * k.w, k.w)) - e_g)
+    f_g, is_x = at_gamma(f), ring.poly(e) == (0, 1)
+    # eps^p - e(gamma) with p^2 added to every slot, so no slot goes
+    # negative; 0 when eps is x, as x^p = gamma
+    d = 0 if is_x else k.reduce(k.pow(k.pack(e), p) - at_gamma(e)
+                                + sum(pp << s for s in range(0, n * k.w, k.w)))
     if any(c % p for c in k.unpack(f_g) + k.unpack(d)):
         raise InvariantViolation(_FERMAT_FAILURE)
+    if is_x:
+        return f_g
     return k.reduce(at_gamma(ring.derivative(f)) * d
                     + at_gamma(ring.derivative(e)) * f_g)
 
@@ -178,17 +196,21 @@ def condition2_holds(K: NumberField, p: int, unit: FieldElement,
                      parts) -> bool:
     """Condition (2) at p for every prime factor at once, from the
     squarefree parts of f mod p that numberfield.squarefree_parts returns:
-    by the Frobenius lift at unramified p, by the radical cofactor
-    otherwise (module docstring)."""
+    by the Frobenius lift at unramified p, in Z[t]/(chi, p^2) when p does
+    not divide disc(chi), by the radical cofactor at ramified p (module
+    docstring)."""
     if p == 2 or any(m >= p for _, m in parts):
         raise ValueError("p must be odd and exceed every multiplicity")
-    # the unit in Z[x]/(f, p^2); its denominator divides the index
-    coeffs, den = _unit_power_coords(K, unit)
+    coeffs, den, chi, disc_chi = _unit_power_coords(K, unit)
     pp, f = p * p, K.poly
+    unramified = len(parts) == 1 and parts[0][1] == 1
+    if unramified and disc_chi % p:
+        return bool(_frobenius_defect(ring.kernel(chi, pp), chi, p, (0, 1)))
+    # the unit in Z[x]/(f, p^2); its denominator divides the index
     k = ring.kernel(f, pp)
     dinv = pow(den, -1, pp)
     e = [c * dinv % pp for c in coeffs]
-    if len(parts) == 1 and parts[0][1] == 1:
+    if unramified:
         return bool(_frobenius_defect(k, f, p, e))
     F = lcm(*range(1, max(g.degree for g, _ in parts) + 1))
     # (x - 1) c as x c + (p^2 - 1) c: a sum of two products, one reduce

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from prationality.errors import SplittingUndetermined
+from prationality.errors import InvariantViolation, SplittingUndetermined
 from prationality.harness import bundled_records
 from prationality.numberfield import (
     FieldElement,
@@ -17,9 +17,13 @@ from prationality.numberfield import (
     make_field,
     principal_ideal,
     split_prime,
+    squarefree_parts,
 )
-from prationality.ring import ModPoly, discriminant, factor_mod_p, poly
+from prationality.recurrence import minimal_poly_spec
+from prationality.ring import (ModPoly, det_bareiss, discriminant, factor_mod_p,
+                              poly, poly_eval)
 from prationality.selftest import suite_ef_sum
+from prationality.torsion import condition2_holds
 
 EX62 = (27, -4, 0, 1)  # x^3 - 4x + 27
 EX63 = (3, 0, -2, 0, 1)  # x^4 - 2x^2 + 3
@@ -136,6 +140,63 @@ def test_norm_is_multiplicative():
         assert K.norm(K.mul(a, b)) == K.norm(a) * K.norm(b)
         d = rng.randint(2, 9)
         assert K.norm(FieldElement(a.coords, d)) == K.norm(a) / d**4
+
+
+def _inverse_by_char_poly(K, a, c):
+    """a^-1 = -(a^(n-1) + c_(n-1) a^(n-2) + ... + c_1) / c_0 for a unit a
+    with characteristic polynomial c."""
+    acc = K.zero()
+    for ci in reversed(c[1:]):
+        acc = K.add(K.mul(acc, a), K.from_int(ci))
+    inv = K.mul(acc, K.from_int(-c[0]))  # c_0 = +-1
+    assert K.equals(K.mul(a, inv), K.one())
+    return inv
+
+
+def test_char_poly_matches_determinant_on_bundled_units():
+    # c(t) den^n = det(t den I - M) at t = 0..n pins down c, monic of degree
+    # n; on cubic units c is minimal_poly_spec's companion polynomial
+    cubic = 0
+    for name in ("table1", "table2", "examples"):
+        for record in bundled_records(name):
+            K = record.build_field()
+            eps = record.unit_element()
+            c = K.char_poly(eps)
+            units = (eps, FieldElement(tuple(-x for x in eps.coords), eps.den),
+                     _inverse_by_char_poly(K, eps, c))
+            for unit in units:
+                c = K.char_poly(unit)
+                n, den, m = K.n, unit.den, K.mul_matrix(unit)
+                assert len(c) == n + 1 and c[-1] == 1 and abs(c[0]) == 1
+                for t in range(n + 1):
+                    assert poly_eval(c, t) * den**n == det_bareiss(
+                        [[t * den * (i == j) - m[j][i] for j in range(n)]
+                         for i in range(n)]), (record.label, unit)
+                if n == 3:
+                    assert minimal_poly_spec(K, unit).companion_poly == c
+                    cubic += 1
+    assert cubic > 100
+
+
+def test_char_poly_refuses_non_integral_and_checks_cayley_hamilton(
+        monkeypatch):
+    K = make_field(EX62)
+    assert K.char_poly(FieldElement((0, 1, 0))) == EX62
+    assert K.char_poly(FieldElement((0, 3, 0), 3)) == EX62
+    with pytest.raises(ValueError, match="not integral"):
+        K.char_poly(FieldElement((0, 1, 0), 3))  # t^3 - 4t/9 + 1
+    with pytest.raises(ValueError, match="not integral"):
+        minimal_poly_spec(K, FieldElement((0, 1, 0), 3))
+    with pytest.raises(ValueError, match="norm"):
+        condition2_holds(K, 5, FieldElement((0, 1, 0), 3),
+                         squarefree_parts(K, 5))
+    # a wrong structure constant 1 * 1 = 2 makes Tr(1) = 4, not 3: the
+    # power sums of alpha give a polynomial that alpha does not satisfy
+    wrong = [list(row) for row in K._structure]
+    wrong[0][0] = (2, 0, 0)
+    monkeypatch.setattr(K, "_structure", wrong)
+    with pytest.raises(InvariantViolation):
+        K.char_poly(FieldElement((0, 1, 0)))
 
 
 def _dedekind(f, p):

@@ -187,6 +187,26 @@ def test_log_index_example_62_at_low_precision():
     assert log_index_split_cyclic(K, 3, Q, G62, EPS62, precision=8) == 3
 
 
+def test_log_index_skips_the_undecidable_k_2_round(monkeypatch):
+    # at k = 2 the unit's log, divisible by p, always vanishes mod p^(k - 1)
+    K = make_field(EX62)
+    Q = _q62(K)
+    with pytest.raises(PrecisionExhausted):
+        rationality._log_index_at_precision(K, 3, G62, EPS62, 2)
+    seen = []
+    original = rationality._log_index_at_precision
+
+    def spy(K, p, g, unit, k):
+        seen.append(k)
+        return original(K, p, g, unit, k)
+
+    monkeypatch.setattr(rationality, "_log_index_at_precision", spy)
+    for precision in (1, 2):
+        assert log_index_split_cyclic(K, 3, Q, G62, EPS62,
+                                      precision=precision) == 3
+    assert seen and min(seen) == 4
+
+
 def test_log_index_invariant_under_principal_unit_shift():
     # g' = g * (1 + 9 alpha) differs from g by a unit at 3 that is 1 mod 9;
     # (g') is no longer Q^3, so compare the raw decisions at each precision

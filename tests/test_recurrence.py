@@ -2,7 +2,7 @@ import pytest
 
 from prationality import recurrence
 from prationality.families import primes_up_to
-from prationality.numberfield import FieldElement, make_field
+from prationality.numberfield import FieldElement, NumberField, make_field
 from prationality.recurrence import (
     INERT,
     MIXED_1_2,
@@ -182,15 +182,16 @@ def test_cross_check_proves_the_spec_once(monkeypatch):
     K = make_field(EX62)
     spec = minimal_poly_spec(K, EPS62)
     calls = []
-    original = recurrence._satisfies
+    original = NumberField.char_poly
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(recurrence, "_satisfies", counted)
+    monkeypatch.setattr(NumberField, "char_poly", counted)
     d = discriminant(spec.companion_poly)
     for p in primes_up_to(200):
         if p >= 5 and d % p:
             cross_check(K, EPS62, spec, p)
-    assert len(calls) <= 1
+    # once for the spec, once for condition (2)'s per-unit cache
+    assert len(calls) == 2

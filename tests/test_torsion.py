@@ -16,6 +16,7 @@ from prationality.numberfield import (
 from prationality import ring, torsion
 from prationality.ring import (adjugate, degree, derivative, det_bareiss,
                                mulmod, poly, poly_add, poly_sub, powmod)
+from prationality.rationality import verdict
 from prationality.torsion import applicability_guard, condition2, condition2_holds
 
 EX62 = (27, -4, 0, 1)
@@ -273,15 +274,22 @@ def _list_frobenius_defect(f, p, e):
 
 
 def test_packed_frobenius_defect_matches_list_reference_on_bundled_records():
-    # the packed defect X and the verdict against the list computation at
-    # every odd unramified p <= 300
+    # the packed defect X against the list computation at every odd p <= 300
+    # not dividing disc(f), and at p = 1699 for ex. 6.2, in both
+    # presentations: Z[x]/(f, p^2) on the unit's coordinates, and
+    # Z[t]/(c, p^2) with eps = t, c the unit's characteristic polynomial,
+    # where p does not divide disc(c); condition2_holds takes the second
+    # whenever it can, and both decide like the alpha-presentation
     cells = {False: 0, True: 0}  # keyed by "holds"
+    alpha_path = set()  # (label, p) where p divides disc(c)
     for name in ("table1", "table2", "examples"):
         for record in bundled_records(name):
             K = record.build_field()
             eps = record.unit_element()
-            coeffs, den = K.to_power_coords(eps)
-            for p in primes_up_to(300)[1:]:
+            coeffs, den, c, disc_c = torsion._unit_power_coords(K, eps)
+            assert c == K.char_poly(eps) and disc_c == ring.discriminant(c)
+            primes = primes_up_to(300)[1:] + [1699] * (K.poly == EX62)
+            for p in primes:
                 if K.poly_disc % p == 0:
                     continue
                 pp = p * p
@@ -290,7 +298,101 @@ def test_packed_frobenius_defect_matches_list_reference_on_bundled_records():
                 k = ring.kernel(K.poly, pp)
                 packed = torsion._frobenius_defect(k, K.poly, p, e)
                 assert k.unpack(packed) == expected, (record.label, p)
+                if disc_c % p:
+                    by_c = _list_frobenius_defect(c, p, (0, 1))
+                    kc = ring.kernel(c, pp)
+                    packed = torsion._frobenius_defect(kc, c, p, (0, 1))
+                    assert kc.unpack(packed) == by_c, (record.label, p)
+                    assert bool(by_c) == bool(expected), (record.label, p)
+                else:
+                    alpha_path.add((record.label, p))
                 holds = condition2_holds(K, p, eps, squarefree_parts(K, p))
                 assert holds == bool(expected), (record.label, p)
                 cells[holds] += 1
     assert cells[False] > 0 and cells[True] > 1000
+    assert {("x^3-4*x+27", 3), ("x^3-4*x+27", 1699)} <= alpha_path
+    assert len(alpha_path) < sum(cells.values()) // 2
+
+
+def _counted_kernels(monkeypatch):
+    """Record (f, m) of every ring.kernel built and the exponent of every
+    pow on it."""
+    built, pows = [], []
+    original = ring.kernel
+
+    def spy(f, m):
+        built.append((tuple(f), m))
+        k = original(f, m)
+
+        def power(v, e):
+            pows.append(e)
+            return k.pow(v, e)
+
+        return k._replace(pow=power)
+
+    monkeypatch.setattr(ring, "kernel", spy)
+    return built, pows
+
+
+def test_one_pth_power_per_unramified_verdict(monkeypatch):
+    # at p prime to disc(f) and disc(c) condition (2) is decided in
+    # Z[t]/(c, p^2), where eps = t and gamma = t^p is the only power taken
+    K = make_field(EX62)
+    eps = FieldElement((-3280, -3462, -729))
+    c = K.char_poly(eps)
+    built, pows = _counted_kernels(monkeypatch)
+    primes = [p for p in primes_up_to(300)[1:]
+              if K.poly_disc % p and ring.discriminant(c) % p]
+    for p in primes:
+        verdict(K, p, unit=eps, class_number=1)
+    assert built == [(c, p * p) for p in primes]
+    assert pows == primes
+
+
+def test_unit_of_a_quadratic_subfield_takes_the_alpha_path(monkeypatch):
+    # the unit of x^4 + 4x^2 + 2 lies in a quadratic subfield: its
+    # characteristic polynomial is a square, disc(c) = 0, and every
+    # unramified p is decided in Z[x]/(f, p^2)
+    record = next(r for r in bundled_records("table2")
+                  if r.label == "x^4+4*x^2+2")
+    K = record.build_field()
+    eps = record.unit_element()
+    c = K.char_poly(eps)
+    assert ring.discriminant(c) == 0
+    built, _ = _counted_kernels(monkeypatch)
+    cells = 0
+    for p in primes_up_to(100)[1:]:
+        if K.poly_disc % p == 0:
+            continue
+        parts = squarefree_parts(K, p)
+        F = lcm(*(f for _, f in part_shapes(parts)))
+        slow = K.pow_mod(eps, p**F - 1, p * p) != K.one()
+        assert condition2_holds(K, p, eps, parts) == slow, p
+        assert built[-1] == (K.poly, p * p)
+        cells += 1
+    assert cells > 20
+
+
+def test_condition2_invariant_under_sign_and_inversion_on_bundled_records():
+    # eps, -eps and eps^-1 have the same condition (2) at every certified
+    # p <= 200 the guard admits; -eps and eps^-1 change c but not disc(c)
+    cells = 0
+    for name in ("table1", "table2", "examples"):
+        for record in bundled_records(name):
+            K = record.build_field()
+            eps = record.unit_element()
+            variants = (FieldElement(tuple(-x for x in eps.coords), eps.den),
+                        _unit_inverse(K, eps))
+            for p in primes_up_to(200):
+                try:
+                    parts = squarefree_parts(K, p)
+                except SplittingUndetermined:
+                    continue
+                if applicability_guard(K, p, [m for _, m in parts]):
+                    continue
+                base = condition2_holds(K, p, eps, parts)
+                for unit in variants:
+                    assert condition2_holds(K, p, unit, parts) == base, (
+                        record.label, p)
+                cells += 1
+    assert cells > 1500
