@@ -23,15 +23,21 @@ EULER_GAMMA = 0.5772156649015329
 TRIAL_DIVISION_CAP = 10**7
 
 
+def _odd_sieve(n: int) -> bytearray:
+    """s[i] = 1 iff 2i + 1 is prime, for every odd 2i + 1 <= n (n >= 2)."""
+    s = bytearray([1]) * ((n + 1) // 2)
+    s[0] = 0
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if s[i]:
+            start = 2 * i * (i + 1)  # the slot of (2i + 1)^2
+            s[start :: 2 * i + 1] = bytes(len(range(start, len(s), 2 * i + 1)))
+    return s
+
+
 def primes_up_to(n: int) -> list[int]:
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(math.isqrt(n)) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(range(i * i, n + 1, i))
-    return list(itertools.compress(range(n + 1), sieve))
+    return [2, *itertools.compress(range(1, n + 1, 2), _odd_sieve(n))]
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -143,18 +149,37 @@ class GgcCandidate:
 def lemma_a_scan(xmax: int, T: float) -> list[GgcCandidate]:
     """Primes p = 1 mod 4 up to xmax with square divisors n^2 | p-1,
     m^2 | p+1 and n, m beyond (log p)^T, read off one sieve of the largest
-    r with r^2 | 2k for each 2k <= xmax + 1 (16 bits while xmax < 4 * 10^9)."""
+    r with r^2 | 2k for each 2k <= xmax + 1 (16 bits while xmax < 4 * 10^9).
+
+    Only candidates are compared with their threshold.  As log p > 1,
+    (log p)^T is monotone in p, so its least value tmin on the range is at
+    p = 5 or at the largest prime p = 1 mod 4, and n > (log p)^T >= tmin
+    implies n > t0 = floor(tmin) for the integer n.  A candidate is a prime
+    p = 4j + 1 whose slots 2j and 2j + 1 both hold a root beyond t0: a
+    superset of the answer, so the exact comparison on it loses nothing.
+    A NaN or infinite tmin admits no n at all."""
     if xmax < 13:
         raise ValueError("xmax must be at least 13")
+    primes = _odd_sieve(xmax)[::2]  # slot j: is 4j + 1 prime?
+    plast = 4 * primes.rfind(1) + 1
+    tmin = min(math.log(5) ** T, math.log(plast) ** T)
+    if not tmin < math.inf:
+        return []
+    t0 = math.floor(tmin)
     root = array("H", [1]) * ((xmax + 3) // 2)
+    big = bytearray([t0 < 1]) * len(root)  # slot k: is root[k] > t0?
     for r in range(2, math.isqrt(xmax + 1) + 1):  # ascending: the last r wins
         step = r * r // math.gcd(2, r)  # r^2 | 2k iff step | k
-        root[step::step] = array("H", [r]) * ((len(root) - 1) // step)
+        count = (len(root) - 1) // step
+        root[step::step] = array("H", [r]) * count
+        if r > t0:
+            big[step::step] = b"\x01" * count
+    hits = (int.from_bytes(primes, "little") & int.from_bytes(big[::2], "little")
+            & int.from_bytes(big[1::2], "little"))
     out = []
-    for p in primes_up_to(xmax):
-        if p % 4 != 1:
-            continue
-        n, m = root[(p - 1) // 2], root[(p + 1) // 2]
+    slots = len(primes)
+    for j in itertools.compress(range(slots), hits.to_bytes(slots, "little")):
+        p, n, m = 4 * j + 1, root[2 * j], root[2 * j + 1]
         threshold = math.log(p) ** T
         if n > threshold and m > threshold:
             out.append(GgcCandidate(p, n, m, threshold))
@@ -230,41 +255,83 @@ def _crt_pairs(r1: list[int], m1: int, r2: list[int], m2: int) -> list[int]:
     return [u + m1 * ((v - u) * inv % m2) for u in r1 for v in r2]
 
 
+def _two_adic_roots(D: int, kmax: int) -> list[list[int]]:
+    """For k < kmax, the b mod 2^(k+1) with b^2 = D mod 2^(k+2), lifted one
+    level at a time: a root at level k + 1 reduces to one at level k, so it
+    is b or b + 2^(k+1) for some b of level k (at most 4 candidates)."""
+    levels = [[D & 1]]  # D = 0, 1 mod 4: b = D mod 2
+    for k in range(1, kmax):
+        mod = 2 << k
+        levels.append([c for b in levels[-1] for c in (b, b + mod // 2)
+                       if (c * c - D) % (2 * mod) == 0])
+    return levels
+
+
+_SPLIT_INC = bytes(range(1, 256)) + b"\x00"  # bytes.translate: add 1
+_NO_ROOT = 255
+
+
 def imag_quadratic_class_number(radicand: int, *, D: int | None = None) -> int:
     """Class number of Q(sqrt(radicand)), radicand squarefree negative, by
     counting the reduced forms (a, b, c) of the field discriminant D, which
-    a caller that holds it passes unchecked (Cohen, GTM 138, section 5.3).
+    a caller that holds it passes unchecked (Cohen, GTM 138, section 5.3):
+    |b| <= a <= c, b >= 0 when |b| = a or a = c, so 3a^2 <= |D|.
 
-    For each a with 3a^2 <= |D| the admissible b are the square roots of D
-    mod 4a, taken mod 2a in (-a, a]: a brute-force 2-part joined by CRT to
-    the roots mod the least odd prime power of a and mod its cofactor.  All
-    forms of a fundamental D are primitive: g = gcd(a, b, c) has g^2 | D, so
-    g | 2, and g = 2 would give 16 | D = 4d, d = 2, 3 mod 4.  No gcd test.
+    For each a the admissible b are the r(a) square roots of D mod 4a taken
+    mod 2a in (-a, a].  r is multiplicative, with r(q^e) = 1 + (D/q) for q
+    prime to D (Hensel; at q = 2 the Kronecker symbol is +1 for
+    D = 1 mod 8 and -1 for D = 5 mod 8), r(q) = 1 and r(q^e) = 0 for
+    e >= 2 when q | D (D is fundamental: q^2 does not divide D for odd q,
+    and D/4 = 2, 3 mod 4 when q = 2).
+    One sieve over a <= sqrt(|D|/3) counts the split primes of each a and
+    marks r(a) = 0.  When 4a^2 < |D| every root gives c > a, so such an a
+    adds r(a) and needs no roots.  Only the window sqrt(|D|)/2 <= a <=
+    sqrt(|D|/3), where c <= a is possible, builds the roots: the 2-adic
+    ones by lifting, joined by CRT to those mod each odd prime power.
+    All forms of a fundamental D are primitive: g = gcd(a, b, c) has
+    g^2 | D, so g | 2, and g = 2 would give 16 | D = 4d, d = 2, 3 mod 4.
+    No gcd test.
     """
     if radicand >= 0:
         raise ValueError("radicand must be negative")
     D = D or fundamental_discriminant(radicand)
-    amax = math.isqrt(-D // 3)
-    spf = list(range(amax + 1))
-    for q in range(math.isqrt(amax), 1, -1):
-        spf[q * q :: q] = [q] * len(range(q * q, amax + 1, q))
-    two_roots = [[b for b in range(2 << k) if (b * b - D) % (4 << k) == 0]
-                 for k in range(amax.bit_length())]
-    odd_roots: list = [[0], [0]] + [None] * (amax - 1)
-    count = 0
-    for a in range(1, amax + 1):
-        k = (a & -a).bit_length() - 1
-        odd = a >> k
-        if odd_roots[odd] is None:  # first visit: here odd == a
-            q = qe = spf[a]
-            while a % (qe * q) == 0:
-                qe *= q
-            roots = odd_roots[qe] if qe < a else _sqrts_mod_prime_power(D, q, qe)
-            odd_roots[a] = _crt_pairs(roots, qe, odd_roots[a // qe], a // qe)
-        if 4 * a * a < -D:  # then c > a for every root
-            count += len(two_roots[k]) * len(odd_roots[odd])
+    amax, half = math.isqrt(-D // 3), math.isqrt(-D - 1) // 2  # 4 half^2 < |D|
+    split = bytearray(amax + 1)  # slot a: split primes of a, or _NO_ROOT
+    no_root = []  # every multiple of a step has r(a) = 0
+    primes = primes_up_to(amax)
+    for q in primes:  # (D/q) = 0, 1, -1
+        if D % q == 0:
+            no_root.append(q * q)
+        elif D % 8 == 1 if q == 2 else pow(D, (q - 1) // 2, q) == 1:
+            split[q::q] = split[q::q].translate(_SPLIT_INC)
+        else:
+            no_root.append(q)
+    for step in no_root:
+        split[step::step] = bytes([_NO_ROOT]) * len(range(step, amax + 1, step))
+    count = sum(split.count(j, 1, half + 1) << j for j in range(amax.bit_length()))
+    two_roots = _two_adic_roots(D, amax.bit_length())
+    odd_roots: dict[int, list[int]] = {}  # q^e -> roots of D mod q^e
+    for a in range(half + 1, amax + 1):
+        if split[a] == _NO_ROOT:
             continue
-        for b in _crt_pairs(two_roots[k], 2 << k, odd_roots[odd], odd):
+        k = (a & -a).bit_length() - 1
+        roots, mod, rest = two_roots[k], 2 << k, a >> k
+        powers = []  # (q, q^e) over the odd prime powers q^e || a
+        for q in primes:  # rest is odd
+            if q * q > rest:
+                break
+            if rest % q == 0:
+                qe, rest = q, rest // q
+                while rest % q == 0:
+                    qe, rest = qe * q, rest // q
+                powers.append((q, qe))
+        if rest > 1:
+            powers.append((rest, rest))
+        for q, qe in powers:
+            if qe not in odd_roots:
+                odd_roots[qe] = _sqrts_mod_prime_power(D, q, qe)
+            roots, mod = _crt_pairs(roots, mod, odd_roots[qe], qe), mod * qe
+        for b in roots:
             # b > a stands for b - 2a < 0; -a is not in (-a, a]: only c = a needs b >= 0
             c = (min(b, 2 * a - b) ** 2 - D) // (4 * a)
             count += c > a or (c == a and b <= a)

@@ -137,6 +137,7 @@ class NumberField:
         self.field_disc = self.poly_disc // self.index**2
         self._alpha_powers = self._power_table()
         self._structure = self._structure_constants()
+        self._char_polys: dict[FieldElement, tuple[int, ...]] = {}
         # integral rows spanning a lattice that contains Z[alpha] span Z[alpha]
         self.is_power_basis = d == 1
 
@@ -311,6 +312,14 @@ class NumberField:
         if any(ci % a.den ** (n - i) for i, ci in enumerate(c)):
             raise ValueError("element is not integral")
         return tuple(ci // a.den ** (n - i) for i, ci in enumerate(c))
+
+    def cached_char_poly(self, a: FieldElement) -> tuple[int, ...]:
+        """char_poly(a), computed once per element of this field: the
+        recurrence screen and condition (2) both read a unit's."""
+        c = self._char_polys.get(a)
+        if c is None:
+            c = self._char_polys[a] = self.char_poly(a)
+        return c
 
     def norm(self, a: FieldElement) -> Fraction:
         # the determinant of the columns equals that of their transpose

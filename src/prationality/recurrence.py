@@ -12,7 +12,7 @@ cross-checked against the direct evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .numberfield import (FieldElement, NumberField, part_shapes,
                           squarefree_parts)
@@ -99,11 +99,12 @@ def screen(spec: RecurrenceSpec, p: int, splitting: str) -> ScreenResult:
 
 def minimal_poly_spec(K: NumberField, unit: FieldElement) -> RecurrenceSpec:
     """RecurrenceSpec from the characteristic polynomial of the unit
-    (NumberField.char_poly); rejects units generating a proper subfield."""
+    (NumberField.cached_char_poly); rejects units generating a proper
+    subfield."""
     if K.n != 3:
         raise ValueError("recurrence screen is for cubic fields")
     try:
-        c = K.char_poly(unit)
+        c = K.cached_char_poly(unit)
     except ValueError:
         raise ValueError("unit is not integral") from None
     spec = RecurrenceSpec(a2=-c[2], a1=-c[1], a0=-c[0])
@@ -112,11 +113,10 @@ def minimal_poly_spec(K: NumberField, unit: FieldElement) -> RecurrenceSpec:
     return spec
 
 
-@lru_cache(maxsize=64)
 def _check_spec(K: NumberField, unit: FieldElement, spec: RecurrenceSpec) -> None:
     """Raise ValueError unless spec is the characteristic polynomial of the
-    unit; once per (field, unit, spec)."""
-    if K.char_poly(unit) != spec.companion_poly:
+    unit, which the field computes once."""
+    if K.cached_char_poly(unit) != spec.companion_poly:
         raise ValueError("spec does not match the minimal polynomial of the unit")
 
 

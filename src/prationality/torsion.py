@@ -40,7 +40,7 @@ eps):
 
 It holds for any monic g with Z_p[t]/(g) = O_K (x) Z_p in place of f.
 condition2_holds takes g = chi, the unit's characteristic polynomial
-(NumberField.char_poly), and eps = t whenever p does not divide
+(NumberField.cached_char_poly), and eps = t whenever p does not divide
 disc(chi) = [O_K : Z[eps]]^2 d_K, which makes Z_p[eps] = O_K (x) Z_p: then
 e(t) = t and eps^p = gamma, so X = chi(gamma) and one p-th power decides.
 This is the recurrence screen's hypothesis, p not dividing companion_disc:
@@ -159,7 +159,7 @@ def _unit_power_coords(K: NumberField, unit: FieldElement):
     polynomial chi and disc(chi), once per (field, unit); raise ValueError
     unless unit is integral with N(unit) = (-1)^n chi(0) = +-1."""
     try:
-        chi = K.char_poly(unit)
+        chi = K.cached_char_poly(unit)
     except ValueError:  # not integral, so not a unit
         chi = (0,)
     if abs(chi[0]) != 1:

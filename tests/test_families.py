@@ -10,6 +10,9 @@ from prationality import families, numberfield, ring, torsion
 from prationality.families import (
     GgcCandidate,
     PureCubicInstance,
+    _crt_pairs,
+    _sqrts_mod_prime_power,
+    _two_adic_roots,
     dirichlet_class_number,
     factorize,
     fundamental_discriminant,
@@ -49,6 +52,38 @@ def _reference_class_number(radicand: int) -> int:
     return count
 
 
+def _reference_root_class_number(radicand: int) -> int:
+    """Reduced forms counted from the roots b of D mod 4a at every
+    a <= sqrt(|D|/3): a brute-force 2-part joined by CRT to the roots mod
+    the least odd prime power of a and mod its cofactor, O(sqrt|D|) with a
+    list per a; the reference for the multiplicative count."""
+    D = fundamental_discriminant(radicand)
+    amax = math.isqrt(-D // 3)
+    spf = list(range(amax + 1))
+    for q in range(math.isqrt(amax), 1, -1):
+        spf[q * q :: q] = [q] * len(range(q * q, amax + 1, q))
+    two_roots = [[b for b in range(2 << k) if (b * b - D) % (4 << k) == 0]
+                 for k in range(amax.bit_length())]
+    odd_roots: list = [[0], [0]] + [None] * (amax - 1)
+    count = 0
+    for a in range(1, amax + 1):
+        k = (a & -a).bit_length() - 1
+        odd = a >> k
+        if odd_roots[odd] is None:  # first visit: here odd == a
+            q = qe = spf[a]
+            while a % (qe * q) == 0:
+                qe *= q
+            roots = odd_roots[qe] if qe < a else _sqrts_mod_prime_power(D, q, qe)
+            odd_roots[a] = _crt_pairs(roots, qe, odd_roots[a // qe], a // qe)
+        if 4 * a * a < -D:  # then c > a for every root
+            count += len(two_roots[k]) * len(odd_roots[odd])
+            continue
+        for b in _crt_pairs(two_roots[k], 2 << k, odd_roots[odd], odd):
+            c = (min(b, 2 * a - b) ** 2 - D) // (4 * a)
+            count += c > a or (c == a and b <= a)
+    return count
+
+
 def _reference_lemma_a_scan(xmax: int, T: float) -> list[GgcCandidate]:
     """Lemma A with the square-divisor roots of p -+ 1 read off factorize."""
     def square_divisor_root(n):
@@ -67,8 +102,22 @@ def _reference_lemma_a_scan(xmax: int, T: float) -> list[GgcCandidate]:
 
 # D = -4, -8, -3; D = 1 mod 8 (-7); D = 5 mod 8 (-11); 4 || D (-5: D = -20);
 # 8 | D (-6: D = -24); a = q^e, e >= 2, with q | D (-255: a = 9, 3 | D;
-# -1995: a = 25, 5 | D) and with q prime to D (-251: a = 9, D = 1 mod 3)
-COVERING_RADICANDS = (-1, -2, -3, -7, -11, -5, -6, -255, -1995, -251)
+# -1995: a = 25, 5 | D) and with q prime to D (-251: a = 9, D = 1 mod 3).
+# The window sqrt|D|/2 <= a <= sqrt(|D|/3), where roots are built, holds
+# (1, 1, 1) (-3), c = a with 0 < b < a (-15: (2, 1, 2)), even a (-255:
+# a = 8; -447: a = 12, 3 | D), odd prime powers prime to D (-251: a = 9;
+# -469: a = 25) and two odd primes (-170: a = 15)
+COVERING_RADICANDS = (-1, -2, -3, -7, -11, -5, -6, -255, -1995, -251,
+                      -15, -447, -469, -170)
+
+
+def _window_forms(D: int):
+    """The forms (a, b, c) of D, reduced or not, with b in (-a, a] and a in
+    the window, where the counter builds the roots b and tests c."""
+    half, amax = math.isqrt(-D - 1) // 2, math.isqrt(-D // 3)
+    return [(a, b, (b * b - D) // (4 * a))
+            for a in range(half + 1, amax + 1) for b in range(1 - a, a + 1)
+            if (b * b - D) % (4 * a) == 0]
 
 
 def test_pure_cubic_instance_identity():
@@ -113,6 +162,12 @@ def test_lemma_a_sieve_matches_factorize(xmax):
         assert lemma_a_scan(xmax, 0.0)[-1].p == xmax
     with pytest.raises(ValueError):
         lemma_a_scan(12, 1.0)
+
+
+@pytest.mark.parametrize("xmax", [13, 17, 809, 4801, 19999])
+@pytest.mark.parametrize("T", [-1, 0, 0.5, 1, 2, math.inf, -math.inf, math.nan])
+def test_lemma_a_candidate_mask_matches_factorize(xmax, T):
+    assert lemma_a_scan(xmax, T) == _reference_lemma_a_scan(xmax, T)
 
 
 def test_lemma_a_T_zero_forces_nontrivial_squares():
@@ -172,6 +227,17 @@ def test_covering_radicands_meet_every_case():
     assert any(D % q == 0 for D in Ds for q in odd_prime_squares(D))
     assert any(pow(D, (q - 1) // 2, q) == 1 for D in Ds for q in odd_prime_squares(D))
 
+    window = [(D, a, b, c) for D in Ds for a, b, c in _window_forms(D)]
+    assert any(a == b == c for _, a, b, c in window)
+    assert any(c == a and 0 < b < a for _, a, b, c in window)
+    assert any(c < a for _, a, b, c in window)
+    assert any(a % 4 == 0 for _, a, _, _ in window)
+    odd_parts = [(D, factorize(a >> ((a & -a).bit_length() - 1)))
+                 for D, a, _, _ in window]
+    assert any(len(f) == 1 and min(f.values()) >= 2 and D % min(f)
+               for D, f in odd_parts)
+    assert any(len(f) >= 2 for _, f in odd_parts)
+
 
 @pytest.mark.parametrize("radicand", COVERING_RADICANDS)
 def test_class_number_matches_reference_on_covering_radicands(radicand):
@@ -182,6 +248,31 @@ def test_class_number_matches_reference_on_covering_radicands(radicand):
 @given(st.integers(-19999, -1).filter(lambda r: squarefree_part(r) == r))
 def test_class_number_matches_reference(radicand):
     assert imag_quadratic_class_number(radicand) == _reference_class_number(radicand)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2 * 10**6, -2 * 10**4).filter(lambda r: squarefree_part(r) == r))
+def test_class_number_matches_root_reference(radicand):
+    assert (imag_quadratic_class_number(radicand)
+            == _reference_root_class_number(radicand))
+
+
+def test_ggc_class_numbers_match_root_reference_to_a_million():
+    cands = ggc_scan(10**6, 1.0)
+    assert len(cands) > 100
+    assert max(-c.radicand for c in cands) > 10**7
+    for c in cands:
+        assert c.hK2 == _reference_root_class_number(c.radicand), c.p
+
+
+def test_two_adic_lift_matches_brute_force():
+    Ds = [fundamental_discriminant(r) for r in (-15, -7, -3, -11, -255, -1, -5, -2, -6)]
+    assert {D % 16 for D in Ds} == {1, 9, 13, 5, 12, 8}  # every fundamental class
+    for D in Ds:
+        lifted = _two_adic_roots(D, 13)
+        for k in range(13):
+            brute = [b for b in range(2 << k) if (b * b - D) % (4 << k) == 0]
+            assert sorted(lifted[k]) == brute, (D, k)
 
 
 def test_class_number_matches_dirichlet_on_a_seeded_sample():

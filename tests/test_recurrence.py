@@ -2,6 +2,7 @@ import pytest
 
 from prationality import recurrence
 from prationality.families import primes_up_to
+from prationality.harness import CELL_ERROR, bundled_records, reproduce_table
 from prationality.numberfield import FieldElement, NumberField, make_field
 from prationality.recurrence import (
     INERT,
@@ -178,20 +179,46 @@ def test_cross_check_rejects_mismatched_spec():
         cross_check(K, K.from_int(-1), RecurrenceSpec(0, 0, -1), 5)
 
 
-def test_cross_check_proves_the_spec_once(monkeypatch):
-    K = make_field(EX62)
-    spec = minimal_poly_spec(K, EPS62)
+def _count_char_poly(monkeypatch):
+    """The (field, element) of every NumberField.char_poly call."""
     calls = []
     original = NumberField.char_poly
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(K, a):
+        calls.append((id(K), a))
+        return original(K, a)
 
     monkeypatch.setattr(NumberField, "char_poly", counted)
+    return calls
+
+
+def test_cross_check_proves_the_spec_once(monkeypatch):
+    calls = _count_char_poly(monkeypatch)
+    K = make_field(EX62)
+    spec = minimal_poly_spec(K, EPS62)
     d = discriminant(spec.companion_poly)
     for p in primes_up_to(200):
         if p >= 5 and d % p:
             cross_check(K, EPS62, spec, p)
-    # once for the spec, once for condition (2)'s per-unit cache
-    assert len(calls) == 2
+    # the spec, its proof and condition (2) read one kept polynomial
+    assert len(calls) == 1
+
+
+def test_table_and_cross_check_compute_each_char_poly_once(monkeypatch):
+    calls = _count_char_poly(monkeypatch)
+    records = bundled_records("table1") + bundled_records("examples")
+    rows = reproduce_table(records, 5, 100)
+    assert all(CELL_ERROR not in row.cells.values() for row in rows)
+    checked = 0
+    for record in records:
+        if record.degree != 3:
+            continue
+        K, unit = record.build_field(), record.unit_element()
+        spec = minimal_poly_spec(K, unit)
+        d = discriminant(spec.companion_poly)
+        for p in primes_up_to(100):
+            if p >= 5 and d % p:
+                cross_check(K, unit, spec, p)
+                checked += 1
+    assert checked > 500
+    assert len(calls) == len(set(calls)) == len(records)
