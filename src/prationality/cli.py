@@ -28,6 +28,7 @@ from .harness import (
     render_table_csv,
     render_table_text,
     reproduce_table,
+    unit_problem,
     verdict_for_record,
 )
 from .rationality import (
@@ -73,6 +74,9 @@ def _cmd_check(args) -> int:
         unit_den=args.unit_den,
     )
     K = record.build_field()
+    problem = unit_problem(K, record.unit_element())
+    if problem is not None:
+        raise ValueError(problem)
     factors = split_prime(K, p)
     shape = ", ".join(f"(e={pf.e}, f={pf.f})" for pf in factors)
     if len(factors) == 1:

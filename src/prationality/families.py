@@ -157,12 +157,15 @@ def lemma_a_scan(xmax: int, T: float) -> list[GgcCandidate]:
     implies n > t0 = floor(tmin) for the integer n.  A candidate is a prime
     p = 4j + 1 whose slots 2j and 2j + 1 both hold a root beyond t0: a
     superset of the answer, so the exact comparison on it loses nothing.
-    A NaN or infinite tmin admits no n at all."""
+    A NaN or infinite tmin admits no n; an overflowing one is a ValueError."""
     if xmax < 13:
         raise ValueError("xmax must be at least 13")
     primes = _odd_sieve(xmax)[::2]  # slot j: is 4j + 1 prime?
     plast = 4 * primes.rfind(1) + 1
-    tmin = min(math.log(5) ** T, math.log(plast) ** T)
+    try:
+        tmin = min(math.log(5) ** T, math.log(plast) ** T)
+    except OverflowError:
+        raise ValueError(f"(log p)^T overflows a float at T = {T}") from None
     if not tmin < math.inf:
         return []
     t0 = math.floor(tmin)
@@ -238,8 +241,10 @@ def _sqrts_mod_prime_power(D: int, q: int, qe: int) -> list[int]:
         return []
     s = ((q - 1) & (1 - q)).bit_length() - 1
     t = (q - 1) >> s
-    z = next(z for z in range(2, q) if pow(z, (q - 1) // 2, q) == q - 1)
-    c, x, b = pow(z, t, q), pow(D, (t + 1) // 2, q), pow(D, t, q)
+    x, b = pow(D, (t + 1) // 2, q), pow(D, t, q)
+    if s > 1:  # else q = 3 (mod 4) and b = D^((q-1)/2) = 1: no loop, no z
+        z = next(z for z in range(2, q) if pow(z, (q - 1) // 2, q) == q - 1)
+        c = pow(z, t, q)
     while b != 1:
         i = next(i for i in range(1, s) if pow(b, 1 << i, q) == 1)
         c = pow(c, 1 << (s - i - 1), q)

@@ -172,18 +172,23 @@ def _validate(record: FieldRecord, line: int) -> str | None:
     if record.poly_coeffs[-1] != 1:
         return f"line {line}: polynomial is not monic"
     try:
-        K = record.build_field()
-        unit = record.unit_element()
+        problem = unit_problem(record.build_field(), record.unit_element())
     except ValueError as exc:
         return f"line {line}: {exc}"
+    return None if problem is None else f"line {line}: {problem}"
+
+
+def unit_problem(K: NumberField, unit: FieldElement) -> str | None:
+    """Why unit cannot be a field's fundamental unit, or None: its norm is
+    not +-1, or it is a root of unity."""
     if abs(K.norm(unit)) != 1:
-        return f"line {line}: unit norm is not +-1"
+        return "unit norm is not +-1"
     # reject roots of unity: possible orders in degree <= 4 divide 120 and
     # are at most 12
     power = unit
     for _ in range(12):
         if K.equals(power, K.one()):
-            return f"line {line}: unit is a root of unity"
+            return "unit is a root of unity"
         power = K.mul(power, unit)
     return None
 

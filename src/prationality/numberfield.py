@@ -249,34 +249,17 @@ class NumberField:
         ).normalized()
 
     def pow_mod(self, a: FieldElement, exponent: int, modulus: int) -> FieldElement:
-        """a^exponent with coordinates reduced mod modulus after every step.
-
-        The element may carry a denominator coprime to the modulus; it is
-        folded in by modular inversion.
-        """
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        if exponent == 0:
-            if all(c == 0 for c in a.coords):
-                raise ValueError("0^0 is undefined")
-            return self.one()
-        if gcd(a.den, modulus) != 1:
-            raise ValueError("denominator not invertible modulo the modulus")
-        dinv = pow(a.den, -1, modulus)
-        base = tuple(c * dinv % modulus for c in a.coords)
-
-        def mul(x, y):
-            return tuple([c % modulus for c in self.mul_coords(x, y)])
-
-        result = None
-        e = exponent
-        while e:
-            if e & 1:
-                result = base if result is None else mul(result, base)
-            e >>= 1
-            if e:
-                base = mul(base, base)
-        return FieldElement(result)
+        """a^exponent in basis coordinates reduced mod modulus, computed by
+        ring.powmod in Z[x]/(f, modulus) on the power-basis coordinates of
+        a, whose denominator is folded in by modular inversion.  ValueError
+        for 0^0, for a denominator not prime to the modulus (pow) and for a
+        negative exponent (ring.powmod)."""
+        if exponent == 0 and not any(a.coords):
+            raise ValueError("0^0 is undefined")
+        coeffs, den = self.to_power_coords(a)
+        dinv = pow(den, -1, modulus)
+        r = ring.powmod([c * dinv for c in coeffs], exponent, self.poly, modulus)
+        return FieldElement(tuple(c % modulus for c in self._power_vec_to_coords(r)))
 
     def mul_matrix(self, a: FieldElement):
         """Columns are the coords of a * b_j (denominator kept aside)."""

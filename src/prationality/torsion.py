@@ -67,10 +67,13 @@ and when some m >= p, where the exponent-p step fails.  The applicability
 guard refuses both anyway: p = 3 must be unramified, and m <= 4 < p for
 p >= 5.
 
-condition2 is the per-P report that `prat check` prints and the selftest
-compares against: each P is tested by HNF membership of
-eps^(p^f - 1) - 1 in P^(e+1), with the residue reduced mod p^(e+1), which is
-legitimate because p^(e+1) O_K is contained in P^(e+1).
+condition2 is the per-P report that `prat check` prints, with the residue
+eps^(p^f - 1) mod p^(e+1) in basis coordinates.  For each P = (p, g(alpha))
+let x = eps^(p^f - 1) - 1 mod p^2 and h the lift of (f mod p)/g^e: mod p,
+h(alpha) is the product of g'(alpha)^e' over the other P' = (p, g'(alpha)),
+so v_P(h) = 0 and v_P'(h^2) >= 2e', and v_P(g(alpha)^(e-1)) = e - 1 as
+above (at any p).  So x g^(e-1) h^2 = 0 (mod p^2) iff
+eps^(p^f - 1) = 1 (mod P^(e+1)), with the Fermat check mod p.
 """
 
 from __future__ import annotations
@@ -81,15 +84,7 @@ from math import lcm
 
 from .errors import InvariantViolation
 from . import ring
-from .numberfield import (
-    FieldElement,
-    NumberField,
-    PrimeFactor,
-    ideal_contains,
-    ideal_from_two_generators,
-    ideal_pow,
-    radical_cofactor,
-)
+from .numberfield import FieldElement, NumberField, PrimeFactor, radical_cofactor
 
 _FERMAT_FAILURE = "Fermat failure: eps^(p^f-1) - 1 not in the first power"
 
@@ -143,16 +138,6 @@ def applicability_guard(K: NumberField, p: int,
     return None
 
 
-def _congruent_by_hnf(K: NumberField, p: int, pf: PrimeFactor,
-                      residue: FieldElement) -> bool:
-    """residue = 1 (mod P^(e+1)) for P = pf, by HNF ideal membership."""
-    first = ideal_from_two_generators(K, p, pf.generator)
-    x = K.sub(residue, K.one())
-    if not ideal_contains(K, first, x):
-        raise InvariantViolation(_FERMAT_FAILURE)
-    return ideal_contains(K, ideal_pow(K, first, pf.e + 1), x)
-
-
 @lru_cache(maxsize=64)
 def _unit_power_coords(K: NumberField, unit: FieldElement):
     """(coeffs, den) of K.to_power_coords(unit), its characteristic
@@ -192,6 +177,17 @@ def _frobenius_defect(k: ring.Kernel, f, p: int, e) -> int:
                     + at_gamma(ring.derivative(e)) * f_g)
 
 
+def _unit_defect(k: ring.Kernel, p: int, e, exponent: int, c) -> int:
+    """(eps^exponent - 1) c in Z[x]/(f, p^2), packed by k, for the unit
+    coordinates e and c in Z[x]; InvariantViolation unless it is 0 mod p,
+    the Fermat check of both cofactor congruences (module docstring)."""
+    # (x - 1) c as x c + (p^2 - 1) c: a sum of two products, one reduce
+    x = k.reduce((k.pow(k.pack(e), exponent) + p * p - 1) * k.pack(c))
+    if any(v % p for v in k.unpack(x)):
+        raise InvariantViolation(_FERMAT_FAILURE)
+    return x
+
+
 def condition2_holds(K: NumberField, p: int, unit: FieldElement,
                      parts) -> bool:
     """Condition (2) at p for every prime factor at once, from the
@@ -213,25 +209,25 @@ def condition2_holds(K: NumberField, p: int, unit: FieldElement,
     if unramified:
         return bool(_frobenius_defect(k, f, p, e))
     F = lcm(*range(1, max(g.degree for g, _ in parts) + 1))
-    # (x - 1) c as x c + (p^2 - 1) c: a sum of two products, one reduce
-    x = k.reduce((k.pow(k.pack(e), p**F - 1) + pp - 1)
-                 * k.pack(radical_cofactor(parts, p)))
-    if any(c % p for c in k.unpack(x)):
-        raise InvariantViolation(_FERMAT_FAILURE)
-    return bool(x)
+    return bool(_unit_defect(k, p, e, p**F - 1, radical_cofactor(parts, p)))
 
 
 def condition2(K: NumberField, p: int, unit: FieldElement,
                factors) -> Condition2Report:
-    """The per-P report over the given prime factors of p, each decided by
-    HNF membership."""
-    _unit_power_coords(K, unit)
-    per = []
-    witness = None
+    """The per-P report over the prime factors of p that split_prime
+    returns, each P = (p, g(alpha)) decided by its cofactor congruence
+    x g^(e-1) h^2 = 0 (mod p^2) (module docstring)."""
+    coeffs, den, _, _ = _unit_power_coords(K, unit)
+    pp, fbar = p * p, ring._mp(K.poly, p)
+    k = ring.kernel(K.poly, pp)
+    e = [c * pow(den, -1, pp) for c in coeffs]  # den divides the index
+    per, witness = [], None
     for pf in factors:
-        exponent = p**pf.f - 1
+        exponent, g = p**pf.f - 1, pf.generator
+        h = ring._mp_divmod(fbar, radical_cofactor(((g, pf.e + 1),), p), p)[0]
+        c = ring.poly_mul(radical_cofactor(((g, pf.e),), p), ring.poly_mul(h, h))
+        congruent = not _unit_defect(k, p, e, exponent, c)
         r = K.pow_mod(unit, exponent, p ** (pf.e + 1))
-        congruent = _congruent_by_hnf(K, p, pf, r)
         per.append(PerPrimeResult(pf, exponent, r.coords, congruent))
         if not congruent and witness is None:
             witness = pf.label

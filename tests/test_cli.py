@@ -88,6 +88,18 @@ def test_prime_two_is_not_applicable(capsys):
     assert "not applicable at 2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("poly, unit", [("27;-4;0;1", "1;0;0"),
+                                        ("1;0;0;0;1", "0;1")])
+def test_check_refuses_a_root_of_unity(capsys, poly, unit):
+    # 1 and alpha on x^4 + 1 (a primitive 8th root of unity), which the
+    # record loaders skip
+    rc = cli(["check", "--poly", poly, "--unit", unit, "--h", "1",
+              "--prime", "5"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: unit is a root of unity\n"
+
+
 def test_unknown_flag_exits_one(capsys):
     rc = cli(["check", "--bogus", "1"])
     assert rc == 1
@@ -103,6 +115,13 @@ def test_ggc_cli(capsys):
     assert rc == 0
     assert "p = 17" in out
     assert "GgcHolds" in out
+
+
+def test_ggc_threshold_beyond_the_float_range_is_an_input_error(capsys):
+    rc = cli(["ggc", "--xmax", "5000", "--T", "1000"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: (log p)^T overflows a float at T = 1000.0\n"
 
 
 def test_pure_cubic_cli(capsys):

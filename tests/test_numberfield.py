@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from prationality.numberfield import (
 from prationality.recurrence import minimal_poly_spec
 from prationality.ring import (ModPoly, det_bareiss, discriminant, factor_mod_p,
                               poly, poly_eval)
+from prationality import selftest
 from prationality.selftest import suite_ef_sum
 from prationality.torsion import condition2_holds
 
@@ -256,6 +258,17 @@ def test_ef_sum_fuzz():
     assert ok, detail
 
 
+def test_ef_sum_fails_on_factors_that_do_not_multiply_back(monkeypatch):
+    # every (e, f) kept, so e*f still sums to n, but each generator is x^f
+    def wrong_generators(K, p):
+        return [replace(pf, generator=ModPoly((0,) * pf.f + (1,), p))
+                for pf in split_prime(K, p)]
+
+    monkeypatch.setattr(selftest, "split_prime", wrong_generators)
+    name, ok, detail = suite_ef_sum(20)
+    assert name == "ef-sum" and not ok and detail.startswith("f=")
+
+
 def test_ideal_hnf_examples():
     K = make_field(EX62)
     P1 = ideal_from_two_generators(K, 3, ModPoly((0, 1), 3))
@@ -318,6 +331,11 @@ def test_pow_mod_examples():
     assert r2.coords == (7, 3, 0)  # 1 + 3(alpha + 2)
     a = FieldElement((2, 5, 1))
     assert K.pow_mod(a, 1, 49).coords == (2, 5, 1)
+    assert K.pow_mod(a, 0, 49) == K.one()
+    for bad in ((a, -1, 49), (K.zero(), 0, 49),
+                (FieldElement((1, 1, 0), 7), 2, 49)):
+        with pytest.raises(ValueError):
+            K.pow_mod(*bad)
 
 
 def test_pow_mod_agrees_with_repeated_mul():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import lcm
 
 import pytest
@@ -8,6 +9,9 @@ from prationality.families import primes_up_to
 from prationality.harness import bundled_records
 from prationality.numberfield import (
     FieldElement,
+    ideal_contains,
+    ideal_from_two_generators,
+    ideal_pow,
     make_field,
     part_shapes,
     split_prime,
@@ -25,6 +29,44 @@ EX63 = (3, 0, -2, 0, 1)
 
 def _multiplicities(K, p):
     return [m for _, m in squarefree_parts(K, p)]
+
+
+def _pow_by_mul(K, a, k, m):
+    """a^k mod m in basis coordinates by square-and-multiply over the
+    structure constants, a's basis denominator inverted mod m; the
+    reference for NumberField.pow_mod."""
+    dinv = pow(a.den, -1, m)
+    result, base = K.one().coords, tuple(c * dinv % m for c in a.coords)
+    while k:
+        if k & 1:
+            result = tuple(c % m for c in K.mul_coords(result, base))
+        k >>= 1
+        base = tuple(c % m for c in K.mul_coords(base, base))
+    return FieldElement(result)
+
+
+def _congruent_by_hnf(K, p, pf, residue):
+    """residue = 1 (mod P^(e+1)) for P = pf, by HNF ideal membership; the
+    reference for condition2's cofactor congruence."""
+    first = ideal_from_two_generators(K, p, pf.generator)
+    x = K.sub(residue, K.one())
+    assert ideal_contains(K, first, x), "Fermat check"
+    return ideal_contains(K, ideal_pow(K, first, pf.e + 1), x)
+
+
+def _hnf_report(K, p, unit, factors):
+    """(residue, congruent) per prime factor, the residue
+    eps^(p^f - 1) mod p^(e+1) by _pow_by_mul, congruent by HNF."""
+    out = []
+    for pf in factors:
+        r = _pow_by_mul(K, unit, p**pf.f - 1, p ** (pf.e + 1))
+        out.append((r.coords, _congruent_by_hnf(K, p, pf, r)))
+    return out
+
+
+def _hnf_holds(K, p, unit, factors):
+    """Condition (2) by the HNF reference: some P is not congruent."""
+    return not all(congruent for _, congruent in _hnf_report(K, p, unit, factors))
 
 
 def test_guard_examples():
@@ -72,8 +114,10 @@ def test_condition2_requires_unit():
     # disc(f) = -19427, a prime: 19427 ramifies with e = 2 < p and is decided
     # like any other prime
     assert _multiplicities(K, 19427) == [1, 2]
-    assert condition2_holds(K, 19427, eps, squarefree_parts(K, 19427)) == (
-        condition2(K, 19427, eps, split_prime(K, 19427)).holds)
+    factors = split_prime(K, 19427)
+    holds = condition2_holds(K, 19427, eps, squarefree_parts(K, 19427))
+    assert holds == condition2(K, 19427, eps, factors).holds
+    assert holds == _hnf_holds(K, 19427, eps, factors)
     # x^3 + 3x + 3 is Eisenstein at 3, so f = x^3 (mod 3) with m = p
     E = make_field((3, 3, 0, 1))
     with pytest.raises(ValueError):
@@ -90,6 +134,7 @@ def test_sign_and_inversion_invariance():
         if applicability_guard(K, p, [pf.e for pf in factors]) is not None:
             continue
         base = condition2(K, p, eps, factors).holds
+        assert base == _hnf_holds(K, p, eps, factors)
         neg = condition2(K, p, FieldElement(tuple(-c for c in eps.coords)), factors)
         assert neg.holds == base
         # inverse unit: solve eps * x = 1 via pow_mod with group order trick:
@@ -145,6 +190,8 @@ def test_torsion_never_changes_condition2():
             for _ in range(record.torsion_order - 1):
                 variant = K.mul(variant, zeta)
                 assert condition2(K, p, variant, factors) == base, (record.label, p)
+                assert _hnf_holds(K, p, variant, factors) == base.holds, (
+                    record.label, p)
 
 
 def _random_unit_fields():
@@ -188,6 +235,7 @@ def test_global_test_matches_report_on_random_unit_fields():
             assert shapes == sorted((1, pf.f) for pf in factors), (K.poly, p)
             fast = condition2_holds(K, p, alpha, parts)
             assert fast == condition2(K, p, alpha, factors).holds, (K.poly, p)
+            assert fast == _hnf_holds(K, p, alpha, factors), (K.poly, p)
             cells += 1
             p3_shape_13 += p == 3 and shapes == [(1, 1), (1, 3)]
     assert cells > 400
@@ -218,7 +266,8 @@ def test_condition2_matches_hnf_on_random_unit_fields():
             assert shapes == sorted((pf.e, pf.f) for pf in factors), (K.poly, p)
             is_ramified = any(pf.e > 1 for pf in factors)
             for unit in (alpha, _power(K, alpha, p)):
-                holds = condition2(K, p, unit, factors).holds
+                holds = _hnf_holds(K, p, unit, factors)
+                assert condition2(K, p, unit, factors).holds == holds, (K.poly, p)
                 assert condition2_holds(K, p, unit, parts) == holds, (K.poly, p)
                 ramified[holds] += is_ramified
             if is_ramified:
@@ -227,6 +276,35 @@ def test_condition2_matches_hnf_on_random_unit_fields():
                              != lcm(*(pf.f for pf in factors)))
     assert ramified[False] > 0 and ramified[True] > 0
     assert coarse_F > 0
+
+
+def test_per_prime_report_matches_hnf_and_structure_constants():
+    # every per-P decision and residue of condition2 against HNF membership
+    # and structure-constant powering: on every bundled record at every
+    # certified p <= 300, p = 2 and e >= p included, and on the random unit
+    # fields at p <= 13
+    cases = [(record.build_field(), record.unit_element(), primes_up_to(300))
+             for name in ("table1", "table2", "examples")
+             for record in bundled_records(name)]
+    cases += [(K, alpha, primes_up_to(13)) for K, alpha in _random_unit_fields()]
+    seen = Counter()
+    for K, unit, primes in cases:
+        for p in primes:
+            try:
+                factors = split_prime(K, p)
+            except SplittingUndetermined:
+                continue
+            report = condition2(K, p, unit, factors)
+            assert [(entry.residue, entry.congruent)
+                    for entry in report.per_prime] == _hnf_report(
+                        K, p, unit, factors), (K.poly, p)
+            for pf, entry in zip(factors, report.per_prime):
+                seen["ramified"] += pf.e > 1
+                seen["congruent"] += entry.congruent
+                seen["ramified congruent"] += pf.e > 1 and entry.congruent
+                seen["p = 2"] += p == 2
+                seen["e >= p"] += pf.e >= p
+    assert min(seen.values()) > 0 and len(seen) == 5, seen
 
 
 def test_frobenius_lift_matches_exponent_form_on_bundled_records():
