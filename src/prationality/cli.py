@@ -10,6 +10,7 @@ table with any `error` cell), 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -42,7 +43,7 @@ from .numberfield import split_prime
 from .torsion import condition2
 
 
-def _poly_str(coords, modulus=None) -> str:
+def _poly_str(coords) -> str:
     # ASCII rendering, alpha as "a"
     terms = []
     for i, c in enumerate(coords):
@@ -79,19 +80,13 @@ def _cmd_check(args) -> int:
         raise ValueError(problem)
     factors = split_prime(K, p)
     shape = ", ".join(f"(e={pf.e}, f={pf.f})" for pf in factors)
-    if len(factors) == 1:
-        pf = factors[0]
-        if pf.e == K.n:
-            shape_word = "totally ramified"
-        elif pf.f == K.n:
-            shape_word = f"inert f = {pf.f}"
-        else:
-            shape_word = shape
-    elif all((pf.e, pf.f) == (1, 1) for pf in factors):
-        shape_word = "split completely"
-    else:
-        shape_word = shape
-    print(f"splitting of {p}: {shape_word}")
+    if len(factors) == K.n:  # every e = f = 1, as the e f sum to n
+        shape = "split completely"
+    elif len(factors) == 1 and factors[0].e == K.n:
+        shape = "totally ramified"
+    elif len(factors) == 1 and factors[0].f == K.n:
+        shape = f"inert f = {K.n}"
+    print(f"splitting of {p}: {shape}")
     v = verdict_for_record(record, p)
     if v.status != NOT_APPLICABLE:
         rep = condition2(K, p, record.unit_element(), factors)
@@ -196,6 +191,8 @@ def _cmd_pure_cubic(args) -> int:
 
 
 def _cmd_ggc(args) -> int:
+    if not args.T < math.inf:  # NaN or +inf, where lemma_a_scan returns []
+        raise ValueError(f"(log p)^T is not finite at T = {args.T}")
     for cand in ggc_scan(args.xmax, args.T):
         print(
             f"p = {cand.p}: n = {cand.n}, m = {cand.m}, "

@@ -159,8 +159,6 @@ def _record_from_fields(fields: dict[str, str], line: int) -> FieldRecord:
             aux=aux,
         )
     except (KeyError, ValueError, ZeroDivisionError) as exc:
-        if isinstance(exc, RecordParseError):
-            raise
         raise RecordParseError(line, str(exc)) from exc
 
 
@@ -169,9 +167,7 @@ def _validate(record: FieldRecord, line: int) -> str | None:
     n = record.degree
     if n not in (3, 4):
         return f"line {line}: polynomial degree {n} is not 3 or 4"
-    if record.poly_coeffs[-1] != 1:
-        return f"line {line}: polynomial is not monic"
-    try:
+    try:  # make_field refuses a polynomial that is not monic
         problem = unit_problem(record.build_field(), record.unit_element())
     except ValueError as exc:
         return f"line {line}: {exc}"
@@ -179,9 +175,14 @@ def _validate(record: FieldRecord, line: int) -> str | None:
 
 
 def unit_problem(K: NumberField, unit: FieldElement) -> str | None:
-    """Why unit cannot be a field's fundamental unit, or None: its norm is
-    not +-1, or it is a root of unity."""
-    if abs(K.norm(unit)) != 1:
+    """Why unit cannot be a field's fundamental unit, or None: it is not
+    integral, its norm (-1)^n chi(0) is not +-1 for chi = cached_char_poly
+    (which the verdicts then read), or it is a root of unity."""
+    try:
+        chi, _ = K.cached_char_poly(unit)
+    except ValueError:
+        return "unit is not integral"
+    if abs(chi[0]) != 1:
         return "unit norm is not +-1"
     # reject roots of unity: possible orders in degree <= 4 divide 120 and
     # are at most 12
@@ -316,13 +317,19 @@ def bundled_records(name: str) -> list[FieldRecord]:
 
 
 def parse_h_csv(text: str) -> dict[int, int]:
-    """Class numbers from `p,h` rows; blank, `#` and header lines skipped."""
+    """Class numbers from `p,h` rows; blank, `#` and header lines skipped.
+    RecordParseError with the line number for a malformed row or h < 1."""
     out = {}
-    for line in text.splitlines():
+    for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#") or line.startswith("p,"):
             continue
-        p, h = line.split(",")
-        out[int(p)] = int(h)
+        try:
+            p, h = (int(x) for x in line.split(","))
+        except ValueError as exc:
+            raise RecordParseError(i, f"expected p,h: {exc}") from None
+        if h < 1:
+            raise RecordParseError(i, "class number must be positive")
+        out[p] = h
     return out
 
 

@@ -137,7 +137,7 @@ class NumberField:
         self.field_disc = self.poly_disc // self.index**2
         self._alpha_powers = self._power_table()
         self._structure = self._structure_constants()
-        self._char_polys: dict[FieldElement, tuple[int, ...]] = {}
+        self._char_polys: dict[FieldElement, tuple[tuple[int, ...], int]] = {}
         # integral rows spanning a lattice that contains Z[alpha] span Z[alpha]
         self.is_power_basis = d == 1
 
@@ -248,17 +248,23 @@ class NumberField:
             tuple(self.mul_coords(a.coords, b.coords)), a.den * b.den
         ).normalized()
 
-    def pow_mod(self, a: FieldElement, exponent: int, modulus: int) -> FieldElement:
-        """a^exponent in basis coordinates reduced mod modulus, computed by
-        ring.powmod in Z[x]/(f, modulus) on the power-basis coordinates of
-        a, whose denominator is folded in by modular inversion.  ValueError
-        for 0^0, for a denominator not prime to the modulus (pow) and for a
-        negative exponent (ring.powmod)."""
-        if exponent == 0 and not any(a.coords):
-            raise ValueError("0^0 is undefined")
+    def power_coords_mod(self, a: FieldElement, modulus: int) -> list[int]:
+        """a in Z[x]/(f, modulus): its power-basis coordinates times the
+        inverse of their denominator mod modulus, reduced.  ValueError (from
+        pow) when the denominator is not prime to the modulus."""
         coeffs, den = self.to_power_coords(a)
         dinv = pow(den, -1, modulus)
-        r = ring.powmod([c * dinv for c in coeffs], exponent, self.poly, modulus)
+        return [c * dinv % modulus for c in coeffs]
+
+    def pow_mod(self, a: FieldElement, exponent: int, modulus: int) -> FieldElement:
+        """a^exponent in basis coordinates reduced mod modulus, computed by
+        ring.powmod in Z[x]/(f, modulus) on power_coords_mod(a, modulus).
+        ValueError for 0^0, for a denominator not prime to the modulus and
+        for a negative exponent (ring.powmod)."""
+        if exponent == 0 and not any(a.coords):
+            raise ValueError("0^0 is undefined")
+        r = ring.powmod(self.power_coords_mod(a, modulus), exponent, self.poly,
+                        modulus)
         return FieldElement(tuple(c % modulus for c in self._power_vec_to_coords(r)))
 
     def mul_matrix(self, a: FieldElement):
@@ -296,13 +302,15 @@ class NumberField:
             raise ValueError("element is not integral")
         return tuple(ci // a.den ** (n - i) for i, ci in enumerate(c))
 
-    def cached_char_poly(self, a: FieldElement) -> tuple[int, ...]:
-        """char_poly(a), computed once per element of this field: the
-        recurrence screen and condition (2) both read a unit's."""
-        c = self._char_polys.get(a)
-        if c is None:
-            c = self._char_polys[a] = self.char_poly(a)
-        return c
+    def cached_char_poly(self, a: FieldElement) -> tuple[tuple[int, ...], int]:
+        """(char_poly(a), its discriminant), computed once per element of
+        this field: the loaders' unit check, the recurrence screen and
+        condition (2) all read a unit's.  ValueError unless a is integral."""
+        entry = self._char_polys.get(a)
+        if entry is None:
+            chi = self.char_poly(a)
+            entry = self._char_polys[a] = chi, ring.discriminant(chi)
+        return entry
 
     def norm(self, a: FieldElement) -> Fraction:
         # the determinant of the columns equals that of their transpose

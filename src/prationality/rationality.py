@@ -101,8 +101,6 @@ def log_index_split_cyclic(K: NumberField, p: int, Q, g: FieldElement,
         raise ValueError("p must be odd")
     if Q.norm % p == 0:
         raise ValueError("auxiliary ideal must be prime to p")
-    if not g.is_integral:
-        raise ValueError("generator of Q^p must be integral")
     if principal_ideal(K, g).rows != ideal_pow(K, Q, p).rows:
         raise ValueError("generator does not generate Q^p")
     if not _completely_split(K, p):
@@ -120,13 +118,10 @@ def log_index_split_cyclic(K: NumberField, p: int, Q, g: FieldElement,
 
 def _log_power(K: NumberField, p: int, k: int, x: FieldElement,
                name: str) -> list[int]:
-    """log(x^(p-1)) mod p^k on power-basis coordinates."""
+    """log(x^(p-1)) mod p^k on power-basis coordinates; ValueError when
+    x's denominator is not prime to p (NumberField.power_coords_mod)."""
     pk = p**k
-    coeffs, den = K.to_power_coords(x)
-    if den % p == 0:
-        raise ValueError("element denominator not invertible at p")
-    d = pow(den, -1, pk)
-    v = powmod([c * d for c in coeffs], p - 1, K.poly, pk)
+    v = powmod(K.power_coords_mod(x, pk), p - 1, K.poly, pk)
     if any(c % p for c in poly_sub(v, (1,))):
         raise ValueError(f"{name} is not a unit at p")
     return log_principal(v, K.poly, p, k)

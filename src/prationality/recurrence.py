@@ -103,10 +103,7 @@ def minimal_poly_spec(K: NumberField, unit: FieldElement) -> RecurrenceSpec:
     subfield."""
     if K.n != 3:
         raise ValueError("recurrence screen is for cubic fields")
-    try:
-        c = K.cached_char_poly(unit)
-    except ValueError:
-        raise ValueError("unit is not integral") from None
+    c, _ = K.cached_char_poly(unit)  # ValueError unless integral
     spec = RecurrenceSpec(a2=-c[2], a1=-c[1], a0=-c[0])
     if spec.companion_disc == 0:
         raise ValueError("unit generates a proper subfield (degree drop)")
@@ -116,7 +113,7 @@ def minimal_poly_spec(K: NumberField, unit: FieldElement) -> RecurrenceSpec:
 def _check_spec(K: NumberField, unit: FieldElement, spec: RecurrenceSpec) -> None:
     """Raise ValueError unless spec is the characteristic polynomial of the
     unit, which the field computes once."""
-    if K.cached_char_poly(unit) != spec.companion_poly:
+    if K.cached_char_poly(unit)[0] != spec.companion_poly:
         raise ValueError("spec does not match the minimal polynomial of the unit")
 
 

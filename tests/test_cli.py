@@ -100,6 +100,16 @@ def test_check_refuses_a_root_of_unity(capsys, poly, unit):
     assert captured.err == "error: unit is a root of unity\n"
 
 
+def test_check_refuses_a_unit_that_is_not_integral(capsys):
+    # a/(a - 2) has norm 1; it once passed the check, printed the splitting
+    # line and then failed inside condition (2)
+    rc = cli(["check", "--poly", "27;-4;0;1", "--unit", "27;-4;-2",
+              "--unit-den", "27", "--h", "1", "--prime", "5"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: unit is not integral\n"
+
+
 def test_unknown_flag_exits_one(capsys):
     rc = cli(["check", "--bogus", "1"])
     assert rc == 1
@@ -122,6 +132,28 @@ def test_ggc_threshold_beyond_the_float_range_is_an_input_error(capsys):
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err == "error: (log p)^T overflows a float at T = 1000.0\n"
+
+
+@pytest.mark.parametrize("T", ["inf", "nan"])
+def test_ggc_threshold_that_is_not_finite_is_an_input_error(capsys, T):
+    rc = cli(["ggc", "--xmax", "5000", "--T", T])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: (log p)^T is not finite at T = {T}\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("7,0", "class number must be positive"),
+    ("7,-7", "class number must be positive"),
+    ("7,1,2", "expected p,h: too many values to unpack (expected 2)"),
+], ids=["zero", "negative", "three-fields"])
+def test_pure_cubic_h_data_rejects_a_bad_row(tmp_path, capsys, row, message):
+    path = tmp_path / "h.csv"
+    path.write_text(f"p,h\n5,1\n{row}\n")
+    rc = cli(["pure-cubic", "--pmax", "30", "--h-data", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: line 3: {message}\n"
 
 
 def test_pure_cubic_cli(capsys):

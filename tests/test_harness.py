@@ -61,15 +61,20 @@ def test_load_rejects_malformed_row():
 
 
 def test_load_skips_invalid_unit(caplog):
-    # norm of 2 is 16, not a unit: the record is skipped with a diagnostic
+    # norm of 2 is 16, not a unit; a/(a - 2) = (27 - 4a - 2a^2)/27 on
+    # x^3 - 4x + 27 has norm 1 but is not integral (its table cells were once
+    # all `error`): each record is skipped with its diagnostic
     bad = (
         "label,degree,poly,h,unit,unit_den,torsion_order\n"
         "notaunit,4,3;0;-2;0;1,1,2;0;0;0,1,2\n"
+        "notintegral,3,27;-4;0;1,1,27;-4;-2,27,2\n"
     )
     with caplog.at_level("WARNING"):
         records = load_records(io.StringIO(bad), "csv")
     assert records == []
-    assert any("norm" in r.message for r in caplog.records)
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping record notaunit: line 2: unit norm is not +-1",
+        "skipping record notintegral: line 3: unit is not integral"]
 
 
 def test_csv_round_trip():
@@ -170,18 +175,21 @@ def test_density_scan_example_63():
 
 
 def test_density_scan_checks_the_unit_norm_once(monkeypatch):
-    records = load_records(io.StringIO(EX63_CSV), "csv")
+    # the loader's unit check computes the characteristic polynomial, whose
+    # constant term is the norm, and every verdict of the scan reuses it
     calls = []
-    original = NumberField.norm
+    original = NumberField.char_poly
 
     def counted(K, a):
         calls.append(a)
         return original(K, a)
 
-    monkeypatch.setattr(NumberField, "norm", counted)
+    monkeypatch.setattr(NumberField, "char_poly", counted)
+    records = load_records(io.StringIO(EX63_CSV), "csv")
+    assert calls == [records[0].unit_element()]
     res = density_scan(records[0], 200)
     assert res.count > 0
-    assert len(calls) <= 1
+    assert len(calls) == 1
 
 
 def test_density_scan_small_range():

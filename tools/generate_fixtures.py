@@ -408,34 +408,14 @@ def lattice_basis(vectors, n):
     return [tuple(Fraction(hnf.rows[i][j], den) for i in range(n)) for j in range(n)]
 
 
-def _charpoly_tail(A):
-    """c_1..c_n with det(xI - A) = x^n + c_1 x^(n-1) + ... + c_n, for an
-    integer matrix A (Faddeev-LeVerrier; every division is exact)."""
-    n = len(A)
-    M = [[0] * n for _ in range(n)]
-    c = 1
-    out = []
-    for k in range(1, n + 1):
-        M = [
-            [sum(A[i][t] * M[t][j] for t in range(n)) + (c if i == j else 0)
-             for j in range(n)]
-            for i in range(n)
-        ]
-        trace = sum(A[i][t] * M[t][i] for i in range(n) for t in range(n))
-        assert trace % k == 0
-        c = -trace // k
-        out.append(c)
-    return out
-
-
 def maximal_order(coeffs, basis):
     """Basis rows of the maximal order containing the order O with `basis`.
 
     At each prime q with q^2 | disc(O), every y/q with y in O, y not in qO,
-    that is integral (its characteristic polynomial has integer
-    coefficients) is added to O and the HNF retaken, until an exhaustive
-    search of O/qO finds none.  That proves O q-maximal: otherwise O_K/O has
-    an element x of order q, and y = qx would have been found."""
+    that is integral (NumberField.char_poly raises ValueError otherwise) is
+    added to O and the HNF retaken, until an exhaustive search of O/qO
+    finds none.  That proves O q-maximal: otherwise O_K/O has an element x
+    of order q, and y = qx would have been found."""
     n = len(coeffs) - 1
     power = make_field(coeffs)
     order_disc = make_field(coeffs, basis).field_disc
@@ -446,24 +426,18 @@ def maximal_order(coeffs, basis):
             raise RuntimeError(f"prime {q} too large for the exhaustive q-maximal search")
         while True:
             den = math.lcm(*(c.denominator for row in basis for c in row))
-            mats = [
-                power.mul_matrix(FieldElement(tuple(int(c * den) for c in row)))
-                for row in basis
-            ]
-            scale = den * q
+            rows = [[int(c * den) for c in row] for row in basis]
             found = []
             for a in iproduct(range(q), repeat=n):
                 if not any(a):
                     continue
-                A = [
-                    [sum(ai * m[i][j] for ai, m in zip(a, mats)) for j in range(n)]
-                    for i in range(n)
-                ]
-                if all(c % scale**k == 0 for k, c in enumerate(_charpoly_tail(A), 1)):
-                    found.append(
-                        tuple(sum(ai * row[j] for ai, row in zip(a, basis)) / q
-                              for j in range(n))
-                    )
+                y = tuple(sum(ai * row[j] for ai, row in zip(a, rows))
+                          for j in range(n))
+                try:  # y / (den q) over the power basis of Z[alpha]
+                    power.char_poly(FieldElement(y, den * q))
+                except ValueError:
+                    continue
+                found.append(tuple(Fraction(c, den * q) for c in y))
             if not found:
                 break
             basis = lattice_basis(list(basis) + found, n)
@@ -488,21 +462,10 @@ def _index_prime_ideals(K, q):
     n = K.n
     if q**n > BRUTE_FORCE_CAP:
         raise RuntimeError(f"index prime {q} too large for brute-force splitting")
-    T = K._structure
     elements = [tuple(v) for v in iproduct(range(q), repeat=n)]
 
     def mulv(a, b):
-        out = [0] * n
-        for i, xv in enumerate(a):
-            if xv:
-                for j, yv in enumerate(b):
-                    if yv:
-                        tij = T[i][j]
-                        c = xv * yv
-                        for k in range(n):
-                            if tij[k]:
-                                out[k] = (out[k] + c * tij[k]) % q
-        return tuple(out)
+        return tuple(c % q for c in K.mul_coords(a, b))
 
     def is_nilpotent(a):
         y = a
