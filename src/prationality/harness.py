@@ -15,8 +15,10 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache, reduce
 from importlib import resources
 
+from . import ring
 from .errors import InvariantViolation
 from .families import primes_up_to
 from .numberfield import FieldElement, NumberField, make_field
@@ -177,21 +179,32 @@ def _validate(record: FieldRecord, line: int) -> str | None:
 def unit_problem(K: NumberField, unit: FieldElement) -> str | None:
     """Why unit cannot be a field's fundamental unit, or None: it is not
     integral, its norm (-1)^n chi(0) is not +-1 for chi = cached_char_poly
-    (which the verdicts then read), or it is a root of unity."""
+    (which the verdicts then read), or it is a root of unity.  A root of
+    unity of order k has minimal polynomial Phi_k, so its chi is
+    Phi_k^(n / phi(k)); conversely a root of such a chi is a root of unity."""
     try:
         chi, _ = K.cached_char_poly(unit)
     except ValueError:
         return "unit is not integral"
     if abs(chi[0]) != 1:
         return "unit norm is not +-1"
-    # reject roots of unity: possible orders in degree <= 4 divide 120 and
-    # are at most 12
-    power = unit
-    for _ in range(12):
-        if K.equals(power, K.one()):
-            return "unit is a root of unity"
-        power = K.mul(power, unit)
+    if chi in _root_of_unity_char_polys(K.n):
+        return "unit is a root of unity"
     return None
+
+
+# Phi_k for the k with phi(k) <= 4 (k = 1, 2, 3, 4, 6, 5, 8, 10, 12): the
+# minimal polynomials of the roots of unity in a field of degree <= 4
+_CYCLOTOMIC = ((-1, 1), (1, 1), (1, 1, 1), (1, 0, 1), (1, -1, 1),
+               (1, 1, 1, 1, 1), (1, 0, 0, 0, 1), (1, -1, 1, -1, 1),
+               (1, 0, -1, 0, 1))
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity_char_polys(n: int) -> frozenset:
+    """Phi_k^(n / phi(k)) for every Phi_k whose degree phi(k) divides n."""
+    return frozenset(reduce(ring.poly_mul, [phi] * (n // ring.degree(phi)))
+                     for phi in _CYCLOTOMIC if n % ring.degree(phi) == 0)
 
 
 def load_records(source, fmt: str = "csv") -> list[FieldRecord]:

@@ -6,16 +6,23 @@ of an order containing Z[alpha], stored as integer rows over the power basis
 divided by one common denominator d (identity rows over d = 1 for Z[alpha]).
 Because the order contains Z[alpha], the inverse basis matrix, which gives
 the powers of alpha in basis coordinates, is an integer matrix.  Elements
-carry integer coordinates over the basis plus an optional denominator.  The
-module provides exact multiplication through precomputed integer structure
-constants, norms, Dedekind's p-maximality criterion, prime splitting read off
-from factoring f mod p, and ideal arithmetic in Hermite normal form.
+carry integer coordinates over the basis plus an optional denominator.
+
+Loading a field builds what every verdict reads: the inverse basis (one
+fraction-free Gauss-Jordan elimination) and the traces of the powers of
+alpha, from which characteristic polynomials come on power coordinates.
+The integer structure constants of the basis, behind exact
+multiplication, norms and ideal arithmetic in Hermite normal form, are
+built on first use, or at once for a basis with a denominator, whose rows
+must be checked to span an order.  The module also decides Dedekind's
+p-maximality criterion and reads prime splitting off factoring f mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm, prod
 
 from .errors import InvariantViolation, SplittingUndetermined
@@ -119,15 +126,16 @@ class NumberField:
         rows = [[Fraction(x) for x in row] for row in basis_rows]
         d = lcm(*[x.denominator for row in rows for x in row], 1)
         self.basis_den = d
-        self.basis = tuple(tuple(int(x * d) for x in row) for row in rows)
+        self.basis = tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                           for row in rows)
         if list(self.basis[0]) != [d] + [0] * (n - 1):
             raise ValueError("first basis element must be 1")
-        det = ring.det_bareiss(self.basis)
+        det, adj = ring.det_adjugate(self.basis)
         if det == 0:
             raise ValueError("basis matrix is singular")
         # B^-1 = d adj(dB) / det(dB); its rows are the basis coordinates of
         # the powers of alpha, so it is integral iff the order contains Z[alpha]
-        inv = [[d * a for a in row] for row in ring.adjugate(self.basis)]
+        inv = [[d * a for a in row] for row in adj]
         if any(a % det for row in inv for a in row):
             raise ValueError("basis does not contain the power basis lattice")
         self._basis_inv = tuple(tuple(a // det for a in row) for row in inv)
@@ -135,47 +143,40 @@ class NumberField:
         if self.poly_disc % (self.index**2) != 0:
             raise ValueError("basis determinant incompatible with disc(f)")
         self.field_disc = self.poly_disc // self.index**2
-        self._alpha_powers = self._power_table()
-        self._structure = self._structure_constants()
+        # Tr(alpha^m), m < n: the power sums of the roots of f (Newton)
+        traces = [n]
+        for k in range(1, n):
+            traces.append(-k * f[n - k] - sum(f[n - i] * traces[k - i]
+                                              for i in range(1, k)))
+        self._traces = tuple(traces)
         self._char_polys: dict[FieldElement, tuple[tuple[int, ...], int]] = {}
         # integral rows spanning a lattice that contains Z[alpha] span Z[alpha]
         self.is_power_basis = d == 1
+        if d > 1:  # only then can the rows fail to span an order
+            self.__dict__["_structure"] = self._structure_constants()
 
     # -- construction helpers -------------------------------------------------
 
-    def _power_table(self):
-        """alpha^m mod f for m < 2n-1, as integer power-basis vectors."""
-        n = self.n
-        table = []
-        cur = [0] * n
-        cur[0] = 1
-        for _ in range(2 * n - 1):
-            table.append(tuple(cur))
-            cur = [0] + cur[:-1] if cur[-1] == 0 else self._shift_reduce(cur)
-        return table
-
-    def _shift_reduce(self, cur):
-        top = cur[-1]
-        shifted = [0] + cur[:-1]
-        return [shifted[i] - top * self.poly[i] for i in range(self.n)]
+    @cached_property
+    def _structure(self):
+        """The structure constants, built on first use."""
+        return self._structure_constants()
 
     def _structure_constants(self):
         """T[i][j] = integer coords of b_i * b_j over the basis: the product
         of the integer rows d*b_i and d*b_j, reduced by f, in basis
-        coordinates, divided exactly by d^2."""
-        d2 = self.basis_den**2
-        table = []
-        for bi in self.basis:
-            row = []
-            for bj in self.basis:
-                prodpow = ring.poly_mul(bi, bj)
-                vec = [sum(c * self._alpha_powers[m][t] for m, c in enumerate(prodpow))
-                       for t in range(self.n)]
+        coordinates, divided exactly by d^2.  T is symmetric; the i <= j
+        half is computed.  Built on first use by the multiplication, norm
+        and HNF code, or at construction when d > 1."""
+        n, d2 = self.n, self.basis_den**2
+        table = [[None] * n for _ in range(n)]
+        for i, bi in enumerate(self.basis):
+            for j in range(i, n):
+                vec = ring.poly_rem(ring.poly_mul(bi, self.basis[j]), self.poly)
                 coords = self._power_vec_to_coords(vec)
                 if any(c % d2 for c in coords):
                     raise ValueError("basis rows do not span an order")
-                row.append(tuple(c // d2 for c in coords))
-            table.append(row)
+                table[i][j] = table[j][i] = tuple(c // d2 for c in coords)
         return table
 
     def _power_vec_to_coords(self, vec):
@@ -277,30 +278,31 @@ class NumberField:
 
     def char_poly(self, a: FieldElement) -> tuple[int, ...]:
         """The characteristic polynomial c of a, monic of degree n.  With
-        v = den a, that of multiplication by v is C, C_i = c_i den^(n - i),
-        read off the power sums Tr(v^k), k <= n, by Newton's identities
-        (Tr(b_i) is the trace of multiplication by b_i).  ValueError unless
-        a is integral, InvariantViolation unless C(v) = 0 (Cayley-Hamilton)."""
-        n, v, T = self.n, a.coords, self._structure
-        tr = [sum(T[i][j][j] for j in range(n)) for i in range(n)]
-        powers = [list(v)]  # v^1, ..., v^n
+        a = w(alpha)/D in power coordinates, that of w is C, C_i =
+        c_i D^(n - i), read off the power sums Tr(w^k), k <= n, by Newton's
+        identities: w^k is an exact product mod f, and Tr is linear with
+        Tr(alpha^m) = self._traces[m].  ValueError unless a is integral,
+        InvariantViolation unless C(w) = 0 (Cayley-Hamilton)."""
+        n, f = self.n, self.poly
+        w, den = self.to_power_coords(a)
+        powers = [w]  # w^1, ..., w^n mod f
         while len(powers) < n:
-            powers.append(self.mul_coords(powers[-1], v))
-        s = [sum(x * t for x, t in zip(w, tr)) for w in powers]
-        e = [1]  # elementary symmetric functions of the conjugates of v
+            powers.append(ring.poly_rem(ring.poly_mul(powers[-1], w), f))
+        s = [sum(x * t for x, t in zip(v, self._traces)) for v in powers]
+        e = [1]  # elementary symmetric functions of the conjugates of w
         for k in range(1, n + 1):
             e.append(sum((-1) ** (i - 1) * e[k - i] * s[i - 1]
                          for i in range(1, k + 1)) // k)
         c = [(-1) ** (n - i) * e[n - i] for i in range(n + 1)]
-        acc = [c[0]] + [0] * (n - 1)  # C(v) = sum C_i v^i
-        for ci, w in zip(c[1:], powers):
-            acc = [x + ci * y for x, y in zip(acc, w)]
-        if any(acc):
+        acc = (c[0],)  # C(w) = sum C_i w^i
+        for ci, v in zip(c[1:], powers):
+            acc = ring.poly_add(acc, tuple(ci * x for x in v))
+        if acc:
             raise InvariantViolation("element does not satisfy its "
                                      "characteristic polynomial")
-        if any(ci % a.den ** (n - i) for i, ci in enumerate(c)):
+        if any(ci % den ** (n - i) for i, ci in enumerate(c)):
             raise ValueError("element is not integral")
-        return tuple(ci // a.den ** (n - i) for i, ci in enumerate(c))
+        return tuple(ci // den ** (n - i) for i, ci in enumerate(c))
 
     def cached_char_poly(self, a: FieldElement) -> tuple[tuple[int, ...], int]:
         """(char_poly(a), its discriminant), computed once per element of

@@ -2,7 +2,8 @@
 
 Polynomials are tuples of arbitrary-precision integers, low degree first;
 the zero polynomial is the empty tuple and has degree -1.  On top of that
-convention this module provides resultant-based discriminants, products and
+convention this module provides exact determinants and adjugates by
+fraction-free elimination, resultant-based discriminants, products and
 powers in Z[x]/(f, m) for monic f on Kronecker-packed ints (kernel: one int
 per element; mulmod and powmod wrap it), the truncated p-adic logarithm on
 the same kernel (condition 1's Log index), deterministic factorization over
@@ -62,6 +63,16 @@ def poly_mul(f, g):
     return poly(out)
 
 
+def poly_rem(g, f):
+    """The remainder of g on division by monic f, over Z."""
+    r, n = list(g), len(f) - 1
+    for k in range(len(r) - 1, n - 1, -1):
+        if r[k]:
+            for i in range(n):
+                r[k - n + i] -= r[k] * f[i]
+    return poly(r[:n])
+
+
 def poly_eval(f, x):
     acc = 0
     for a in reversed(f):
@@ -95,14 +106,30 @@ def det_bareiss(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def adjugate(rows) -> list[list[int]]:
-    """Adjugate of a square integer matrix of size >= 2, so that
-    rows * adjugate(rows) = det(rows) * I: entry (i, j) is the (j, i)
-    cofactor."""
+def det_adjugate(rows) -> tuple[int, list[list[int]] | None]:
+    """(det, adj) of a square integer matrix, rows * adj = det * I, by one
+    fraction-free Gauss-Jordan elimination of [rows | I].  After step k
+    every entry is a (k + 1)-minor of the augmented matrix up to sign, so
+    each division by the previous pivot is exact; the left block ends as
+    d I with d = +-det and the right one as d rows^-1 (Bareiss, Math.
+    Comp. 22, 1968).  adj is None when det = 0."""
     n = len(rows)
-    return [[(-1) ** (i + j) * det_bareiss(
-                [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
-             for j in range(n)] for i in range(n)]
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        top = a[k]
+        for i, row in enumerate(a):
+            if i != k:
+                c = row[k]
+                a[i] = [(top[k] * x - c * y) // prev for x, y in zip(row, top)]
+        prev = top[k]
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def resultant(f, g) -> int:

@@ -18,8 +18,9 @@ from prationality.harness import (
     render_table_csv,
     render_table_text,
     reproduce_table,
+    unit_problem,
 )
-from prationality.numberfield import NumberField
+from prationality.numberfield import FieldElement, NumberField, make_field
 
 EX63_CSV = """label,degree,poly,h,unit,unit_den,torsion_order,basis,aux_q,aux_gen_poly,aux_power_gen
 x^4-2*x^2+3,4,3;0;-2;0;1,1,-2;-1;1;1,1,2,,,,
@@ -75,6 +76,59 @@ def test_load_skips_invalid_unit(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "skipping record notaunit: line 2: unit norm is not +-1",
         "skipping record notintegral: line 3: unit is not integral"]
+
+
+def _root_of_unity_by_powers(K, unit):
+    """The former check: unit^j = 1 for some j <= 12, which covers every
+    order k with phi(k) <= 4; the reference for unit_problem."""
+    power = unit
+    for _ in range(12):
+        if K.equals(power, K.one()):
+            return True
+        power = K.mul(power, unit)
+    return False
+
+
+def _unit_cases():
+    """(K, unit) pairs: every bundled unit and torsion generator, alpha^k
+    and -alpha^k on three cyclotomic quartics, +-1 in a cubic and a
+    quartic, and units with |chi(0)| = 1 that are not roots of unity."""
+    for name in ("table1", "table2", "examples"):
+        for record in bundled_records(name):
+            K, eps = record.build_field(), record.unit_element()
+            yield K, eps
+            if record.torsion_gen_coeffs is not None:
+                zeta = K.element_from_power_coords(record.torsion_gen_coeffs,
+                                                   record.torsion_gen_den)
+                yield K, zeta
+                yield K, K.mul(eps, zeta)
+    for f in ((1, 1, 1, 1, 1), (1, 0, 0, 0, 1), (1, 0, -1, 0, 1)):
+        K = make_field(f)
+        power = K.one()
+        for _ in range(13):
+            yield K, power
+            yield K, FieldElement(tuple(-c for c in power.coords))
+            power = K.mul(power, FieldElement((0, 1, 0, 0)))
+    for f in ((27, -4, 0, 1), (3, 0, -2, 0, 1)):
+        K = make_field(f)
+        yield K, K.one()
+        yield K, K.from_int(-1)
+    for f, unit in (((-1, -1, 0, 1), (0, 1, 0)), ((1, 1, 0, 0, 1), (0, 1, 0, 0)),
+                    ((-1, 0, 1, 0, 1), (0, 1, 0, 0)),
+                    ((1, 1, 1, 1, 1), (1, 1, 0, 0)),  # 1 + zeta_5, norm 1
+                    ((1, 0, -1, 0, 1), (1, 1, 0, 0))):  # 1 + zeta_12
+        yield make_field(f), FieldElement(unit)
+
+
+def test_root_of_unity_read_off_char_poly_matches_powers():
+    seen = {True: 0, False: 0}
+    for K, unit in _unit_cases():
+        problem = unit_problem(K, unit)
+        assert problem in (None, "unit is a root of unity"), (K.poly, unit)
+        expected = _root_of_unity_by_powers(K, unit)
+        assert (problem is not None) == expected, (K.poly, unit)
+        seen[expected] += 1
+    assert seen[True] > 80 and seen[False] > 60
 
 
 def test_csv_round_trip():

@@ -1,3 +1,4 @@
+import io
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -5,9 +6,12 @@ from fractions import Fraction
 import pytest
 
 from prationality.errors import InvariantViolation, SplittingUndetermined
-from prationality.harness import bundled_records
+from prationality.families import primes_up_to
+from prationality.harness import (bundled_records, load_records, records_to_csv,
+                                  reproduce_table)
 from prationality.numberfield import (
     FieldElement,
+    NumberField,
     dedekind_p_maximal,
     ideal_contains,
     ideal_from_two_generators,
@@ -20,9 +24,9 @@ from prationality.numberfield import (
     split_prime,
     squarefree_parts,
 )
-from prationality.recurrence import minimal_poly_spec
+from prationality.recurrence import cross_check, minimal_poly_spec
 from prationality.ring import (ModPoly, det_bareiss, discriminant, factor_mod_p,
-                              poly, poly_eval)
+                              poly, poly_mul)
 from prationality import selftest
 from prationality.selftest import suite_ef_sum
 from prationality.torsion import condition2_holds
@@ -155,29 +159,62 @@ def _inverse_by_char_poly(K, a, c):
     return inv
 
 
+def _char_poly_by_det(K, x):
+    """det(t I - M) / den^n for M = mul_matrix(x) and den = x.den, as
+    Fractions, interpolated from t = 0..n: the structure-constant reference
+    for char_poly, also where x is not integral."""
+    n, m = K.n, K.mul_matrix(x)
+    out = [Fraction(0)] * (n + 1)
+    for t in range(n + 1):
+        value = Fraction(det_bareiss(
+            [[t * x.den * (i == j) - m[j][i] for j in range(n)]
+             for i in range(n)]), x.den**n)
+        lagrange = (Fraction(1),)  # prod over s != t of (T - s) / (t - s)
+        for s in range(n + 1):
+            if s != t:
+                lagrange = poly_mul(lagrange, (Fraction(-s, t - s),
+                                               Fraction(1, t - s)))
+        out = [o + value * c for o, c in zip(out, lagrange)]
+    return tuple(out)
+
+
 def test_char_poly_matches_determinant_on_bundled_units():
-    # c(t) den^n = det(t den I - M) at t = 0..n pins down c, monic of degree
-    # n; on cubic units c is minimal_poly_spec's companion polynomial
-    cubic = 0
+    # on every bundled field, basis_den > 1 included: the units, their
+    # negatives and inverses, and random elements over denominators, whose
+    # power coordinates carry the basis denominator too; a ValueError
+    # exactly where the reference is not integral.  On cubic units c is
+    # minimal_poly_spec's companion polynomial
+    rng = random.Random(1931)
+    cubic = integral = refused = with_basis_den = 0
     for name in ("table1", "table2", "examples"):
         for record in bundled_records(name):
             K = record.build_field()
+            with_basis_den += K.basis_den > 1
             eps = record.unit_element()
             c = K.char_poly(eps)
             units = (eps, FieldElement(tuple(-x for x in eps.coords), eps.den),
                      _inverse_by_char_poly(K, eps, c))
             for unit in units:
                 c = K.char_poly(unit)
-                n, den, m = K.n, unit.den, K.mul_matrix(unit)
-                assert len(c) == n + 1 and c[-1] == 1 and abs(c[0]) == 1
-                for t in range(n + 1):
-                    assert poly_eval(c, t) * den**n == det_bareiss(
-                        [[t * den * (i == j) - m[j][i] for j in range(n)]
-                         for i in range(n)]), (record.label, unit)
-                if n == 3:
+                assert len(c) == K.n + 1 and c[-1] == 1 and abs(c[0]) == 1
+                assert c == _char_poly_by_det(K, unit), (record.label, unit)
+                if K.n == 3:
                     assert minimal_poly_spec(K, unit).companion_poly == c
                     cubic += 1
-    assert cubic > 100
+            for _ in range(6):
+                den = rng.choice([1, 2, 3, 4, 6])
+                x = FieldElement(tuple(rng.randint(-30, 30) * rng.choice([1, den])
+                                       for _ in range(K.n)), den)
+                ref = _char_poly_by_det(K, x)
+                if all(r.denominator == 1 for r in ref):
+                    assert K.char_poly(x) == ref, (record.label, x)
+                    integral += 1
+                else:
+                    with pytest.raises(ValueError, match="not integral"):
+                        K.char_poly(x)
+                    refused += 1
+    assert cubic > 100 and with_basis_den > 20
+    assert integral > 100 and refused > 100
 
 
 def test_char_poly_refuses_non_integral_and_checks_cayley_hamilton(
@@ -192,13 +229,52 @@ def test_char_poly_refuses_non_integral_and_checks_cayley_hamilton(
     with pytest.raises(ValueError, match="not integral"):
         condition2_holds(K, 5, FieldElement((0, 1, 0), 3),
                          squarefree_parts(K, 5))
-    # a wrong structure constant 1 * 1 = 2 makes Tr(1) = 4, not 3: the
-    # power sums of alpha give a polynomial that alpha does not satisfy
-    wrong = [list(row) for row in K._structure]
-    wrong[0][0] = (2, 0, 0)
-    monkeypatch.setattr(K, "_structure", wrong)
+    # a wrong trace Tr(1) = 4, not 3, makes Tr(alpha^3) = Tr(4 alpha - 27)
+    # = -108: the power sums of alpha give t^3 - 4t + 36, which alpha does
+    # not satisfy
+    assert K._traces == (3, 0, 8)
+    monkeypatch.setattr(K, "_traces", (4, 0, 8))
     with pytest.raises(InvariantViolation):
         K.char_poly(FieldElement((0, 1, 0)))
+
+
+def test_structure_constants_are_built_on_first_use(monkeypatch):
+    # a power-basis record's load, table cells and recurrence cross-checks
+    # build no structure constants; a basis with a denominator builds them
+    # once, at load, to check that its rows span an order
+    bundled = [r for name in ("table1", "table2", "examples")
+               for r in bundled_records(name)]
+    power = records_to_csv([r for r in bundled if r.integral_basis is None])
+    with_den = records_to_csv([next(r for r in bundled_records("table1")
+                                    if r.build_field().basis_den > 1)])
+    calls = []
+    original = NumberField._structure_constants
+
+    def counted(K):
+        calls.append(K.poly)
+        return original(K)
+
+    monkeypatch.setattr(NumberField, "_structure_constants", counted)
+    records = load_records(io.StringIO(power))
+    assert len(records) > 20
+    reproduce_table(records, 5, 29)
+    checked = 0
+    for record in records:
+        if record.degree != 3:
+            continue
+        K, unit = record.build_field(), record.unit_element()
+        spec = minimal_poly_spec(K, unit)
+        for p in primes_up_to(29):
+            if p >= 5 and spec.companion_disc % p:
+                cross_check(K, unit, spec, p)
+                checked += 1
+    assert checked > 100 and calls == []
+    [record] = load_records(io.StringIO(with_den))
+    K = record.build_field()
+    assert calls == [K.poly]
+    K.mul(record.unit_element(), record.unit_element())
+    K.norm(record.unit_element())
+    assert calls == [K.poly]
 
 
 def _dedekind(f, p):

@@ -136,9 +136,9 @@ def _inverse(K, x):
     """x^-1 for a unit x of the order: the solution y of x * y = 1."""
     cols = K.mul_matrix(x)
     a = [[cols[j][i] for j in range(K.n)] for i in range(K.n)]
-    det = ring.det_bareiss(a)
+    det, adj = ring.det_adjugate(a)
     sign = 1 if det > 0 else -1
-    y = FieldElement(tuple(sign * row[0] * x.den for row in ring.adjugate(a)),
+    y = FieldElement(tuple(sign * row[0] * x.den for row in adj),
                      abs(det)).normalized()
     assert K.equals(K.mul(x, y), K.one())
     return y

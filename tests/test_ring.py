@@ -7,6 +7,8 @@ from prationality.numberfield import part_shapes
 from prationality.ring import (
     ModPoly,
     derivative,
+    det_adjugate,
+    det_bareiss,
     discriminant,
     factor_mod_p,
     hensel_lift_root,
@@ -17,6 +19,7 @@ from prationality.ring import (
     poly,
     poly_eval,
     poly_mul,
+    poly_rem,
     powmod,
 )
 
@@ -255,11 +258,45 @@ def test_mulmod_and_powmod_match_division_by_f():
         a, b = (tuple(rng.randint(-99, 99) for _ in range(rng.randint(0, 2 * n)))
                 for _ in range(2))
         assert mulmod(a, b, f, m) == rem(poly_mul(a, b)), (f, m, a, b)
+        assert poly_rem(poly_mul(a, b), f) == poly(
+            _rem_by_monic(poly_mul(a, b), f)), (f, a, b)
         e = rng.randint(0, 30)
         expected = (1,)
         for _ in range(e):
             expected = rem(poly_mul(expected, a))
         assert powmod(a, e, f, m) == expected, (f, m, a, e)
+
+
+def _adjugate(rows):
+    """Adjugate by cofactors: entry (i, j) is the (j, i) cofactor; the
+    reference for det_adjugate."""
+    n = len(rows)
+    return [[(-1) ** (i + j) * det_bareiss(
+                [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+             for j in range(n)] for i in range(n)]
+
+
+def test_det_adjugate_matches_cofactors():
+    # random 2-4 square matrices, sparse enough that zero pivots (a row
+    # swap) and singular matrices are frequent, plus fixed cases of both
+    rng = random.Random(4711)
+    cases = [[[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+             [[1, 2, 3], [2, 4, 6], [0, 0, 1]], [[0, 1], [0, 2]]]
+    for _ in range(3000):
+        n = rng.randint(2, 4)
+        cases.append([[rng.choice((0, 0, rng.randint(-9, 9)))
+                       for _ in range(n)] for _ in range(n)])
+    swapped = singular = 0
+    for rows in cases:
+        det, adj = det_adjugate(rows)
+        assert det == det_bareiss(rows), rows
+        if det == 0:
+            assert adj is None
+            singular += 1
+            continue
+        swapped += rows[0][0] == 0
+        assert adj == _adjugate(rows), rows
+    assert swapped > 100 and singular > 100 and len(cases) - singular > 400
 
 
 def test_powmod_rejects_bad_input():

@@ -18,8 +18,8 @@ from prationality.numberfield import (
     squarefree_parts,
 )
 from prationality import ring, torsion
-from prationality.ring import (adjugate, degree, derivative, det_bareiss,
-                               mulmod, poly, poly_add, poly_sub, powmod)
+from prationality.ring import (degree, derivative, det_adjugate, mulmod, poly,
+                               poly_add, poly_sub, powmod)
 from prationality.rationality import verdict
 from prationality.torsion import applicability_guard, condition2, condition2_holds
 
@@ -150,9 +150,8 @@ def _unit_inverse(K, eps):
     cols = K.mul_matrix(eps)
     n = K.n
     rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    det = det_bareiss(rows)
+    det, adj = det_adjugate(rows)
     sign = 1 if det > 0 else -1
-    adj = adjugate(rows)
     return FieldElement(tuple(sign * eps.den * adj[i][0] for i in range(n)),
                         abs(det)).normalized()
 
