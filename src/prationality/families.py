@@ -16,6 +16,7 @@ from .errors import InvariantViolation
 from .numberfield import (FieldElement, NumberField, make_field, part_shapes,
                           squarefree_parts)
 from .recurrence import MIXED_1_2, SPLIT_COMPLETELY, splitting_type
+from .ring import poly_mul, poly_rem
 from . import torsion as torsion_mod
 
 EULER_GAMMA = 0.5772156649015329
@@ -86,9 +87,8 @@ class PureCubicInstance:
             raise ValueError("family starts at p = 5")
         K = make_field((1 - p**3, 0, 0, 1))
         eps = FieldElement((p * p, p, 1))
-        # validate eps * (p - alpha) = 1
-        pm = FieldElement((p, -1, 0))
-        if not K.equals(K.mul(eps, pm), K.one()):
+        # validate eps * (p - alpha) = 1 exactly in Z[x]/(f), the power basis
+        if poly_rem(poly_mul(eps.coords, (p, -1)), K.poly) != (1,):
             raise InvariantViolation("unit identity eps*(p-alpha) = 1 failed")
         return cls(p, K, eps)
 

@@ -74,8 +74,9 @@ class Verdict:
     guard_reason: str = ""
 
 
-def _completely_split(K: NumberField, p: int) -> bool:
-    return part_shapes(squarefree_parts(K, p)) == ((1, 1),) * K.n
+def _completely_split(K: NumberField, parts) -> bool:
+    """Whether the squarefree parts of f mod p give n primes of degree 1."""
+    return part_shapes(parts) == ((1, 1),) * K.n
 
 
 def log_index_split_cyclic(K: NumberField, p: int, Q, g: FieldElement,
@@ -103,7 +104,7 @@ def log_index_split_cyclic(K: NumberField, p: int, Q, g: FieldElement,
         raise ValueError("auxiliary ideal must be prime to p")
     if principal_ideal(K, g).rows != ideal_pow(K, Q, p).rows:
         raise ValueError("generator does not generate Q^p")
-    if not _completely_split(K, p):
+    if not _completely_split(K, squarefree_parts(K, p)):
         raise ValueError("p is not completely split")
     # k = 2 never decides: the unit's log is divisible by p = p^(k - 1)
     k = precision if precision > 2 else 4
@@ -145,14 +146,15 @@ def _log_index_at_precision(K: NumberField, p: int, g: FieldElement,
 
 
 def condition1(K: NumberField, p: int, *, class_number: int | None,
-               unit: FieldElement,
+               unit: FieldElement, parts,
                aux: AuxIdealData | None = None) -> Condition1Report:
     """Decide condition (1) where possible.
 
     p coprime to h(K) settles it trivially.  Otherwise the split-cyclic
     branch requires: p completely split, p-part of the class group cyclic of
     order exactly p, and record-supplied auxiliary ideal data.  Anything
-    else is Undetermined.
+    else is Undetermined.  parts are the squarefree parts of f mod p
+    (squarefree_parts), which the verdict already holds.
     """
     if class_number is None:
         raise ValueError("class number is required for condition (1)")
@@ -171,7 +173,7 @@ def condition1(K: NumberField, p: int, *, class_number: int | None,
         )
     if aux is None:
         return Condition1Report(UNDETERMINED, detail="no auxiliary ideal data")
-    if not _completely_split(K, p):
+    if not _completely_split(K, parts):
         return Condition1Report(UNDETERMINED, detail="p is not completely split")
     Q = ideal_from_two_generators(
         K, aux.q, ModPoly(tuple(c % aux.q for c in aux.gen_poly), aux.q)
@@ -201,7 +203,8 @@ def verdict(K: NumberField, p: int, *, unit: FieldElement,
     if guard is not None:
         return Verdict(NOT_APPLICABLE, (GUARD,), guard_reason=guard.reason)
     holds2 = torsion_mod.condition2_holds(K, p, unit, parts)
-    rep1 = condition1(K, p, class_number=class_number, unit=unit, aux=aux)
+    rep1 = condition1(K, p, class_number=class_number, unit=unit,
+                      parts=parts, aux=aux)
     reasons = []
     if class_number is not None and class_number % p == 0:
         reasons.append(CLASS_NUMBER_DIVISIBLE)

@@ -1,12 +1,23 @@
 """Third-order recurrence screen for unit congruences.
 
-From the minimal polynomial x^3 - a2 x^2 - a1 x - a0 of a cubic fundamental
-unit, the sequence F_{n+3} = a2 F_{n+2} + a1 F_{n+1} + a0 F_n with
-F0 = F1 = 0, F2 = 1 is evaluated at the index matching the splitting type of
-p (p-1, p^2-1 or p^3-1) modulo p^2, read off x^n modulo the companion
-polynomial and p^2.  A nonzero value implies the existence of a witness
-prime for the unit-congruence test; the implication is one directional and
-cross-checked against the direct evaluation.
+From the minimal polynomial chi = x^3 - a2 x^2 - a1 x - a0 of a cubic
+fundamental unit, the sequence F_{n+3} = a2 F_{n+2} + a1 F_{n+1} + a0 F_n
+with F0 = F1 = 0, F2 = 1 is evaluated at the index matching the splitting
+type of p (p-1, p^2-1 or p^3-1) modulo p^2, read off t^n in Z[t]/(chi, p^2).
+A nonzero value implies the existence of a witness prime for the
+unit-congruence test; the implication is one directional and cross-checked
+against the direct evaluation.
+
+The screen needs p not dividing disc(chi), and then reads the splitting
+off the same chain of powers.  chi is squarefree mod p, so its residue
+degrees are those of the Frobenius t -> t^p on F_p[t]/(chi): chi splits
+into linear factors iff t^p = t mod (chi, p).  Otherwise Stickelberger's
+parity theorem, (disc chi / p) = (-1)^(3 - r) for r irreducible factors
+(Swan, Pacific J. Math. 12, 1962), tells 1+2 (r = 2) from inert (r = 1).
+This is how p splits in K: disc(chi) = [O_K : Z[eps]]^2 disc(K), so p
+prime to it gives Z_p[eps] = O_K (x) Z_p, as in the torsion module, and
+the irreducible factors of chi mod p are the prime ideals over p with their
+degrees (Kummer-Dedekind).
 """
 
 from __future__ import annotations
@@ -14,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .numberfield import (FieldElement, NumberField, part_shapes,
-                          squarefree_parts)
-from .ring import discriminant, poly, powmod
+from .numberfield import FieldElement, NumberField, squarefree_parts
+from .ring import discriminant, kernel, poly, poly_sub, powmod
 from . import torsion as torsion_mod
 
 SPLIT_COMPLETELY = "split-completely"
@@ -43,6 +53,7 @@ class RecurrenceSpec:
 
 @dataclass(frozen=True)
 class ScreenResult:
+    splitting: str
     index: int
     value: int
     nonzero: bool
@@ -82,19 +93,30 @@ def splitting_type(shape) -> str:
     raise ValueError(f"unramified cubic splitting expected, got {shapes}")
 
 
-def screen(spec: RecurrenceSpec, p: int, splitting: str) -> ScreenResult:
-    """Evaluate the case-appropriate F index mod p^2."""
+def screen(spec: RecurrenceSpec, p: int) -> ScreenResult:
+    """F_(p^F - 1) mod p^2 for the residue degree F of the splitting of p,
+    which u_1 = t^(p-1) in Z[t]/(chi, p^2) gives (module docstring); then
+    u_F = u_(F-1)^p u_1 = t^(p^F - 1), whose t^2 coordinate is the value
+    (f_index_mod)."""
     if p == 2:
         raise ValueError("p must be odd")
     if spec.companion_disc % p == 0:
         raise ValueError("p divides the discriminant of the companion polynomial")
-    index = {
-        SPLIT_COMPLETELY: p - 1,
-        MIXED_1_2: p * p - 1,
-        INERT: p**3 - 1,
-    }[splitting]
-    value = f_index_mod(spec, index, p * p)
-    return ScreenResult(index, value, value != 0)
+    k = kernel(spec.companion_poly, p * p)
+    t = k.pack((0, 1))
+    u1 = k.pow(t, p - 1)
+    if all(c % p == 0 for c in poly_sub(k.unpack(k.reduce(u1 * t)), (0, 1))):
+        splitting, F = SPLIT_COMPLETELY, 1
+    elif pow(spec.companion_disc, (p - 1) // 2, p) == p - 1:
+        splitting, F = MIXED_1_2, 2
+    else:
+        splitting, F = INERT, 3
+    u = u1
+    for _ in range(F - 1):
+        u = k.reduce(k.pow(u, p) * u1)
+    r = k.unpack(u)
+    value = r[2] if len(r) > 2 else 0
+    return ScreenResult(splitting, p**F - 1, value, value != 0)
 
 
 def minimal_poly_spec(K: NumberField, unit: FieldElement) -> RecurrenceSpec:
@@ -125,8 +147,11 @@ def cross_check(K: NumberField, unit: FieldElement, spec: RecurrenceSpec,
     """
     _check_spec(K, unit, spec)
     parts = squarefree_parts(K, p)
-    stype = splitting_type(part_shapes(parts))
-    sres = screen(spec, p, stype)
+    # a ramified p divides disc(chi) too; the refusal says how it ramifies
+    if any(m > 1 for _, m in parts):
+        shapes = sorted((m, g.degree) for g, m in parts)
+        raise ValueError(f"unramified cubic splitting expected, got {shapes}")
+    sres = screen(spec, p)
     holds = torsion_mod.condition2_holds(K, p, unit, parts)
     violation = sres.nonzero and not holds
-    return ConsistencyReport(p, stype, sres, holds, violation)
+    return ConsistencyReport(p, sres.splitting, sres, holds, violation)

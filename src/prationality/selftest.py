@@ -4,8 +4,10 @@ Each suite returns (name, passed, detail); run_all aggregates them.  These are
 the engine's internal consistency oracles: the reduced-form class numbers
 against the Dirichlet character sum, the recurrence read off x^n modulo its
 companion polynomial against direct iteration, the prime factors of random
-fields against f mod p, and condition (2) for all P at once against the
-per-P report, two computations in Z[x]/(f, p^2), on every bundled field.
+fields against f mod p, condition (2) for all P at once against the
+per-P report, two computations in Z[x]/(f, p^2), on every bundled field, and
+the recurrence screen's splitting and value against the prime factors and
+the direct index on every bundled cubic.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .families import (
 from .harness import bundled_records
 from .numberfield import (make_field, part_shapes, radical_cofactor,
                           split_prime, squarefree_parts)
-from .recurrence import RecurrenceSpec, f_index_mod
+from .recurrence import (RecurrenceSpec, f_index_mod, minimal_poly_spec,
+                         screen, splitting_type)
 from .torsion import applicability_guard, condition2, condition2_holds
 
 
@@ -92,14 +95,17 @@ def suite_ef_sum(pairs: int = 1000):
     return ("ef-sum", True, f"{pairs} random (field, prime) pairs")
 
 
+def _bundled():
+    return (bundled_records("table1") + bundled_records("table2")
+            + bundled_records("examples"))
+
+
 def suite_condition2_oracles(pmax: int = 100):
     """condition2_holds and the (e, f) read off the squarefree parts
     against the per-P report, on every bundled field at every certified
     prime the guard admits, ramified primes included."""
     compared = {False: 0, True: 0}  # keyed by "ramified"
-    records = (bundled_records("table1") + bundled_records("table2")
-               + bundled_records("examples"))
-    for record in records:
+    for record in _bundled():
         K = record.build_field()
         unit = record.unit_element()
         for p in primes_up_to(pmax):
@@ -128,11 +134,49 @@ def suite_condition2_oracles(pmax: int = 100):
     )
 
 
+def suite_screen_oracles(pmax: int = 100):
+    """The splitting that the recurrence screen reads off the Frobenius
+    power against split_prime's (e, f), and its value against f_index_mod
+    at p^F - 1, on every bundled cubic at every odd certified prime that
+    does not divide disc(chi)."""
+    checked = 0
+    for record in _bundled():
+        if record.degree != 3:
+            continue
+        K = record.build_field()
+        spec = minimal_poly_spec(K, record.unit_element())
+        for p in primes_up_to(pmax)[1:]:
+            if spec.companion_disc % p == 0:
+                continue
+            try:
+                factors = split_prime(K, p)
+            except SplittingUndetermined:
+                continue
+            F = max(pf.f for pf in factors)
+            res = screen(spec, p)
+            if (res.splitting != splitting_type((pf.e, pf.f) for pf in factors)
+                    or res.index != p**F - 1
+                    or res.value != f_index_mod(spec, p**F - 1, p * p)):
+                return (
+                    "screen-oracles",
+                    False,
+                    f"mismatch with split_prime at {record.label}, p={p}",
+                )
+            checked += 1
+    return (
+        "screen-oracles",
+        True,
+        f"the screen's splitting and value agree with split_prime at "
+        f"{checked} (cubic, prime) pairs",
+    )
+
+
 def run_all(fast: bool = False):
     suites = [
         suite_forms_vs_dirichlet(),
         suite_recurrence_matrix_vs_iteration(20 if fast else 100),
         suite_ef_sum(100 if fast else 1000),
         suite_condition2_oracles(50 if fast else 100),
+        suite_screen_oracles(50 if fast else 100),
     ]
     return suites

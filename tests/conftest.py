@@ -46,6 +46,13 @@ def distinct_degree_calls(monkeypatch):
 
 
 @pytest.fixture
+def part_shapes_calls(monkeypatch):
+    """The parts of every numberfield.part_shapes call."""
+    return _record_calls(monkeypatch, numberfield.part_shapes,
+                         lambda parts: parts)
+
+
+@pytest.fixture
 def pow_mod_calls(monkeypatch):
     """(exponent, modulus) of every NumberField.pow_mod call."""
     calls = []

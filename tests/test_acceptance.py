@@ -20,7 +20,8 @@ from prationality.harness import (
     bundled_records,
     reproduce_table,
 )
-from prationality.numberfield import FieldElement, make_field, split_prime
+from prationality.numberfield import (FieldElement, make_field, split_prime,
+                                      squarefree_parts)
 from prationality.rationality import P_RATIONAL, condition1, verdict
 from prationality.recurrence import cross_check, minimal_poly_spec
 from prationality.ring import discriminant
@@ -130,7 +131,7 @@ def test_acceptance_2_example_62():
     rec = [r for r in records if r.poly_coeffs == (27, -4, 0, 1)][0]
     rep1 = condition1(
         K, 3, class_number=rec.class_number, unit=rec.unit_element(),
-        aux=rec.aux,
+        parts=squarefree_parts(K, 3), aux=rec.aux,
     )
     assert rep1.index == 3 and rep1.holds is True
 

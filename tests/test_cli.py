@@ -177,6 +177,23 @@ def test_recurrence_cli(capsys):
     assert "violation False" in out
 
 
+@pytest.mark.parametrize("p, splitting, index, value, mod", [
+    (5, "1+2", 24, 10, 25),
+    (7, "1+2", 48, 35, 49),
+    (11, "1+2", 120, 66, 121),
+    (13, "1+2", 168, 143, 169),
+    (31, "inert", 29790, 620, 961),
+    (97, "inert", 912672, 970, 9409),
+])
+def test_recurrence_cli_output_is_pinned(capsys, p, splitting, index, value,
+                                         mod):
+    rc = cli(["recurrence", "--prime", str(p)])
+    assert rc == 0
+    assert capsys.readouterr() == (
+        f"x^3-4*x+27: splitting {splitting}, F_{index} = {value} (mod {mod}), "
+        "screen nonzero, witness present, violation False\n", "")
+
+
 def test_scan_cli(tmp_path, capsys):
     csv_text = (
         "label,degree,poly,h,unit,unit_den,torsion_order\n"

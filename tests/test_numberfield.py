@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from prationality.errors import InvariantViolation, SplittingUndetermined
-from prationality.families import primes_up_to
+from prationality.families import primes_up_to, pure_cubic_scan
 from prationality.harness import (bundled_records, load_records, records_to_csv,
                                   reproduce_table)
 from prationality.numberfield import (
@@ -239,9 +239,10 @@ def test_char_poly_refuses_non_integral_and_checks_cayley_hamilton(
 
 
 def test_structure_constants_are_built_on_first_use(monkeypatch):
-    # a power-basis record's load, table cells and recurrence cross-checks
-    # build no structure constants; a basis with a denominator builds them
-    # once, at load, to check that its rows span an order
+    # a power-basis record's load, table cells and recurrence cross-checks,
+    # and the pure-cubic scan, build no structure constants; a basis with a
+    # denominator builds them once, at load, to check that its rows span an
+    # order
     bundled = [r for name in ("table1", "table2", "examples")
                for r in bundled_records(name)]
     power = records_to_csv([r for r in bundled if r.integral_basis is None])
@@ -269,6 +270,7 @@ def test_structure_constants_are_built_on_first_use(monkeypatch):
                 cross_check(K, unit, spec, p)
                 checked += 1
     assert checked > 100 and calls == []
+    assert len(pure_cubic_scan(5, 200)) == 44 and calls == []
     [record] = load_records(io.StringIO(with_den))
     K = record.build_field()
     assert calls == [K.poly]

@@ -146,14 +146,16 @@ def _inverse(K, x):
 
 def test_condition1_trivial_class_number():
     L = make_field(EX63)
-    rep = condition1(L, 5, class_number=1, unit=EPS63)
+    rep = condition1(L, 5, class_number=1, unit=EPS63,
+                     parts=squarefree_parts(L, 5))
     assert rep.branch == TRIVIAL_CLASS_NUMBER and rep.holds is True
 
 
 def test_condition1_requires_class_number():
     L = make_field(EX63)
     with pytest.raises(ValueError):
-        condition1(L, 5, class_number=None, unit=EPS63)
+        condition1(L, 5, class_number=None, unit=EPS63,
+                   parts=squarefree_parts(L, 5))
 
 
 @pytest.mark.parametrize("h", [0, -5])
@@ -161,20 +163,43 @@ def test_condition1_refuses_nonpositive_class_number(deadline, h):
     # h = 0 once hung in the loop dividing h by p
     K = make_field(EX62)
     with deadline(5), pytest.raises(ValueError, match="must be positive"):
-        condition1(K, 3, class_number=h, unit=EPS62, aux=AUX62)
+        condition1(K, 3, class_number=h, unit=EPS62,
+                   parts=squarefree_parts(K, 3), aux=AUX62)
 
 
 def test_condition1_split_cyclic_example_62():
     K = make_field(EX62)
-    rep = condition1(K, 3, class_number=3, unit=EPS62, aux=AUX62)
+    rep = condition1(K, 3, class_number=3, unit=EPS62,
+                     parts=squarefree_parts(K, 3), aux=AUX62)
     assert rep.branch == SPLIT_CYCLIC_INDEX
     assert rep.index == 3
     assert rep.holds is True
 
 
+def test_verdict_hands_its_parts_to_condition1(monkeypatch):
+    # the split-cyclic branch reads complete splitting off the verdict's
+    # parts; only log_index_split_cyclic's own check computes them again
+    calls = []
+    original = rationality.squarefree_parts
+
+    def counted(K, p):
+        calls.append(p)
+        return original(K, p)
+
+    monkeypatch.setattr(rationality, "squarefree_parts", counted)
+    K = make_field(EX62)
+    v = verdict(K, 3, unit=EPS62, class_number=3, aux=AUX62)
+    assert v.condition1.branch == SPLIT_CYCLIC_INDEX and calls == [3, 3]
+    calls.clear()
+    v = verdict(K, 5, unit=EPS62, class_number=5, aux=AUX62)
+    assert v.condition1.detail == "p is not completely split"
+    assert calls == [5]
+
+
 def test_condition1_undetermined_without_aux():
     K = make_field(EX62)
-    rep = condition1(K, 3, class_number=3, unit=EPS62)
+    rep = condition1(K, 3, class_number=3, unit=EPS62,
+                     parts=squarefree_parts(K, 3))
     assert rep.branch == UNDETERMINED and rep.holds is None
 
 
@@ -319,7 +344,7 @@ def test_log_index_invariant_under_shift_of_alpha():
         shifted = _shifted_record(rec, c)
         K = shifted.build_field()
         rep = condition1(K, 3, class_number=3, unit=shifted.unit_element(),
-                         aux=shifted.aux)
+                         parts=squarefree_parts(K, 3), aux=shifted.aux)
         assert (rep.branch, rep.index) == (SPLIT_CYCLIC_INDEX, 3), c
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from prationality import recurrence
+from prationality import numberfield, recurrence
 from prationality.families import primes_up_to
 from prationality.harness import CELL_ERROR, bundled_records, reproduce_table
 from prationality.numberfield import FieldElement, NumberField, make_field
@@ -15,7 +15,8 @@ from prationality.recurrence import (
     screen,
 )
 from prationality.ring import discriminant
-from prationality.selftest import suite_recurrence_matrix_vs_iteration
+from prationality.selftest import (suite_recurrence_matrix_vs_iteration,
+                                   suite_screen_oracles)
 
 EX62 = (27, -4, 0, 1)
 EPS62 = FieldElement((-3280, -3462, -729))
@@ -74,11 +75,33 @@ def test_screen_examples():
 
     assert discriminant(spec.companion_poly) % 3 == 0
     with pytest.raises(ValueError):
-        screen(spec, 3, SPLIT_COMPLETELY)
+        screen(spec, 3)
     spec2 = RecurrenceSpec(1, 1, 1)
-    res2 = screen(spec2, 5, INERT)
+    res2 = screen(spec2, 5)
+    assert res2.splitting == INERT
     assert res2.index == 124
     assert res2.value == _iterate(spec2, 124, 25)
+
+
+def test_screen_reads_the_splitting_off_chi():
+    spec = RecurrenceSpec(1, 1, 1)  # x^3 - x^2 - x - 1, disc -44
+    # 3 is a root mod 7 and (-44 / 7) = -1: one linear and one quadratic
+    res = screen(spec, 7)
+    assert (res.splitting, res.index) == (MIXED_1_2, 48)
+    assert res.value == _iterate(spec, 48, 49)
+    # no root mod 5 and (-44 / 5) = 1: inert
+    res = screen(spec, 5)
+    assert (res.splitting, res.index) == (INERT, 124)
+    assert res.value == _iterate(spec, 124, 25)
+    # x^3 - x^2 - x - 1 = (x - 5)(x - 17)(x - 26) mod 47
+    res = screen(spec, 47)
+    assert (res.splitting, res.index) == (SPLIT_COMPLETELY, 46)
+    assert res.value == _iterate(spec, 46, 47 * 47)
+
+
+def test_screen_agrees_with_split_prime_on_bundled_cubics():
+    _, ok, detail = suite_screen_oracles()
+    assert ok, detail
 
 
 def test_screen_rejects_bad_p():
@@ -88,9 +111,9 @@ def test_screen_rejects_bad_p():
     )
     bad = next(p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31) if d % p == 0)
     with pytest.raises(ValueError):
-        screen(spec, bad, SPLIT_COMPLETELY)
+        screen(spec, bad)
     with pytest.raises(ValueError):
-        screen(spec, 2, INERT)
+        screen(spec, 2)
 
 
 def test_companion_disc_is_computed_once_per_spec(monkeypatch):
@@ -104,9 +127,9 @@ def test_companion_disc_is_computed_once_per_spec(monkeypatch):
     monkeypatch.setattr(recurrence, "discriminant", counted)
     assert spec.companion_disc == discriminant(spec.companion_poly) == -44
     for p in (5, 7, 13):
-        screen(spec, p, INERT)
+        screen(spec, p)
     with pytest.raises(ValueError):
-        screen(spec, 11, INERT)  # 11 divides -44
+        screen(spec, 11)  # 11 divides -44
     assert len(calls) == 1
     assert RecurrenceSpec(1, 1, 1) == spec
 
@@ -168,6 +191,21 @@ def test_cross_check_vacuous_when_screen_zero():
             continue
         rep = cross_check(K, EPS62, spec, p)
         assert not rep.violation
+
+
+def test_cross_check_splits_no_polynomial(part_shapes_calls,
+                                          distinct_degree_calls):
+    K = make_field(EX62)
+    spec = minimal_poly_spec(K, EPS62)
+    splittings = set()
+    for p in primes_up_to(200):
+        if p >= 5 and spec.companion_disc % p:
+            splittings.add(cross_check(K, EPS62, spec, p).splitting)
+    assert splittings == {SPLIT_COMPLETELY, MIXED_1_2, INERT}
+    assert part_shapes_calls == distinct_degree_calls == []
+    # the counters see a direct call
+    numberfield.part_shapes(numberfield.squarefree_parts(K, 5))
+    assert len(part_shapes_calls) == len(distinct_degree_calls) == 1
 
 
 def test_cross_check_rejects_mismatched_spec():
