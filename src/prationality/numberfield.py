@@ -143,12 +143,8 @@ class NumberField:
         if self.poly_disc % (self.index**2) != 0:
             raise ValueError("basis determinant incompatible with disc(f)")
         self.field_disc = self.poly_disc // self.index**2
-        # Tr(alpha^m), m < n: the power sums of the roots of f (Newton)
-        traces = [n]
-        for k in range(1, n):
-            traces.append(-k * f[n - k] - sum(f[n - i] * traces[k - i]
-                                              for i in range(1, k)))
-        self._traces = tuple(traces)
+        # Tr(alpha^m), m < n: the power sums of the roots of f
+        self._traces = tuple(ring.power_sums(f, n))
         self._char_polys: dict[FieldElement, tuple[tuple[int, ...], int]] = {}
         # integral rows spanning a lattice that contains Z[alpha] span Z[alpha]
         self.is_power_basis = d == 1
@@ -456,11 +452,13 @@ def squarefree_parts(K: NumberField,
     Since p does not divide the index, each irreducible factor g of g_m
     gives the prime ideal (p, g(alpha)) with e = m and f = deg g.
     """
-    fbar = ring.mod_poly(K.poly, p)
     if K.poly_disc % p != 0:
+        # f is monic, so f mod p is normalized and needs no ModPoly checks
+        fbar = object.__new__(ModPoly)
+        fbar.__dict__.update(coeffs=tuple([c % p for c in K.poly]), modulus=p)
         return ((fbar, 1),)
     parts = tuple((ModPoly(g, p), m)
-                  for g, m in ring._sqf_decomposition(fbar.coeffs, p))
+                  for g, m in ring._sqf_decomposition(ring._mp(K.poly, p), p))
     _require_certificate(K, p, parts)
     return parts
 

@@ -5,8 +5,8 @@ fundamental unit, the sequence F_{n+3} = a2 F_{n+2} + a1 F_{n+1} + a0 F_n
 with F0 = F1 = 0, F2 = 1 is evaluated at the index matching the splitting
 type of p (p-1, p^2-1 or p^3-1) modulo p^2, read off t^n in Z[t]/(chi, p^2).
 A nonzero value implies the existence of a witness prime for the
-unit-congruence test; the implication is one directional and cross-checked
-against the direct evaluation.
+unit-congruence test; the implication is one directional, and cross_check
+tests it against condition (2) decided from the screen's own t^p (torsion).
 
 The screen needs p not dividing disc(chi), and then reads the splitting
 off the same chain of powers.  chi is squarefree mod p, so its residue
@@ -57,6 +57,7 @@ class ScreenResult:
     index: int
     value: int
     nonzero: bool
+    gamma: int  # t^p in Z[t]/(chi, p^2), packed by kernel(chi, p^2)
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,9 @@ def splitting_type(shape) -> str:
 
 def screen(spec: RecurrenceSpec, p: int) -> ScreenResult:
     """F_(p^F - 1) mod p^2 for the residue degree F of the splitting of p,
-    which u_1 = t^(p-1) in Z[t]/(chi, p^2) gives (module docstring); then
-    u_F = u_(F-1)^p u_1 = t^(p^F - 1), whose t^2 coordinate is the value
-    (f_index_mod)."""
+    which gamma = u_1 t, u_1 = t^(p-1) in Z[t]/(chi, p^2), gives (module
+    docstring); then u_F = u_(F-1)^p u_1 = t^(p^F - 1), whose t^2
+    coordinate is the value (f_index_mod).  gamma is handed out too."""
     if p == 2:
         raise ValueError("p must be odd")
     if spec.companion_disc % p == 0:
@@ -105,7 +106,8 @@ def screen(spec: RecurrenceSpec, p: int) -> ScreenResult:
     k = kernel(spec.companion_poly, p * p)
     t = k.pack((0, 1))
     u1 = k.pow(t, p - 1)
-    if all(c % p == 0 for c in poly_sub(k.unpack(k.reduce(u1 * t)), (0, 1))):
+    gamma = k.reduce(u1 * t)
+    if all(c % p == 0 for c in poly_sub(k.unpack(gamma), (0, 1))):
         splitting, F = SPLIT_COMPLETELY, 1
     elif pow(spec.companion_disc, (p - 1) // 2, p) == p - 1:
         splitting, F = MIXED_1_2, 2
@@ -116,42 +118,41 @@ def screen(spec: RecurrenceSpec, p: int) -> ScreenResult:
         u = k.reduce(k.pow(u, p) * u1)
     r = k.unpack(u)
     value = r[2] if len(r) > 2 else 0
-    return ScreenResult(splitting, p**F - 1, value, value != 0)
+    return ScreenResult(splitting, p**F - 1, value, value != 0, gamma)
 
 
 def minimal_poly_spec(K: NumberField, unit: FieldElement) -> RecurrenceSpec:
-    """RecurrenceSpec from the characteristic polynomial of the unit
-    (NumberField.cached_char_poly); rejects units generating a proper
-    subfield."""
+    """RecurrenceSpec from the characteristic polynomial of the unit and its
+    discriminant, both as NumberField.cached_char_poly keeps them; rejects
+    units generating a proper subfield."""
     if K.n != 3:
         raise ValueError("recurrence screen is for cubic fields")
-    c, _ = K.cached_char_poly(unit)  # ValueError unless integral
+    c, disc = K.cached_char_poly(unit)  # ValueError unless integral
     spec = RecurrenceSpec(a2=-c[2], a1=-c[1], a0=-c[0])
+    spec.__dict__["companion_disc"] = disc  # the field's, not computed again
     if spec.companion_disc == 0:
         raise ValueError("unit generates a proper subfield (degree drop)")
     return spec
 
 
-def _check_spec(K: NumberField, unit: FieldElement, spec: RecurrenceSpec) -> None:
-    """Raise ValueError unless spec is the characteristic polynomial of the
-    unit, which the field computes once."""
-    if K.cached_char_poly(unit)[0] != spec.companion_poly:
-        raise ValueError("spec does not match the minimal polynomial of the unit")
-
-
 def cross_check(K: NumberField, unit: FieldElement, spec: RecurrenceSpec,
                 p: int) -> ConsistencyReport:
-    """Assert the screen's implication against the direct congruence test.
-
-    spec must be the characteristic polynomial of the unit (_check_spec).
+    """Assert the screen's implication against the direct congruence test,
+    condition (2) read off the screen's own gamma = t^p in Z[t]/(chi, p^2)
+    as the chi-path of torsion.condition2_holds reads it: one power, no
+    splitting of f.  ValueError unless spec is chi, the characteristic
+    polynomial of the unit, which the field keeps.  At p dividing disc(f),
+    f mod p has a repeated factor: p ramifies, and divides disc(chi) too, or
+    squarefree_parts refuses it; the refusal says how p ramifies.
     """
-    _check_spec(K, unit, spec)
-    parts = squarefree_parts(K, p)
-    # a ramified p divides disc(chi) too; the refusal says how it ramifies
-    if any(m > 1 for _, m in parts):
-        shapes = sorted((m, g.degree) for g, m in parts)
+    chi, _ = torsion_mod._unit_char_poly(K, unit)  # ValueError unless a unit
+    if chi != spec.companion_poly:
+        raise ValueError("spec does not match the minimal polynomial of the unit")
+    if K.poly_disc % p == 0:
+        shapes = sorted((m, g.degree) for g, m in squarefree_parts(K, p))
         raise ValueError(f"unramified cubic splitting expected, got {shapes}")
     sres = screen(spec, p)
-    holds = torsion_mod.condition2_holds(K, p, unit, parts)
+    holds = bool(torsion_mod._frobenius_defect(kernel(chi, p * p), chi, p,
+                                               (0, 1), sres.gamma))
     violation = sres.nonzero and not holds
     return ConsistencyReport(p, sres.splitting, sres, holds, violation)

@@ -3,7 +3,7 @@
 Polynomials are tuples of arbitrary-precision integers, low degree first;
 the zero polynomial is the empty tuple and has degree -1.  On top of that
 convention this module provides exact determinants and adjugates by
-fraction-free elimination, resultant-based discriminants, products and
+fraction-free elimination, discriminants from power sums, products and
 powers in Z[x]/(f, m) for monic f on Kronecker-packed ints (kernel: one int
 per element; mulmod and powmod wrap it), the truncated p-adic logarithm on
 the same kernel (condition 1's Log index), deterministic factorization over
@@ -132,32 +132,27 @@ def det_adjugate(rows) -> tuple[int, list[list[int]] | None]:
     return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
-def resultant(f, g) -> int:
-    """Resultant of integer polynomials: the determinant of the Sylvester
-    matrix."""
-    n, m = degree(f), degree(g)
-    if n < 0 or m < 0:
-        return 0
-    if n == 0:
-        return f[0] ** m
-    if m == 0:
-        return g[0] ** n
-    fr = list(reversed(f))
-    gr = list(reversed(g))
-    rows = [[0] * i + fr + [0] * (m - 1 - i) for i in range(m)]
-    rows += [[0] * i + gr + [0] * (n - 1 - i) for i in range(n)]
-    return det_bareiss(rows)
+def power_sums(f, count) -> list[int]:
+    """s_0, ..., s_(count-1), s_k the sum of the k-th powers of the roots of
+    monic f, by Newton's identities."""
+    n, s = degree(f), [degree(f)]
+    for k in range(1, count):
+        s.append(-(k * f[n - k] if k <= n else 0)
+                 - sum(f[n - i] * s[k - i] for i in range(1, min(k, n + 1))))
+    return s
 
 
 def discriminant(f) -> int:
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f) for monic f of degree >= 2."""
+    """disc(f) = prod_(i<j) (r_i - r_j)^2 = det(V V^T) for monic f of degree
+    n >= 2, V the Vandermonde matrix (r_j^i) of its roots: the determinant
+    of the Hankel matrix (s_(i+j)) of its power sums."""
     n = degree(f)
     if n < 2:
         raise ValueError("discriminant requires degree >= 2")
     if not is_monic(f):
         raise ValueError("discriminant requires a monic polynomial")
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, derivative(f))
+    s = power_sums(f, 2 * n - 1)
+    return det_bareiss([s[i:i + n] for i in range(n)])
 
 
 def content(f) -> int:
@@ -187,10 +182,6 @@ class ModPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-
-def mod_poly(coeffs, m) -> ModPoly:
-    return ModPoly(poly(a % m for a in coeffs), m)
 
 
 def _mp(coeffs, m):
@@ -269,6 +260,8 @@ def kernel(f: tuple[int, ...], m: int) -> Kernel:
         return out
 
     def pack(a):
+        if len(a) <= n:  # every slot is already reduced
+            return sum(c % m << w * i for i, c in enumerate(a))
         if len(a) < 2 * n or not n:
             return reduce(sum(c % m << w * i for i, c in enumerate(a)))
         return reduce(pack(a[n:]) * rows[0] + pack(a[:n]))  # x^n = row 0

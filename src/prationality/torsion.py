@@ -42,7 +42,8 @@ It holds for any monic g with Z_p[t]/(g) = O_K (x) Z_p in place of f.
 condition2_holds takes g = chi, the unit's characteristic polynomial, and
 eps = t whenever p does not divide disc(chi) = [O_K : Z[eps]]^2 d_K, which
 makes Z_p[eps] = O_K (x) Z_p: then e(t) = t and eps^p = gamma, so
-X = chi(gamma) and one p-th power decides.  The field keeps chi and
+X = chi(gamma) and one p-th power decides, the one the recurrence screen
+takes for its own (recurrence.cross_check).  The field keeps chi and
 disc(chi) once per unit (NumberField.cached_char_poly, filled by the
 loaders' harness.unit_problem).  This is the recurrence screen's
 hypothesis, p not dividing companion_disc: the same ring and discriminant.
@@ -148,11 +149,11 @@ def _unit_char_poly(K: NumberField, unit: FieldElement):
     return chi, disc
 
 
-def _frobenius_defect(k: ring.Kernel, f, p: int, e) -> int:
+def _frobenius_defect(k: ring.Kernel, f, p: int, e, gamma: int) -> int:
     """X in Z[x]/(f, p^2), packed by k, for the unit coordinates e at p not
-    dividing disc(f) (module docstring); X = f(gamma) when e is x."""
+    dividing disc(f) and gamma = x^p packed by k (module docstring);
+    X = f(gamma) when e is x."""
     pp, n = p * p, ring.degree(f)
-    gamma = k.pow(k.pack((0, 1)), p)
     powers = [k.pack((1,)), gamma]
     while len(powers) <= n:
         powers.append(k.reduce(powers[-1] * gamma))
@@ -194,14 +195,14 @@ def condition2_holds(K: NumberField, p: int, unit: FieldElement,
     if p == 2 or any(m >= p for _, m in parts):
         raise ValueError("p must be odd and exceed every multiplicity")
     chi, disc_chi = _unit_char_poly(K, unit)
-    pp, f = p * p, K.poly
     unramified = len(parts) == 1 and parts[0][1] == 1
-    if unramified and disc_chi % p:
-        return bool(_frobenius_defect(ring.kernel(chi, pp), chi, p, (0, 1)))
-    # the unit in Z[x]/(f, p^2); its denominator divides the index
-    k, e = ring.kernel(f, pp), K.power_coords_mod(unit, pp)
+    # the unit as t in Z[t]/(chi, p^2), or in Z[x]/(f, p^2), where its
+    # denominator divides the index
+    f, e = ((chi, (0, 1)) if unramified and disc_chi % p
+            else (K.poly, K.power_coords_mod(unit, p * p)))
+    k = ring.kernel(f, p * p)
     if unramified:
-        return bool(_frobenius_defect(k, f, p, e))
+        return bool(_frobenius_defect(k, f, p, e, k.pow(k.pack((0, 1)), p)))
     F = lcm(*range(1, max(g.degree for g, _ in parts) + 1))
     return bool(_unit_defect(k, p, e, p**F - 1, radical_cofactor(parts, p)))
 

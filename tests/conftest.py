@@ -16,12 +16,18 @@ def _record_calls(monkeypatch, original, entry):
         calls.append(entry(*args))
         return original(*args)
 
+    _patch_everywhere(monkeypatch, original, counted)
+    return calls
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Replace original by replacement in every prationality module that
+    holds it, under any name."""
     for name, module in list(sys.modules.items()):
         if name == "prationality" or name.startswith("prationality."):
             for attr, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 @pytest.fixture
@@ -50,6 +56,38 @@ def part_shapes_calls(monkeypatch):
     """The parts of every numberfield.part_shapes call."""
     return _record_calls(monkeypatch, numberfield.part_shapes,
                          lambda parts: parts)
+
+
+@pytest.fixture
+def squarefree_parts_calls(monkeypatch):
+    """p of every numberfield.squarefree_parts call."""
+    return _record_calls(monkeypatch, numberfield.squarefree_parts,
+                         lambda K, p: p)
+
+
+@pytest.fixture
+def discriminant_calls(monkeypatch):
+    """f of every ring.discriminant call."""
+    return _record_calls(monkeypatch, ring.discriminant, lambda f: tuple(f))
+
+
+@pytest.fixture
+def kernel_pows(monkeypatch):
+    """(f, m, e) of every pow v^e on a ring.kernel(f, m)."""
+    pows = []
+    original = ring.kernel
+
+    def spy(f, m):
+        k = original(f, m)
+
+        def power(v, e):
+            pows.append((tuple(f), m, e))
+            return k.pow(v, e)
+
+        return k._replace(pow=power)
+
+    _patch_everywhere(monkeypatch, original, spy)
+    return pows
 
 
 @pytest.fixture

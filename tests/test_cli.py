@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -192,6 +193,36 @@ def test_recurrence_cli_output_is_pinned(capsys, p, splitting, index, value,
     assert capsys.readouterr() == (
         f"x^3-4*x+27: splitting {splitting}, F_{index} = {value} (mod {mod}), "
         "screen nonzero, witness present, violation False\n", "")
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_table_csv_output_is_pinned(capsys):
+    # md5 6696b4becdcc8a08a3b9360dc3671f96; a speed-up changes no cell
+    rc = cli(["table", "--pmin", "5", "--pmax", "1000", "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert _sha256(out) == (
+        "c11fe414f1f41ae75641d8c2c1730826d850ea585abfe79d8179c17382e8bff7")
+
+
+def test_recurrence_output_over_the_bundled_records_is_pinned(capsys):
+    # 252 lines, 22 of them refusals, from every bundled cubic
+    data = Path(prationality.__file__).parent / "data"
+    out = []
+    for name in ("table1", "table2", "examples"):
+        for p in (5, 7, 11, 13, 31, 97, 101):
+            rc = cli(["recurrence", "--input", str(data / f"{name}.csv"),
+                      "--prime", str(p)])
+            text, err = capsys.readouterr()
+            assert (rc, err) == (0, "")
+            out.append(text)
+    text = "".join(out)
+    assert (text.count("\n"), text.count("not applicable")) == (252, 22)
+    assert _sha256(text) == (
+        "e3901865608bff6a2266a53148ed090fb6fade6d13cba154c105b3500da998d0")
 
 
 def test_scan_cli(tmp_path, capsys):

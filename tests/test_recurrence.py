@@ -1,9 +1,11 @@
 import pytest
 
 from prationality import numberfield, recurrence
+from prationality.errors import SplittingUndetermined
 from prationality.families import primes_up_to
 from prationality.harness import CELL_ERROR, bundled_records, reproduce_table
-from prationality.numberfield import FieldElement, NumberField, make_field
+from prationality.numberfield import (FieldElement, NumberField, make_field,
+                                      squarefree_parts)
 from prationality.recurrence import (
     INERT,
     MIXED_1_2,
@@ -17,6 +19,7 @@ from prationality.recurrence import (
 from prationality.ring import discriminant
 from prationality.selftest import (suite_recurrence_matrix_vs_iteration,
                                    suite_screen_oracles)
+from prationality.torsion import condition2_holds
 
 EX62 = (27, -4, 0, 1)
 EPS62 = FieldElement((-3280, -3462, -729))
@@ -260,3 +263,89 @@ def test_table_and_cross_check_compute_each_char_poly_once(monkeypatch):
                 checked += 1
     assert checked > 500
     assert len(calls) == len(set(calls)) == len(records)
+
+
+# the first primes above 2^16, 2^32 and 2^64
+LARGE_PRIMES = (65537, 4294967311, 18446744073709551629)
+
+
+def _bundled_cubics():
+    for name in ("table1", "table2", "examples"):
+        for record in bundled_records(name):
+            if record.degree == 3:
+                yield record, record.build_field(), record.unit_element()
+
+
+def test_cross_check_decides_condition2_like_condition2_holds():
+    # the screen's gamma against the direct test, at every 5 <= p <= 300
+    # not dividing disc(chi) and at three large primes, on every bundled cubic
+    witnesses = {False: 0, True: 0}
+    for record, K, unit in _bundled_cubics():
+        spec = minimal_poly_spec(K, unit)
+        for p in primes_up_to(300)[2:] + list(LARGE_PRIMES):
+            if spec.companion_disc % p == 0:
+                continue
+            if K.poly_disc % p == 0:
+                # p divides the index of Z[alpha]; both refuse it alike
+                with pytest.raises(SplittingUndetermined) as direct:
+                    squarefree_parts(K, p)
+                with pytest.raises(SplittingUndetermined) as fused:
+                    cross_check(K, unit, spec, p)
+                assert str(fused.value) == str(direct.value)
+                continue
+            holds = condition2_holds(K, p, unit, squarefree_parts(K, p))
+            rep = cross_check(K, unit, spec, p)
+            assert rep.witness_exists is holds, (record.label, p)
+            witnesses[holds] += 1
+    assert witnesses[False] > 0 and witnesses[True] > 1500
+
+
+def test_cross_check_takes_one_frobenius_power(kernel_pows,
+                                               squarefree_parts_calls):
+    # past the screen's own chain t^(p-1), then (F - 1) p-th powers, the
+    # cross-check takes no power and splits no polynomial at p prime to disc(f)
+    K = make_field(EX62)
+    spec = minimal_poly_spec(K, EPS62)
+    chi, seen = spec.companion_poly, set()
+    for p in primes_up_to(200)[2:] + list(LARGE_PRIMES):
+        if spec.companion_disc % p == 0 or K.poly_disc % p == 0:
+            continue
+        del kernel_pows[:]
+        rep = cross_check(K, EPS62, spec, p)
+        F = {SPLIT_COMPLETELY: 1, MIXED_1_2: 2, INERT: 3}[rep.splitting]
+        assert kernel_pows == [(chi, p * p, p - 1)] + [(chi, p * p, p)] * (F - 1)
+        seen.add(rep.splitting)
+    assert seen == {SPLIT_COMPLETELY, MIXED_1_2, INERT}
+    assert squarefree_parts_calls == []
+    # a ramified p is still refused through the squarefree parts
+    with pytest.raises(ValueError, match="unramified cubic splitting expected"):
+        cross_check(K, EPS62, spec, 19427)
+    assert squarefree_parts_calls == [19427]
+
+
+def test_table_and_cross_check_compute_two_discriminants_per_record(
+        discriminant_calls):
+    # disc(f) when the field is built and disc(chi) when the unit is checked;
+    # the spec takes disc(chi) from the field
+    records = [r for name in ("table1", "table2", "examples")
+               for r in bundled_records(name)]
+    reproduce_table(records, 5, 100)
+    checked = 0
+    for record in records:
+        if record.degree != 3:
+            continue
+        K, unit = record.build_field(), record.unit_element()
+        spec = minimal_poly_spec(K, unit)
+        for p in primes_up_to(100)[2:]:
+            if spec.companion_disc % p == 0:
+                continue
+            try:
+                cross_check(K, unit, spec, p)
+            except SplittingUndetermined:
+                continue
+            checked += 1
+    assert checked > 500
+    expected = [r.build_field().poly for r in records]
+    expected += [r.build_field().cached_char_poly(r.unit_element())[0]
+                 for r in records]
+    assert sorted(discriminant_calls) == sorted(expected)

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prationality.harness import bundled_records
 from prationality.numberfield import part_shapes
 from prationality.ring import (
     ModPoly,
@@ -14,12 +15,12 @@ from prationality.ring import (
     hensel_lift_root,
     kernel,
     log_principal,
-    mod_poly,
     mulmod,
     poly,
     poly_eval,
     poly_mul,
     poly_rem,
+    power_sums,
     powmod,
 )
 
@@ -46,6 +47,49 @@ def test_discriminant_matches_depressed_cubic_formula():
         a = rng.randint(-50, 50)
         b = rng.randint(-50, 50)
         assert discriminant((b, a, 0, 1)) == -4 * a**3 - 27 * b**2
+
+
+def _resultant(f, g):
+    """Resultant of integer polynomials: the determinant of the Sylvester
+    matrix; the reference for the power-sum discriminant."""
+    n, m = len(f) - 1, len(g) - 1
+    if n < 0 or m < 0:
+        return 0
+    if n == 0:
+        return f[0] ** m
+    if m == 0:
+        return g[0] ** n
+    fr, gr = list(reversed(f)), list(reversed(g))
+    rows = [[0] * i + fr + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + gr + [0] * (n - 1 - i) for i in range(n)]
+    return det_bareiss(rows)
+
+
+def _sylvester_discriminant(f):
+    """(-1)^(n(n-1)/2) Res(f, f') for monic f of degree n."""
+    n = len(f) - 1
+    return (-1) ** (n * (n - 1) // 2) * _resultant(f, derivative(f))
+
+
+def test_discriminant_matches_the_sylvester_resultant():
+    rng = random.Random(2114)
+    for _ in range(3000):
+        n = rng.randint(2, 6)
+        bound = rng.choice([3, 100, 10**6])
+        f = tuple(rng.randint(-bound, bound) for _ in range(n)) + (1,)
+        assert discriminant(f) == _sylvester_discriminant(f), f
+    checked = 0
+    for name in ("table1", "table2", "examples"):
+        for record in bundled_records(name):
+            K = record.build_field()
+            chi, disc_chi = K.cached_char_poly(record.unit_element())
+            assert K.poly_disc == _sylvester_discriminant(K.poly)
+            assert disc_chi == _sylvester_discriminant(chi)
+            checked += 1
+    assert checked >= 47
+    # a repeated root, and the power sums that give the Hankel matrix
+    assert discriminant((4, 0, -3, 1)) == 0  # (x - 2)^2 (x + 1)
+    assert power_sums((-6, 11, -6, 1), 5) == [3, 6, 14, 36, 98]  # 1, 2, 3
 
 
 def test_factor_mod_p_examples():
@@ -226,11 +270,6 @@ def test_padic_log_valuation_tracks_argument():
         assert _valuation(_log(u, p, k), p) == t
 
 
-def test_mod_poly_normalization():
-    m = mod_poly((10, 7, 3), 3)
-    assert m.coeffs == (1, 1) and m.modulus == 3
-
-
 def _rem_by_monic(g, f):
     """Remainder of g by monic f in Z[x], by long division."""
     r = list(g)
@@ -360,6 +399,20 @@ def test_packed_kernel_matches_list_reference(case, e):
     assert mulmod(a, b, f, m) == _list_mulmod(a, b, f, m)
     assert powmod(a, e, f, m) == _list_powmod(a, e, f, m)
     assert powmod(a, e % 3, f, m) == _list_powmod(a, e % 3, f, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5), _MODULI, st.data())
+def test_packed_kernel_packs_short_input_without_reduce(n, m, data):
+    # at most n coefficients fill the slots as they are, which is what
+    # reduce would leave of them
+    f = tuple(data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n,
+                                 max_size=n))) + (1,)
+    a = tuple(data.draw(st.lists(st.integers(-3 * m, 3 * m), max_size=n)))
+    k = kernel(f, m)
+    v = k.pack(a)
+    assert v == k.reduce(sum(c % m << k.w * i for i, c in enumerate(a)))
+    assert k.unpack(v) == poly(c % m for c in a)
 
 
 @pytest.mark.parametrize("m", [2, 7, 49, 12, 1155, _P * _P])

@@ -373,12 +373,14 @@ def test_packed_frobenius_defect_matches_list_reference_on_bundled_records():
                 e = K.power_coords_mod(eps, pp)
                 expected = _list_frobenius_defect(K.poly, p, e)
                 k = ring.kernel(K.poly, pp)
-                packed = torsion._frobenius_defect(k, K.poly, p, e)
+                packed = torsion._frobenius_defect(k, K.poly, p, e,
+                                                   k.pow(k.pack((0, 1)), p))
                 assert k.unpack(packed) == expected, (record.label, p)
                 if disc_c % p:
                     by_c = _list_frobenius_defect(c, p, (0, 1))
                     kc = ring.kernel(c, pp)
-                    packed = torsion._frobenius_defect(kc, c, p, (0, 1))
+                    packed = torsion._frobenius_defect(
+                        kc, c, p, (0, 1), kc.pow(kc.pack((0, 1)), p))
                     assert kc.unpack(packed) == by_c, (record.label, p)
                     assert bool(by_c) == bool(expected), (record.label, p)
                 else:
