@@ -144,11 +144,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_recurrence(args) -> int:
     p = _prime_arg(args.prime)
-    records = (
-        load_records(args.input, args.input_format)
-        if args.input
-        else [r for r in bundled_records("examples") if r.degree == 3]
-    )
+    records = (load_records(args.input, args.input_format) if args.input
+               else bundled_records("examples"))
     for record in records:
         if record.degree != 3:
             continue

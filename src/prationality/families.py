@@ -1,7 +1,7 @@
 """Built-in families: the pure cubic fields Q(cbrt(p^3-1)) scanned at their
 own prime, and the biquadratic GGC checker driven by square divisors of
-p -+ 1, reduced-form class numbers of imaginary quadratic fields, the
-analytic class number bound, and Kuroda's unit-index relation.
+p -+ 1, reduced-form class numbers of imaginary quadratic fields and the
+analytic class number bound.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .numberfield import (FieldElement, NumberField, make_field, part_shapes,
-                          squarefree_parts)
-from .recurrence import MIXED_1_2, SPLIT_COMPLETELY, splitting_type
-from .ring import poly_mul, poly_rem
+from .numberfield import FieldElement, NumberField, make_field, squarefree_parts
+from .recurrence import MIXED_1_2, SPLIT_COMPLETELY, cubic_splitting
+from .ring import kernel, poly_mul, poly_rem
 from . import torsion as torsion_mod
 
 EULER_GAMMA = 0.5772156649015329
@@ -107,7 +106,8 @@ def pure_cubic_scan(pmin: int, pmax: int,
 
     Class numbers are only reported when ingested through h_data.  Every
     p >= 5 is unramified, as disc = -27 (p^3 - 1)^2, so f mod p is its own
-    squarefree part and is never factored into prime ideals.
+    squarefree part; its splitting is read off x^p on ring.kernel(f, p)
+    (recurrence.cubic_splitting) and checked against the p mod 3 law.
     """
     if not (5 <= pmin <= pmax):
         raise ValueError("range must satisfy 5 <= pmin <= pmax")
@@ -117,7 +117,9 @@ def pure_cubic_scan(pmin: int, pmax: int,
             continue
         inst = PureCubicInstance.build(p)
         parts = squarefree_parts(inst.field, p)
-        splitting = splitting_type(part_shapes(parts))
+        k = kernel(inst.field.poly, p)
+        splitting, _ = cubic_splitting(k, k.pow(k.pack((0, 1)), p), p,
+                                       inst.field.poly_disc)
         expected = {SPLIT_COMPLETELY: 1, MIXED_1_2: 2}.get(splitting)
         if p % 3 != expected:
             raise InvariantViolation("splitting does not match p mod 3 law")
@@ -366,20 +368,6 @@ def lemma_b_bound(dK: int, omega: int) -> float:
         / (4 * math.pi)
         * (math.log(dK) + 2 + EULER_GAMMA - math.log(math.pi))
     )
-
-
-@dataclass(frozen=True)
-class KurodaResult:
-    q: Fraction
-    valid: bool
-
-
-def kuroda_check(h1: int, h2: int, h3: int, hL: int) -> KurodaResult:
-    """Unit index q = 2 hL / (h1 h2 h3); flags violation unless q in {1, 2}."""
-    if min(h1, h2, h3, hL) <= 0:
-        raise ValueError("class numbers must be positive")
-    q = Fraction(2 * hL, h1 * h2 * h3)
-    return KurodaResult(q, q in (1, 2))
 
 
 def _roots_of_unity_count(radicand: int) -> int:

@@ -463,17 +463,6 @@ def squarefree_parts(K: NumberField,
     return parts
 
 
-def part_shapes(parts) -> tuple[tuple[int, int], ...]:
-    """(e, f) of every prime ideal over p, read off the squarefree parts by
-    the distinct-degree split of each part, with no equal-degree split.
-    Condition (2) needs no residue degrees: only condition 1's split-cyclic
-    branch, the pure-cubic scan and the selftest, which test, report or
-    compare the splitting type, call this."""
-    return tuple((m, d) for g, m in parts
-                 for part, d in ring._distinct_degree(g.coeffs, g.modulus)
-                 for _ in range(ring.degree(part) // d))
-
-
 def split_prime(K: NumberField, p: int) -> list[PrimeFactor]:
     """Prime ideals over p with (e, f), read off from factoring f mod p,
     under the certificate of _require_certificate."""

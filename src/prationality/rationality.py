@@ -20,11 +20,10 @@ from .numberfield import (
     NumberField,
     ideal_from_two_generators,
     ideal_pow,
-    part_shapes,
     principal_ideal,
     squarefree_parts,
 )
-from .ring import ModPoly, log_principal, poly_sub, powmod
+from .ring import ModPoly, kernel, log_principal, poly_sub, powmod, splits_completely
 from . import torsion as torsion_mod
 
 PRECISION_CAP = 16
@@ -55,7 +54,6 @@ class AuxIdealData:
     q: int
     gen_poly: tuple[int, ...]
     power_gen: tuple[int, ...]
-    power_gen_den: int = 1
 
 
 @dataclass(frozen=True)
@@ -74,9 +72,14 @@ class Verdict:
     guard_reason: str = ""
 
 
-def _completely_split(K: NumberField, parts) -> bool:
-    """Whether the squarefree parts of f mod p give n primes of degree 1."""
-    return part_shapes(parts) == ((1, 1),) * K.n
+def _completely_split(K: NumberField, p: int, parts) -> bool:
+    """Whether p splits into n primes of degree 1: the squarefree parts of
+    f mod p are one part of multiplicity 1 (else p ramifies) and x^p = x
+    on ring.kernel(f, p) (ring.splits_completely)."""
+    if len(parts) != 1 or parts[0][1] != 1:
+        return False
+    k = kernel(K.poly, p)
+    return splits_completely(k, k.pow(k.pack((0, 1)), p), p)
 
 
 def log_index_split_cyclic(K: NumberField, p: int, Q, g: FieldElement,
@@ -104,7 +107,7 @@ def log_index_split_cyclic(K: NumberField, p: int, Q, g: FieldElement,
         raise ValueError("auxiliary ideal must be prime to p")
     if principal_ideal(K, g).rows != ideal_pow(K, Q, p).rows:
         raise ValueError("generator does not generate Q^p")
-    if not _completely_split(K, squarefree_parts(K, p)):
+    if not _completely_split(K, p, squarefree_parts(K, p)):
         raise ValueError("p is not completely split")
     # k = 2 never decides: the unit's log is divisible by p = p^(k - 1)
     k = precision if precision > 2 else 4
@@ -173,12 +176,12 @@ def condition1(K: NumberField, p: int, *, class_number: int | None,
         )
     if aux is None:
         return Condition1Report(UNDETERMINED, detail="no auxiliary ideal data")
-    if not _completely_split(K, parts):
+    if not _completely_split(K, p, parts):
         return Condition1Report(UNDETERMINED, detail="p is not completely split")
     Q = ideal_from_two_generators(
         K, aux.q, ModPoly(tuple(c % aux.q for c in aux.gen_poly), aux.q)
     )
-    g = K.element_from_power_coords(aux.power_gen, aux.power_gen_den)
+    g = K.element_from_power_coords(aux.power_gen)
     try:
         idx = log_index_split_cyclic(K, p, Q, g, unit)
     except PrecisionExhausted as exc:

@@ -9,11 +9,13 @@ unit-congruence test; the implication is one directional, and cross_check
 tests it against condition (2) decided from the screen's own t^p (torsion).
 
 The screen needs p not dividing disc(chi), and then reads the splitting
-off the same chain of powers.  chi is squarefree mod p, so its residue
-degrees are those of the Frobenius t -> t^p on F_p[t]/(chi): chi splits
-into linear factors iff t^p = t mod (chi, p).  Otherwise Stickelberger's
-parity theorem, (disc chi / p) = (-1)^(3 - r) for r irreducible factors
-(Swan, Pacific J. Math. 12, 1962), tells 1+2 (r = 2) from inert (r = 1).
+off the same chain of powers (cubic_splitting).  chi is squarefree mod p,
+so its residue degrees are those of the Frobenius t -> t^p on
+F_p[t]/(chi): chi splits into linear factors iff t^p = t mod (chi, p)
+(ring.splits_completely; condition 1 reads complete splitting of f so).
+Otherwise Stickelberger's parity theorem, (disc chi / p) = (-1)^(3 - r)
+for r irreducible factors (Swan, Pacific J. Math. 12, 1962), tells 1+2
+(r = 2) from inert (r = 1); the pure-cubic scan reads f's splitting so.
 This is how p splits in K: disc(chi) = [O_K : Z[eps]]^2 disc(K), so p
 prime to it gives Z_p[eps] = O_K (x) Z_p, as in the torsion module, and
 the irreducible factors of chi mod p are the prime ideals over p with their
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .numberfield import FieldElement, NumberField, squarefree_parts
-from .ring import discriminant, kernel, poly, poly_sub, powmod
+from .ring import Kernel, discriminant, kernel, poly, powmod, splits_completely
 from . import torsion as torsion_mod
 
 SPLIT_COMPLETELY = "split-completely"
@@ -82,16 +84,15 @@ def f_index_mod(spec: RecurrenceSpec, n: int, modulus: int) -> int:
     return r[2] if len(r) > 2 else 0
 
 
-def splitting_type(shape) -> str:
-    """Name of an unramified cubic splitting from its (e, f) pairs."""
-    shapes = sorted(shape)
-    if shapes == [(1, 1), (1, 1), (1, 1)]:
-        return SPLIT_COMPLETELY
-    if shapes == [(1, 1), (1, 2)]:
-        return MIXED_1_2
-    if shapes == [(1, 3)]:
-        return INERT
-    raise ValueError(f"unramified cubic splitting expected, got {shapes}")
+def cubic_splitting(k: Kernel, gamma: int, p: int, disc: int) -> tuple[str, int]:
+    """The name and residue degree F of the splitting of odd p for a cubic
+    g with disc(g) = disc prime to p, from k = kernel(g, m), p | m, and
+    gamma = t^p packed by k (module docstring)."""
+    if splits_completely(k, gamma, p):
+        return SPLIT_COMPLETELY, 1
+    if pow(disc, (p - 1) // 2, p) == p - 1:
+        return MIXED_1_2, 2
+    return INERT, 3
 
 
 def screen(spec: RecurrenceSpec, p: int) -> ScreenResult:
@@ -107,12 +108,7 @@ def screen(spec: RecurrenceSpec, p: int) -> ScreenResult:
     t = k.pack((0, 1))
     u1 = k.pow(t, p - 1)
     gamma = k.reduce(u1 * t)
-    if all(c % p == 0 for c in poly_sub(k.unpack(gamma), (0, 1))):
-        splitting, F = SPLIT_COMPLETELY, 1
-    elif pow(spec.companion_disc, (p - 1) // 2, p) == p - 1:
-        splitting, F = MIXED_1_2, 2
-    else:
-        splitting, F = INERT, 3
+    splitting, F = cubic_splitting(k, gamma, p, spec.companion_disc)
     u = u1
     for _ in range(F - 1):
         u = k.reduce(k.pow(u, p) * u1)

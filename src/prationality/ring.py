@@ -5,10 +5,10 @@ the zero polynomial is the empty tuple and has degree -1.  On top of that
 convention this module provides exact determinants and adjugates by
 fraction-free elimination, discriminants from power sums, products and
 powers in Z[x]/(f, m) for monic f on Kronecker-packed ints (kernel: one int
-per element; mulmod and powmod wrap it), the truncated p-adic logarithm on
-the same kernel (condition 1's Log index), deterministic factorization over
-prime fields and Hensel lifting of simple roots (used for integer roots in
-`numberfield.make_field`).
+per element; mulmod, powmod and splits_completely use it), the truncated
+p-adic logarithm on the same kernel (condition 1's Log index),
+deterministic factorization over prime fields and Hensel lifting of simple
+roots (used for integer roots in `numberfield.make_field`).
 """
 
 from __future__ import annotations
@@ -298,6 +298,14 @@ def powmod(a, e, f, m):
         raise ValueError("powmod needs e >= 0")
     k = kernel(tuple(f), m)
     return k.unpack(k.pow(k.pack(a), e))
+
+
+def splits_completely(k: Kernel, gamma: int, p: int) -> bool:
+    """Whether g, squarefree mod p, splits into linear factors mod p, for
+    k = kernel(g, m) with p | m and gamma = x^p packed by k: iff
+    x^p = x mod (g, p), as x^p - x is the product of x - c over F_p."""
+    return all(c % p == 0 for c in
+               poly_sub(k.unpack(gamma), k.unpack(k.pack((0, 1)))))
 
 
 def _sqf_decomposition(f, p):

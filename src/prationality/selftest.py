@@ -23,10 +23,10 @@ from .families import (
     squarefree_part,
 )
 from .harness import bundled_records
-from .numberfield import (make_field, part_shapes, radical_cofactor,
-                          split_prime, squarefree_parts)
-from .recurrence import (RecurrenceSpec, f_index_mod, minimal_poly_spec,
-                         screen, splitting_type)
+from .numberfield import (make_field, radical_cofactor, split_prime,
+                          squarefree_parts)
+from .recurrence import (INERT, MIXED_1_2, SPLIT_COMPLETELY, RecurrenceSpec,
+                         f_index_mod, minimal_poly_spec, screen)
 from .torsion import applicability_guard, condition2, condition2_holds
 
 
@@ -101,9 +101,10 @@ def _bundled():
 
 
 def suite_condition2_oracles(pmax: int = 100):
-    """condition2_holds and the (e, f) read off the squarefree parts
-    against the per-P report, on every bundled field at every certified
-    prime the guard admits, ramified primes included."""
+    """condition2_holds against the per-P report, and the degree of each
+    squarefree part g_m against the sum of the residue degrees of the prime
+    factors with e = m, on every bundled field at every certified prime the
+    guard admits, ramified primes included."""
     compared = {False: 0, True: 0}  # keyed by "ramified"
     for record in _bundled():
         K = record.build_field()
@@ -116,8 +117,10 @@ def suite_condition2_oracles(pmax: int = 100):
             if applicability_guard(K, p, [pf.e for pf in factors]) is not None:
                 continue
             parts = squarefree_parts(K, p)
-            if (sorted(part_shapes(parts))
-                    != sorted((pf.e, pf.f) for pf in factors)
+            degrees = {}
+            for pf in factors:
+                degrees[pf.e] = degrees.get(pf.e, 0) + pf.f
+            if (sorted((m, g.degree) for g, m in parts) != sorted(degrees.items())
                     or condition2_holds(K, p, unit, parts)
                     != condition2(K, p, unit, factors).holds):
                 return (
@@ -136,10 +139,10 @@ def suite_condition2_oracles(pmax: int = 100):
 
 def suite_screen_oracles(pmax: int = 100):
     """The splitting that the recurrence screen reads off the Frobenius
-    power against split_prime's (e, f), and its value against f_index_mod
-    at p^F - 1, on every bundled cubic at every odd certified prime that
-    does not divide disc(chi)."""
-    checked = 0
+    power against the number of prime factors of split_prime, and its value
+    against f_index_mod at p^F - 1, on every bundled cubic at every odd
+    certified prime that does not divide disc(chi)."""
+    checked, names = 0, {3: SPLIT_COMPLETELY, 2: MIXED_1_2, 1: INERT}
     for record in _bundled():
         if record.degree != 3:
             continue
@@ -154,7 +157,7 @@ def suite_screen_oracles(pmax: int = 100):
                 continue
             F = max(pf.f for pf in factors)
             res = screen(spec, p)
-            if (res.splitting != splitting_type((pf.e, pf.f) for pf in factors)
+            if (res.splitting != names[len(factors)]
                     or res.index != p**F - 1
                     or res.value != f_index_mod(spec, p**F - 1, p * p)):
                 return (

@@ -52,13 +52,6 @@ def distinct_degree_calls(monkeypatch):
 
 
 @pytest.fixture
-def part_shapes_calls(monkeypatch):
-    """The parts of every numberfield.part_shapes call."""
-    return _record_calls(monkeypatch, numberfield.part_shapes,
-                         lambda parts: parts)
-
-
-@pytest.fixture
 def squarefree_parts_calls(monkeypatch):
     """p of every numberfield.squarefree_parts call."""
     return _record_calls(monkeypatch, numberfield.squarefree_parts,

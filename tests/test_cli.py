@@ -208,6 +208,15 @@ def test_table_csv_output_is_pinned(capsys):
         "c11fe414f1f41ae75641d8c2c1730826d850ea585abfe79d8179c17382e8bff7")
 
 
+def test_pure_cubic_output_is_pinned(capsys):
+    # 428 primes and the summary line
+    rc = cli(["pure-cubic", "--pmin", "5", "--pmax", "3000"])
+    out, err = capsys.readouterr()
+    assert (rc, err, out.count("\n")) == (0, "", 429)
+    assert _sha256(out) == (
+        "1e9bd71587557c20532c2ec962df090bb70143b7f893641eeb61cb59c8ff75e3")
+
+
 def test_recurrence_output_over_the_bundled_records_is_pinned(capsys):
     # 252 lines, 22 of them refusals, from every bundled cubic
     data = Path(prationality.__file__).parent / "data"

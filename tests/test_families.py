@@ -18,13 +18,13 @@ from prationality.families import (
     fundamental_discriminant,
     ggc_scan,
     imag_quadratic_class_number,
-    kuroda_check,
     lemma_a_scan,
     lemma_b_bound,
     primes_up_to,
     pure_cubic_scan,
     squarefree_part,
 )
+from prationality.recurrence import INERT, MIXED_1_2, SPLIT_COMPLETELY
 from prationality.selftest import suite_forms_vs_dirichlet
 
 
@@ -133,6 +133,16 @@ def test_pure_cubic_scan_examples():
     assert res[13].splitting == "split-completely"
     assert res[11].splitting == "1+2"
     assert all(r.h_flag == "h-unknown" for r in res.values())
+
+
+def test_pure_cubic_splitting_matches_split_prime():
+    # the splitting read off x^p against the number of prime factors
+    names = {3: SPLIT_COMPLETELY, 2: MIXED_1_2, 1: INERT}
+    results = pure_cubic_scan(5, 3000)
+    assert len(results) == 428
+    for r in results:
+        field = PureCubicInstance.build(r.p).field
+        assert r.splitting == names[len(numberfield.split_prime(field, r.p))], r.p
 
 
 def test_pure_cubic_scan_h_ingestion():
@@ -291,15 +301,6 @@ def test_lemma_b_examples():
     assert b >= imag_quadratic_class_number(-6)
     assert lemma_b_bound(3, 6) >= 1
     assert lemma_b_bound(4, 4) >= 1
-
-
-def test_kuroda_check():
-    r = kuroda_check(1, 2, 1, 1)
-    assert r.q == 1 and r.valid
-    r = kuroda_check(1, 1, 1, 1)
-    assert r.q == 2 and r.valid
-    r = kuroda_check(1, 3, 1, 1)
-    assert not r.valid and float(r.q) == pytest.approx(2 / 3)
 
 
 def test_ggc_scan_examples():

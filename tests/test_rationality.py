@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from prationality.errors import PrecisionExhausted, SplittingUndetermined
+from prationality.families import pure_cubic_scan
 from prationality import rationality, ring
 from prationality.harness import (
     CELL_ERROR,
@@ -15,7 +16,6 @@ from prationality.numberfield import (
     FieldElement,
     ideal_from_two_generators,
     make_field,
-    part_shapes,
     principal_ideal,
     split_prime,
     squarefree_parts,
@@ -263,7 +263,7 @@ def test_log_index_matches_embedding_reference_on_bundled_records():
         K, unit = record.build_field(), record.unit_element()
         for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
             try:
-                if part_shapes(squarefree_parts(K, p)) != ((1, 1),) * K.n:
+                if len(split_prime(K, p)) != K.n:
                     continue
             except SplittingUndetermined:
                 continue
@@ -316,7 +316,7 @@ def test_log_index_validates_generator():
 def test_log_index_refuses_a_prime_that_is_not_completely_split():
     # x^3 - 4x + 27 mod 5 has one root and an irreducible quadratic factor
     K = make_field(EX62)
-    assert sorted(part_shapes(squarefree_parts(K, 5))) == [(1, 1), (1, 2)]
+    assert sorted((pf.e, pf.f) for pf in split_prime(K, 5)) == [(1, 1), (1, 2)]
     g0 = FieldElement((2, 1, 0))  # N(2 + alpha) = -f(-2) = -27
     g = K.one()
     for _ in range(5):
@@ -364,13 +364,17 @@ def test_verdict_examples():
     assert v.status == NOT_APPLICABLE
 
 
-def test_verdict_never_factors_on_the_split_cyclic_branch(factor_mod_p_calls):
+def test_verdict_never_factors_on_the_split_cyclic_branch(
+        factor_mod_p_calls, distinct_degree_calls):
+    # complete splitting is read off x^p on the kernel, as the pure-cubic
+    # scan reads its splitting: neither splits a polynomial by degree
     rec = [r for r in bundled_records("examples") if r.poly_coeffs == EX62][0]
     K = rec.build_field()
     v = verdict(K, 3, unit=rec.unit_element(), class_number=rec.class_number,
                 aux=rec.aux)
     assert (v.condition1.branch, v.condition1.index) == (SPLIT_CYCLIC_INDEX, 3)
-    assert factor_mod_p_calls == []
+    assert len(pure_cubic_scan(5, 200)) == 44
+    assert factor_mod_p_calls == distinct_degree_calls == []
 
 
 @pytest.mark.parametrize("poly, unit, h, p", [
@@ -416,8 +420,7 @@ def _shifted_record(record, c):
     aux = record.aux
     if aux is not None:
         aux = AuxIdealData(aux.q, _shifted_poly(aux.gen_poly, c, 0),
-                           _shifted_poly(aux.power_gen, c, n),
-                           aux.power_gen_den)
+                           _shifted_poly(aux.power_gen, c, n))
     basis = record.integral_basis
     if basis is not None:
         basis = tuple(_shifted_poly(row, c, n) for row in basis)

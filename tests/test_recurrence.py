@@ -1,6 +1,6 @@
 import pytest
 
-from prationality import numberfield, recurrence
+from prationality import recurrence, ring
 from prationality.errors import SplittingUndetermined
 from prationality.families import primes_up_to
 from prationality.harness import CELL_ERROR, bundled_records, reproduce_table
@@ -196,8 +196,7 @@ def test_cross_check_vacuous_when_screen_zero():
         assert not rep.violation
 
 
-def test_cross_check_splits_no_polynomial(part_shapes_calls,
-                                          distinct_degree_calls):
+def test_cross_check_splits_no_polynomial(distinct_degree_calls):
     K = make_field(EX62)
     spec = minimal_poly_spec(K, EPS62)
     splittings = set()
@@ -205,10 +204,10 @@ def test_cross_check_splits_no_polynomial(part_shapes_calls,
         if p >= 5 and spec.companion_disc % p:
             splittings.add(cross_check(K, EPS62, spec, p).splitting)
     assert splittings == {SPLIT_COMPLETELY, MIXED_1_2, INERT}
-    assert part_shapes_calls == distinct_degree_calls == []
-    # the counters see a direct call
-    numberfield.part_shapes(numberfield.squarefree_parts(K, 5))
-    assert len(part_shapes_calls) == len(distinct_degree_calls) == 1
+    assert distinct_degree_calls == []
+    # the counter sees a call through factor_mod_p
+    ring.factor_mod_p(K.poly, 5)
+    assert distinct_degree_calls == [(tuple(c % 5 for c in K.poly), 5)]
 
 
 def test_cross_check_rejects_mismatched_spec():

@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prationality.harness import bundled_records
-from prationality.numberfield import part_shapes
 from prationality.ring import (
-    ModPoly,
     derivative,
     det_adjugate,
     det_bareiss,
@@ -169,10 +167,6 @@ def test_factor_mod_p_reassembles_and_factors_irreducible():
         fbar = poly(c % p for c in f)
         assert prod == fbar
         assert total == len(fbar) - 1
-        if all(m == 1 for _, m in facs):
-            parts = ((ModPoly(fbar, p), 1),)
-            assert (sorted(d for _, d in part_shapes(parts))
-                    == [g.degree for g, _ in facs])
 
 
 def test_factor_mod_p_repeated_factors():

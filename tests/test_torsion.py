@@ -13,11 +13,10 @@ from prationality.numberfield import (
     ideal_from_two_generators,
     ideal_pow,
     make_field,
-    part_shapes,
     split_prime,
     squarefree_parts,
 )
-from prationality import ring, torsion
+from prationality import rationality, ring, torsion
 from prationality.ring import (degree, derivative, det_adjugate, mulmod, poly,
                                poly_add, poly_sub, powmod)
 from prationality.rationality import verdict
@@ -25,6 +24,8 @@ from prationality.torsion import applicability_guard, condition2, condition2_hol
 
 EX62 = (27, -4, 0, 1)
 EX63 = (3, 0, -2, 0, 1)
+# the first primes above 2^16, 2^32 and 2^64
+LARGE_PRIMES = (65537, 4294967311, 18446744073709551629)
 
 
 def _multiplicities(K, p):
@@ -210,6 +211,29 @@ def _random_unit_fields():
         yield K, FieldElement((0, 1) + (0,) * (n - 2))
 
 
+def test_completely_split_matches_split_prime():
+    # x^p = x on the kernel of f mod p against n prime factors from
+    # split_prime, at every certified p <= 300 and at three large primes
+    # prime to disc(f), on every bundled record and the random unit fields
+    fields = [record.build_field() for name in ("table1", "table2", "examples")
+              for record in bundled_records(name)]
+    fields += [K for K, _ in _random_unit_fields()]
+    seen = Counter()
+    for K in fields:
+        large = [q for q in LARGE_PRIMES if K.poly_disc % q]
+        for p in primes_up_to(300) + large:
+            try:
+                factors = split_prime(K, p)
+            except SplittingUndetermined:
+                continue
+            split = len(factors) == K.n
+            parts = squarefree_parts(K, p)
+            assert rationality._completely_split(K, p, parts) is split, (
+                K.poly, p)
+            seen[split, p in large] += 1
+    assert len(seen) == 4, seen
+
+
 def _power(K, x, k):
     out = K.one()
     for _ in range(k):
@@ -230,8 +254,8 @@ def test_global_test_matches_report_on_random_unit_fields():
                 continue
             factors = split_prime(K, p)
             parts = squarefree_parts(K, p)
-            shapes = sorted(part_shapes(parts))
-            assert shapes == sorted((1, pf.f) for pf in factors), (K.poly, p)
+            assert [(m, g.degree) for g, m in parts] == [(1, K.n)], (K.poly, p)
+            shapes = sorted((pf.e, pf.f) for pf in factors)
             fast = condition2_holds(K, p, alpha, parts)
             assert fast == condition2(K, p, alpha, factors).holds, (K.poly, p)
             assert fast == _hnf_holds(K, p, alpha, factors), (K.poly, p)
@@ -261,8 +285,11 @@ def test_condition2_matches_hnf_on_random_unit_fields():
             if applicability_guard(K, p, [pf.e for pf in factors]) is not None:
                 continue
             parts = squarefree_parts(K, p)
-            shapes = sorted(part_shapes(parts))
-            assert shapes == sorted((pf.e, pf.f) for pf in factors), (K.poly, p)
+            degrees = Counter()  # the sum of f over the P with e = m, per m
+            for pf in factors:
+                degrees[pf.e] += pf.f
+            assert (sorted((m, g.degree) for g, m in parts)
+                    == sorted(degrees.items())), (K.poly, p)
             is_ramified = any(pf.e > 1 for pf in factors)
             for unit in (alpha, _power(K, alpha, p)):
                 holds = _hnf_holds(K, p, unit, factors)
@@ -319,7 +346,7 @@ def test_frobenius_lift_matches_exponent_form_on_bundled_records():
                 if K.poly_disc % p == 0:
                     continue
                 parts = squarefree_parts(K, p)
-                F = lcm(*(f for _, f in part_shapes(parts)))
+                F = lcm(*(pf.f for pf in split_prime(K, p)))
                 slow = K.pow_mod(eps, p**F - 1, p * p) != K.one()
                 holds = condition2_holds(K, p, eps, parts)
                 assert holds == slow, (record.label, p)
@@ -444,7 +471,7 @@ def test_unit_of_a_quadratic_subfield_takes_the_alpha_path(monkeypatch):
         if K.poly_disc % p == 0:
             continue
         parts = squarefree_parts(K, p)
-        F = lcm(*(f for _, f in part_shapes(parts)))
+        F = lcm(*(pf.f for pf in split_prime(K, p)))
         slow = K.pow_mod(eps, p**F - 1, p * p) != K.one()
         assert condition2_holds(K, p, eps, parts) == slow, p
         assert built[-1] == (K.poly, p * p)
