@@ -160,7 +160,9 @@ def _record_from_fields(fields: dict[str, str], line: int) -> FieldRecord:
             integral_basis=_parse_basis(fields.get("basis", "")),
             aux=aux,
         )
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
+    except KeyError as exc:
+        raise RecordParseError(line, f"missing field {exc}") from exc
+    except (ValueError, ZeroDivisionError) as exc:
         raise RecordParseError(line, str(exc)) from exc
 
 

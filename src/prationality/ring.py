@@ -234,13 +234,17 @@ def kernel(f: tuple[int, ...], m: int) -> Kernel:
     Algebra, 8.4).  The reduced element sum c_i x^i, i < n, 0 <= c_i < m,
     is the int sum c_i 2^(w i).  pack(a) reduces any a in Z[x]; unpack(v)
     is the poly of a reduced v; pow(v, e) is v^e for e >= 0.  reduce(v)
-    takes 2n - 1 slots of at most T n (m - 1)^2, T = 2, as in a sum of T
-    products of reduced elements (a slot of one sums at most n terms
-    a_i b_j <= (m - 1)^2).  It adds each high slot k >= n, mod m, times
+    takes a sum of T = 2 products of reduced elements, 2n - 1 slots of at
+    most T n (m - 1)^2 (a slot of one sums at most n terms
+    a_i b_j <= (m - 1)^2), or a square times x, 2n slots of at most
+    n (m - 1)^2.  It adds each high slot k >= n, mod m, times
     row k = x^k mod (f, m) to the low slots, then takes those mod m.  Each
-    of the n - 1 folds adds at most (m - 1)^2 to a low slot, which ends
-    <= T n (m - 1)^2 + (n - 1)(m - 1)^2 <= T (2n - 1)(m - 1)^2 < 2^w for
-    w = bitlen(T (2n - 1)(m - 1)^2): no slot ever carries into the next.
+    fold adds at most (m - 1)^2 to a low slot, which ends
+    <= T n (m - 1)^2 + (n - 1)(m - 1)^2 for a sum, whose slot 2n - 1 is 0,
+    and <= 2n (m - 1)^2 after the n folds of a shifted square, both
+    <= T (2n - 1)(m - 1)^2 < 2^w for w = bitlen(T (2n - 1)(m - 1)^2): no
+    slot ever carries into the next.  So pow(x, e) takes one reduce per
+    bit, its multiplications by x being shifts.
     """
     if not is_monic(f) or m < 2:
         raise ValueError("the kernel needs monic f and m >= 2")
@@ -270,17 +274,19 @@ def kernel(f: tuple[int, ...], m: int) -> Kernel:
         return poly(v >> s & slot for s in range(0, nw, w))
 
     def power(v, e):
-        r = v if e else reduce(1)
+        # x packs to 1 << w when n >= 2; for n < 2 no reduced v is 1 << w
+        r, is_x = v if e else reduce(1), v == 1 << w
         for bit in bin(e)[3:]:
-            r = reduce(r * r)
+            r = r * r
             if bit == "1":
-                r = reduce(r * v)
+                r = r << w if is_x else reduce(r) * v
+            r = reduce(r)
         return r
 
-    # x^k mod (f, m) for n <= k <= max(n, 2n - 2); x * row_k has a single
+    # x^k mod (f, m) for n <= k <= max(n, 2n - 1); x * row_k has a single
     # high slot, folded by the first row alone
     rows = [sum(-c % m << w * i for i, c in enumerate(f[:n]))]
-    while len(rows) < n - 1:
+    while len(rows) < n:
         rows.append(reduce(rows[-1] << w))
     return Kernel(w, pack, unpack, reduce, power)
 

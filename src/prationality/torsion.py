@@ -152,16 +152,21 @@ def _unit_char_poly(K: NumberField, unit: FieldElement):
 def _frobenius_defect(k: ring.Kernel, f, p: int, e, gamma: int) -> int:
     """X in Z[x]/(f, p^2), packed by k, for the unit coordinates e at p not
     dividing disc(f) and gamma = x^p packed by k (module docstring);
-    X = f(gamma) when e is x."""
+    X = f(gamma) when e is x.  f(gamma) is taken by Horner in n - 1
+    reduces for n >= 2: slot 0 of gamma + c is <= 2(p^2 - 1), so each
+    product slot is <= (n + 1)(p^2 - 1)^2 + (p^2 - 1) <= 2n(p^2 - 1)^2."""
     pp, n = p * p, ring.degree(f)
-    powers = [k.pack((1,)), gamma]
-    while len(powers) <= n:
+    f_g, is_x = gamma + f[n - 1] % pp, ring.poly(e) == (0, 1)
+    for c in reversed(f[:n - 1]):
+        f_g = k.reduce(f_g * gamma + c % pp)
+    # gamma^0 .. gamma^(n - 1) for e, e' and f'; none when eps is x
+    powers = [] if is_x else [k.pack((1,)), gamma]
+    while 0 < len(powers) < n:
         powers.append(k.reduce(powers[-1] * gamma))
 
-    def at_gamma(g):  # slots <= (n + 1)(p^2 - 1)^2, within reduce's bound
+    def at_gamma(g):  # slots <= n (p^2 - 1)^2, within reduce's bound
         return k.reduce(sum(c % pp * w for c, w in zip(g, powers)))
 
-    f_g, is_x = at_gamma(f), ring.poly(e) == (0, 1)
     # eps^p - e(gamma) with p^2 added to every slot, so no slot goes
     # negative; 0 when eps is x, as x^p = gamma
     d = 0 if is_x else k.reduce(k.pow(k.pack(e), p) - at_gamma(e)

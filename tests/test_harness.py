@@ -167,6 +167,16 @@ def test_load_refuses_nonpositive_class_number(deadline, h):
         assert str(err.value) == f"line {line}: class number must be positive"
 
 
+def test_load_names_a_missing_field():
+    csv_text = EX63_CSV.replace("label,degree,", "label,").replace(",4,", ",")
+    json_text = ('[{"label": "x", "poly": [3, 0, -2, 0, 1], "h": 1,'
+                 ' "unit": [-2, -1, 1, 1]}]')
+    for text, fmt, line in ((csv_text, "csv", 2), (json_text, "json", 1)):
+        with pytest.raises(RecordParseError) as err:
+            load_records(io.StringIO(text), fmt)
+        assert str(err.value) == f"line {line}: missing field 'degree'"
+
+
 def test_load_json_with_nested_basis_matches_csv():
     # a bundled table record whose maximal order has the basis
     # 1, alpha, (1 + alpha^2) / 2; JSON gives the basis as a list of rows

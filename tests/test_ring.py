@@ -371,7 +371,9 @@ def _list_powmod(a, e, f, m):
 
 
 _P = 999983  # p^2 = 999966000289, near 10^12
-_MODULI = st.sampled_from([2, 3, 9, 12, 1155, 101, 101 * 101, _P, _P * _P])
+_Q = 2**64 + 13  # the first prime above 2^64: slots wider than 128 bits
+_MODULI = st.sampled_from([2, 3, 9, 12, 1155, 101, 101 * 101, _P, _P * _P,
+                           _Q * _Q])
 
 
 @st.composite
@@ -382,13 +384,15 @@ def _ring_case(draw):
     m = draw(_MODULI)
     coeffs = st.integers(-3 * m, 3 * m)
     a, b = (tuple(draw(st.lists(coeffs, max_size=3 * n))) for _ in range(2))
+    # sometimes x itself, which pow takes by shifted squares when n >= 2
+    a = draw(st.sampled_from([a, a, (0, 1), (m, 1 + m)]))
     return f, m, a, b
 
 
 @settings(max_examples=400, deadline=None)
 @given(_ring_case(), st.integers(0, 2**20))
 def test_packed_kernel_matches_list_reference(case, e):
-    # unreduced inputs of any sign and length, e = 0 included
+    # unreduced inputs of any sign and length, e = 0 and 1 included
     f, m, a, b = case
     assert mulmod(a, b, f, m) == _list_mulmod(a, b, f, m)
     assert powmod(a, e, f, m) == _list_powmod(a, e, f, m)
@@ -424,6 +428,11 @@ def test_packed_kernel_at_full_slots(n, m):
     assert mulmod(full, full, f, m) == square
     assert k.unpack(k.reduce(v * v + v * v)) == poly(2 * c % m for c in square)
     assert powmod(full, 5, f, m) == _list_powmod(full, 5, f, m)
+    # x^e by shifted squares for n >= 2 (at n = 1, x is a constant): x^n is
+    # the full row, so the square of x^n that a shift follows is the
+    # largest square, and each of the n folds reads a row
+    for e in (1, 2, 5, 2**20 + 1):
+        assert powmod((0, 1), e, f, m) == _list_powmod((0, 1), e, f, m)
 
 
 def test_packed_kernel_at_degree_0_and_1():

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from math import lcm
+from math import lcm, log
 
 import pytest
 
@@ -418,6 +418,57 @@ def test_packed_frobenius_defect_matches_list_reference_on_bundled_records():
     assert cells[False] > 0 and cells[True] > 1000
     assert {("x^3-4*x+27", 3), ("x^3-4*x+27", 1699)} <= alpha_path
     assert len(alpha_path) < sum(cells.values()) // 2
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin: the first 13 prime bases suffice below
+    3.3 * 10^24 (Sorenson-Webster, Math. Comp. 86, 2017), every base
+    a <= 2 (ln n)^2 above it (Bach, Math. Comp. 55, 1990, under GRH)."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    bases = (small if n < 3317044064679887385961981
+             else range(2, int(2 * log(n) ** 2) + 1))
+    for a in bases:
+        x = pow(a, d, n)
+        if a % n == 0 or x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_condition2_holds_matches_report_at_large_primes():
+    # the kernel's slots widen with p: at the first prime above 2^k, up to
+    # p^2 > 2^200, condition2_holds against the per-P report on every
+    # bundled record
+    primes = []
+    for k in (16, 20, 24, 31, 32, 40, 61, 64, 100):
+        p = 2**k + 1
+        while not _is_prime(p):
+            p += 2
+        primes.append(p)
+    assert primes[0] == 65537 and primes[7] == LARGE_PRIMES[2]
+    pairs = 0
+    for name in ("table1", "table2", "examples"):
+        for record in bundled_records(name):
+            K = record.build_field()
+            eps = record.unit_element()
+            for p in primes:
+                factors = split_prime(K, p)
+                assert applicability_guard(K, p, [pf.e for pf in factors]) is None
+                holds = condition2_holds(K, p, eps, squarefree_parts(K, p))
+                assert holds == condition2(K, p, eps, factors).holds, (
+                    record.label, p)
+                pairs += 1
+    assert pairs == 9 * 49
 
 
 def _counted_kernels(monkeypatch):
