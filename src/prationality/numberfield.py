@@ -9,8 +9,9 @@ the powers of alpha in basis coordinates, is an integer matrix.  Elements
 carry integer coordinates over the basis plus an optional denominator.
 
 Loading a field builds what every verdict reads: the inverse basis (one
-fraction-free Gauss-Jordan elimination) and the traces of the powers of
-alpha, from which characteristic polynomials come on power coordinates.
+fraction-free Gauss-Jordan elimination, none for Z[alpha], whose basis
+is the identity) and the traces of the powers of alpha, from which
+characteristic polynomials come on power coordinates.
 The integer structure constants of the basis, behind exact
 multiplication, norms and ideal arithmetic in Hermite normal form, are
 built on first use, or at once for a basis with a denominator, whose rows
@@ -113,7 +114,8 @@ def _real_root_count(f, disc: int) -> int:
 
 
 class NumberField:
-    """Immutable field/order data; construct via make_field."""
+    """Immutable field/order data; construct via make_field.  basis_rows
+    None means Z[alpha]: identity rows over d = 1, index 1."""
 
     def __init__(self, f, poly_disc: int, basis_rows):
         n = ring.degree(f)
@@ -123,25 +125,34 @@ class NumberField:
         r1 = _real_root_count(f, poly_disc)
         self.signature = (r1, (n - r1) // 2)
         self.criterion_eligible = (n, *self.signature) in ((3, 1, 1), (4, 0, 2))
-        rows = [[Fraction(x) for x in row] for row in basis_rows]
-        d = lcm(*[x.denominator for row in rows for x in row], 1)
+        if basis_rows is None:
+            # the checks below hold for the identity by inspection: its first
+            # row is 1, its determinant 1, its inverse itself, and 1 | disc
+            d = self.index = 1
+            self.basis = self._basis_inv = tuple(
+                tuple(int(i == j) for j in range(n)) for i in range(n))
+        else:
+            rows = [[Fraction(x) for x in row] for row in basis_rows]
+            d = lcm(*[x.denominator for row in rows for x in row], 1)
+            self.basis = tuple(tuple(x.numerator * (d // x.denominator)
+                                     for x in row) for row in rows)
+            if list(self.basis[0]) != [d] + [0] * (n - 1):
+                raise ValueError("first basis element must be 1")
+            det, adj = ring.det_adjugate(self.basis)
+            if det == 0:
+                raise ValueError("basis matrix is singular")
+            # B^-1 = d adj(dB) / det(dB); its rows are the basis coordinates
+            # of the powers of alpha, so it is integral iff the order
+            # contains Z[alpha]
+            inv = [[d * a for a in row] for row in adj]
+            if any(a % det for row in inv for a in row):
+                raise ValueError("basis does not contain the power basis "
+                                 "lattice")
+            self._basis_inv = tuple(tuple(a // det for a in row) for row in inv)
+            self.index = d**n // abs(det)
+            if self.poly_disc % (self.index**2) != 0:
+                raise ValueError("basis determinant incompatible with disc(f)")
         self.basis_den = d
-        self.basis = tuple(tuple(x.numerator * (d // x.denominator) for x in row)
-                           for row in rows)
-        if list(self.basis[0]) != [d] + [0] * (n - 1):
-            raise ValueError("first basis element must be 1")
-        det, adj = ring.det_adjugate(self.basis)
-        if det == 0:
-            raise ValueError("basis matrix is singular")
-        # B^-1 = d adj(dB) / det(dB); its rows are the basis coordinates of
-        # the powers of alpha, so it is integral iff the order contains Z[alpha]
-        inv = [[d * a for a in row] for row in adj]
-        if any(a % det for row in inv for a in row):
-            raise ValueError("basis does not contain the power basis lattice")
-        self._basis_inv = tuple(tuple(a // det for a in row) for row in inv)
-        self.index = d**n // abs(det)
-        if self.poly_disc % (self.index**2) != 0:
-            raise ValueError("basis determinant incompatible with disc(f)")
         self.field_disc = self.poly_disc // self.index**2
         # Tr(alpha^m), m < n: the power sums of the roots of f
         self._traces = tuple(ring.power_sums(f, n))
@@ -307,7 +318,8 @@ class NumberField:
         entry = self._char_polys.get(a)
         if entry is None:
             chi = self.char_poly(a)
-            entry = self._char_polys[a] = chi, ring.discriminant(chi)
+            entry = self._char_polys[a] = chi, (
+                self.poly_disc if chi == self.poly else ring.discriminant(chi))
         return entry
 
     def norm(self, a: FieldElement) -> Fraction:
@@ -341,8 +353,6 @@ def make_field(poly_coeffs, basis=None) -> NumberField:
         raise ValueError("defining polynomial is reducible (rational root)")
     if n == 4 and _has_quadratic_factor(f, poly_disc):
         raise ValueError("defining polynomial is reducible (quadratic factor)")
-    if basis is None:
-        basis = [[int(i == j) for j in range(n)] for i in range(n)]
     return NumberField(f, poly_disc, basis)
 
 
@@ -534,7 +544,7 @@ def ideal_from_two_generators(K: NumberField, p: int, g: ModPoly) -> IdealHNF:
     """HNF of (p, g(alpha)) over the integral basis.  g is reduced mod f
     over F_p first: (p, g(alpha)) = (p, (g mod f)(alpha)), and the order
     contains Z[alpha], so the reduced generator is integral."""
-    rem = ring._mp_divmod(g.coeffs, ring._mp(K.poly, p), p)[1]
+    rem = ring._mp_rem(g.coeffs, ring._mp(K.poly, p), p)
     return ideal_from_two_elements(K, K.from_int(p),
                                    K.element_from_power_coords(rem))
 

@@ -200,27 +200,30 @@ def _mp_divmod(f, g, p):
     # p prime, g nonzero
     if not g:
         raise ZeroDivisionError
-    inv = pow(g[-1], -1, p)
+    inv, n = pow(g[-1], -1, p), len(g) - 1
+    quo, rem = [], list(f)
+    while len(rem) > n:
+        quo.append(rem.pop() * inv % p)
+        for i in range(n):
+            rem[len(rem) - n + i] -= quo[-1] * g[i]
+    return poly(quo[::-1]), _mp(rem, p)
+
+
+def _mp_rem(f, g, p):
+    # _mp_divmod(f, g, p)[1] without building the quotient
+    inv, n = pow(g[-1], -1, p), len(g) - 1
     rem = list(f)
-    quo = [0] * max(len(f) - len(g) + 1, 1)
-    while len(rem) >= len(g):
-        while rem and rem[-1] % p == 0:
-            rem.pop()
-        if len(rem) < len(g):
-            break
-        c = rem[-1] * inv % p
-        shift = len(rem) - len(g)
-        quo[shift] = c
-        for i, b in enumerate(g):
-            rem[shift + i] = (rem[shift + i] - c * b) % p
-        rem.pop()
-    return poly(q % p for q in quo), poly(r % p for r in rem)
+    while len(rem) > n:
+        c = rem.pop() * inv % p
+        for i in range(n):
+            rem[len(rem) - n + i] -= c * g[i]
+    return _mp(rem, p)
 
 
 def _mp_gcd(f, g, p):
     a, b = poly(x % p for x in f), poly(x % p for x in g)
     while b:
-        a, b = b, _mp_divmod(a, b, p)[1]
+        a, b = b, _mp_rem(a, b, p)
     return _mp_monic(a, p)
 
 
@@ -237,30 +240,31 @@ def kernel(f: tuple[int, ...], m: int) -> Kernel:
     takes a sum of T = 2 products of reduced elements, 2n - 1 slots of at
     most T n (m - 1)^2 (a slot of one sums at most n terms
     a_i b_j <= (m - 1)^2), or a square times x, 2n slots of at most
-    n (m - 1)^2.  It adds each high slot k >= n, mod m, times
-    row k = x^k mod (f, m) to the low slots, then takes those mod m.  Each
-    fold adds at most (m - 1)^2 to a low slot, which ends
-    <= T n (m - 1)^2 + (n - 1)(m - 1)^2 for a sum, whose slot 2n - 1 is 0,
-    and <= 2n (m - 1)^2 after the n folds of a shifted square, both
-    <= T (2n - 1)(m - 1)^2 < 2^w for w = bitlen(T (2n - 1)(m - 1)^2): no
-    slot ever carries into the next.  So pow(x, e) takes one reduce per
-    bit, its multiplications by x being shifts.
+    n (m - 1)^2.  It adds each high slot k >= n, read at v >> w k, mod m,
+    times row k = x^k mod (f, m) to the low slots, then ORs each low slot,
+    mod m, back in at its offset w i; the offsets are precomputed, and v is
+    never shifted in place.  Each fold adds at most (m - 1)^2 to a low
+    slot, which ends <= T n (m - 1)^2 + (n - 1)(m - 1)^2 for a sum, whose
+    slot 2n - 1 is 0, and <= 2n (m - 1)^2 after the n folds of a shifted
+    square, both <= T (2n - 1)(m - 1)^2 < 2^w for
+    w = bitlen(T (2n - 1)(m - 1)^2): no slot ever carries into the next.
+    So pow(x, e) takes one reduce per bit, its multiplications by x being
+    shifts.
     """
     if not is_monic(f) or m < 2:
         raise ValueError("the kernel needs monic f and m >= 2")
     n = len(f) - 1
     w = (2 * (2 * n - 1) * (m - 1) ** 2).bit_length()  # n = 0: every v is 0
     slot, nw = (1 << w) - 1, n * w
+    low, offsets = (1 << nw) - 1, range(0, nw, w)
 
     def reduce(v):
-        lo = v & (1 << nw) - 1
-        v >>= nw
-        for row in rows:
-            lo += (v & slot) % m * row
-            v >>= w
+        lo = v & low
+        for s, row in folds:
+            lo += (v >> s & slot) % m * row
         out = 0
-        for s in range(nw - w, -1, -w):
-            out = out << w | (lo >> s & slot) % m
+        for s in offsets:
+            out |= (lo >> s & slot) % m << s
         return out
 
     def pack(a):
@@ -268,10 +272,10 @@ def kernel(f: tuple[int, ...], m: int) -> Kernel:
             return sum(c % m << w * i for i, c in enumerate(a))
         if len(a) < 2 * n or not n:
             return reduce(sum(c % m << w * i for i, c in enumerate(a)))
-        return reduce(pack(a[n:]) * rows[0] + pack(a[:n]))  # x^n = row 0
+        return reduce(pack(a[n:]) * folds[0][1] + pack(a[:n]))  # x^n
 
     def unpack(v):
-        return poly(v >> s & slot for s in range(0, nw, w))
+        return poly(v >> s & slot for s in offsets)
 
     def power(v, e):
         # x packs to 1 << w when n >= 2; for n < 2 no reduced v is 1 << w
@@ -283,11 +287,11 @@ def kernel(f: tuple[int, ...], m: int) -> Kernel:
             r = reduce(r)
         return r
 
-    # x^k mod (f, m) for n <= k <= max(n, 2n - 1); x * row_k has a single
-    # high slot, folded by the first row alone
-    rows = [sum(-c % m << w * i for i, c in enumerate(f[:n]))]
-    while len(rows) < n:
-        rows.append(reduce(rows[-1] << w))
+    # (w k, row k = x^k mod (f, m)) for n <= k <= max(n, 2n - 1); x * row_k
+    # has a single high slot, folded by the first row alone
+    folds = [(nw, sum(-c % m << w * i for i, c in enumerate(f[:n])))]
+    while len(folds) < n:
+        folds.append((nw + w * len(folds), reduce(folds[-1][1] << w)))
     return Kernel(w, pack, unpack, reduce, power)
 
 

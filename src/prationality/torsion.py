@@ -171,7 +171,7 @@ def _frobenius_defect(k: ring.Kernel, f, p: int, e, gamma: int) -> int:
     # negative; 0 when eps is x, as x^p = gamma
     d = 0 if is_x else k.reduce(k.pow(k.pack(e), p) - at_gamma(e)
                                 + sum(pp << s for s in range(0, n * k.w, k.w)))
-    if any(c % p for c in k.unpack(f_g) + k.unpack(d)):
+    if any(c % p for c in k.unpack(f_g) + (k.unpack(d) if d else ())):
         raise InvariantViolation(_FERMAT_FAILURE)
     if is_x:
         return f_g

@@ -27,7 +27,7 @@ from prationality.numberfield import (
 from prationality.recurrence import cross_check, minimal_poly_spec
 from prationality.ring import (ModPoly, det_bareiss, discriminant, factor_mod_p,
                               poly, poly_mul)
-from prationality import selftest
+from prationality import ring, selftest
 from prationality.selftest import suite_ef_sum
 from prationality.torsion import condition2_holds
 
@@ -463,3 +463,44 @@ def test_nonpower_basis_order():
     # odd primes coprime to disc(f) still split fine over this basis
     facs = split_prime(K, 5)
     assert sum(pf.e * pf.f for pf in facs) == 3
+
+
+def test_z_alpha_field_matches_the_generic_path_on_identity_rows(monkeypatch):
+    # make_field(f) without a basis builds Z[alpha] with no basis algebra;
+    # it must equal NumberField(f, disc, identity rows), which runs the
+    # generic checks, on every bundled record without a basis and on the
+    # random unit fields.  An explicit identity basis takes the generic path.
+    from test_torsion import _random_unit_fields
+    cases = [(r.poly_coeffs, r.unit_coeffs, r.unit_den)
+             for name in ("table1", "table2", "examples")
+             for r in bundled_records(name) if r.integral_basis is None]
+    assert len(cases) > 20
+    cases += [(K.poly, (0, 1), 1) for K, _ in _random_unit_fields()]
+    eliminations = []
+    original = ring.det_adjugate
+
+    def counted(rows):
+        eliminations.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(ring, "det_adjugate", counted)
+    for f, unit, den in cases:
+        K = make_field(f)
+        assert eliminations == [], f
+        rows = [[int(i == j) for j in range(K.n)] for i in range(K.n)]
+        G = NumberField(K.poly, K.poly_disc, rows)
+        assert len(eliminations) == 1, f
+        assert make_field(f, basis=rows).basis == G.basis
+        assert len(eliminations) == 2, f
+        eliminations.clear()
+        for attr in ("basis", "basis_den", "_basis_inv", "index", "field_disc",
+                     "is_power_basis"):
+            assert getattr(K, attr) == getattr(G, attr), (f, attr)
+        assert K.is_power_basis and K.index == 1 and K.field_disc == K.poly_disc
+        u_K = K.element_from_power_coords(unit, den)
+        u_G = G.element_from_power_coords(unit, den)
+        assert K.to_power_coords(u_K) == G.to_power_coords(u_G), f
+        assert K.char_poly(u_K) == G.char_poly(u_G), f
+        for x in (u_K, K.element_from_power_coords((0, 1))):
+            chi, disc = K.cached_char_poly(x)
+            assert disc == discriminant(chi), (f, x)

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from prationality.harness import bundled_records
 from prationality.ring import (
+    _mp_divmod,
+    _mp_rem,
     derivative,
     det_adjugate,
     det_bareiss,
@@ -15,9 +17,11 @@ from prationality.ring import (
     log_principal,
     mulmod,
     poly,
+    poly_add,
     poly_eval,
     poly_mul,
     poly_rem,
+    poly_sub,
     power_sums,
     powmod,
 )
@@ -446,3 +450,20 @@ def test_packed_kernel_at_degree_0_and_1():
             assert mulmod(a, a, (c, 1), m) == poly((value * value % m,))
             assert powmod(a, 0, (c, 1), m) == (1,)
             assert powmod(a, 9, (c, 1), m) == poly((pow(value, 9, m),))
+
+
+_PRIMES = st.sampled_from([2, 3, 5, 7, 101, 999983, 2**61 - 1, 2**89 - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PRIMES, st.data())
+def test_mp_rem_is_the_remainder_of_mp_divmod(p, data):
+    # unreduced f of any sign and length, g of any leading coefficient
+    # prime to p; f = q g + r over F_p with deg r < deg g
+    f = data.draw(st.lists(st.integers(-3 * p, 3 * p), max_size=10))
+    g = data.draw(st.lists(st.integers(0, p - 1), max_size=5))
+    g = tuple(g) + (data.draw(st.integers(1, p - 1)),)
+    q, r = _mp_divmod(f, g, p)
+    assert _mp_rem(f, g, p) == r
+    assert len(r) < len(g) and all(0 <= c < p for c in q + r)
+    assert all(c % p == 0 for c in poly_sub(f, poly_add(poly_mul(q, g), r)))

@@ -4,7 +4,7 @@ from math import lcm, log
 
 import pytest
 
-from prationality.errors import SplittingUndetermined
+from prationality.errors import InvariantViolation, SplittingUndetermined
 from prationality.families import primes_up_to
 from prationality.harness import bundled_records
 from prationality.numberfield import (
@@ -379,11 +379,13 @@ def _list_frobenius_defect(f, p, e):
 
 def test_packed_frobenius_defect_matches_list_reference_on_bundled_records():
     # the packed defect X against the list computation at every odd p <= 300
-    # not dividing disc(f), and at p = 1699 for ex. 6.2, in both
-    # presentations: Z[x]/(f, p^2) on the unit's coordinates, and
-    # Z[t]/(c, p^2) with eps = t, c the unit's characteristic polynomial,
-    # where p does not divide disc(c); condition2_holds takes the second
-    # whenever it can, and both decide like the alpha-presentation
+    # not dividing disc(f), at p = 1699 for ex. 6.2 and at the first primes
+    # above 2^16, 2^64 and 2^100, whose slots are the widest the kernel's
+    # folds read, in both presentations: Z[x]/(f, p^2) on the unit's
+    # coordinates, and Z[t]/(c, p^2) with eps = t, c the unit's
+    # characteristic polynomial, where p does not divide disc(c);
+    # condition2_holds takes the second whenever it can, and both decide
+    # like the alpha-presentation
     cells = {False: 0, True: 0}  # keyed by "holds"
     alpha_path = set()  # (label, p) where p divides disc(c)
     for name in ("table1", "table2", "examples"):
@@ -392,7 +394,8 @@ def test_packed_frobenius_defect_matches_list_reference_on_bundled_records():
             eps = record.unit_element()
             c, disc_c = K.cached_char_poly(eps)
             assert c == K.char_poly(eps) and disc_c == ring.discriminant(c)
-            primes = primes_up_to(300)[1:] + [1699] * (K.poly == EX62)
+            primes = (primes_up_to(300)[1:] + [1699] * (K.poly == EX62)
+                      + WIDE_PRIMES)
             for p in primes:
                 if K.poly_disc % p == 0:
                     continue
@@ -445,16 +448,22 @@ def _is_prime(n):
     return True
 
 
+def _first_prime_above(n):
+    p = n + 1 + n % 2
+    while not _is_prime(p):
+        p += 2
+    return p
+
+
+WIDE_PRIMES = [_first_prime_above(2**k) for k in (16, 64, 100)]
+
+
 def test_condition2_holds_matches_report_at_large_primes():
     # the kernel's slots widen with p: at the first prime above 2^k, up to
     # p^2 > 2^200, condition2_holds against the per-P report on every
     # bundled record
-    primes = []
-    for k in (16, 20, 24, 31, 32, 40, 61, 64, 100):
-        p = 2**k + 1
-        while not _is_prime(p):
-            p += 2
-        primes.append(p)
+    primes = [_first_prime_above(2**k)
+              for k in (16, 20, 24, 31, 32, 40, 61, 64, 100)]
     assert primes[0] == 65537 and primes[7] == LARGE_PRIMES[2]
     pairs = 0
     for name in ("table1", "table2", "examples"):
@@ -530,17 +539,30 @@ def test_unit_of_a_quadratic_subfield_takes_the_alpha_path(monkeypatch):
     assert cells > 20
 
 
+def _inverse_by_char_poly(K, eps):
+    """eps^-1 = -c_0 (eps^(n-1) + c_(n-1) eps^(n-2) + ... + c_1) for the
+    characteristic polynomial c of eps, whose c_0 = N(eps) = +-1."""
+    c = K.char_poly(eps)
+    acc = K.one()
+    for ci in reversed(c[1:-1]):
+        acc = K.add(K.mul(acc, eps), K.from_int(ci))
+    return K.mul(K.from_int(-c[0]), acc)
+
+
 def test_condition2_invariant_under_sign_and_inversion_on_bundled_records():
     # eps, -eps and eps^-1 have the same condition (2) at every certified
-    # p <= 200 the guard admits; -eps and eps^-1 change c but not disc(c)
+    # p <= 200 the guard admits and at the three wide primes; -eps and
+    # eps^-1 change c but not disc(c)
     cells = 0
     for name in ("table1", "table2", "examples"):
         for record in bundled_records(name):
             K = record.build_field()
             eps = record.unit_element()
+            inverse = _inverse_by_char_poly(K, eps)
+            assert inverse == _unit_inverse(K, eps), record.label
             variants = (FieldElement(tuple(-x for x in eps.coords), eps.den),
-                        _unit_inverse(K, eps))
-            for p in primes_up_to(200):
+                        inverse)
+            for p in primes_up_to(200) + WIDE_PRIMES:
                 try:
                     parts = squarefree_parts(K, p)
                 except SplittingUndetermined:
@@ -553,3 +575,32 @@ def test_condition2_invariant_under_sign_and_inversion_on_bundled_records():
                         record.label, p)
                 cells += 1
     assert cells > 1500
+
+
+
+def test_fermat_check_fires_for_a_wrong_frobenius():
+    # gamma = x^p + 1 is not x^p (mod p), so f(gamma) != 0 (mod p) and both
+    # the chi-path (eps = t) and the alpha-path raise.  On the alpha-path
+    # gamma = x^(p^2) has f(gamma) = 0 (mod p) but is not x^p where p is not
+    # completely split, and eps^p = e(gamma) (mod p) fails alone
+    for f, unit in ((EX62, (-3280, -3462, -729)), (EX63, (-2, -1, 1, 1))):
+        K = make_field(f)
+        eps = K.element_from_power_coords(unit)
+        chi, disc_chi = K.cached_char_poly(eps)
+        not_split = 0
+        for p in (5, 7, 11, 13, 17, 19, 23):
+            pp = p * p
+            if K.poly_disc * disc_chi % p == 0:
+                continue
+            for g, e in ((chi, (0, 1)), (K.poly, K.power_coords_mod(eps, pp))):
+                k = ring.kernel(g, pp)
+                x_p = k.pow(k.pack((0, 1)), p)
+                torsion._frobenius_defect(k, g, p, e, x_p)
+                with pytest.raises(InvariantViolation, match="Fermat"):
+                    torsion._frobenius_defect(k, g, p, e, k.reduce(x_p + 1))
+            # k, g and e are the alpha-path's, the loop's last
+            if not rationality._completely_split(K, p, squarefree_parts(K, p)):
+                with pytest.raises(InvariantViolation, match="Fermat"):
+                    torsion._frobenius_defect(k, g, p, e, k.pow(x_p, p))
+                not_split += 1
+        assert not_split >= 2, f
