@@ -28,7 +28,6 @@ from math import gcd, isqrt, lcm, prod
 
 from .errors import InvariantViolation, SplittingUndetermined
 from . import ring
-from .ring import ModPoly
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -71,7 +70,7 @@ class PrimeFactor:
     degree f; label is its 1-based position in the deterministic ordering."""
 
     p: int
-    generator: ModPoly
+    generator: tuple[int, ...]
     e: int
     f: int
     label: int
@@ -413,9 +412,9 @@ def radical_cofactor(factors, p: int) -> tuple[int, ...]:
     """prod g^(m - 1) over F_p for (g, m) pairs that multiply to f mod p,
     so that f = rad(f) * cofactor mod p."""
     out = (1,)
-    for fac, mult in factors:
+    for g, mult in factors:
         for _ in range(mult - 1):
-            out = ring._mp(ring.poly_mul(out, fac.coeffs), p)
+            out = ring._mp(ring.poly_mul(out, g), p)
     return out
 
 
@@ -423,13 +422,13 @@ def dedekind_p_maximal(f, p: int, factors) -> bool:
     """Dedekind's criterion: is Z[alpha] maximal at p?
 
     f is the monic defining polynomial and factors its factorization mod p
-    as (ModPoly, multiplicity) pairs: the irreducible factors of
-    ring.factor_mod_p or the squarefree parts of squarefree_parts.  Only
+    as (g, multiplicity) pairs, g a residue tuple: the irreducible factors
+    of ring.factor_mod_p or the squarefree parts of squarefree_parts.  Only
     the radical and its cofactor are read, and they are the same for both.
     """
     gbar = (1,)
-    for fac, _ in factors:
-        gbar = ring._mp(ring.poly_mul(gbar, fac.coeffs), p)
+    for g, _ in factors:
+        gbar = ring._mp(ring.poly_mul(gbar, g), p)
     hbar = radical_cofactor(factors, p)
     glift = ring.poly(gbar)
     hlift = ring.poly(hbar)
@@ -454,7 +453,7 @@ def _require_certificate(K: NumberField, p: int, factors) -> None:
 
 
 def squarefree_parts(K: NumberField,
-                     p: int) -> tuple[tuple[ModPoly, int], ...]:
+                     p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """f mod p = prod g_m^m as (g_m, m) pairs, the g_m monic, squarefree and
     pairwise coprime, under split_prime's certificate.  At p not dividing
     disc(f) this is ((f mod p, 1),) with no polynomial work.
@@ -463,12 +462,8 @@ def squarefree_parts(K: NumberField,
     gives the prime ideal (p, g(alpha)) with e = m and f = deg g.
     """
     if K.poly_disc % p != 0:
-        # f is monic, so f mod p is normalized and needs no ModPoly checks
-        fbar = object.__new__(ModPoly)
-        fbar.__dict__.update(coeffs=tuple([c % p for c in K.poly]), modulus=p)
-        return ((fbar, 1),)
-    parts = tuple((ModPoly(g, p), m)
-                  for g, m in ring._sqf_decomposition(ring._mp(K.poly, p), p))
+        return ((tuple([c % p for c in K.poly]), 1),)  # monic: normalized
+    parts = tuple(ring._sqf_decomposition(ring._mp(K.poly, p), p))
     _require_certificate(K, p, parts)
     return parts
 
@@ -479,8 +474,8 @@ def split_prime(K: NumberField, p: int) -> list[PrimeFactor]:
     factors = ring.factor_mod_p(K.poly, p)
     _require_certificate(K, p, factors)
     out = [
-        PrimeFactor(p, fac, mult, fac.degree, i + 1)
-        for i, (fac, mult) in enumerate(factors)
+        PrimeFactor(p, g, mult, ring.degree(g), i + 1)
+        for i, (g, mult) in enumerate(factors)
     ]
     assert sum(pf.e * pf.f for pf in out) == K.n
     return out
@@ -540,11 +535,11 @@ def ideal_from_two_elements(K: NumberField, a: FieldElement, b: FieldElement) ->
     return _hnf_from_columns(K.mul_matrix(a) + K.mul_matrix(b), K.n)
 
 
-def ideal_from_two_generators(K: NumberField, p: int, g: ModPoly) -> IdealHNF:
-    """HNF of (p, g(alpha)) over the integral basis.  g is reduced mod f
-    over F_p first: (p, g(alpha)) = (p, (g mod f)(alpha)), and the order
-    contains Z[alpha], so the reduced generator is integral."""
-    rem = ring._mp_rem(g.coeffs, ring._mp(K.poly, p), p)
+def ideal_from_two_generators(K: NumberField, p: int, g) -> IdealHNF:
+    """HNF of (p, g(alpha)) over the integral basis, g a residue tuple mod
+    p, reduced mod f over F_p first: (p, g(alpha)) = (p, (g mod f)(alpha)),
+    and the order contains Z[alpha], so the reduced generator is integral."""
+    rem = ring._mp_rem(g, ring._mp(K.poly, p), p)
     return ideal_from_two_elements(K, K.from_int(p),
                                    K.element_from_power_coords(rem))
 

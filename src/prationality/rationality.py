@@ -23,7 +23,7 @@ from .numberfield import (
     principal_ideal,
     squarefree_parts,
 )
-from .ring import ModPoly, kernel, log_principal, poly_sub, powmod, splits_completely
+from .ring import kernel, log_principal, poly, poly_sub, powmod, splits_completely
 from . import torsion as torsion_mod
 
 PRECISION_CAP = 16
@@ -54,6 +54,10 @@ class AuxIdealData:
     q: int
     gen_poly: tuple[int, ...]
     power_gen: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.q < 2:
+            raise ValueError(f"auxiliary ideal prime {self.q} is less than 2")
 
 
 @dataclass(frozen=True)
@@ -179,8 +183,7 @@ def condition1(K: NumberField, p: int, *, class_number: int | None,
     if not _completely_split(K, p, parts):
         return Condition1Report(UNDETERMINED, detail="p is not completely split")
     Q = ideal_from_two_generators(
-        K, aux.q, ModPoly(tuple(c % aux.q for c in aux.gen_poly), aux.q)
-    )
+        K, aux.q, poly(c % aux.q for c in aux.gen_poly))
     g = K.element_from_power_coords(aux.power_gen)
     try:
         idx = log_index_split_cyclic(K, p, Q, g, unit)
@@ -202,9 +205,9 @@ def verdict(K: NumberField, p: int, *, unit: FieldElement,
         return Verdict(NOT_APPLICABLE, (GUARD,), guard_reason=
                        "field is not complex cubic or pure imaginary quartic")
     parts = squarefree_parts(K, p)  # SplittingUndetermined propagates
-    guard = torsion_mod.applicability_guard(K, p, [m for _, m in parts])
-    if guard is not None:
-        return Verdict(NOT_APPLICABLE, (GUARD,), guard_reason=guard.reason)
+    reason = torsion_mod.applicability_guard(K, p, [m for _, m in parts])
+    if reason is not None:
+        return Verdict(NOT_APPLICABLE, (GUARD,), guard_reason=reason)
     holds2 = torsion_mod.condition2_holds(K, p, unit, parts)
     rep1 = condition1(K, p, class_number=class_number, unit=unit,
                       parts=parts, aux=aux)

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .numberfield import FieldElement, NumberField, squarefree_parts
-from .ring import Kernel, discriminant, kernel, poly, powmod, splits_completely
+from .ring import (Kernel, degree, discriminant, kernel, poly, powmod,
+                   splits_completely)
 from . import torsion as torsion_mod
 
 SPLIT_COMPLETELY = "split-completely"
@@ -145,7 +146,7 @@ def cross_check(K: NumberField, unit: FieldElement, spec: RecurrenceSpec,
     if chi != spec.companion_poly:
         raise ValueError("spec does not match the minimal polynomial of the unit")
     if K.poly_disc % p == 0:
-        shapes = sorted((m, g.degree) for g, m in squarefree_parts(K, p))
+        shapes = sorted((m, degree(g)) for g, m in squarefree_parts(K, p))
         raise ValueError(f"unramified cubic splitting expected, got {shapes}")
     sres = screen(spec, p)
     holds = bool(torsion_mod._frobenius_defect(kernel(chi, p * p), chi, p,

@@ -14,7 +14,6 @@ roots (used for integer roots in `numberfield.make_field`).
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -163,29 +162,10 @@ def content(f) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Z/m (ModPoly): tuple of residues in [0, m) plus the modulus
-
-
-@dataclass(frozen=True)
-class ModPoly:
-    coeffs: tuple[int, ...]
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus <= 1:
-            raise ValueError("modulus must exceed 1")
-        if any(not (0 <= a < self.modulus) for a in self.coeffs):
-            raise ValueError("coefficients out of range")
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("unnormalized ModPoly")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+# polynomials over F_p: normalized tuples of residues in [0, p)
 
 
 def _mp(coeffs, m):
-    # internal: normalized residue tuple without the wrapper
     return poly(a % m for a in coeffs)
 
 
@@ -196,21 +176,19 @@ def _mp_monic(f, p):
     return poly(a * inv % p for a in f)
 
 
-def _mp_divmod(f, g, p):
-    # p prime, g nonzero
-    if not g:
-        raise ZeroDivisionError
+def _mp_quo(f, g, p):
+    # the quotient of f by nonzero g over F_p, without the remainder
     inv, n = pow(g[-1], -1, p), len(g) - 1
     quo, rem = [], list(f)
     while len(rem) > n:
         quo.append(rem.pop() * inv % p)
         for i in range(n):
             rem[len(rem) - n + i] -= quo[-1] * g[i]
-    return poly(quo[::-1]), _mp(rem, p)
+    return poly(quo[::-1])
 
 
 def _mp_rem(f, g, p):
-    # _mp_divmod(f, g, p)[1] without building the quotient
+    # the remainder of f by nonzero g over F_p, without the quotient
     inv, n = pow(g[-1], -1, p), len(g) - 1
     rem = list(f)
     while len(rem) > n:
@@ -331,16 +309,16 @@ def _sqf_decomposition(f, p):
             result.append((h, m * p))
         return result
     t = _mp_gcd(f, fp, p)
-    v = _mp_divmod(f, t, p)[0]
+    v = _mp_quo(f, t, p)
     k = 0
     while degree(v) > 0:
         k += 1
         w = _mp_gcd(t, v, p)
-        z = _mp_divmod(v, w, p)[0]
+        z = _mp_quo(v, w, p)
         if degree(z) > 0:
             result.append((z, k))
         v = w
-        t = _mp_divmod(t, w, p)[0]
+        t = _mp_quo(t, w, p)
     if degree(t) > 0:
         # leftover is a p-th power carrying its full multiplicity already
         result.extend(_sqf_decomposition(t, p))
@@ -363,7 +341,7 @@ def _distinct_degree(f, p):
         g = _mp_gcd(poly_sub(frob, x), rest, p)
         if degree(g) > 0:
             result.append((g, d))
-            rest = _mp_divmod(rest, g, p)[0]
+            rest = _mp_quo(rest, g, p)
     return result
 
 
@@ -395,12 +373,12 @@ def _equal_degree_split(f, d, p):
             g = _mp_gcd(poly_sub(h, (1,)), f, p)
         if 0 < degree(g) < degree(f):
             left = _equal_degree_split(g, d, p)
-            right = _equal_degree_split(_mp_divmod(f, g, p)[0], d, p)
+            right = _equal_degree_split(_mp_quo(f, g, p), d, p)
             return left + right
     raise AssertionError("equal-degree split exhausted candidates")
 
 
-def factor_mod_p(f, p: int) -> list[tuple[ModPoly, int]]:
+def factor_mod_p(f, p: int) -> list[tuple[tuple[int, ...], int]]:
     """Monic irreducible factors of f over F_p with multiplicities.
 
     Output is sorted by (degree, coefficient tuple) so prime-ideal labels are
@@ -416,24 +394,28 @@ def factor_mod_p(f, p: int) -> list[tuple[ModPoly, int]]:
             for irr in _equal_degree_split(part, d, p):
                 factors.append((irr, mult))
     factors.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    return [(ModPoly(g, p), m) for g, m in factors]
+    return factors
 
 
 def log_principal(a, f, p: int, k: int) -> list[int]:
     """log(a) = sum (-1)^(j+1) z^j / j, z = a - 1, in Z_p[x]/(f) mod p^k,
     as deg f power-basis coordinates, for monic f, odd p and a with every
     coordinate of z divisible by p (a mod p^k determines the result).
-    Every slot of z^j is then divisible by p^j, so the terms past
-    j = kp/(p - 1) + p vanish mod p^k.  z^j is computed on the kernel mod
-    p^(k+e), p^e the largest power of p up to that bound, and divided
-    exactly by the p-part of j on the packed int; the terms are summed per
-    coordinate after unpacking, as packed sums could carry between slots."""
+    Every slot of z^j is then divisible by p^j, so z^j / j is 0 mod p^k
+    once j - v_p(j) >= k, which holds for every j > J, J the least j with
+    p^(i - k + 1) > i for every i > j: p^(j - k + 1) grows faster than j
+    from j = k on.  z^j is computed on the kernel mod p^(k+e), p^e the
+    largest power of p up to J, and divided exactly by the p-part of j on
+    the packed int; the terms are summed per coordinate after unpacking,
+    as packed sums could carry between slots."""
     if p == 2:
         raise ValueError("p = 2 is unsupported")
     z = poly_sub(a, (1,))
     if any(c % p for c in z):
         raise ValueError("argument must be a principal unit (1 mod p)")
-    pk, terms, e = p**k, k * p // (p - 1) + p, 0
+    pk, terms, e = p**k, max(k - 1, 0), 0
+    while p ** (terms - k + 2) <= terms + 1:
+        terms += 1
     while p ** (e + 1) <= terms:
         e += 1
     kern = kernel(tuple(f), p ** (k + e))

@@ -27,6 +27,7 @@ from .numberfield import (make_field, radical_cofactor, split_prime,
                           squarefree_parts)
 from .recurrence import (INERT, MIXED_1_2, SPLIT_COMPLETELY, RecurrenceSpec,
                          f_index_mod, minimal_poly_spec, screen)
+from .ring import degree
 from .torsion import applicability_guard, condition2, condition2_holds
 
 
@@ -120,7 +121,7 @@ def suite_condition2_oracles(pmax: int = 100):
             degrees = {}
             for pf in factors:
                 degrees[pf.e] = degrees.get(pf.e, 0) + pf.f
-            if (sorted((m, g.degree) for g, m in parts) != sorted(degrees.items())
+            if (sorted((m, degree(g)) for g, m in parts) != sorted(degrees.items())
                     or condition2_holds(K, p, unit, parts)
                     != condition2(K, p, unit, factors).holds):
                 return (

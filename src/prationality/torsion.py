@@ -92,11 +92,6 @@ _FERMAT_FAILURE = "Fermat failure: eps^(p^f-1) - 1 not in the first power"
 
 
 @dataclass(frozen=True)
-class NotApplicableReason:
-    reason: str
-
-
-@dataclass(frozen=True)
 class PerPrimeResult:
     factor: PrimeFactor
     exponent: int
@@ -118,8 +113,9 @@ class Condition2Report:
 
 
 def applicability_guard(K: NumberField, p: int,
-                        multiplicities) -> NotApplicableReason | None:
-    """Guards from the criterion's hypotheses; None means applicable.
+                        multiplicities) -> str | None:
+    """The reason a guard from the criterion's hypotheses refuses p, or
+    None when the criterion applies.
 
     multiplicities are the m of the squarefree parts of f mod p or the e of
     the prime factors; only their maximum is read, and it is the same.
@@ -132,11 +128,11 @@ def applicability_guard(K: NumberField, p: int,
     5 | w then K = Q(zeta_5), which is totally ramified at 5.
     """
     if p == 2:
-        return NotApplicableReason("p = 2 is outside the criterion")
+        return "p = 2 is outside the criterion"
     if p == 3 and max(multiplicities) > 1:
-        return NotApplicableReason("p = 3 must be unramified")
+        return "p = 3 must be unramified"
     if K.n == 4 and p == 5 and max(multiplicities) == 4:
-        return NotApplicableReason("5 totally ramified in a quartic field")
+        return "5 totally ramified in a quartic field"
     return None
 
 
@@ -208,7 +204,7 @@ def condition2_holds(K: NumberField, p: int, unit: FieldElement,
     k = ring.kernel(f, p * p)
     if unramified:
         return bool(_frobenius_defect(k, f, p, e, k.pow(k.pack((0, 1)), p)))
-    F = lcm(*range(1, max(g.degree for g, _ in parts) + 1))
+    F = lcm(*range(1, max(ring.degree(g) for g, _ in parts) + 1))
     return bool(_unit_defect(k, p, e, p**F - 1, radical_cofactor(parts, p)))
 
 
@@ -224,7 +220,7 @@ def condition2(K: NumberField, p: int, unit: FieldElement,
     per, witness = [], None
     for pf in factors:
         exponent, g = p**pf.f - 1, pf.generator
-        h = ring._mp_divmod(fbar, radical_cofactor(((g, pf.e + 1),), p), p)[0]
+        h = ring._mp_quo(fbar, radical_cofactor(((g, pf.e + 1),), p), p)
         c = ring.poly_mul(radical_cofactor(((g, pf.e),), p), ring.poly_mul(h, h))
         congruent = not _unit_defect(k, p, e, exponent, c)
         r = K.pow_mod(unit, exponent, p ** (pf.e + 1))

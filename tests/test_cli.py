@@ -299,6 +299,19 @@ def test_table_record_with_class_number_zero_is_an_input_error(tmp_path):
     assert proc.stderr == "error: line 2: class number must be positive\n"
 
 
+def test_scan_record_with_aux_q_zero_is_an_input_error(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_text("label,degree,poly,h,unit,unit_den,torsion_order,basis,"
+                    "aux_q,aux_gen_poly,aux_power_gen\n"
+                    "x^3-4*x+27,3,27;-4;0;1,3,-3280;-3462;-729,1,2,,0,1;1,"
+                    "-604;265;-77\n")
+    proc = _run_module(["scan", "--input", str(path), "--xmax", "50"],
+                       subprocess.PIPE, timeout=5)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: line 2: auxiliary ideal prime 0 is less than 2\n"
+
+
 def test_quintic_is_an_input_error(capsys):
     # (x^2+1)(x^3+x+1) was once accepted as a field of signature (1, 2)
     rc = cli(["check", "--poly", "1;1;1;2;0;1", "--unit", "0;1", "--h", "1",

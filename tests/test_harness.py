@@ -167,6 +167,22 @@ def test_load_refuses_nonpositive_class_number(deadline, h):
         assert str(err.value) == f"line {line}: class number must be positive"
 
 
+@pytest.mark.parametrize("q", [0, 1, -2])
+def test_load_refuses_an_auxiliary_prime_below_two(q):
+    # aux_q = 0 was once accepted at load and failed only where condition
+    # (1) built the auxiliary ideal, with a ZeroDivisionError
+    csv_text = EX62_CSV.replace(",2,1;1,", f",{q},1;1,")
+    json_text = ('[{"label": "x", "degree": 3, "poly": [27, -4, 0, 1], "h": 3,'
+                 ' "unit": [-3280, -3462, -729], "aux_q": %d,'
+                 ' "aux_gen_poly": [1, 1], "aux_power_gen": [-604, 265, -77]}]'
+                 % q)
+    for text, fmt, line in ((csv_text, "csv", 2), (json_text, "json", 1)):
+        with pytest.raises(RecordParseError) as err:
+            load_records(io.StringIO(text), fmt)
+        assert str(err.value) == (
+            f"line {line}: auxiliary ideal prime {q} is less than 2")
+
+
 def test_load_names_a_missing_field():
     csv_text = EX63_CSV.replace("label,degree,", "label,").replace(",4,", ",")
     json_text = ('[{"label": "x", "poly": [3, 0, -2, 0, 1], "h": 1,'

@@ -34,7 +34,6 @@ from prationality.rationality import (
     log_index_split_cyclic,
     verdict,
 )
-from prationality.ring import ModPoly
 
 EX62 = (27, -4, 0, 1)
 EX63 = (3, 0, -2, 0, 1)
@@ -46,7 +45,7 @@ G62 = FieldElement((-604, 265, -77))
 
 
 def _q62(K):
-    return ideal_from_two_generators(K, 2, ModPoly((1, 1), 2))
+    return ideal_from_two_generators(K, 2, (1, 1))
 
 
 def _scalar_log(u: int, p: int, k: int) -> int:
@@ -89,7 +88,7 @@ def _reference_at_precision(K, p, g, unit, k):
     """The Log-index decision at precision k in the p completions: alpha
     goes to the Hensel lifts of the n roots of f mod p, and each embedding
     takes the scalar log."""
-    roots = [ring.hensel_lift_root(K.poly, p, (-pf.generator.coeffs[0]) % p, k)
+    roots = [ring.hensel_lift_root(K.poly, p, (-pf.generator[0]) % p, k)
              for pf in split_prime(K, p)]
     pk = p**k
     u_res, w_res = [], []

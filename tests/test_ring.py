@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from prationality.harness import bundled_records
 from prationality.ring import (
-    _mp_divmod,
+    _mp_quo,
     _mp_rem,
     derivative,
     det_adjugate,
@@ -96,15 +96,15 @@ def test_discriminant_matches_the_sylvester_resultant():
 
 def test_factor_mod_p_examples():
     facs = factor_mod_p((27, -4, 0, 1), 3)
-    assert [(f.coeffs, m) for f, m in facs] == [
+    assert facs == [
         ((0, 1), 1),  # x
         ((1, 1), 1),  # x + 1
         ((2, 1), 1),  # x - 1
     ]
     facs = factor_mod_p((3, 0, -2, 0, 1), 5)
-    assert len(facs) == 1 and facs[0][1] == 1 and facs[0][0].degree == 4
+    assert len(facs) == 1 and facs[0][1] == 1 and len(facs[0][0]) == 5
     facs = factor_mod_p((0, 1), 7)
-    assert [(f.coeffs, m) for f, m in facs] == [((0, 1), 1)]
+    assert facs == [((0, 1), 1)]
 
 
 def test_factor_mod_p_rejects_zero():
@@ -164,10 +164,10 @@ def test_factor_mod_p_reassembles_and_factors_irreducible():
         prod = (1,)
         total = 0
         for g, m in facs:
-            assert _is_irreducible_mod_p(g.coeffs, p)
-            total += g.degree * m
+            assert _is_irreducible_mod_p(g, p)
+            total += (len(g) - 1) * m
             for _ in range(m):
-                prod = poly(c % p for c in poly_mul(prod, g.coeffs))
+                prod = poly(c % p for c in poly_mul(prod, g))
         fbar = poly(c % p for c in f)
         assert prod == fbar
         assert total == len(fbar) - 1
@@ -176,7 +176,7 @@ def test_factor_mod_p_reassembles_and_factors_irreducible():
 def test_factor_mod_p_repeated_factors():
     # x^4 - x^3 + x^2 - x + 1 = (x+1)^4 mod 5 (5 totally ramified)
     facs = factor_mod_p((1, -1, 1, -1, 1), 5)
-    assert [(f.coeffs, m) for f, m in facs] == [((1, 1), 4)]
+    assert facs == [((1, 1), 4)]
 
 
 def test_hensel_lift_examples():
@@ -227,7 +227,7 @@ def test_padic_log_rejects_bad_input():
 def test_padic_log_is_additive():
     rng = random.Random(4242)
     for _ in range(200):
-        p = rng.choice([3, 5, 7, 13])
+        p = rng.choice([3, 5, 7, 13, 1000003, 2**64 + 13])
         k = rng.randint(2, 6)
         pk = p**k
         a = 1 + p * rng.randrange(pk // p)
@@ -236,7 +236,7 @@ def test_padic_log_is_additive():
     # and on the coordinates of Z[x]/(f) for the cubic x^3 - 4x + 27
     f = (27, -4, 0, 1)
     for _ in range(50):
-        p = rng.choice([3, 5, 7])
+        p = rng.choice([3, 5, 7, 1000003, 2**64 + 13])
         k = rng.randint(2, 6)
         pk = p**k
         a, b = ([int(i == 0) + p * rng.randrange(pk) for i in range(3)]
@@ -251,7 +251,7 @@ def test_padic_log_agrees_across_precisions():
     # series is not cut too early (3^9 / 9 still counts at p = 3, k = 8)
     rng = random.Random(11)
     for _ in range(100):
-        p = rng.choice([3, 5, 7])
+        p = rng.choice([3, 5, 7, 1000003, 2**64 + 13])
         k = rng.randint(2, 16)
         u = 1 + p * rng.randrange(p ** (2 * k))
         assert _log(u, p, k) == _log(u, p, 2 * k) % p**k
@@ -457,13 +457,12 @@ _PRIMES = st.sampled_from([2, 3, 5, 7, 101, 999983, 2**61 - 1, 2**89 - 1])
 
 @settings(max_examples=200, deadline=None)
 @given(_PRIMES, st.data())
-def test_mp_rem_is_the_remainder_of_mp_divmod(p, data):
+def test_mp_quo_and_mp_rem_divide_over_f_p(p, data):
     # unreduced f of any sign and length, g of any leading coefficient
     # prime to p; f = q g + r over F_p with deg r < deg g
     f = data.draw(st.lists(st.integers(-3 * p, 3 * p), max_size=10))
     g = data.draw(st.lists(st.integers(0, p - 1), max_size=5))
     g = tuple(g) + (data.draw(st.integers(1, p - 1)),)
-    q, r = _mp_divmod(f, g, p)
-    assert _mp_rem(f, g, p) == r
+    q, r = _mp_quo(f, g, p), _mp_rem(f, g, p)
     assert len(r) < len(g) and all(0 <= c < p for c in q + r)
     assert all(c % p == 0 for c in poly_sub(f, poly_add(poly_mul(q, g), r)))

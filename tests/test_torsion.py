@@ -73,7 +73,7 @@ def _hnf_holds(K, p, unit, factors):
 def test_guard_examples():
     K10 = make_field((1, -1, 1, -1, 1))
     guard = applicability_guard(K10, 5, _multiplicities(K10, 5))
-    assert guard is not None and "ramified" in guard.reason
+    assert guard is not None and "ramified" in guard
     assert guard == applicability_guard(
         K10, 5, [pf.e for pf in split_prime(K10, 5)])
     K = make_field(EX62)
@@ -254,7 +254,7 @@ def test_global_test_matches_report_on_random_unit_fields():
                 continue
             factors = split_prime(K, p)
             parts = squarefree_parts(K, p)
-            assert [(m, g.degree) for g, m in parts] == [(1, K.n)], (K.poly, p)
+            assert [(m, degree(g)) for g, m in parts] == [(1, K.n)], (K.poly, p)
             shapes = sorted((pf.e, pf.f) for pf in factors)
             fast = condition2_holds(K, p, alpha, parts)
             assert fast == condition2(K, p, alpha, factors).holds, (K.poly, p)
@@ -288,7 +288,7 @@ def test_condition2_matches_hnf_on_random_unit_fields():
             degrees = Counter()  # the sum of f over the P with e = m, per m
             for pf in factors:
                 degrees[pf.e] += pf.f
-            assert (sorted((m, g.degree) for g, m in parts)
+            assert (sorted((m, degree(g)) for g, m in parts)
                     == sorted(degrees.items())), (K.poly, p)
             is_ramified = any(pf.e > 1 for pf in factors)
             for unit in (alpha, _power(K, alpha, p)):
@@ -297,7 +297,7 @@ def test_condition2_matches_hnf_on_random_unit_fields():
                 assert condition2_holds(K, p, unit, parts) == holds, (K.poly, p)
                 ramified[holds] += is_ramified
             if is_ramified:
-                max_deg = max(g.degree for g, _ in parts)
+                max_deg = max(degree(g) for g, _ in parts)
                 coarse_F += (lcm(*range(1, max_deg + 1))
                              != lcm(*(pf.f for pf in factors)))
     assert ramified[False] > 0 and ramified[True] > 0

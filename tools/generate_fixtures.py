@@ -51,7 +51,7 @@ from prationality.numberfield import (
     make_field,
 )
 from prationality.rationality import AuxIdealData
-from prationality.ring import factor_mod_p
+from prationality.ring import degree, factor_mod_p
 
 mpmath.mp.dps = 60
 
@@ -506,7 +506,7 @@ def split_prime_any(K, q):
             {
                 "q": q,
                 "e": mult,
-                "f": fac.degree,
+                "f": degree(fac),
                 "ideal": ideal_from_two_generators(K, q, fac),
             }
             for fac, mult in factor_mod_p(K.poly, q)
@@ -621,7 +621,7 @@ def analytic_class_number_estimate(K, reg, w, X=30000):
         if abs(K.poly_disc) % q != 0 or K.index % q != 0:
             # q coprime to the index: splitting reads off f mod q
             for fac, _ in factor_mod_p(K.poly, q):
-                rho /= 1.0 - 1.0 / q**fac.degree
+                rho /= 1.0 - 1.0 / q**degree(fac)
         else:
             for entry in _index_prime_ideals(K, q):
                 rho /= 1.0 - 1.0 / q ** entry["f"]
