@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +20,8 @@ from . import torsion as torsion_mod
 EULER_GAMMA = 0.5772156649015329
 
 TRIAL_DIVISION_CAP = 10**7
+
+_BLOCK = 4096  # root slots per Lemma-A threshold block
 
 
 def _odd_sieve(n: int) -> bytearray:
@@ -148,18 +149,28 @@ class GgcCandidate:
     verdict: str | None = None  # "GgcHolds" | "Unknown"
 
 
+def _uncap(r: int, x: int) -> int:
+    """The largest s with s^2 | x, given r = min(255, s)."""
+    return r if r < 255 else next(s for s in range(math.isqrt(x), 254, -1)
+                                  if x % (s * s) == 0)
+
+
 def lemma_a_scan(xmax: int, T: float) -> list[GgcCandidate]:
     """Primes p = 1 mod 4 up to xmax with square divisors n^2 | p-1,
-    m^2 | p+1 and n, m beyond (log p)^T, read off one sieve of the largest
-    r with r^2 | 2k for each 2k <= xmax + 1 (16 bits while xmax < 4 * 10^9).
+    m^2 | p+1 and n, m beyond (log p)^T, read off one byte sieve of
+    min(255, largest r with r^2 | 2k) for each 2k <= xmax + 1.
 
-    Only candidates are compared with their threshold.  As log p > 1,
-    (log p)^T is monotone in p, so its least value tmin on the range is at
-    p = 5 or at the largest prime p = 1 mod 4, and n > (log p)^T >= tmin
-    implies n > t0 = floor(tmin) for the integer n.  A candidate is a prime
-    p = 4j + 1 whose slots 2j and 2j + 1 both hold a root beyond t0: a
-    superset of the answer, so the exact comparison on it loses nothing.
-    A NaN or infinite tmin admits no n; an overflowing one is a ValueError."""
+    Only candidates are compared with their threshold.  Slot k is read at
+    p = 2k + 1 (as n) or p = 2k - 1 (as m), so a block of slots a <= k < b
+    serves p in [2a - 1, 2b - 1], clipped to [5, plast] (plast the largest
+    prime p = 1 mod 4).  As log p > 1, (log p)^T is monotone in p, so its
+    least value on the block is at an end, and n > (log p)^T implies
+    n > t for t the floor of that value (or min(n, 255) > min(t, 254)).
+    One translate per block marks such slots, and a candidate is a prime
+    p = 4j + 1 whose slots 2j and 2j + 1 are both marked: a superset of the
+    answer, so the exact comparison on it loses nothing.  A byte of 255
+    stands for a root s >= 255, found by searching down from isqrt.  A NaN
+    or infinite threshold admits no n; an overflowing one is a ValueError."""
     if xmax < 13:
         raise ValueError("xmax must be at least 13")
     primes = _odd_sieve(xmax)[::2]  # slot j: is 4j + 1 prime?
@@ -170,24 +181,30 @@ def lemma_a_scan(xmax: int, T: float) -> list[GgcCandidate]:
         raise ValueError(f"(log p)^T overflows a float at T = {T}") from None
     if not tmin < math.inf:
         return []
-    t0 = math.floor(tmin)
-    root = array("H", [1]) * ((xmax + 3) // 2)
-    big = bytearray([t0 < 1]) * len(root)  # slot k: is root[k] > t0?
+    root = bytearray([1]) * ((xmax + 3) // 2)
     for r in range(2, math.isqrt(xmax + 1) + 1):  # ascending: the last r wins
         step = r * r // math.gcd(2, r)  # r^2 | 2k iff step | k
-        count = (len(root) - 1) // step
-        root[step::step] = array("H", [r]) * count
-        if r > t0:
-            big[step::step] = b"\x01" * count
+        root[step::step] = bytes([min(r, 255)]) * ((len(root) - 1) // step)
+
+    def floor_at(k):  # floor (log p)^T at p = 2k - 1 clipped to [5, plast]
+        return math.floor(math.log(min(max(2 * k - 1, 5), plast)) ** T)
+
+    def mark(a):  # slots a <= k < a + _BLOCK: 1 where root[k] > t
+        t = min(floor_at(a), floor_at(a + _BLOCK), 254)
+        return root[a:a + _BLOCK].translate(bytes(t + 1) + b"\x01" * (255 - t))
+
+    big = b"".join(map(mark, range(0, len(root), _BLOCK)))
     hits = (int.from_bytes(primes, "little") & int.from_bytes(big[::2], "little")
-            & int.from_bytes(big[1::2], "little"))
+            & int.from_bytes(big[1::2], "little")).to_bytes(len(primes), "little")
     out = []
-    slots = len(primes)
-    for j in itertools.compress(range(slots), hits.to_bytes(slots, "little")):
-        p, n, m = 4 * j + 1, root[2 * j], root[2 * j + 1]
+    j = hits.find(1)
+    while j >= 0:
+        p = 4 * j + 1
+        n, m = _uncap(root[2 * j], p - 1), _uncap(root[2 * j + 1], p + 1)
         threshold = math.log(p) ** T
         if n > threshold and m > threshold:
             out.append(GgcCandidate(p, n, m, threshold))
+        j = hits.find(1, j + 1)
     return out
 
 

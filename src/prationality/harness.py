@@ -79,6 +79,8 @@ class FieldRecord:
     def __post_init__(self):
         if self.class_number is not None and self.class_number < 1:
             raise ValueError("class number must be positive")
+        if self.unit_den < 1:
+            raise ValueError("unit_den must be positive")
 
     @property
     def degree(self) -> int:
@@ -119,14 +121,14 @@ def parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(";"))
 
 
-def _parse_basis(text: str):
+def _parse_basis(text: str, n: int):
     text = text.strip()
     if not text:
         return None
-    rows = []
-    for row in text.split(";"):
-        rows.append(tuple(Fraction(entry) for entry in row.split(",")))
-    return tuple(rows)
+    rows = tuple(tuple(Fraction(x) for x in row.split(",")) for row in text.split(";"))
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"basis must have {n} rows of {n} entries")
+    return rows
 
 
 def _record_from_fields(fields: dict[str, str], line: int) -> FieldRecord:
@@ -157,7 +159,7 @@ def _record_from_fields(fields: dict[str, str], line: int) -> FieldRecord:
             if fields.get("torsion_gen", "").strip()
             else None,
             torsion_gen_den=int(fields.get("torsion_gen_den", "") or 1),
-            integral_basis=_parse_basis(fields.get("basis", "")),
+            integral_basis=_parse_basis(fields.get("basis", ""), degree),
             aux=aux,
         )
     except KeyError as exc:

@@ -245,12 +245,17 @@ def kernel(f: tuple[int, ...], m: int) -> Kernel:
             out |= (lo >> s & slot) % m << s
         return out
 
-    def pack(a):
-        if len(a) <= n:  # every slot is already reduced
-            return sum(c % m << w * i for i, c in enumerate(a))
-        if len(a) < 2 * n or not n:
-            return reduce(sum(c % m << w * i for i, c in enumerate(a)))
-        return reduce(pack(a[n:]) * folds[0][1] + pack(a[:n]))  # x^n
+    def lift(a):
+        return sum(c % m << w * i for i, c in enumerate(a))
+
+    def pack(a):  # Horner in x^n, not recursive: a self-reference is a cycle
+        if len(a) <= n or not n:  # already reduced; at n = 0 every v is 0
+            return lift(a[:n])
+        top = (len(a) - 1) // n * n  # a[top:] has 1 to n slots
+        v = lift(a[top:])
+        for i in range(top - n, -1, -n):
+            v = reduce(v * folds[0][1] + lift(a[i:i + n]))
+        return v
 
     def unpack(v):
         return poly(v >> s & slot for s in offsets)

@@ -312,6 +312,17 @@ def test_scan_record_with_aux_q_zero_is_an_input_error(tmp_path):
     assert proc.stderr == "error: line 2: auxiliary ideal prime 0 is less than 2\n"
 
 
+def test_table_record_with_a_two_row_basis_is_an_input_error(tmp_path, capsys):
+    # once an IndexError traceback from the loader
+    path = tmp_path / "rec.csv"
+    path.write_text("label,degree,poly,h,unit,basis\n"
+                    'x^3-x^2+x-9,3,-9;1;-1;1,1,193;63;49,"1,0,0;0,1,0"\n')
+    rc = cli(["table", "--input", str(path), "--pmin", "5", "--pmax", "13"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err == "error: line 2: basis must have 3 rows of 3 entries\n"
+
+
 def test_quintic_is_an_input_error(capsys):
     # (x^2+1)(x^3+x+1) was once accepted as a field of signature (1, 2)
     rc = cli(["check", "--poly", "1;1;1;2;0;1", "--unit", "0;1", "--h", "1",

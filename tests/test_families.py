@@ -84,14 +84,15 @@ def _reference_root_class_number(radicand: int) -> int:
     return count
 
 
-def _reference_lemma_a_scan(xmax: int, T: float) -> list[GgcCandidate]:
-    """Lemma A with the square-divisor roots of p -+ 1 read off factorize."""
+def _reference_lemma_a_scan(xmax: int, T: float, pmin: int = 0) -> list[GgcCandidate]:
+    """Lemma A at pmin <= p <= xmax with the square-divisor roots of p -+ 1
+    read off factorize."""
     def square_divisor_root(n):
         return math.prod(q ** (e // 2) for q, e in factorize(n).items())
 
     out = []
     for p in primes_up_to(xmax):
-        if p % 4 != 1:
+        if p % 4 != 1 or p < pmin:
             continue
         n, m = square_divisor_root(p - 1), square_divisor_root(p + 1)
         threshold = math.log(p) ** T
@@ -178,6 +179,23 @@ def test_lemma_a_sieve_matches_factorize(xmax):
 @pytest.mark.parametrize("T", [-1, 0, 0.5, 1, 2, math.inf, -math.inf, math.nan])
 def test_lemma_a_candidate_mask_matches_factorize(xmax, T):
     assert lemma_a_scan(xmax, T) == _reference_lemma_a_scan(xmax, T)
+
+
+# (p, (n, m), T): 65537 = 2^16 + 1 has n = 256 past the byte cap, and its
+# slots 2j, 2j + 1 open a threshold block; 134161 has m = 259; the slots of
+# 180221 close a block; 665857 passes at a threshold (log p)^2.3 = 392
+# beyond the cap
+@pytest.mark.parametrize("p, roots, T_in", [
+    (65537, (256, 3), 0), (134161, (4, 259), 0), (180221, (2, 7), 0),
+    (665857, (816, 577), 2.3)])
+def test_lemma_a_past_the_byte_cap_and_at_block_edges(p, roots, T_in):
+    slots = {(p - 1) // 2 % families._BLOCK, ((p - 1) // 2 + 1) % families._BLOCK}
+    assert max(roots) >= 256 or slots & {0, families._BLOCK - 1}
+    for T in (0, 0.5, 1, 2, 2.3, 3):
+        window = [c for c in lemma_a_scan(p + 200, T) if c.p >= p - 200]
+        assert window == _reference_lemma_a_scan(p + 200, T, p - 200), T
+        if T == T_in:
+            assert (p, *roots) in [(c.p, c.n, c.m) for c in window]
 
 
 def test_lemma_a_T_zero_forces_nontrivial_squares():

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -191,6 +192,36 @@ def test_load_names_a_missing_field():
         with pytest.raises(RecordParseError) as err:
             load_records(io.StringIO(text), fmt)
         assert str(err.value) == f"line {line}: missing field 'degree'"
+
+
+@pytest.mark.parametrize("basis", [
+    "1,0,0;0,1,0", "1,0;0,1;0,0", "1,0,0,0;0,1,0,0;0,0,1,0", "1,0,0;0,1,0;0,0,1,5",
+], ids=["two-rows", "width-2", "width-4", "last-row-too-wide"])
+def test_load_refuses_a_basis_of_the_wrong_shape(basis):
+    # two rows once raised an IndexError from the unit's coordinates; rows
+    # of width 2 or 4 were refused as "first basis element must be 1" and
+    # a 4-entry last row passed as a basis, its unit then of norm 0
+    csv_text = ("label,degree,poly,h,unit,basis\n"
+                f'x^3-x^2+x-9,3,-9;1;-1;1,1,193;63;49,"{basis}"\n')
+    rows = [[int(x) for x in row.split(",")] for row in basis.split(";")]
+    json_text = ('[{"label": "x^3-x^2+x-9", "degree": 3, "poly": [-9, 1, -1, 1],'
+                 f' "h": 1, "unit": [193, 63, 49], "basis": {json.dumps(rows)}}}]')
+    for text, fmt, line in ((csv_text, "csv", 2), (json_text, "json", 1)):
+        with pytest.raises(RecordParseError) as err:
+            load_records(io.StringIO(text), fmt)
+        assert str(err.value) == f"line {line}: basis must have 3 rows of 3 entries"
+
+
+@pytest.mark.parametrize("den", [0, -1])
+def test_load_refuses_a_unit_denominator_below_one(den):
+    # -1 was once accepted, and made the unit -eps
+    csv_text = EX63_CSV.replace(";1,1,2,", f";1,{den},2,")
+    json_text = ('[{"label": "x", "degree": 4, "poly": [3, 0, -2, 0, 1], "h": 1,'
+                 f' "unit": [-2, -1, 1, 1], "unit_den": {den}}}]')
+    for text, fmt, line in ((csv_text, "csv", 2), (json_text, "json", 1)):
+        with pytest.raises(RecordParseError) as err:
+            load_records(io.StringIO(text), fmt)
+        assert str(err.value) == f"line {line}: unit_den must be positive"
 
 
 def test_load_json_with_nested_basis_matches_csv():

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -437,6 +438,21 @@ def test_packed_kernel_at_full_slots(n, m):
     # largest square, and each of the n folds reads a row
     for e in (1, 2, 5, 2**20 + 1):
         assert powmod((0, 1), e, f, m) == _list_powmod((0, 1), e, f, m)
+
+
+def test_a_dropped_kernel_needs_no_cycle_collector():
+    # pack's Horner loop over x^n chunks runs without a self-reference, so
+    # a kernel evicted from the cache is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        k = kernel.__wrapped__((27, -4, 0, 1), 49)
+        assert k.unpack(k.pack(tuple(range(-9, 9)))) == _list_mulmod(
+            tuple(range(-9, 9)), (1,), (27, -4, 0, 1), 49)
+        del k
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_packed_kernel_at_degree_0_and_1():
