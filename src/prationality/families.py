@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .numberfield import FieldElement, NumberField, make_field, squarefree_parts
+from .numberfield import FieldElement, make_field, squarefree_parts
 from .recurrence import MIXED_1_2, SPLIT_COMPLETELY, cubic_splitting
 from .ring import kernel, poly_mul, poly_rem
 from . import torsion as torsion_mod
@@ -75,11 +75,11 @@ def squarefree_part(n: int) -> int:
 # pure cubic family
 
 
-@dataclass(frozen=True)
-class PureCubicInstance:
-    p: int
-    field: NumberField
-    unit: FieldElement  # eps = p^2 + p*alpha + alpha^2 = 1/(p - alpha)
+class PureCubicInstance(namedtuple("PureCubicInstance", "p field unit")):
+    """Q(cbrt(p^3 - 1)) and its unit eps = p^2 + p*alpha + alpha^2
+    = 1/(p - alpha)."""
+
+    __slots__ = ()
 
     @classmethod
     def build(cls, p: int) -> "PureCubicInstance":
@@ -93,12 +93,8 @@ class PureCubicInstance:
         return cls(p, K, eps)
 
 
-@dataclass(frozen=True)
-class PureCubicResult:
-    p: int
-    splitting: str
-    condition2_holds: bool
-    h_flag: str  # "h-unknown" | "p|h" | "p coprime to h"
+# h_flag is "h-unknown", "p|h" or "p coprime to h"
+PureCubicResult = namedtuple("PureCubicResult", "p splitting condition2_holds h_flag")
 
 
 def pure_cubic_scan(pmin: int, pmax: int,
@@ -137,16 +133,10 @@ def pure_cubic_scan(pmin: int, pmax: int,
 # GGC scanner
 
 
-@dataclass(frozen=True)
-class GgcCandidate:
-    p: int
-    n: int
-    m: int
-    threshold: float
-    radicand: int | None = None
-    hK2: int | None = None
-    lemma_b_bound: float | None = None
-    verdict: str | None = None  # "GgcHolds" | "Unknown"
+# verdict is "GgcHolds" or "Unknown" once ggc_scan has decided the candidate
+GgcCandidate = namedtuple(
+    "GgcCandidate", "p n m threshold radicand hK2 lemma_b_bound verdict",
+    defaults=(None,) * 4)
 
 
 def _uncap(r: int, x: int) -> int:

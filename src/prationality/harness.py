@@ -11,17 +11,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache, reduce
-from importlib import resources
+from functools import cached_property, lru_cache, reduce
 
 from . import ring
 from .errors import InvariantViolation
 from .families import primes_up_to
-from .numberfield import FieldElement, NumberField, make_field
+from .numberfield import FieldElement, NumberField, checked_make, make_field
 from .rationality import (
     AuxIdealData,
     CLASS_NUMBER_DIVISIBLE,
@@ -33,8 +31,6 @@ from .rationality import (
     Verdict,
     verdict,
 )
-
-log = logging.getLogger(__name__)
 
 CSV_COLUMNS = [
     "label",
@@ -61,48 +57,50 @@ CELL_NOT_APPLICABLE = "notApplicable"
 CELL_ERROR = "error"
 
 
-@dataclass
-class FieldRecord:
-    label: str
-    poly_coeffs: tuple[int, ...]
-    class_number: int | None
-    unit_coeffs: tuple[int, ...]
-    unit_den: int = 1
-    torsion_order: int = 2
-    torsion_gen_coeffs: tuple[int, ...] | None = None
-    torsion_gen_den: int = 1
-    integral_basis: tuple[tuple[Fraction, ...], ...] | None = None
-    aux: AuxIdealData | None = None
-    _field: NumberField | None = field(default=None, repr=False, compare=False)
-    _unit: FieldElement | None = field(default=None, repr=False, compare=False)
+class FieldRecord(namedtuple("FieldRecord", (
+        "label poly_coeffs class_number unit_coeffs unit_den torsion_order "
+        "torsion_gen_coeffs torsion_gen_den integral_basis aux"),
+        defaults=(1, 2, None, 1, None, None))):
+    """One field as CSV or JSON gives it: coefficient tuples over the power
+    basis, class_number None when unknown, integral_basis None for Z[alpha]
+    and aux an optional rationality.AuxIdealData.  No __slots__: the instance
+    __dict__ holds the field and unit built on first use."""
 
-    def __post_init__(self):
+    _make = classmethod(checked_make)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.class_number is not None and self.class_number < 1:
             raise ValueError("class number must be positive")
         if self.unit_den < 1:
             raise ValueError("unit_den must be positive")
+        if self.torsion_order < 2:  # every field holds +-1
+            raise ValueError("torsion_order must be at least 2")
+        if self.torsion_gen_den < 1:
+            raise ValueError("torsion_gen_den must be positive")
+        return self
 
     @property
     def degree(self) -> int:
         return len(self.poly_coeffs) - 1
 
+    @cached_property
+    def _field(self) -> NumberField:
+        return make_field(self.poly_coeffs, basis=self.integral_basis)
+
+    @cached_property
+    def _unit(self) -> FieldElement:
+        return self._field.element_from_power_coords(self.unit_coeffs, self.unit_den)
+
     def build_field(self) -> NumberField:
-        if self._field is None:
-            self._field = make_field(self.poly_coeffs, basis=self.integral_basis)
         return self._field
 
     def unit_element(self) -> FieldElement:
-        if self._unit is None:
-            self._unit = self.build_field().element_from_power_coords(
-                self.unit_coeffs, self.unit_den
-            )
         return self._unit
 
 
-@dataclass(frozen=True)
-class TableRow:
-    label: str
-    cells: dict[int, str]
+class TableRow(namedtuple("TableRow", "label cells")):
+    __slots__ = ()
 
     def exceptional(self) -> dict[int, str]:
         return {p: c for p, c in self.cells.items() if c != CELL_P_RATIONAL}
@@ -234,10 +232,17 @@ def load_records(source, fmt: str = "csv") -> list[FieldRecord]:
         record = _record_from_fields(fields, line)
         diag = _validate(record, line)
         if diag is not None:
-            log.warning("skipping record %s: %s", record.label, diag)
+            _warn("skipping record %s: %s", record.label, diag)
             continue
         records.append(record)
     return records
+
+
+def _warn(msg: str, *args) -> None:
+    """A warning on the prationality.harness logger; logging is imported
+    here, as a clean run emits none."""
+    import logging
+    logging.getLogger(__name__).warning(msg, *args)
 
 
 def _csv_fields(text: str):
@@ -319,6 +324,7 @@ def records_to_csv(records: list[FieldRecord]) -> str:
 def _bundled_text(filename: str) -> str:
     """A fixture file under prationality/data; a missing one is an internal
     fault of the installation, not bad input."""
+    from importlib import resources  # imported on first use: ggc needs none
     try:
         return resources.files("prationality.data").joinpath(filename).read_text()
     except (ModuleNotFoundError, FileNotFoundError) as exc:
@@ -394,7 +400,7 @@ def reproduce_table(records: list[FieldRecord], pmin: int, pmax: int) -> list[Ta
             try:
                 cells[p] = cell_for_verdict(verdict_for_record(record, p))
             except Exception as exc:  # render, never abort the table
-                log.warning("cell (%s, %d) errored: %s", record.label, p, exc)
+                _warn("cell (%s, %d) errored: %s", record.label, p, exc)
                 cells[p] = CELL_ERROR
         rows.append(TableRow(record.label, cells))
     return rows
@@ -443,12 +449,9 @@ def render_table_csv(rows: list[TableRow]) -> str:
     return out.getvalue()
 
 
-@dataclass(frozen=True)
-class DensityResult:
-    count: int
-    undetermined: int
-    ratio_to_log_x: float
-    per_prime: tuple[tuple[int, str], ...]
+# per_prime holds (p, verdict status) for every prime 5 <= p <= xmax
+DensityResult = namedtuple("DensityResult",
+                           "count undetermined ratio_to_log_x per_prime")
 
 
 def density_scan(record: FieldRecord, xmax: int) -> DensityResult:

@@ -21,7 +21,7 @@ p-maximality criterion and reads prime splitting off factoring f mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm, prod
@@ -42,16 +42,22 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
-class FieldElement:
+def checked_make(cls, iterable):
+    """namedtuple's _make through cls(...): _replace builds its result with
+    _make, which would otherwise skip the checks in cls.__new__."""
+    return cls(*iterable)
+
+
+class FieldElement(namedtuple("FieldElement", "coords den")):
     """coords over the field basis divided by a positive denominator."""
 
-    coords: tuple[int, ...]
-    den: int = 1
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        if self.den <= 0:
+    def __new__(cls, coords, den=1):
+        if den <= 0:
             raise ValueError("denominator must be positive")
+        return super().__new__(cls, coords, den)
 
     @property
     def is_integral(self) -> bool:
@@ -64,24 +70,18 @@ class FieldElement:
         return FieldElement(tuple(c // g for c in self.coords), self.den // g)
 
 
-@dataclass(frozen=True)
-class PrimeFactor:
+class PrimeFactor(namedtuple("PrimeFactor", "p generator e f label")):
     """A prime ideal (p, g(alpha)) with ramification index e and residue
     degree f; label is its 1-based position in the deterministic ordering."""
 
-    p: int
-    generator: tuple[int, ...]
-    e: int
-    f: int
-    label: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IdealHNF:
+class IdealHNF(namedtuple("IdealHNF", "rows")):
     """Upper-triangular column basis of an ideal lattice over the field basis;
     the norm is the product of the diagonal."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def n(self) -> int:

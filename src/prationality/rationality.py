@@ -11,13 +11,14 @@ log modulo p.  No verdict factors f mod p into irreducibles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import PrecisionExhausted
 from .numberfield import (
     FieldElement,
     NumberField,
+    checked_make,
     ideal_from_two_generators,
     ideal_pow,
     principal_ideal,
@@ -46,34 +47,23 @@ GUARD = "guard"
 CONDITION1_UNDETERMINED = "condition1Undetermined"
 
 
-@dataclass(frozen=True)
-class AuxIdealData:
+class AuxIdealData(namedtuple("AuxIdealData", "q gen_poly power_gen")):
     """An auxiliary prime ideal Q = (q, gen_poly(alpha)) together with a
     generator g of Q^p, in power-basis coordinates."""
 
-    q: int
-    gen_poly: tuple[int, ...]
-    power_gen: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"auxiliary ideal prime {self.q} is less than 2")
-
-
-@dataclass(frozen=True)
-class Condition1Report:
-    branch: str
-    index: int | None = None
-    holds: bool | None = None
-    detail: str = ""
+    def __new__(cls, q, gen_poly, power_gen):
+        if q < 2:
+            raise ValueError(f"auxiliary ideal prime {q} is less than 2")
+        return super().__new__(cls, q, gen_poly, power_gen)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    reasons: tuple[str, ...]
-    condition1: Condition1Report | None = None
-    guard_reason: str = ""
+Condition1Report = namedtuple("Condition1Report", "branch index holds detail",
+                              defaults=(None, None, ""))
+Verdict = namedtuple("Verdict", "status reasons condition1 guard_reason",
+                     defaults=(None, ""))
 
 
 def _completely_split(K: NumberField, p: int, parts) -> bool:

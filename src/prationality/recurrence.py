@@ -24,7 +24,7 @@ degrees (Kummer-Dedekind).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .numberfield import FieldElement, NumberField, squarefree_parts
@@ -37,13 +37,9 @@ MIXED_1_2 = "1+2"
 INERT = "inert"
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
-    """Coefficients of x^3 - a2 x^2 - a1 x - a0; initial terms are fixed."""
-
-    a2: int
-    a1: int
-    a0: int
+class RecurrenceSpec(namedtuple("RecurrenceSpec", "a2 a1 a0")):
+    """Coefficients of x^3 - a2 x^2 - a1 x - a0; initial terms are fixed.
+    No __slots__: the instance __dict__ holds companion_disc."""
 
     @property
     def companion_poly(self) -> tuple[int, ...]:
@@ -54,22 +50,13 @@ class RecurrenceSpec:
         return discriminant(self.companion_poly)
 
 
-@dataclass(frozen=True)
-class ScreenResult:
-    splitting: str
-    index: int
-    value: int
-    nonzero: bool
-    gamma: int  # t^p in Z[t]/(chi, p^2), packed by kernel(chi, p^2)
+# gamma is t^p in Z[t]/(chi, p^2), packed by kernel(chi, p^2)
+ScreenResult = namedtuple("ScreenResult", "splitting index value nonzero gamma")
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    p: int
-    splitting: str
-    screen: ScreenResult
-    witness_exists: bool
-    violation: bool
+class ConsistencyReport(namedtuple(
+        "ConsistencyReport", "p splitting screen witness_exists violation")):
+    __slots__ = ()
 
     @property
     def screen_nonzero(self) -> bool:

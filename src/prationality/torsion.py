@@ -81,35 +81,33 @@ eps^(p^f - 1) = 1 (mod P^(e+1)), with the Fermat check mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
 from .errors import InvariantViolation
 from . import ring
-from .numberfield import FieldElement, NumberField, PrimeFactor, radical_cofactor
+from .numberfield import FieldElement, NumberField, checked_make, radical_cofactor
 
 _FERMAT_FAILURE = "Fermat failure: eps^(p^f-1) - 1 not in the first power"
 
 
-@dataclass(frozen=True)
-class PerPrimeResult:
-    factor: PrimeFactor
-    exponent: int
-    residue: tuple[int, ...]
-    congruent: bool
+# factor is a numberfield.PrimeFactor P; residue holds the coordinates of
+# eps^exponent mod p^(e+1), exponent = N(P) - 1
+PerPrimeResult = namedtuple("PerPrimeResult", "factor exponent residue congruent")
 
 
-@dataclass(frozen=True)
-class Condition2Report:
-    p: int
-    per_prime: tuple[PerPrimeResult, ...]
-    witness: int | None  # label of a witnessing prime ideal
-    holds: bool
+class Condition2Report(namedtuple("Condition2Report", "p per_prime witness holds")):
+    """per_prime holds a PerPrimeResult for each prime factor; witness is the
+    label of a witnessing prime ideal, or None when there is none."""
 
-    def __post_init__(self):
-        some = any(not e.congruent for e in self.per_prime)
-        if self.holds != some or (self.witness is not None) != some:
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, p, per_prime, witness, holds):
+        some = any(not e.congruent for e in per_prime)
+        if holds != some or (witness is not None) != some:
             raise InvariantViolation("inconsistent Condition2Report")
+        return super().__new__(cls, p, per_prime, witness, holds)
 
 
 def applicability_guard(K: NumberField, p: int,

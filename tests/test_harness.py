@@ -21,7 +21,8 @@ from prationality.harness import (
     reproduce_table,
     unit_problem,
 )
-from prationality.numberfield import FieldElement, NumberField, make_field
+from prationality.numberfield import FieldElement, NumberField, make_field, split_prime
+from prationality.torsion import condition2
 
 EX63_CSV = """label,degree,poly,h,unit,unit_den,torsion_order,basis,aux_q,aux_gen_poly,aux_power_gen
 x^4-2*x^2+3,4,3;0;-2;0;1,1,-2;-1;1;1,1,2,,,,
@@ -222,6 +223,42 @@ def test_load_refuses_a_unit_denominator_below_one(den):
         with pytest.raises(RecordParseError) as err:
             load_records(io.StringIO(text), fmt)
         assert str(err.value) == f"line {line}: unit_den must be positive"
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("torsion_order", 0, "torsion_order must be at least 2"),
+    ("torsion_order", -4, "torsion_order must be at least 2"),
+    ("torsion_gen_den", 0, "torsion_gen_den must be positive"),
+    ("torsion_gen_den", -1, "torsion_gen_den must be positive"),
+])
+def test_load_refuses_torsion_columns_out_of_range(column, value, message):
+    # both were once accepted; every field holds +-1, so w >= 2
+    csv_text = f"label,degree,poly,h,unit,{column}\nx,4,3;0;-2;0;1,1,-2;-1;1;1,{value}\n"
+    json_text = ('[{"label": "x", "degree": 4, "poly": [3, 0, -2, 0, 1], "h": 1,'
+                 f' "unit": [-2, -1, 1, 1], "{column}": {value}}}]')
+    for text, fmt, line in ((csv_text, "csv", 2), (json_text, "json", 1)):
+        with pytest.raises(RecordParseError) as err:
+            load_records(io.StringIO(text), fmt)
+        assert str(err.value) == f"line {line}: {message}"
+
+
+def test_replace_keeps_the_checks():
+    # namedtuple's own _replace skips __new__, so a changed copy could
+    # hold what the constructor refuses
+    record = load_records(io.StringIO(EX62_CSV), "csv")[0]
+    for valid, change in ((FieldElement((1, 2)), {"den": 0}),
+                          (record.aux, {"q": 1}),
+                          (record, {"unit_den": 0}),
+                          (record, {"class_number": 0}),
+                          (record, {"torsion_order": 1}),
+                          (record, {"torsion_gen_den": 0})):
+        with pytest.raises(ValueError):
+            valid._replace(**change)
+    K = record.build_field()
+    report = condition2(K, 5, record.unit_element(), split_prime(K, 5))
+    with pytest.raises(InvariantViolation, match="inconsistent Condition2Report"):
+        report._replace(holds=not report.holds)
+    assert record._replace(label="y").build_field() is not K  # caches not shared
 
 
 def test_load_json_with_nested_basis_matches_csv():

@@ -1,11 +1,14 @@
 """Every name a package module imports is read somewhere in that module,
 every private function or method is read somewhere in the package, and
 every engine name the benchmark tracer patches or the fixture generator
-imports exists."""
+imports exists, and importing the engine loads none of the standard modules
+that are slow to import."""
 
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +99,16 @@ def test_fixture_generator_imports_resolve():
     missing = [f"{module}.{name}" for module, name in imported
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_import_loads_no_heavy_standard_modules():
+    # each costs milliseconds at start-up, which every one-shot prat call
+    # pays; -S keeps site-packages' .pth files from preloading them
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "import prationality.cli, prationality.harness, "
+            "prationality.families, prationality.recurrence, prationality.selftest; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'logging', "
+            "'typing', 'importlib.resources') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,6 +1,5 @@
 import io
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -339,7 +338,7 @@ def test_ef_sum_fuzz():
 def test_ef_sum_fails_on_factors_that_do_not_multiply_back(monkeypatch):
     # every (e, f) kept, so e*f still sums to n, but each generator is x^f
     def wrong_generators(K, p):
-        return [replace(pf, generator=(0,) * pf.f + (1,))
+        return [pf._replace(generator=(0,) * pf.f + (1,))
                 for pf in split_prime(K, p)]
 
     monkeypatch.setattr(selftest, "split_prime", wrong_generators)

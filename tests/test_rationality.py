@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -454,7 +453,7 @@ def _unimodular_record(record):
     b = list(record.integral_basis)
     b[1] = tuple(x + y for x, y in zip(b[1], b[2]))
     b[2] = tuple(x + y for x, y in zip(b[2], b[1]))
-    return replace(record, integral_basis=tuple(b), _field=None, _unit=None)
+    return record._replace(integral_basis=tuple(b))
 
 
 def test_verdicts_invariant_under_unimodular_change_of_basis():

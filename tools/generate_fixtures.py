@@ -758,7 +758,8 @@ def main():
         "x^3-4*x+27", (27, -4, 0, 1), {}, unit_override=(-3280, -3462, -729)
     )
     assert ex62.class_number == 3, ex62.class_number
-    ex62.aux = AuxIdealData(q=2, gen_poly=(1, 1), power_gen=(-604, 265, -77))
+    ex62 = ex62._replace(
+        aux=AuxIdealData(q=2, gen_poly=(1, 1), power_gen=(-604, 265, -77)))
     ex63 = build_record(
         "x^4-2*x^2+3", (3, 0, -2, 0, 1), {}, unit_override=(-2, -1, 1, 1)
     )
