@@ -1,29 +1,27 @@
-"""Number-field structure over an integral basis.
+"""Number-field structure in power coordinates.
 
 A field K = Q[x]/(f) of degree 2, 3 or 4 is described by its monic defining
 polynomial, whose discriminant fixes the signature, and a basis
 of an order containing Z[alpha], stored as integer rows over the power basis
 divided by one common denominator d (identity rows over d = 1 for Z[alpha]).
-Because the order contains Z[alpha], the inverse basis matrix, which gives
-the powers of alpha in basis coordinates, is an integer matrix.  Elements
-carry integer coordinates over the basis plus an optional denominator.
+Elements are power coordinates over a denominator, sum c_j alpha^j / den,
+so a product is one product mod f; the basis is only a lattice, d O_K, and
+the index certificate of the splitting code.  Loading a field checks that
+the rows span an order containing Z[alpha] (one fraction-free Gauss-Jordan
+elimination, none for Z[alpha]) and builds the traces of the powers of
+alpha, from which characteristic polynomials come.
 
-Loading a field builds what every verdict reads: the inverse basis (one
-fraction-free Gauss-Jordan elimination, none for Z[alpha], whose basis
-is the identity) and the traces of the powers of alpha, from which
-characteristic polynomials come on power coordinates.
-The integer structure constants of the basis, behind exact
-multiplication, norms and ideal arithmetic in Hermite normal form, are
-built on first use, or at once for a basis with a denominator, whose rows
-must be checked to span an order.  The module also decides Dedekind's
-p-maximality criterion and reads prime splitting off factoring f mod p.
+An ideal I is kept as the Hermite normal form of the lattice d I in power
+coordinates, together with the covolume [Z^n : d O_K] = d^n / index that
+turns its determinant into the norm [O_K : I]; on Z[alpha], d = 1.  The
+module also decides Dedekind's p-maximality criterion and reads prime
+splitting off factoring f mod p.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, isqrt, lcm, prod
 
 from .errors import InvariantViolation, SplittingUndetermined
@@ -49,7 +47,7 @@ def checked_make(cls, iterable):
 
 
 class FieldElement(namedtuple("FieldElement", "coords den")):
-    """coords over the field basis divided by a positive denominator."""
+    """sum coords[j] alpha^j / den, over a positive denominator."""
 
     __slots__ = ()
     _make = classmethod(checked_make)
@@ -58,10 +56,6 @@ class FieldElement(namedtuple("FieldElement", "coords den")):
         if den <= 0:
             raise ValueError("denominator must be positive")
         return super().__new__(cls, coords, den)
-
-    @property
-    def is_integral(self) -> bool:
-        return self.den == 1
 
     def normalized(self) -> "FieldElement":
         g = gcd(ring.content(self.coords), self.den)
@@ -77,22 +71,19 @@ class PrimeFactor(namedtuple("PrimeFactor", "p generator e f label")):
     __slots__ = ()
 
 
-class IdealHNF(namedtuple("IdealHNF", "rows")):
-    """Upper-triangular column basis of an ideal lattice over the field basis;
-    the norm is the product of the diagonal."""
+class IdealHNF(namedtuple("IdealHNF", "rows covolume", defaults=(1,))):
+    """Upper-triangular column basis of the lattice d I in power
+    coordinates; the norm [O_K : I] is the product of the diagonal over the
+    covolume [Z^n : d O_K] (NumberField.covolume)."""
 
     __slots__ = ()
 
     @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
     def norm(self) -> int:
-        return prod(self.rows[i][i] for i in range(self.n))
+        return prod(row[i] for i, row in enumerate(self.rows)) // self.covolume
 
     def columns(self):
-        return [tuple(self.rows[i][j] for i in range(self.n)) for j in range(self.n)]
+        return list(zip(*self.rows))
 
 
 def _real_root_count(f, disc: int) -> int:
@@ -127,9 +118,9 @@ class NumberField:
         if basis_rows is None:
             # the checks below hold for the identity by inspection: its first
             # row is 1, its determinant 1, its inverse itself, and 1 | disc
-            d = self.index = 1
-            self.basis = self._basis_inv = tuple(
-                tuple(int(i == j) for j in range(n)) for i in range(n))
+            d = self.index = self.covolume = 1
+            self.basis = tuple(tuple(int(i == j) for j in range(n))
+                               for i in range(n))
         else:
             rows = [[Fraction(x) for x in row] for row in basis_rows]
             d = lcm(*[x.denominator for row in rows for x in row], 1)
@@ -143,52 +134,29 @@ class NumberField:
             # B^-1 = d adj(dB) / det(dB); its rows are the basis coordinates
             # of the powers of alpha, so it is integral iff the order
             # contains Z[alpha]
-            inv = [[d * a for a in row] for row in adj]
-            if any(a % det for row in inv for a in row):
+            if any(d * a % det for row in adj for a in row):
                 raise ValueError("basis does not contain the power basis "
                                  "lattice")
-            self._basis_inv = tuple(tuple(a // det for a in row) for row in inv)
-            self.index = d**n // abs(det)
+            # [Z^n : d O_K], which turns the HNF of d I into [O_K : I]
+            self.covolume = abs(det)
+            self.index = d**n // self.covolume
             if self.poly_disc % (self.index**2) != 0:
                 raise ValueError("basis determinant incompatible with disc(f)")
+            # b_i b_j has the basis coordinates v adj / (d det) for the power
+            # coordinates v of d b_i d b_j; integral rows spanning a lattice
+            # that contains Z[alpha] span Z[alpha], so only d > 1 can fail
+            for i, bi in enumerate(self.basis if d > 1 else ()):
+                for bj in self.basis[i:]:
+                    v = self._times(bi, bj)
+                    if any(sum(x * row[k] for x, row in zip(v, adj)) % (d * det)
+                           for k in range(n)):
+                        raise ValueError("basis rows do not span an order")
         self.basis_den = d
         self.field_disc = self.poly_disc // self.index**2
         # Tr(alpha^m), m < n: the power sums of the roots of f
         self._traces = tuple(ring.power_sums(f, n))
         self._char_polys: dict[FieldElement, tuple[tuple[int, ...], int]] = {}
-        # integral rows spanning a lattice that contains Z[alpha] span Z[alpha]
         self.is_power_basis = d == 1
-        if d > 1:  # only then can the rows fail to span an order
-            self.__dict__["_structure"] = self._structure_constants()
-
-    # -- construction helpers -------------------------------------------------
-
-    @cached_property
-    def _structure(self):
-        """The structure constants, built on first use."""
-        return self._structure_constants()
-
-    def _structure_constants(self):
-        """T[i][j] = integer coords of b_i * b_j over the basis: the product
-        of the integer rows d*b_i and d*b_j, reduced by f, in basis
-        coordinates, divided exactly by d^2.  T is symmetric; the i <= j
-        half is computed.  Built on first use by the multiplication, norm
-        and HNF code, or at construction when d > 1."""
-        n, d2 = self.n, self.basis_den**2
-        table = [[None] * n for _ in range(n)]
-        for i, bi in enumerate(self.basis):
-            for j in range(i, n):
-                vec = ring.poly_rem(ring.poly_mul(bi, self.basis[j]), self.poly)
-                coords = self._power_vec_to_coords(vec)
-                if any(c % d2 for c in coords):
-                    raise ValueError("basis rows do not span an order")
-                table[i][j] = table[j][i] = tuple(c // d2 for c in coords)
-        return table
-
-    def _power_vec_to_coords(self, vec):
-        inv = self._basis_inv
-        return [sum(v * inv[i][j] for i, v in enumerate(vec) if v)
-                for j in range(self.n)]
 
     # -- elements -------------------------------------------------------------
 
@@ -202,24 +170,11 @@ class NumberField:
         return FieldElement((c,) + (0,) * (self.n - 1))
 
     def element_from_power_coords(self, coeffs, den: int = 1) -> FieldElement:
-        """Element given by power-basis coordinates / den, as basis coords."""
-        vec = list(coeffs)
+        """The element sum coeffs[j] alpha^j / den, in lowest terms."""
+        vec = tuple(coeffs)
         if len(vec) > self.n:
             raise ValueError("too many coordinates")
-        if den < 0:
-            vec, den = [-v for v in vec], -den
-        return FieldElement(tuple(self._power_vec_to_coords(vec)), den).normalized()
-
-    def to_power_coords(self, x: FieldElement) -> tuple[tuple[int, ...], int]:
-        """(coeffs, den) in lowest terms with x = sum coeffs[j] alpha^j / den;
-        the inverse of element_from_power_coords."""
-        n = self.n
-        y = FieldElement(
-            tuple(sum(x.coords[i] * self.basis[i][j] for i in range(n))
-                  for j in range(n)),
-            x.den * self.basis_den,
-        ).normalized()
-        return y.coords, y.den
+        return FieldElement(vec + (0,) * (self.n - len(vec)), den).normalized()
 
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
         d = lcm(a.den, b.den)
@@ -231,66 +186,47 @@ class NumberField:
     def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
         return self.add(a, FieldElement(tuple(-c for c in b.coords), b.den))
 
-    def mul_coords(self, a, b) -> list[int]:
-        """Integer coordinates of the product of two coordinate tuples, read
-        off the structure constants."""
-        n = self.n
-        out = [0] * n
-        T = self._structure
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y == 0:
-                    continue
-                tij = T[i][j]
-                c = x * y
-                for k in range(n):
-                    if tij[k]:
-                        out[k] += c * tij[k]
-        return out
+    def _times(self, u, v) -> tuple[int, ...]:
+        """u v mod f on coordinate tuples, padded to n coordinates."""
+        r = ring.poly_rem(ring.poly_mul(u, v), self.poly)
+        return r + (0,) * (self.n - len(r))
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return FieldElement(
-            tuple(self.mul_coords(a.coords, b.coords)), a.den * b.den
-        ).normalized()
+        return FieldElement(self._times(a.coords, b.coords),
+                            a.den * b.den).normalized()
 
     def power_coords_mod(self, a: FieldElement, modulus: int) -> list[int]:
-        """a in Z[x]/(f, modulus): its power-basis coordinates times the
-        inverse of their denominator mod modulus, reduced.  ValueError (from
-        pow) when the denominator is not prime to the modulus."""
-        coeffs, den = self.to_power_coords(a)
-        dinv = pow(den, -1, modulus)
-        return [c * dinv % modulus for c in coeffs]
+        """a in Z[x]/(f, modulus): its coordinates times the inverse of its
+        denominator mod modulus, reduced.  ValueError (from pow) when the
+        denominator is not prime to the modulus."""
+        dinv = pow(a.den, -1, modulus)
+        return [c * dinv % modulus for c in a.coords]
 
     def pow_mod(self, a: FieldElement, exponent: int, modulus: int) -> FieldElement:
-        """a^exponent in basis coordinates reduced mod modulus, computed by
-        ring.powmod in Z[x]/(f, modulus) on power_coords_mod(a, modulus).
-        ValueError for 0^0, for a denominator not prime to the modulus and
-        for a negative exponent (ring.powmod)."""
+        """a^exponent reduced mod modulus, computed by ring.powmod in
+        Z[x]/(f, modulus) on power_coords_mod(a, modulus).  ValueError for
+        0^0, for a denominator not prime to the modulus and for a negative
+        exponent (ring.powmod)."""
         if exponent == 0 and not any(a.coords):
             raise ValueError("0^0 is undefined")
         r = ring.powmod(self.power_coords_mod(a, modulus), exponent, self.poly,
                         modulus)
-        return FieldElement(tuple(c % modulus for c in self._power_vec_to_coords(r)))
+        return FieldElement(r + (0,) * (self.n - len(r)))
 
     def mul_matrix(self, a: FieldElement):
-        """Columns are the coords of a * b_j (denominator kept aside)."""
-        n = self.n
-        return [
-            self.mul_coords(a.coords, [int(i == j) for i in range(n)])
-            for j in range(n)
-        ]
+        """Columns are d a b_j, b_j = basis[j] / d, in power coordinates
+        (the denominator of a kept aside)."""
+        return [self._times(a.coords, row) for row in self.basis]
 
     def char_poly(self, a: FieldElement) -> tuple[int, ...]:
         """The characteristic polynomial c of a, monic of degree n.  With
-        a = w(alpha)/D in power coordinates, that of w is C, C_i =
-        c_i D^(n - i), read off the power sums Tr(w^k), k <= n, by Newton's
-        identities: w^k is an exact product mod f, and Tr is linear with
-        Tr(alpha^m) = self._traces[m].  ValueError unless a is integral,
-        InvariantViolation unless C(w) = 0 (Cayley-Hamilton)."""
+        a = w(alpha)/D, that of w is C, C_i = c_i D^(n - i), read off the
+        power sums Tr(w^k), k <= n, by Newton's identities: w^k is an exact
+        product mod f, and Tr is linear with Tr(alpha^m) = self._traces[m].
+        ValueError unless a is integral, InvariantViolation unless C(w) = 0
+        (Cayley-Hamilton)."""
         n, f = self.n, self.poly
-        w, den = self.to_power_coords(a)
+        w, den = a
         powers = [w]  # w^1, ..., w^n mod f
         while len(powers) < n:
             powers.append(ring.poly_rem(ring.poly_mul(powers[-1], w), f))
@@ -322,8 +258,10 @@ class NumberField:
         return entry
 
     def norm(self, a: FieldElement) -> Fraction:
-        # the determinant of the columns equals that of their transpose
-        return Fraction(ring.det_bareiss(self.mul_matrix(a)), a.den**self.n)
+        """The determinant of multiplication by a on the power basis."""
+        powers = [(0,) * j + (1,) for j in range(self.n)]
+        return Fraction(ring.det_bareiss([self._times(a.coords, x)
+                                          for x in powers]), a.den**self.n)
 
     def equals(self, a: FieldElement, b: FieldElement) -> bool:
         a, b = a.normalized(), b.normalized()
@@ -485,7 +423,7 @@ def split_prime(K: NumberField, p: int) -> list[PrimeFactor]:
 # ideals in Hermite normal form
 
 
-def _hnf_from_columns(cols, n) -> IdealHNF:
+def _hnf_from_columns(cols, n, covolume=1) -> IdealHNF:
     work = [list(c) for c in cols]
     out_cols = [None] * n
     for i in reversed(range(n)):
@@ -521,38 +459,40 @@ def _hnf_from_columns(cols, n) -> IdealHNF:
             if q:
                 out_cols[j] = [x - q * y for x, y in zip(out_cols[j], out_cols[i])]
     rows = tuple(tuple(out_cols[j][i] for j in range(n)) for i in range(n))
-    return IdealHNF(rows)
+    return IdealHNF(rows, covolume)
 
 
 def identity_ideal(K: NumberField) -> IdealHNF:
-    return IdealHNF(tuple(tuple(int(i == j) for j in range(K.n)) for i in range(K.n)))
-
-
-def ideal_from_two_elements(K: NumberField, a: FieldElement, b: FieldElement) -> IdealHNF:
-    """HNF of the lattice spanned by {a*b_i} and {b*b_i}."""
-    if not (a.is_integral and b.is_integral):
-        raise ValueError("ideal generators must be integral")
-    return _hnf_from_columns(K.mul_matrix(a) + K.mul_matrix(b), K.n)
+    return _hnf_from_columns(K.basis, K.n, K.covolume)
 
 
 def ideal_from_two_generators(K: NumberField, p: int, g) -> IdealHNF:
-    """HNF of (p, g(alpha)) over the integral basis, g a residue tuple mod
-    p, reduced mod f over F_p first: (p, g(alpha)) = (p, (g mod f)(alpha)),
-    and the order contains Z[alpha], so the reduced generator is integral."""
+    """HNF of (p, g(alpha)), spanned by the p basis[j] and g basis[j], g a
+    residue tuple mod p, reduced mod f over F_p first: (p, g(alpha)) =
+    (p, (g mod f)(alpha)), and the order contains Z[alpha]."""
     rem = ring._mp_rem(g, ring._mp(K.poly, p), p)
-    return ideal_from_two_elements(K, K.from_int(p),
-                                   K.element_from_power_coords(rem))
+    cols = [[p * c for c in row] for row in K.basis]
+    cols += K.mul_matrix(K.element_from_power_coords(rem))
+    return _hnf_from_columns(cols, K.n, K.covolume)
 
 
 def principal_ideal(K: NumberField, x: FieldElement) -> IdealHNF:
-    if not x.is_integral:
+    """HNF of d (x), spanned by the columns d x b_j of mul_matrix(x) over
+    x's denominator, integral as x is in O_K (ValueError otherwise)."""
+    if not ideal_contains(K, identity_ideal(K), x):
         raise ValueError("principal ideal requires an integral generator")
-    return _hnf_from_columns(K.mul_matrix(x), K.n)
+    cols = [[c // x.den for c in col] for col in K.mul_matrix(x)]
+    return _hnf_from_columns(cols, K.n, K.covolume)
 
 
 def ideal_multiply(K: NumberField, A: IdealHNF, B: IdealHNF) -> IdealHNF:
-    cols = [K.mul_coords(u, v) for u in A.columns() for v in B.columns()]
-    return _hnf_from_columns(cols, K.n)
+    """d A B from the products of d A and d B over d, exact as d O_K lies
+    in Z^n."""
+    d = K.basis_den
+    cols = [K._times(u, v) for u in A.columns() for v in B.columns()]
+    if d > 1:
+        cols = [[c // d for c in w] for w in cols]
+    return _hnf_from_columns(cols, K.n, K.covolume)
 
 
 def ideal_pow(K: NumberField, A: IdealHNF, e: int) -> IdealHNF:
@@ -568,13 +508,13 @@ def ideal_pow(K: NumberField, A: IdealHNF, e: int) -> IdealHNF:
 
 
 def ideal_contains(K: NumberField, A: IdealHNF, x: FieldElement) -> bool:
-    """Membership by back-substitution against the HNF columns."""
-    if not x.is_integral:
+    """Membership of d x by back-substitution against the HNF columns."""
+    rem = [K.basis_den * c for c in x.coords]
+    if any(c % x.den for c in rem):
         raise ValueError("membership test requires an integral element")
-    n = K.n
-    rem = list(x.coords)
+    rem = [c // x.den for c in rem]
     cols = A.columns()
-    for i in reversed(range(n)):
+    for i in reversed(range(K.n)):
         d = A.rows[i][i]
         if rem[i] % d != 0:
             return False

@@ -147,14 +147,15 @@ def condition1(K: NumberField, p: int, *, class_number: int | None,
                aux: AuxIdealData | None = None) -> Condition1Report:
     """Decide condition (1) where possible.
 
-    p coprime to h(K) settles it trivially.  Otherwise the split-cyclic
+    p coprime to h(K) settles it trivially, and an unknown h (None) leaves
+    it Undetermined.  Otherwise the split-cyclic
     branch requires: p completely split, p-part of the class group cyclic of
     order exactly p, and record-supplied auxiliary ideal data.  Anything
     else is Undetermined.  parts are the squarefree parts of f mod p
     (squarefree_parts), which the verdict already holds.
     """
     if class_number is None:
-        raise ValueError("class number is required for condition (1)")
+        return Condition1Report(UNDETERMINED, detail="class number unknown")
     if class_number < 1:
         raise ValueError("class number must be positive")
     if class_number % p != 0:

@@ -175,12 +175,11 @@ def suite_screen_oracles(pmax: int = 100):
     )
 
 
-def run_all(fast: bool = False):
-    suites = [
+def run_all():
+    return [
         suite_forms_vs_dirichlet(),
-        suite_recurrence_matrix_vs_iteration(20 if fast else 100),
-        suite_ef_sum(100 if fast else 1000),
-        suite_condition2_oracles(50 if fast else 100),
-        suite_screen_oracles(50 if fast else 100),
+        suite_recurrence_matrix_vs_iteration(),
+        suite_ef_sum(),
+        suite_condition2_oracles(),
+        suite_screen_oracles(),
     ]
-    return suites

@@ -71,7 +71,7 @@ guard refuses both anyway: p = 3 must be unramified, and m <= 4 < p for
 p >= 5.
 
 condition2 is the per-P report that `prat check` prints, with the residue
-eps^(p^f - 1) mod p^(e+1) in basis coordinates.  For each P = (p, g(alpha))
+eps^(p^f - 1) mod p^(e+1) in power coordinates.  For each P = (p, g(alpha))
 let x = eps^(p^f - 1) - 1 mod p^2 and h the lift of (f mod p)/g^e: mod p,
 h(alpha) is the product of g'(alpha)^e' over the other P' = (p, g'(alpha)),
 so v_P(h) = 0 and v_P'(h^2) >= 2e', and v_P(g(alpha)^(e-1)) = e - 1 as

@@ -265,7 +265,7 @@ def test_acceptance_8_oracle_suites():
     start = time.monotonic()
     from prationality.selftest import run_all
 
-    suites = run_all(fast=False)
+    suites = run_all()
     elapsed = time.monotonic() - start
     ok = all(passed for _, passed, _ in suites) and elapsed < 300
     detail = "; ".join(f"{name}: {d}" for name, _, d in suites)

@@ -72,12 +72,35 @@ EX62_CHECK = ["check", "--poly", "27;-4;0;1", "--unit", "-3280;-3462;-729",
 
 @pytest.mark.parametrize("command", [EX62_CHECK, ["recurrence"]],
                          ids=["check", "recurrence"])
-@pytest.mark.parametrize("prime", ["0", "1", "-5", "77", "143"])
+# the last is the product of the first two primes above 2^32
+@pytest.mark.parametrize("prime", ["0", "1", "-5", "77", "143",
+                                   str(4294967311 * 4294967357)])
 def test_non_prime_prime_is_an_input_error(capsys, command, prime):
     rc = cli([*command, "--prime", prime])
     err = capsys.readouterr().err
     assert rc == 1
     assert err == f"error: --prime must be a prime, got {prime}\n"
+
+
+def test_check_decides_a_prime_above_two_to_the_64(capsys):
+    # Miller-Rabin, not trial division, which stopped at 10^14
+    p = 2**64 + 13
+    assert cli([*EX62_CHECK, "--prime", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"splitting of {p}: (e=1, f=1), (e=1, f=2)\n")
+    assert out.endswith(f"verdict: {p}-rational\n")
+
+
+@pytest.mark.parametrize("command", [EX62_CHECK, ["recurrence"]],
+                         ids=["check", "recurrence"])
+def test_prime_past_the_primality_bound_is_an_input_error(capsys, command):
+    # the bound itself is a strong pseudoprime to all 13 bases; 2^100 + 277
+    # is the first prime above 2^100
+    for p in (3317044064679887385961981, 2**100 + 277):
+        assert cli([*command, "--prime", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --prime must be below 3317044064679887385961981, the "
+            f"bound of the deterministic primality test, got {p}\n")
 
 
 def test_prime_two_is_not_applicable(capsys):

@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 
 from prationality.errors import InvariantViolation
+from prationality.cli import cli
 from prationality.harness import (
     CELL_NOT_APPLICABLE,
     CELL_P_RATIONAL,
+    CELL_TORSION,
+    CELL_UNDETERMINED,
     FieldRecord,
     RecordParseError,
     bundled_pure_cubic_h,
@@ -297,6 +300,33 @@ def test_reproduce_table_examples():
     assert "field" in text
     csv_text = render_table_csv(rows)
     assert csv_text.startswith("label,p,cell")
+
+
+def test_a_record_without_class_number_gives_no_error_cell(tmp_path, capsys):
+    # condition (1) is undetermined without h: each cell of the basis record
+    # x^3-x^2+x-9 is undetermined, or torsionNontrivial where condition (2)
+    # fails (p = 13), and table and scan exit 0, from CSV and from JSON
+    record = next(r for r in bundled_records("table1")
+                  if r.label == "x^3-x^2+x-9")
+    expected = {p: c if c in (CELL_TORSION, CELL_NOT_APPLICABLE)
+                else CELL_UNDETERMINED
+                for p, c in reproduce_table([record], 5, 100)[0].cells.items()}
+    assert expected[13] == CELL_TORSION and expected[5] == CELL_UNDETERMINED
+    csv_text = records_to_csv([record._replace(class_number=None)])
+    json_text = ('[{"label": "x^3-x^2+x-9", "degree": 3, "poly": [-9, 1, -1, 1],'
+                 ' "unit": [193, 63, 49],'
+                 ' "basis": [[1, 0, 0], [0, 1, 0], ["1/2", 0, "1/2"]]}]')
+    for text, fmt in ((csv_text, "csv"), (json_text, "json")):
+        [loaded] = load_records(io.StringIO(text), fmt)
+        assert loaded.class_number is None
+        assert reproduce_table([loaded], 5, 100)[0].cells == expected, fmt
+        path = tmp_path / f"record.{fmt}"
+        path.write_text(text)
+        args = ["--input", str(path), "--input-format", fmt]
+        assert cli(["table", *args, "--format", "csv"]) == 0
+        assert cli(["scan", *args, "--xmax", "100"]) == 0
+        out = capsys.readouterr().out
+        assert "0 p-rational primes <= 100 (22 undetermined)" in out, out
 
 
 def test_reproduce_table_empty():

@@ -1,13 +1,12 @@
-import io
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from prationality.errors import InvariantViolation, SplittingUndetermined
-from prationality.families import primes_up_to, pure_cubic_scan
-from prationality.harness import (bundled_records, load_records, records_to_csv,
-                                  reproduce_table)
+from prationality.families import primes_up_to
+from prationality.harness import bundled_records
 from prationality.numberfield import (
     FieldElement,
     NumberField,
@@ -23,7 +22,7 @@ from prationality.numberfield import (
     split_prime,
     squarefree_parts,
 )
-from prationality.recurrence import cross_check, minimal_poly_spec
+from prationality.recurrence import minimal_poly_spec
 from prationality.ring import (det_bareiss, discriminant, factor_mod_p, poly,
                               poly_mul)
 from prationality import ring, selftest
@@ -97,15 +96,44 @@ def test_make_field_basis_validation():
         make_field(f, basis=[[1, 0, 0], [0, 1, 0], [0, 0, half]])
 
 
+def _basis_coords(K, x):
+    """x over b_j = basis[j] / d, as Fractions: d x B^-1 = d x adj / det
+    for the basis rows B."""
+    det, adj = ring.det_adjugate(K.basis)
+    return [Fraction(K.basis_den * sum(c * row[j] for c, row in zip(x.coords, adj)),
+                     det * x.den) for j in range(K.n)]
+
+
 def test_power_coords_roundtrip_on_bundled_records():
+    # power coordinates -> basis coordinates -> power coordinates is the
+    # identity on every bundled field, and the basis coordinates are
+    # integral exactly where char_poly finds x integral: the rows span O_K
     rng = random.Random(2024)
+    seen = Counter()
     for record in (bundled_records("table1") + bundled_records("table2")
                    + bundled_records("examples")):
         K = record.build_field()
-        for _ in range(20):
-            x = FieldElement(tuple(rng.randint(-50, 50) for _ in range(K.n)),
-                             rng.randint(1, 12)).normalized()
-            assert K.element_from_power_coords(*K.to_power_coords(x)) == x
+        for i in range(20):
+            if i % 2:  # sum c_j basis[j] / d, in O_K
+                v = [rng.randint(-50, 50) for _ in range(K.n)]
+                x = FieldElement(tuple(sum(c * row[j] for c, row in zip(v, K.basis))
+                                       for j in range(K.n)), K.basis_den)
+            else:
+                x = FieldElement(tuple(rng.randint(-50, 50) for _ in range(K.n)),
+                                 rng.choice([1, 2, 3, K.basis_den]))
+            x = x.normalized()
+            c = _basis_coords(K, x)
+            assert [sum(cj * row[i] for cj, row in zip(c, K.basis)) / K.basis_den
+                    for i in range(K.n)] == [Fraction(v, x.den) for v in x.coords]
+            try:
+                K.char_poly(x)
+                integral = True
+            except ValueError:
+                integral = False
+            assert integral == all(cj.denominator == 1 for cj in c), (
+                record.label, x)
+            seen[integral, x.den > 1] += 1
+    assert len(seen) == 3 and min(seen.values()) > 50, seen
 
 
 def test_mul_reduction_by_defining_relation():
@@ -159,10 +187,12 @@ def _inverse_by_char_poly(K, a, c):
 
 
 def _char_poly_by_det(K, x):
-    """det(t I - M) / den^n for M = mul_matrix(x) and den = x.den, as
-    Fractions, interpolated from t = 0..n: the structure-constant reference
-    for char_poly, also where x is not integral."""
-    n, m = K.n, K.mul_matrix(x)
+    """det(t I - M) / den^n for M the matrix of x.coords on the power basis
+    and den = x.den, as Fractions, interpolated from t = 0..n: the
+    determinant reference for char_poly, also where x is not integral."""
+    n, w = K.n, FieldElement(x.coords)
+    m = [K.mul(w, K.element_from_power_coords((0,) * j + (1,))).coords
+         for j in range(n)]
     out = [Fraction(0)] * (n + 1)
     for t in range(n + 1):
         value = Fraction(det_bareiss(
@@ -179,9 +209,8 @@ def _char_poly_by_det(K, x):
 
 def test_char_poly_matches_determinant_on_bundled_units():
     # on every bundled field, basis_den > 1 included: the units, their
-    # negatives and inverses, and random elements over denominators, whose
-    # power coordinates carry the basis denominator too; a ValueError
-    # exactly where the reference is not integral.  On cubic units c is
+    # negatives and inverses, and random elements over denominators; a
+    # ValueError exactly where the reference is not integral.  On cubic units c is
     # minimal_poly_spec's companion polynomial
     rng = random.Random(1931)
     cubic = integral = refused = with_basis_den = 0
@@ -235,47 +264,6 @@ def test_char_poly_refuses_non_integral_and_checks_cayley_hamilton(
     monkeypatch.setattr(K, "_traces", (4, 0, 8))
     with pytest.raises(InvariantViolation):
         K.char_poly(FieldElement((0, 1, 0)))
-
-
-def test_structure_constants_are_built_on_first_use(monkeypatch):
-    # a power-basis record's load, table cells and recurrence cross-checks,
-    # and the pure-cubic scan, build no structure constants; a basis with a
-    # denominator builds them once, at load, to check that its rows span an
-    # order
-    bundled = [r for name in ("table1", "table2", "examples")
-               for r in bundled_records(name)]
-    power = records_to_csv([r for r in bundled if r.integral_basis is None])
-    with_den = records_to_csv([next(r for r in bundled_records("table1")
-                                    if r.build_field().basis_den > 1)])
-    calls = []
-    original = NumberField._structure_constants
-
-    def counted(K):
-        calls.append(K.poly)
-        return original(K)
-
-    monkeypatch.setattr(NumberField, "_structure_constants", counted)
-    records = load_records(io.StringIO(power))
-    assert len(records) > 20
-    reproduce_table(records, 5, 29)
-    checked = 0
-    for record in records:
-        if record.degree != 3:
-            continue
-        K, unit = record.build_field(), record.unit_element()
-        spec = minimal_poly_spec(K, unit)
-        for p in primes_up_to(29):
-            if p >= 5 and spec.companion_disc % p:
-                cross_check(K, unit, spec, p)
-                checked += 1
-    assert checked > 100 and calls == []
-    assert len(pure_cubic_scan(5, 200)) == 44 and calls == []
-    [record] = load_records(io.StringIO(with_den))
-    K = record.build_field()
-    assert calls == [K.poly]
-    K.mul(record.unit_element(), record.unit_element())
-    K.norm(record.unit_element())
-    assert calls == [K.poly]
 
 
 def _dedekind(f, p):
@@ -378,6 +366,32 @@ def test_ideal_multiply_examples():
     assert ideal_multiply(K, ideals[0], identity_ideal(K)).rows == ideals[0].rows
 
 
+def test_ideals_over_a_basis_with_a_denominator():
+    # on every bundled record with basis_den d > 1, at every certified
+    # p <= 50: each (p, g(alpha)) has norm p^f and the P^e multiply to (p),
+    # the covolume d^n / index turning the HNF of d I into [O_K : I]
+    records = [r for name in ("table1", "table2", "examples")
+               for r in bundled_records(name) if r.build_field().basis_den > 1]
+    assert len(records) > 20
+    checked = 0
+    for record in records:
+        K = record.build_field()
+        assert identity_ideal(K).norm == 1
+        for p in primes_up_to(50):
+            try:
+                factors = split_prime(K, p)
+            except SplittingUndetermined:
+                continue
+            product = identity_ideal(K)
+            for pf in factors:
+                P = ideal_from_two_generators(K, p, pf.generator)
+                assert P.norm == p**pf.f, (record.label, p)
+                product = ideal_multiply(K, product, ideal_pow(K, P, pf.e))
+            assert product == principal_ideal(K, K.from_int(p)), (record.label, p)
+            checked += 1
+    assert checked > 200
+
+
 def test_ideal_pow_norm():
     K = make_field(EX62)
     pf = split_prime(K, 2)[1]  # the f = 2 factor
@@ -434,9 +448,12 @@ def test_pow_mod_agrees_with_repeated_mul():
 
 def test_element_from_power_coords_roundtrip():
     K = make_field(EX63)
-    x = K.element_from_power_coords((1, 2, 3, 4), 1)
-    assert x.coords == (1, 2, 3, 4)
-    assert K.to_power_coords(x) == ((1, 2, 3, 4), 1)
+    assert K.element_from_power_coords((1, 2, 3, 4), 1) == FieldElement(
+        (1, 2, 3, 4))
+    # padded to n coordinates and in lowest terms
+    assert K.element_from_power_coords((2, 4), 6) == FieldElement((1, 2, 0, 0), 3)
+    with pytest.raises(ValueError, match="too many"):
+        K.element_from_power_coords((1, 2, 3, 4, 5))
 
 
 def test_nonpower_basis_order():
@@ -453,9 +470,14 @@ def test_nonpower_basis_order():
     assert K.field_disc == discriminant(poly(f)) // 4
     # arithmetic over the larger order stays exact:
     # N((a^2+a)/2) = N(a)N(a+1)/8 = 8*8/8 = 8
-    theta = FieldElement((0, 0, 1))
+    theta = FieldElement((0, 1, 1), 2)
     assert K.norm(theta) == 8
-    assert K.norm(FieldElement((0, 0, 1), 3)) == Fraction(8, 27)
+    assert K.norm(FieldElement((0, 1, 1), 6)) == Fraction(8, 27)
+    assert principal_ideal(K, theta).norm == 8
+    assert identity_ideal(K).norm == 1
+    for x in (FieldElement((0, 1, 0), 2), FieldElement((0, 1, 0), 3)):
+        with pytest.raises(ValueError, match="integral"):  # a/2, a/3
+            principal_ideal(K, x)
     # p = 2 divides both disc(f) and the basis denominator: refuse
     with pytest.raises(SplittingUndetermined):
         split_prime(K, 2)
@@ -492,13 +514,13 @@ def test_z_alpha_field_matches_the_generic_path_on_identity_rows(monkeypatch):
         assert make_field(f, basis=rows).basis == G.basis
         assert len(eliminations) == 2, f
         eliminations.clear()
-        for attr in ("basis", "basis_den", "_basis_inv", "index", "field_disc",
+        for attr in ("basis", "basis_den", "index", "field_disc",
                      "is_power_basis"):
             assert getattr(K, attr) == getattr(G, attr), (f, attr)
         assert K.is_power_basis and K.index == 1 and K.field_disc == K.poly_disc
         u_K = K.element_from_power_coords(unit, den)
         u_G = G.element_from_power_coords(unit, den)
-        assert K.to_power_coords(u_K) == G.to_power_coords(u_G), f
+        assert u_K == u_G, f
         assert K.char_poly(u_K) == G.char_poly(u_G), f
         for x in (u_K, K.element_from_power_coords((0, 1))):
             chi, disc = K.cached_char_poly(x)

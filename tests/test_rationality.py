@@ -14,6 +14,7 @@ from prationality.harness import (
 from prationality.numberfield import (
     FieldElement,
     ideal_from_two_generators,
+    identity_ideal,
     make_field,
     principal_ideal,
     split_prime,
@@ -33,6 +34,7 @@ from prationality.rationality import (
     log_index_split_cyclic,
     verdict,
 )
+from test_torsion import _unit_inverse
 
 EX62 = (27, -4, 0, 1)
 EX63 = (3, 0, -2, 0, 1)
@@ -76,7 +78,7 @@ def _valuation(x: int, p: int):
 def _embed(K, x, root: int, p: int, k: int) -> int:
     """Image of x in Z/p^k under alpha -> root."""
     m = p**k
-    coeffs, den = K.to_power_coords(x)
+    coeffs, den = x
     acc = 0
     for c in reversed(coeffs):
         acc = (acc * root + c) % m
@@ -130,18 +132,6 @@ def _outcome(decide, *args):
         return "PrecisionExhausted"
 
 
-def _inverse(K, x):
-    """x^-1 for a unit x of the order: the solution y of x * y = 1."""
-    cols = K.mul_matrix(x)
-    a = [[cols[j][i] for j in range(K.n)] for i in range(K.n)]
-    det, adj = ring.det_adjugate(a)
-    sign = 1 if det > 0 else -1
-    y = FieldElement(tuple(sign * row[0] * x.den for row in adj),
-                     abs(det)).normalized()
-    assert K.equals(K.mul(x, y), K.one())
-    return y
-
-
 def test_condition1_trivial_class_number():
     L = make_field(EX63)
     rep = condition1(L, 5, class_number=1, unit=EPS63,
@@ -149,11 +139,12 @@ def test_condition1_trivial_class_number():
     assert rep.branch == TRIVIAL_CLASS_NUMBER and rep.holds is True
 
 
-def test_condition1_requires_class_number():
+def test_condition1_without_class_number_is_undetermined():
     L = make_field(EX63)
-    with pytest.raises(ValueError):
-        condition1(L, 5, class_number=None, unit=EPS63,
-                   parts=squarefree_parts(L, 5))
+    rep = condition1(L, 5, class_number=None, unit=EPS63,
+                     parts=squarefree_parts(L, 5))
+    assert rep.branch == UNDETERMINED and rep.holds is None
+    assert rep.detail == "class number unknown"
 
 
 @pytest.mark.parametrize("h", [0, -5])
@@ -329,7 +320,7 @@ def test_log_index_invariant_under_unit_changes():
     K = make_field(EX62)
     Q = _q62(K)
     units = (FieldElement(tuple(-c for c in EPS62.coords)),
-             _inverse(K, EPS62), K.mul(EPS62, EPS62))
+             _unit_inverse(K, EPS62), K.mul(EPS62, EPS62))
     for unit in units:
         assert log_index_split_cyclic(K, 3, Q, G62, unit, precision=4) == 3
     assert log_index_split_cyclic(K, 3, Q, K.mul(G62, EPS62), EPS62,
@@ -457,9 +448,9 @@ def _unimodular_record(record):
 
 
 def test_verdicts_invariant_under_unimodular_change_of_basis():
-    # the order, so its index, its discriminant and every verdict, does not
-    # depend on the basis that spans it; the changed basis matrices are full,
-    # so their integer inverses are too
+    # the order, so its index, its discriminant, its ideals and every
+    # verdict, does not depend on the basis that spans it; the changed basis
+    # matrices are full, so their integer inverses are too
     records = [r for name in ("table1", "table2", "examples")
                for r in bundled_records(name) if r.integral_basis is not None]
     assert records
@@ -469,12 +460,12 @@ def test_verdicts_invariant_under_unimodular_change_of_basis():
         K, L = record.build_field(), other.build_field()
         assert L.basis != K.basis
         assert (L.index, L.field_disc) == (K.index, K.field_disc)
-        assert (L.to_power_coords(other.unit_element())
-                == K.to_power_coords(record.unit_element()))
+        assert other.unit_element() == record.unit_element()
+        # d O_K and the ideals in power coordinates do not see the basis
+        assert identity_ideal(L) == identity_ideal(K)
         for _ in range(20):
-            x = FieldElement(tuple(rng.randint(-50, 50) for _ in range(L.n)),
-                             rng.randint(1, 12)).normalized()
-            assert L.element_from_power_coords(*L.to_power_coords(x)) == x
+            x = FieldElement(tuple(rng.randint(-50, 50) for _ in range(L.n)))
+            assert principal_ideal(L, x) == principal_ideal(K, x)
     base = reproduce_table(records, 5, 100)
     assert all(CELL_ERROR not in row.cells.values() for row in base)
     assert ([row.cells for row in reproduce_table(changed, 5, 100)]

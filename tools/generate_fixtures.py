@@ -51,7 +51,7 @@ from prationality.numberfield import (
     make_field,
 )
 from prationality.rationality import AuxIdealData
-from prationality.ring import degree, factor_mod_p
+from prationality.ring import degree, det_adjugate, factor_mod_p
 
 mpmath.mp.dps = 60
 
@@ -114,6 +114,44 @@ TABLE2 = [
     ("x^4+4*x^2+2", (2, 0, 4, 0, 1), {13: "tor", 31: "tor"}),
     ("x^4+9", (9, 0, 0, 0, 1), {7: "tor"}),
 ]
+
+
+# ---------------------------------------------------------------------------
+# basis coordinates: the lattice searches below run over the integral basis
+# b_i = basis[i] / d, the engine's elements are power coordinates
+
+
+def scaled_power_coords(K, vec):
+    """sum vec_i basis[i], the power coordinates of d x for the element x
+    with basis coordinates vec."""
+    return tuple(sum(c * row[j] for c, row in zip(vec, K.basis))
+                 for j in range(K.n))
+
+
+def from_basis(K, vec):
+    """The element with basis coordinates vec, in power coordinates."""
+    return FieldElement(scaled_power_coords(K, vec), K.basis_den).normalized()
+
+
+def to_basis(K, x):
+    """(coords, den) of x over the basis, in lowest terms: x B^-1 d =
+    x adj d / det for the integer basis rows B."""
+    det, adj = det_adjugate(K.basis)
+    sign = 1 if det > 0 else -1
+    y = FieldElement(tuple(sign * K.basis_den * sum(c * row[j] for c, row
+                                                    in zip(x.coords, adj))
+                           for j in range(K.n)), abs(det) * x.den).normalized()
+    return y.coords, y.den
+
+
+def basis_product(K, adj, det, a, b):
+    """a b over the basis for basis coordinates a and b, with (det, adj) of
+    the basis rows: (A B mod f) adj / (d det) for the power coordinates A
+    and B of d a and d b."""
+    A, B = (FieldElement(scaled_power_coords(K, v)) for v in (a, b))
+    v = K.mul(A, B).coords
+    return tuple(sum(x * row[j] for x, row in zip(v, adj)) // (K.basis_den * det)
+                 for j in range(K.n))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +374,7 @@ def find_fundamental_unit(K, emb: Embeddings, collect=None):
     while j <= LEVEL_CAP:
         weights, bound = level_weights(K, emb, j, g3=160.0)
         for vec in enumerate_lattice(emb, weights, basis_cols, bound):
-            elt = FieldElement(vec)
+            elt = from_basis(K, vec)
             nrm = K.norm(elt)
             if collect is not None and nrm != 0:
                 collect.append((elt, abs(int(nrm))))
@@ -368,7 +406,7 @@ def find_torsion(K, emb: Embeddings):
     cols = [tuple(int(i == j) for i in range(K.n)) for j in range(K.n)]
     best_order, best_gen = 2, None
     for vec in enumerate_lattice(emb, weights, cols, 4.0 + 1e-6):
-        elt = FieldElement(vec)
+        elt = from_basis(K, vec)
         if abs(K.norm(elt)) != 1:
             continue
         vals = emb.element_abs(vec)
@@ -463,9 +501,10 @@ def _index_prime_ideals(K, q):
     if q**n > BRUTE_FORCE_CAP:
         raise RuntimeError(f"index prime {q} too large for brute-force splitting")
     elements = [tuple(v) for v in iproduct(range(q), repeat=n)]
+    det, adj = det_adjugate(K.basis)
 
     def mulv(a, b):
-        return tuple(c % q for c in K.mul_coords(a, b))
+        return tuple(c % q for c in basis_product(K, adj, det, a, b))
 
     def is_nilpotent(a):
         y = a
@@ -491,7 +530,9 @@ def _index_prime_ideals(K, q):
         members = [x for x in elements if is_nilpotent(mulv(x, e))]
         cols = [tuple(q * int(i == j) for i in range(n)) for j in range(n)]
         cols += [x for x in members if any(x)]
-        ideal = _hnf_from_columns(cols, n)
+        # the engine's lattice d I in power coordinates
+        ideal = _hnf_from_columns([scaled_power_coords(K, x) for x in cols], n,
+                                  K.covolume)
         assert ideal.norm == q**fi, (q, ei, fi, ideal.norm)
         out.append({"q": q, "e": ei, "f": fi, "ideal": ideal})
     total = sum(entry["e"] * entry["f"] for entry in out)
@@ -594,7 +635,9 @@ def class_number(K, emb: Embeddings, extra_elements=()):
         for entry in fb:
             if entry["q"] ** entry["f"] > norm_cap and attempt == 0:
                 continue
-            cols = entry["ideal"].columns()
+            # the columns of d I over the basis, so of I
+            cols = [to_basis(K, FieldElement(col, K.basis_den))[0]
+                    for col in entry["ideal"].columns()]
             budget = slack * entry["q"] ** entry["f"]
             for j in range(levels):
                 weights, bound = level_weights(K, emb, j, g3=budget)
@@ -604,7 +647,7 @@ def class_number(K, emb: Embeddings, extra_elements=()):
                         if c:
                             for i in range(K.n):
                                 coords[i] += c * col[i]
-                    elt = FieldElement(tuple(coords))
+                    elt = from_basis(K, coords)
                     add_element(elt, abs(int(K.norm(elt))))
         h = relation_quotient_order(rows, len(fb))
         if h is not None:
@@ -649,7 +692,7 @@ def build_record(label, coeffs, expect, verbose=True, unit_override=None):
         # geodesic distance (same t => zeta * eps^(+-1) => fundamental)
         cand = K.element_from_power_coords(unit_override)
         assert abs(K.norm(cand)) == 1
-        t_cand = _tvalue(emb, cand.coords, cand.den)
+        t_cand = _tvalue(emb, *to_basis(K, cand))
         assert abs(math.log(t_cand) - math.log(tval)) < 1e-6 * max(
             1.0, math.log(tval)
         ), (t_cand, tval)
@@ -660,10 +703,10 @@ def build_record(label, coeffs, expect, verbose=True, unit_override=None):
     est = analytic_class_number_estimate(K, reg, w)
     if abs(h - est) / max(est, 1e-9) > 0.25:
         raise RuntimeError(f"{label}: computed h = {h} vs analytic estimate {est:.3f}")
-    ucoeffs, uden = K.to_power_coords(unit)
+    ucoeffs, uden = unit
     tg_coeffs, tg_den = None, 1
     if tors_gen is not None and w > 2:
-        tg_coeffs, tg_den = K.to_power_coords(tors_gen)
+        tg_coeffs, tg_den = tors_gen
     record = FieldRecord(
         label=label,
         poly_coeffs=tuple(coeffs),
