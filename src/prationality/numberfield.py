@@ -379,10 +379,11 @@ def dedekind_p_maximal(f, p: int, factors) -> bool:
 
 
 def _require_certificate(K: NumberField, p: int, factors) -> None:
-    """Refuse p unless it provably does not divide the index: p coprime to
-    disc(f), or Dedekind p-maximality of the power basis, or an ingested
-    basis whose common denominator is coprime to p."""
-    if K.poly_disc % p == 0 and not (
+    """Refuse p unless it provably does not divide the index i: p^2 not
+    dividing disc(f) = i^2 d_K (Cohen, GTM 138, ch. 4), so Dedekind's test
+    runs only where p^2 does, or Dedekind p-maximality of the power basis,
+    or a basis denominator prime to p (p divides it only if p divides i)."""
+    if K.poly_disc % (p * p) == 0 and not (
             dedekind_p_maximal(K.poly, p, factors) if K.is_power_basis
             else K.basis_den % p != 0):
         raise SplittingUndetermined(

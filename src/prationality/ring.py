@@ -215,34 +215,34 @@ def kernel(f: tuple[int, ...], m: int) -> Kernel:
     Algebra, 8.4).  The reduced element sum c_i x^i, i < n, 0 <= c_i < m,
     is the int sum c_i 2^(w i).  pack(a) reduces any a in Z[x]; unpack(v)
     is the poly of a reduced v; pow(v, e) is v^e for e >= 0.  reduce(v)
-    takes a sum of T = 2 products of reduced elements, 2n - 1 slots of at
-    most T n (m - 1)^2 (a slot of one sums at most n terms
-    a_i b_j <= (m - 1)^2), or a square times x, 2n slots of at most
-    n (m - 1)^2.  It adds each high slot k >= n, read at v >> w k, mod m,
-    times row k = x^k mod (f, m) to the low slots, then ORs each low slot,
-    mod m, back in at its offset w i; the offsets are precomputed, and v is
-    never shifted in place.  Each fold adds at most (m - 1)^2 to a low
-    slot, which ends <= T n (m - 1)^2 + (n - 1)(m - 1)^2 for a sum, whose
-    slot 2n - 1 is 0, and <= 2n (m - 1)^2 after the n folds of a shifted
-    square, both <= T (2n - 1)(m - 1)^2 < 2^w for
-    w = bitlen(T (2n - 1)(m - 1)^2): no slot ever carries into the next.
-    So pow(x, e) takes one reduce per bit, its multiplications by x being
-    shifts.
+    takes a sum of T = 2 products of reduced elements, slot j < 2n - 1 at
+    most T min(j + 1, 2n - 1 - j)(m - 1)^2, or a square times x, 2n slots
+    of at most n (m - 1)^2.  It folds the high slots top-down: for
+    k = 2n - 1, ..., n it adds slot k mod m, times row = x^n mod (f, m)
+    shifted to slot k - n, to v, which changes slots k - n .. k - 1 only,
+    so each slot is final when read; then it ORs each low slot, mod m,
+    back in at its offset w i.  A fold adds <= (m - 1)^2 to a slot, and
+    slot j takes those of slots j + 1 .. j + n, so a sum's slot ends
+    <= T n (m - 1)^2 + (n - 1)(m - 1)^2 (its slot 2n - 1 is 0, and a slot
+    j >= n starts <= T (2n - 1 - j)(m - 1)^2 and takes 2n - 2 - j folds)
+    and a shifted square's <= 2n (m - 1)^2, both <= T (2n - 1)(m - 1)^2
+    < 2^w for w = bitlen(T (2n - 1)(m - 1)^2): no slot ever carries into
+    the next.  So pow(x, e) takes one reduce per bit, its multiplications
+    by x being shifts.
     """
     if not is_monic(f) or m < 2:
         raise ValueError("the kernel needs monic f and m >= 2")
     n = len(f) - 1
     w = (2 * (2 * n - 1) * (m - 1) ** 2).bit_length()  # n = 0: every v is 0
     slot, nw = (1 << w) - 1, n * w
-    low, offsets = (1 << nw) - 1, range(0, nw, w)
+    offsets = range(0, nw, w)
 
     def reduce(v):
-        lo = v & low
-        for s, row in folds:
-            lo += (v >> s & slot) % m * row
+        for s, shifted in folds:
+            v += (v >> s & slot) % m * shifted
         out = 0
         for s in offsets:
-            out |= (lo >> s & slot) % m << s
+            out |= (v >> s & slot) % m << s
         return out
 
     def lift(a):
@@ -254,7 +254,7 @@ def kernel(f: tuple[int, ...], m: int) -> Kernel:
         top = (len(a) - 1) // n * n  # a[top:] has 1 to n slots
         v = lift(a[top:])
         for i in range(top - n, -1, -n):
-            v = reduce(v * folds[0][1] + lift(a[i:i + n]))
+            v = reduce(v * row + lift(a[i:i + n]))
         return v
 
     def unpack(v):
@@ -270,11 +270,9 @@ def kernel(f: tuple[int, ...], m: int) -> Kernel:
             r = reduce(r)
         return r
 
-    # (w k, row k = x^k mod (f, m)) for n <= k <= max(n, 2n - 1); x * row_k
-    # has a single high slot, folded by the first row alone
-    folds = [(nw, sum(-c % m << w * i for i, c in enumerate(f[:n])))]
-    while len(folds) < n:
-        folds.append((nw + w * len(folds), reduce(folds[-1][1] << w)))
+    # row = x^n mod (f, m); the fold of slot k adds row << w (k - n)
+    row = sum(-c % m << w * i for i, c in enumerate(f[:n]))
+    folds = [(s, row << s - nw) for s in range(2 * nw - w, nw - 1, -w)]
     return Kernel(w, pack, unpack, reduce, power)
 
 
@@ -294,11 +292,11 @@ def powmod(a, e, f, m):
 
 
 def splits_completely(k: Kernel, gamma: int, p: int) -> bool:
-    """Whether g, squarefree mod p, splits into linear factors mod p, for
-    k = kernel(g, m) with p | m and gamma = x^p packed by k: iff
-    x^p = x mod (g, p), as x^p - x is the product of x - c over F_p."""
-    return all(c % p == 0 for c in
-               poly_sub(k.unpack(gamma), k.unpack(k.pack((0, 1)))))
+    """Whether g of degree >= 2, squarefree mod p, splits into linear
+    factors mod p, for k = kernel(g, m), p | m, and gamma = x^p packed by k:
+    iff gamma = x mod p slot by slot, as x^p - x = prod (x - c) over F_p."""
+    return all(c % p == (i == 1)
+               for i, c in enumerate(k.unpack(gamma) + (0, 0)))
 
 
 def _sqf_decomposition(f, p):

@@ -173,12 +173,12 @@ def _frobenius_defect(k: ring.Kernel, f, p: int, e, gamma: int) -> int:
                     + at_gamma(ring.derivative(e)) * f_g)
 
 
-def _unit_defect(k: ring.Kernel, p: int, e, exponent: int, c) -> int:
-    """(eps^exponent - 1) c in Z[x]/(f, p^2), packed by k, for the unit
-    coordinates e and c in Z[x]; InvariantViolation unless it is 0 mod p,
+def _unit_defect(k: ring.Kernel, p: int, u: int, c) -> int:
+    """(u - 1) c in Z[x]/(f, p^2), packed by k, for a power u of the unit
+    packed by k and c in Z[x]; InvariantViolation unless it is 0 mod p,
     the Fermat check of both cofactor congruences (module docstring)."""
     # (x - 1) c as x c + (p^2 - 1) c: a sum of two products, one reduce
-    x = k.reduce((k.pow(k.pack(e), exponent) + p * p - 1) * k.pack(c))
+    x = k.reduce((u + p * p - 1) * k.pack(c))
     if any(v % p for v in k.unpack(x)):
         raise InvariantViolation(_FERMAT_FAILURE)
     return x
@@ -203,7 +203,8 @@ def condition2_holds(K: NumberField, p: int, unit: FieldElement,
     if unramified:
         return bool(_frobenius_defect(k, f, p, e, k.pow(k.pack((0, 1)), p)))
     F = lcm(*range(1, max(ring.degree(g) for g, _ in parts) + 1))
-    return bool(_unit_defect(k, p, e, p**F - 1, radical_cofactor(parts, p)))
+    return bool(_unit_defect(k, p, k.pow(k.pack(e), p**F - 1),
+                             radical_cofactor(parts, p)))
 
 
 def condition2(K: NumberField, p: int, unit: FieldElement,
@@ -214,14 +215,14 @@ def condition2(K: NumberField, p: int, unit: FieldElement,
     _unit_char_poly(K, unit)  # ValueError unless a unit
     pp, fbar = p * p, ring._mp(K.poly, p)
     k = ring.kernel(K.poly, pp)
-    e = K.power_coords_mod(unit, pp)  # its denominator divides the index
     per, witness = [], None
     for pf in factors:
         exponent, g = p**pf.f - 1, pf.generator
         h = ring._mp_quo(fbar, radical_cofactor(((g, pf.e + 1),), p), p)
         c = ring.poly_mul(radical_cofactor(((g, pf.e),), p), ring.poly_mul(h, h))
-        congruent = not _unit_defect(k, p, e, exponent, c)
+        # one power: pack reduces eps^exponent mod p^(e+1) to it mod p^2
         r = K.pow_mod(unit, exponent, p ** (pf.e + 1))
+        congruent = not _unit_defect(k, p, k.pack(r.coords), c)
         per.append(PerPrimeResult(pf, exponent, r.coords, congruent))
         if not congruent and witness is None:
             witness = pf.label

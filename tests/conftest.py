@@ -59,6 +59,13 @@ def squarefree_parts_calls(monkeypatch):
 
 
 @pytest.fixture
+def dedekind_calls(monkeypatch):
+    """(f, p) of every numberfield.dedekind_p_maximal call."""
+    return _record_calls(monkeypatch, numberfield.dedekind_p_maximal,
+                         lambda f, p, factors: (tuple(f), p))
+
+
+@pytest.fixture
 def discriminant_calls(monkeypatch):
     """f of every ring.discriminant call."""
     return _record_calls(monkeypatch, ring.discriminant, lambda f: tuple(f))

@@ -318,6 +318,47 @@ def test_split_prime_refuses_without_certificate():
         split_prime(K, 2)
 
 
+def _primes_dividing_disc_once():
+    """(K, p) for every bundled field and random unit field at every
+    p <= 300 that divides disc(f) while p^2 does not."""
+    from test_torsion import _random_unit_fields
+    fields = [record.build_field() for name in ("table1", "table2", "examples")
+              for record in bundled_records(name)]
+    fields += [K for K, _ in _random_unit_fields()]
+    return [(K, p) for K in fields for p in primes_up_to(300)
+            if K.poly_disc % p == 0 and K.poly_disc % (p * p)]
+
+
+def test_p_squared_not_dividing_disc_agrees_with_dedekind():
+    # disc(f) = [O_K : Z[alpha]]^2 d_K, so p^2 not dividing disc(f) certifies
+    # p prime to the index: Dedekind's test, the slower reference, agrees,
+    # and a basis's denominator is prime to p
+    cases = _primes_dividing_disc_once()
+    assert len(cases) > 100
+    assert any(not K.is_power_basis for K, _ in cases)
+    for K, p in cases:
+        assert dedekind_p_maximal(K.poly, p, factor_mod_p(K.poly, p)) is True, (
+            K.poly, p)
+        assert K.basis_den % p and K.index % p, (K.poly, p)
+
+
+def test_dedekind_runs_only_where_p_squared_divides_disc(dedekind_calls):
+    # p divides disc(f) but not the index, so p ramifies
+    for K, p in _primes_dividing_disc_once():
+        assert max(m for _, m in squarefree_parts(K, p)) > 1, (K.poly, p)
+        assert max(pf.e for pf in split_prime(K, p)) > 1, (K.poly, p)
+    assert dedekind_calls == []
+    # disc(f) = 125: the test runs and certifies 5
+    K = make_field((1, -1, 1, -1, 1))
+    assert squarefree_parts(K, 5) == (((1, 1), 4),)
+    assert dedekind_calls == [(K.poly, 5)]
+    # disc(f) = -2012 = -4 * 503: the test runs and refuses 2
+    K = make_field((-8, -2, -1, 1))
+    with pytest.raises(SplittingUndetermined):
+        squarefree_parts(K, 2)
+    assert dedekind_calls[1:] == [(K.poly, 2)]
+
+
 def test_ef_sum_fuzz():
     _, ok, detail = suite_ef_sum()
     assert ok, detail

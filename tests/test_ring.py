@@ -435,7 +435,8 @@ def test_packed_kernel_at_full_slots(n, m):
     assert powmod(full, 5, f, m) == _list_powmod(full, 5, f, m)
     # x^e by shifted squares for n >= 2 (at n = 1, x is a constant): x^n is
     # the full row, so the square of x^n that a shift follows is the
-    # largest square, and each of the n folds reads a row
+    # largest square, and each of the n top-down folds reads a slot that
+    # the folds above it have added to
     for e in (1, 2, 5, 2**20 + 1):
         assert powmod((0, 1), e, f, m) == _list_powmod((0, 1), e, f, m)
 

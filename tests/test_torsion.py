@@ -459,21 +459,21 @@ def _first_prime_above(n):
 
 
 WIDE_PRIMES = [_first_prime_above(2**k) for k in (16, 64, 100)]
+LADDER = [_first_prime_above(2**k)
+          for k in (16, 20, 24, 31, 32, 40, 61, 64, 100)]
 
 
 def test_condition2_holds_matches_report_at_large_primes():
     # the kernel's slots widen with p: at the first prime above 2^k, up to
     # p^2 > 2^200, condition2_holds against the per-P report on every
     # bundled record
-    primes = [_first_prime_above(2**k)
-              for k in (16, 20, 24, 31, 32, 40, 61, 64, 100)]
-    assert primes[0] == 65537 and primes[7] == LARGE_PRIMES[2]
+    assert LADDER[0] == 65537 and LADDER[7] == LARGE_PRIMES[2]
     pairs = 0
     for name in ("table1", "table2", "examples"):
         for record in bundled_records(name):
             K = record.build_field()
             eps = record.unit_element()
-            for p in primes:
+            for p in LADDER:
                 factors = split_prime(K, p)
                 assert applicability_guard(K, p, [pf.e for pf in factors]) is None
                 holds = condition2_holds(K, p, eps, squarefree_parts(K, p))
@@ -481,6 +481,20 @@ def test_condition2_holds_matches_report_at_large_primes():
                     record.label, p)
                 pairs += 1
     assert pairs == 9 * 49
+
+
+def test_condition2_holds_matches_report_on_random_fields_at_large_primes():
+    # the same ladder on the random unit fields: slots wider than 200 bits
+    # go through every fold of the kernel, the top one included, and each
+    # splitting shape of a cubic and of a quartic is met
+    shapes = set()
+    for K, alpha in _random_unit_fields():
+        for p in LADDER:
+            factors = split_prime(K, p)
+            holds = condition2_holds(K, p, alpha, squarefree_parts(K, p))
+            assert holds == condition2(K, p, alpha, factors).holds, (K.poly, p)
+            shapes.add(tuple(sorted((pf.e, pf.f) for pf in factors)))
+    assert len(shapes) == 8, shapes
 
 
 def _counted_kernels(monkeypatch):
