@@ -115,7 +115,7 @@ def pure_cubic_scan(pmin: int, pmax: int,
         inst = PureCubicInstance.build(p)
         parts = squarefree_parts(inst.field, p)
         k = kernel(inst.field.poly, p)
-        splitting, _ = cubic_splitting(k, k.pow(k.pack((0, 1)), p), p,
+        splitting, _ = cubic_splitting(k, k.pow(k.x, p), p,
                                        inst.field.poly_disc)
         expected = {SPLIT_COMPLETELY: 1, MIXED_1_2: 2}.get(splitting)
         if p % 3 != expected:

@@ -73,7 +73,7 @@ def _completely_split(K: NumberField, p: int, parts) -> bool:
     if len(parts) != 1 or parts[0][1] != 1:
         return False
     k = kernel(K.poly, p)
-    return splits_completely(k, k.pow(k.pack((0, 1)), p), p)
+    return splits_completely(k, k.pow(k.x, p), p)
 
 
 def log_index_split_cyclic(K: NumberField, p: int, Q, g: FieldElement,

@@ -39,9 +39,9 @@ INERT = "inert"
 
 class RecurrenceSpec(namedtuple("RecurrenceSpec", "a2 a1 a0")):
     """Coefficients of x^3 - a2 x^2 - a1 x - a0; initial terms are fixed.
-    No __slots__: the instance __dict__ holds companion_disc."""
+    No __slots__: the instance __dict__ holds both cached properties."""
 
-    @property
+    @cached_property
     def companion_poly(self) -> tuple[int, ...]:
         return poly((-self.a0, -self.a1, -self.a2, 1))
 
@@ -93,15 +93,13 @@ def screen(spec: RecurrenceSpec, p: int) -> ScreenResult:
     if spec.companion_disc % p == 0:
         raise ValueError("p divides the discriminant of the companion polynomial")
     k = kernel(spec.companion_poly, p * p)
-    t = k.pack((0, 1))
-    u1 = k.pow(t, p - 1)
-    gamma = k.reduce(u1 * t)
+    u1 = k.pow(k.x, p - 1)
+    gamma = k.reduce(u1 << k.w)
     splitting, F = cubic_splitting(k, gamma, p, spec.companion_disc)
     u = u1
     for _ in range(F - 1):
         u = k.reduce(k.pow(u, p) * u1)
-    r = k.unpack(u)
-    value = r[2] if len(r) > 2 else 0
+    value = u >> 2 * k.w  # the t^2 slot, the top one of a reduced u
     return ScreenResult(splitting, p**F - 1, value, value != 0, gamma)
 
 
@@ -136,7 +134,6 @@ def cross_check(K: NumberField, unit: FieldElement, spec: RecurrenceSpec,
         shapes = sorted((m, degree(g)) for g, m in squarefree_parts(K, p))
         raise ValueError(f"unramified cubic splitting expected, got {shapes}")
     sres = screen(spec, p)
-    holds = bool(torsion_mod._frobenius_defect(kernel(chi, p * p), chi, p,
-                                               (0, 1), sres.gamma))
+    holds = bool(torsion_mod._value_at(kernel(chi, p * p), chi, p, sres.gamma))
     violation = sres.nonzero and not holds
     return ConsistencyReport(p, sres.splitting, sres, holds, violation)

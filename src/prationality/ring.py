@@ -205,7 +205,7 @@ def _mp_gcd(f, g, p):
     return _mp_monic(a, p)
 
 
-Kernel = namedtuple("Kernel", "w pack unpack reduce pow")
+Kernel = namedtuple("Kernel", "w x pack unpack reduce pow")
 
 
 @lru_cache(maxsize=8)  # kept kernels scatter over the heap and raise RSS
@@ -214,7 +214,8 @@ def kernel(f: tuple[int, ...], m: int) -> Kernel:
     (Kronecker substitution; von zur Gathen-Gerhard, Modern Computer
     Algebra, 8.4).  The reduced element sum c_i x^i, i < n, 0 <= c_i < m,
     is the int sum c_i 2^(w i).  pack(a) reduces any a in Z[x]; unpack(v)
-    is the poly of a reduced v; pow(v, e) is v^e for e >= 0.  reduce(v)
+    is the poly of a reduced v; x is x reduced, 1 << w when n >= 2, and
+    needs no pack; pow(v, e) is v^e for e >= 0.  reduce(v)
     takes a sum of T = 2 products of reduced elements, slot j < 2n - 1 at
     most T min(j + 1, 2n - 1 - j)(m - 1)^2, or a square times x, 2n slots
     of at most n (m - 1)^2.  It folds the high slots top-down: for
@@ -261,19 +262,21 @@ def kernel(f: tuple[int, ...], m: int) -> Kernel:
         return poly(v >> s & slot for s in offsets)
 
     def power(v, e):
-        # x packs to 1 << w when n >= 2; for n < 2 no reduced v is 1 << w
-        r, is_x = v if e else reduce(1), v == 1 << w
+        # x's multiplications are shifts; any other v's take a reduce
+        r, s = v if e else reduce(1), w if v == x else 0
         for bit in bin(e)[3:]:
-            r = r * r
-            if bit == "1":
-                r = r << w if is_x else reduce(r) * v
-            r = reduce(r)
+            r = reduce(r * r << s if bit == "1" else r * r)
+            if not s and bit == "1":
+                r = reduce(r * v)
         return r
 
     # row = x^n mod (f, m); the fold of slot k adds row << w (k - n)
-    row = sum(-c % m << w * i for i, c in enumerate(f[:n]))
+    row = 0
+    for c in reversed(f[:n]):
+        row = row << w | -c % m
     folds = [(s, row << s - nw) for s in range(2 * nw - w, nw - 1, -w)]
-    return Kernel(w, pack, unpack, reduce, power)
+    x = 1 << w if n > 1 else pack((0, 1))  # a reduced v when n >= 2
+    return Kernel(w, x, pack, unpack, reduce, power)
 
 
 def mulmod(a, b, f, m):

@@ -43,12 +43,13 @@ condition2_holds takes g = chi, the unit's characteristic polynomial, and
 eps = t whenever p does not divide disc(chi) = [O_K : Z[eps]]^2 d_K, which
 makes Z_p[eps] = O_K (x) Z_p: then e(t) = t and eps^p = gamma, so
 X = chi(gamma) and one p-th power decides, the one the recurrence screen
-takes for its own (recurrence.cross_check).  The field keeps chi and
-disc(chi) once per unit (NumberField.cached_char_poly, filled by the
-loaders' harness.unit_problem).  This is the recurrence screen's
-hypothesis, p not dividing companion_disc: the same ring and discriminant.
-Where p divides [O_K : Z[eps]], or eps lies in a proper subfield
-(disc(chi) = 0), it uses Z[x]/(f, p^2).
+takes for its own (recurrence.cross_check).  _value_at takes chi(gamma),
+and the alpha-path's f(gamma), by Horner, then the Fermat check slot by
+slot on the packed int.  The field keeps chi and disc(chi) once per unit
+(NumberField.cached_char_poly, filled by the loaders' harness.unit_problem).
+This is the screen's hypothesis, p not dividing companion_disc: the same
+ring and discriminant.  Where p divides [O_K : Z[eps]], or eps lies in a
+proper subfield (disc(chi) = 0), it uses Z[x]/(f, p^2).
 
 At ramified p no Frobenius lift exists.  Let c be the lift of
 prod g_m^(m-1) and x = eps^(p^F - 1) - 1 mod p^2, with
@@ -143,33 +144,45 @@ def _unit_char_poly(K: NumberField, unit: FieldElement):
     return chi, disc
 
 
+def _fermat_checked(k: ring.Kernel, p: int, v: int) -> int:
+    """v packed by k; InvariantViolation unless each slot is 0 mod p."""
+    slot, u = (1 << k.w) - 1, v
+    while u:
+        if (u & slot) % p:
+            raise InvariantViolation(_FERMAT_FAILURE)
+        u >>= k.w
+    return v
+
+
+def _value_at(k: ring.Kernel, g, p: int, gamma: int) -> int:
+    """Fermat-checked g(gamma) in Z[x]/(f, p^2), packed by k, for monic g
+    of degree n >= 2 and gamma = x^p packed by k: X on the chi-path.  Horner
+    takes n - 1 reduces: slot 0 of gamma + c is <= 2(p^2 - 1), so each
+    product slot is <= (n + 1)(p^2 - 1)^2 + (p^2 - 1) <= 2n(p^2 - 1)^2."""
+    pp = p * p
+    v = gamma + g[-2] % pp
+    for c in g[-3::-1]:
+        v = k.reduce(v * gamma + c % pp)
+    return _fermat_checked(k, p, v)
+
+
 def _frobenius_defect(k: ring.Kernel, f, p: int, e, gamma: int) -> int:
     """X in Z[x]/(f, p^2), packed by k, for the unit coordinates e at p not
     dividing disc(f) and gamma = x^p packed by k (module docstring);
-    X = f(gamma) when e is x.  f(gamma) is taken by Horner in n - 1
-    reduces for n >= 2: slot 0 of gamma + c is <= 2(p^2 - 1), so each
-    product slot is <= (n + 1)(p^2 - 1)^2 + (p^2 - 1) <= 2n(p^2 - 1)^2."""
+    X = f(gamma) when e is x, as then eps^p = gamma."""
     pp, n = p * p, ring.degree(f)
-    f_g, is_x = gamma + f[n - 1] % pp, ring.poly(e) == (0, 1)
-    for c in reversed(f[:n - 1]):
-        f_g = k.reduce(f_g * gamma + c % pp)
-    # gamma^0 .. gamma^(n - 1) for e, e' and f'; none when eps is x
-    powers = [] if is_x else [k.pack((1,)), gamma]
-    while 0 < len(powers) < n:
+    f_g = _value_at(k, f, p, gamma)
+    powers = [k.pack((1,)), gamma]  # gamma^0 .. gamma^(n - 1)
+    while len(powers) < n:
         powers.append(k.reduce(powers[-1] * gamma))
 
     def at_gamma(g):  # slots <= n (p^2 - 1)^2, within reduce's bound
         return k.reduce(sum(c % pp * w for c, w in zip(g, powers)))
 
-    # eps^p - e(gamma) with p^2 added to every slot, so no slot goes
-    # negative; 0 when eps is x, as x^p = gamma
-    d = 0 if is_x else k.reduce(k.pow(k.pack(e), p) - at_gamma(e)
-                                + sum(pp << s for s in range(0, n * k.w, k.w)))
-    if any(c % p for c in k.unpack(f_g) + (k.unpack(d) if d else ())):
-        raise InvariantViolation(_FERMAT_FAILURE)
-    if is_x:
-        return f_g
-    return k.reduce(at_gamma(ring.derivative(f)) * d
+    # eps^p - e(gamma) with p^2 added to every slot, so no slot goes negative
+    d = k.reduce(k.pow(k.pack(e), p) - at_gamma(e)
+                 + sum(pp << s for s in range(0, n * k.w, k.w)))
+    return k.reduce(at_gamma(ring.derivative(f)) * _fermat_checked(k, p, d)
                     + at_gamma(ring.derivative(e)) * f_g)
 
 
@@ -178,10 +191,7 @@ def _unit_defect(k: ring.Kernel, p: int, u: int, c) -> int:
     packed by k and c in Z[x]; InvariantViolation unless it is 0 mod p,
     the Fermat check of both cofactor congruences (module docstring)."""
     # (x - 1) c as x c + (p^2 - 1) c: a sum of two products, one reduce
-    x = k.reduce((u + p * p - 1) * k.pack(c))
-    if any(v % p for v in k.unpack(x)):
-        raise InvariantViolation(_FERMAT_FAILURE)
-    return x
+    return _fermat_checked(k, p, k.reduce((u + p * p - 1) * k.pack(c)))
 
 
 def condition2_holds(K: NumberField, p: int, unit: FieldElement,
@@ -195,13 +205,13 @@ def condition2_holds(K: NumberField, p: int, unit: FieldElement,
         raise ValueError("p must be odd and exceed every multiplicity")
     chi, disc_chi = _unit_char_poly(K, unit)
     unramified = len(parts) == 1 and parts[0][1] == 1
-    # the unit as t in Z[t]/(chi, p^2), or in Z[x]/(f, p^2), where its
-    # denominator divides the index
-    f, e = ((chi, (0, 1)) if unramified and disc_chi % p
-            else (K.poly, K.power_coords_mod(unit, p * p)))
-    k = ring.kernel(f, p * p)
+    if unramified and disc_chi % p:  # the unit as t in Z[t]/(chi, p^2)
+        k = ring.kernel(chi, p * p)
+        return bool(_value_at(k, chi, p, k.pow(k.x, p)))
+    # in Z[x]/(f, p^2), where the unit's denominator divides the index
+    e, k = K.power_coords_mod(unit, p * p), ring.kernel(K.poly, p * p)
     if unramified:
-        return bool(_frobenius_defect(k, f, p, e, k.pow(k.pack((0, 1)), p)))
+        return bool(_frobenius_defect(k, K.poly, p, e, k.pow(k.x, p)))
     F = lcm(*range(1, max(ring.degree(g) for g, _ in parts) + 1))
     return bool(_unit_defect(k, p, k.pow(k.pack(e), p**F - 1),
                              radical_cofactor(parts, p)))

@@ -34,7 +34,7 @@ from prationality.rationality import (
     log_index_split_cyclic,
     verdict,
 )
-from test_torsion import _unit_inverse
+from test_torsion import _first_prime_above, _unit_inverse
 
 EX62 = (27, -4, 0, 1)
 EX63 = (3, 0, -2, 0, 1)
@@ -51,11 +51,12 @@ def _q62(K):
 
 def _scalar_log(u: int, p: int, k: int) -> int:
     """Reference: log(u) mod p^k for an integer u = 1 mod p, p odd, by
-    the truncated series term by term in Z/p^(k+a)."""
+    the truncated series term by term in Z/p^(k+a).  A term m > 2k is 0:
+    v(x^m / m) >= m - log_3(m) >= m / 2 > k, at any p."""
     pk = p**k
     x = (u - 1) % pk
     total = 0
-    for m in range(1, k * p // (p - 1) + p + 1):
+    for m in range(1, 2 * k + 1):
         a, mm = 0, m
         while mm % p == 0:
             a, mm = a + 1, mm // p
@@ -271,6 +272,34 @@ def test_log_index_matches_embedding_reference_on_bundled_records():
                                            K, p, x, unit, k), (record.label, p, k)
                     outcomes.add(got if got == "PrecisionExhausted" else got == p)
     assert outcomes == {"PrecisionExhausted", True, False}
+
+
+def test_log_principal_matches_embeddings_at_a_large_split_prime():
+    # ring.log_principal at the first p > 2^64 where ex. 6.2's f splits
+    # completely, on eps^(p-1) and seeded principal units, against the
+    # scalar log at each Hensel-lifted root of f, where evaluation is a ring
+    # isomorphism (Z/p^k)[x]/(f) -> (Z/p^k)^3 that commutes with log
+    K = make_field(EX62)
+    p = _first_prime_above(2**64)
+    while not ring.splits_completely(kp := ring.kernel(K.poly, p),
+                                     kp.pow(kp.x, p), p):
+        p = _first_prime_above(p)
+        assert p < 2**64 + 2**16
+    assert K.poly_disc % p
+    rng = random.Random(64)
+    for k in (2, 3, 5):
+        pk = p**k
+        roots = [ring.hensel_lift_root(K.poly, p, -g[0] % p, k)
+                 for g, _ in ring.factor_mod_p(K.poly, p)]
+        assert len(roots) == 3
+        eps = ring.powmod(K.power_coords_mod(EPS62, pk), p - 1, K.poly, pk)
+        for a in [eps] + [tuple(int(i == 0) + p * rng.randrange(pk)
+                                for i in range(3)) for _ in range(4)]:
+            log_a = FieldElement(tuple(ring.log_principal(a, K.poly, p, k)))
+            for root in roots:
+                u = _embed(K, FieldElement(tuple(a)), root, p, k)
+                assert (_embed(K, log_a, root, p, k)
+                        == _scalar_log(u, p, k)), (k, a, root)
 
 
 def test_log_index_principal_ideal_gives_one():

@@ -412,8 +412,12 @@ def test_packed_frobenius_defect_matches_list_reference_on_bundled_records():
                 if disc_c % p:
                     by_c = _list_frobenius_defect(c, p, (0, 1))
                     kc = ring.kernel(c, pp)
-                    packed = torsion._frobenius_defect(
-                        kc, c, p, (0, 1), kc.pow(kc.pack((0, 1)), p))
+                    gamma = kc.pow(kc.x, p)
+                    # the chi-path's X = c(gamma), and the general formula
+                    # at e = x
+                    packed = torsion._value_at(kc, c, p, gamma)
+                    assert kc.unpack(packed) == by_c, (record.label, p)
+                    packed = torsion._frobenius_defect(kc, c, p, (0, 1), gamma)
                     assert kc.unpack(packed) == by_c, (record.label, p)
                     assert bool(by_c) == bool(expected), (record.label, p)
                 else:
@@ -595,9 +599,23 @@ def test_condition2_invariant_under_sign_and_inversion_on_bundled_records():
 
 
 
+def test_fermat_check_reads_every_slot():
+    # a packed value passes iff every slot is 0 mod p: p^2 - p or 0 in all
+    # slots passes, and one slot off a multiple of p raises, whichever slot
+    for f, p in ((EX62, 5), (EX63, 7), (EX63, LARGE_PRIMES[0])):
+        k, n = ring.kernel(f, p * p), degree(f)
+        ok = k.pack([p * p - p] * n)
+        assert torsion._fermat_checked(k, p, ok) == ok
+        assert torsion._fermat_checked(k, p, 0) == 0
+        for i in range(n):
+            with pytest.raises(InvariantViolation, match="Fermat"):
+                torsion._fermat_checked(k, p, ok + (1 << k.w * i))
+
+
 def test_fermat_check_fires_for_a_wrong_frobenius():
     # gamma = x^p + 1 is not x^p (mod p), so f(gamma) != 0 (mod p) and both
-    # the chi-path (eps = t) and the alpha-path raise.  On the alpha-path
+    # the chi-path (eps = t) and the alpha-path raise, and so does the
+    # Fermat-checked g(gamma) that both take.  On the alpha-path
     # gamma = x^(p^2) has f(gamma) = 0 (mod p) but is not x^p where p is not
     # completely split, and eps^p = e(gamma) (mod p) fails alone
     for f, unit in ((EX62, (-3280, -3462, -729)), (EX63, (-2, -1, 1, 1))):
@@ -613,8 +631,11 @@ def test_fermat_check_fires_for_a_wrong_frobenius():
                 k = ring.kernel(g, pp)
                 x_p = k.pow(k.pack((0, 1)), p)
                 torsion._frobenius_defect(k, g, p, e, x_p)
+                torsion._value_at(k, g, p, x_p)
                 with pytest.raises(InvariantViolation, match="Fermat"):
                     torsion._frobenius_defect(k, g, p, e, k.reduce(x_p + 1))
+                with pytest.raises(InvariantViolation, match="Fermat"):
+                    torsion._value_at(k, g, p, k.reduce(x_p + 1))
             # k, g and e are the alpha-path's, the loop's last
             if not rationality._completely_split(K, p, squarefree_parts(K, p)):
                 with pytest.raises(InvariantViolation, match="Fermat"):
