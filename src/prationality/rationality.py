@@ -196,7 +196,8 @@ def verdict(K: NumberField, p: int, *, unit: FieldElement,
         return Verdict(NOT_APPLICABLE, (GUARD,), guard_reason=
                        "field is not complex cubic or pure imaginary quartic")
     parts = squarefree_parts(K, p)  # SplittingUndetermined propagates
-    reason = torsion_mod.applicability_guard(K, p, [m for _, m in parts])
+    max_e = parts[0][1] if len(parts) == 1 else max(m for _, m in parts)
+    reason = torsion_mod.applicability_guard(K, p, max_e)
     if reason is not None:
         return Verdict(NOT_APPLICABLE, (GUARD,), guard_reason=reason)
     holds2 = torsion_mod.condition2_holds(K, p, unit, parts)

@@ -115,7 +115,7 @@ def suite_condition2_oracles(pmax: int = 100):
                 factors = split_prime(K, p)
             except SplittingUndetermined:
                 continue
-            if applicability_guard(K, p, [pf.e for pf in factors]) is not None:
+            if applicability_guard(K, p, max(pf.e for pf in factors)) is not None:
                 continue
             parts = squarefree_parts(K, p)
             degrees = {}

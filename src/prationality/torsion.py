@@ -111,13 +111,12 @@ class Condition2Report(namedtuple("Condition2Report", "p per_prime witness holds
         return super().__new__(cls, p, per_prime, witness, holds)
 
 
-def applicability_guard(K: NumberField, p: int,
-                        multiplicities) -> str | None:
+def applicability_guard(K: NumberField, p: int, max_e: int) -> str | None:
     """The reason a guard from the criterion's hypotheses refuses p, or
     None when the criterion applies.
 
-    multiplicities are the m of the squarefree parts of f mod p or the e of
-    the prime factors; only their maximum is read, and it is the same.
+    max_e is the largest m of the squarefree parts of f mod p, which is the
+    largest e of the prime factors.
 
     No (K, p) that passes has p | w, the number of roots of unity in K, so
     zeta^(p^f - 1) = 1 for every root of unity zeta and every eps * zeta has
@@ -128,9 +127,9 @@ def applicability_guard(K: NumberField, p: int,
     """
     if p == 2:
         return "p = 2 is outside the criterion"
-    if p == 3 and max(multiplicities) > 1:
+    if p == 3 and max_e > 1:
         return "p = 3 must be unramified"
-    if K.n == 4 and p == 5 and max(multiplicities) == 4:
+    if K.n == 4 and p == 5 and max_e == 4:
         return "5 totally ramified in a quartic field"
     return None
 
@@ -146,11 +145,8 @@ def _unit_char_poly(K: NumberField, unit: FieldElement):
 
 def _fermat_checked(k: ring.Kernel, p: int, v: int) -> int:
     """v packed by k; InvariantViolation unless each slot is 0 mod p."""
-    slot, u = (1 << k.w) - 1, v
-    while u:
-        if (u & slot) % p:
-            raise InvariantViolation(_FERMAT_FAILURE)
-        u >>= k.w
+    if not ring.slots_divisible(k, v, p):
+        raise InvariantViolation(_FERMAT_FAILURE)
     return v
 
 
@@ -201,10 +197,10 @@ def condition2_holds(K: NumberField, p: int, unit: FieldElement,
     by the Frobenius lift at unramified p, in Z[t]/(chi, p^2) when p does
     not divide disc(chi), by the radical cofactor at ramified p (module
     docstring)."""
-    if p == 2 or any(m >= p for _, m in parts):
+    unramified = len(parts) == 1 and parts[0][1] == 1
+    if p == 2 or not unramified and max(m for _, m in parts) >= p:
         raise ValueError("p must be odd and exceed every multiplicity")
     chi, disc_chi = _unit_char_poly(K, unit)
-    unramified = len(parts) == 1 and parts[0][1] == 1
     if unramified and disc_chi % p:  # the unit as t in Z[t]/(chi, p^2)
         k = ring.kernel(chi, p * p)
         return bool(_value_at(k, chi, p, k.pow(k.x, p)))

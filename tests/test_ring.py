@@ -4,10 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prationality import ring
+from prationality.errors import InvariantViolation
 from prationality.harness import bundled_records
 from prationality.ring import (
+    _equal_degree_split,
     _mp_quo,
     _mp_rem,
+    _straight_line,
     derivative,
     det_adjugate,
     det_bareiss,
@@ -441,19 +445,71 @@ def test_packed_kernel_at_full_slots(n, m):
         assert powmod((0, 1), e, f, m) == _list_powmod((0, 1), e, f, m)
 
 
+def _loop_reduce(f, m, v):
+    """reduce with a loop over the folds and one over the low slots, the
+    same arithmetic as the kernel's straight-line code; its reference."""
+    n = len(f) - 1
+    w = (2 * (2 * n - 1) * (m - 1) ** 2).bit_length()
+    slot, row = (1 << w) - 1, 0
+    for c in reversed(f[:n]):
+        row = row << w | -c % m
+    for s in range(2 * n * w - w, n * w - 1, -w):
+        v += (v >> s & slot) % m * (row << s - n * w)
+    out = 0
+    for s in range(0, n * w, w):
+        out |= (v >> s & slot) % m << s
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6), st.sampled_from([2, 49, 1155, (2**64 - 59) ** 2]),
+       st.data())
+def test_straight_line_kernel_matches_the_loops(n, m, data):
+    # the two inputs the kernel docstring bounds, a sum of two products of
+    # reduced elements and a shifted square, with slots and the row of x^n
+    # often full (c = m - 1, f_i = 1); 2^64 - 59 is the largest 64-bit prime
+    f = tuple(data.draw(st.lists(st.sampled_from([1, -1, 0])
+                                 | st.integers(-10**6, 10**6),
+                                 min_size=n, max_size=n))) + (1,)
+    k = kernel(f, m)
+    slots = st.lists(st.just(m - 1) | st.integers(0, m - 1), min_size=n,
+                     max_size=n)
+    a, b, c, d = (sum(s << k.w * i for i, s in enumerate(data.draw(slots)))
+                  for _ in range(4))
+    for v in (a * b + c * d, a * a << k.w):
+        assert k.reduce(v) == _loop_reduce(f, m, v)
+    e = data.draw(st.integers(0, 2**20))
+    assert k.unpack(k.pow(k.x, e)) == _list_powmod((0, 1), e, f, m)
+    assert k.unpack(k.pow(a, e)) == _list_powmod(k.unpack(a), e, f, m)
+
+
+def test_straight_line_code_is_built_once_per_degree():
+    _straight_line.cache_clear()
+    for m in (2, 49, 1155):
+        for n in range(7):
+            kernel.__wrapped__((1,) * (n + 1), m)
+    info = _straight_line.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (7, 14, 7)
+
+
 def test_a_dropped_kernel_needs_no_cycle_collector():
-    # pack's Horner loop over x^n chunks runs without a self-reference, so
-    # a kernel evicted from the cache is freed by reference counting alone
-    gc.collect()
-    gc.disable()
-    try:
-        k = kernel.__wrapped__((27, -4, 0, 1), 49)
-        assert k.unpack(k.pack(tuple(range(-9, 9)))) == _list_mulmod(
-            tuple(range(-9, 9)), (1,), (27, -4, 0, 1), 49)
-        del k
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    # pack's Horner loop over x^n chunks runs without a self-reference, and
+    # of the straight-line reduce and pow only pow refers to the other, so
+    # a kernel evicted from the cache is freed by reference counting alone,
+    # at every degree
+    for n in range(6):
+        f = (27, -4, 0, 1, 5, -2)[:n] + (1,)
+        gc.collect()
+        gc.disable()
+        try:
+            k = kernel.__wrapped__(f, 49)
+            assert k.unpack(k.pack(tuple(range(-9, 9)))) == _list_mulmod(
+                tuple(range(-9, 9)), (1,), f, 49)
+            assert k.unpack(k.pow(k.x, 50)) == _list_powmod((0, 1), 50, f, 49)
+            del k
+            assert gc.collect() == 0, n
+        finally:
+            gc.enable()
 
 
 def test_packed_kernel_at_degree_0_and_1():
@@ -483,3 +539,13 @@ def test_mp_quo_and_mp_rem_divide_over_f_p(p, data):
     q, r = _mp_quo(f, g, p), _mp_rem(f, g, p)
     assert len(r) < len(g) and all(0 <= c < p for c in q + r)
     assert all(c % p == 0 for c in poly_sub(f, poly_add(poly_mul(q, g), r)))
+
+
+def test_equal_degree_split_fails_fast_on_a_broken_kernel(monkeypatch,
+                                                          deadline):
+    # with h = 1 for every candidate no split is ever found; the walk stops
+    # at its cap instead of running through p shifts
+    monkeypatch.setattr(ring, "powmod", lambda a, e, f, m: (1,))
+    f = poly_mul((-2, 1), (-3, 1))
+    with deadline(5), pytest.raises(InvariantViolation):
+        _equal_degree_split(f, 1, 2**61 - 1)
