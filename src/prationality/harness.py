@@ -14,9 +14,8 @@ import json
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property
 
-from . import ring
 from .errors import InvariantViolation
 from .families import primes_up_to
 from .numberfield import FieldElement, NumberField, checked_make, make_field
@@ -180,17 +179,16 @@ def _validate(record: FieldRecord, line: int) -> str | None:
 
 def unit_problem(K: NumberField, unit: FieldElement) -> str | None:
     """Why unit cannot be a field's fundamental unit, or None: it is not
-    integral, its norm (-1)^n chi(0) is not +-1 for chi = cached_char_poly
-    (which the verdicts then read), or it is a root of unity.  A root of
-    unity of order k has minimal polynomial Phi_k, so its chi is
-    Phi_k^(n / phi(k)); conversely a root of such a chi is a root of unity."""
+    integral, its norm is not +-1, which holds iff mu(0) = +-1 for
+    mu = cached_min_poly (which the verdicts then read), or it is a root of
+    unity, whose minimal polynomial is some Phi_k."""
     try:
-        chi, _ = K.cached_char_poly(unit)
+        mu, _ = K.cached_min_poly(unit)
     except ValueError:
         return "unit is not integral"
-    if abs(chi[0]) != 1:
+    if abs(mu[0]) != 1:
         return "unit norm is not +-1"
-    if chi in _root_of_unity_char_polys(K.n):
+    if mu in _CYCLOTOMIC:
         return "unit is a root of unity"
     return None
 
@@ -200,13 +198,6 @@ def unit_problem(K: NumberField, unit: FieldElement) -> str | None:
 _CYCLOTOMIC = ((-1, 1), (1, 1), (1, 1, 1), (1, 0, 1), (1, -1, 1),
                (1, 1, 1, 1, 1), (1, 0, 0, 0, 1), (1, -1, 1, -1, 1),
                (1, 0, -1, 0, 1))
-
-
-@lru_cache(maxsize=None)
-def _root_of_unity_char_polys(n: int) -> frozenset:
-    """Phi_k^(n / phi(k)) for every Phi_k whose degree phi(k) divides n."""
-    return frozenset(reduce(ring.poly_mul, [phi] * (n // ring.degree(phi)))
-                     for phi in _CYCLOTOMIC if n % ring.degree(phi) == 0)
 
 
 def load_records(source, fmt: str = "csv") -> list[FieldRecord]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt, lcm, prod
 
 from .errors import InvariantViolation, SplittingUndetermined
@@ -103,6 +104,19 @@ def _real_root_count(f, disc: int) -> int:
     return 4 if p < 0 and q < 0 else 0
 
 
+def _min_poly(chi) -> tuple[int, ...]:
+    """(mu, disc(mu)) for chi = mu^(n/d), n = deg chi <= 4, d the least
+    divisor of n that admits one: mu = t + a with n a = chi_(n-1), or
+    t^2 + b t + c with 2b = chi_3, 2c = chi_2 - b^2 (n = 4), confirmed by one
+    product; disc 0 for a linear mu.  InvariantViolation when no d does."""
+    n, b = ring.degree(chi), chi[-2] // 2
+    for mu in ((chi[-2] // n, 1), ((chi[-3] - b * b) // 2, b, 1)):
+        k, r = divmod(n, len(mu) - 1)
+        if not r and reduce(ring.poly_mul, [mu] * k) == chi:
+            return mu, ring.discriminant(mu) if k < n else 0
+    raise InvariantViolation("characteristic polynomial is not a power")
+
+
 class NumberField:
     """Immutable field/order data; construct via make_field.  basis_rows
     None means Z[alpha]: identity rows over d = 1, index 1."""
@@ -155,7 +169,7 @@ class NumberField:
         self.field_disc = self.poly_disc // self.index**2
         # Tr(alpha^m), m < n: the power sums of the roots of f
         self._traces = tuple(ring.power_sums(f, n))
-        self._char_polys: dict[FieldElement, tuple[tuple[int, ...], int]] = {}
+        self._min_polys: dict[FieldElement, tuple[tuple[int, ...], int]] = {}
         self.is_power_basis = d == 1
 
     # -- elements -------------------------------------------------------------
@@ -246,15 +260,19 @@ class NumberField:
             raise ValueError("element is not integral")
         return tuple(ci // den ** (n - i) for i, ci in enumerate(c))
 
-    def cached_char_poly(self, a: FieldElement) -> tuple[tuple[int, ...], int]:
-        """(char_poly(a), its discriminant), computed once per element of
-        this field: the loaders' unit check, the recurrence screen and
-        condition (2) all read a unit's.  ValueError unless a is integral."""
-        entry = self._char_polys.get(a)
+    def cached_min_poly(self, a: FieldElement) -> tuple[tuple[int, ...], int]:
+        """(mu, disc(mu)) for the minimal polynomial mu of a, computed once
+        per element of this field: the loaders' unit check, the recurrence
+        screen and condition (2) all read a unit's.  mu is char_poly(a) unless
+        a lies in a proper subfield; a linear mu keeps disc 0, as the rings
+        that read mu need degree >= 2.  ValueError unless a is integral."""
+        entry = self._min_polys.get(a)
         if entry is None:
-            chi = self.char_poly(a)
-            entry = self._char_polys[a] = chi, (
-                self.poly_disc if chi == self.poly else ring.discriminant(chi))
+            mu = self.char_poly(a)
+            disc = self.poly_disc if mu == self.poly else ring.discriminant(mu)
+            if disc == 0:
+                mu, disc = _min_poly(mu)
+            entry = self._min_polys[a] = mu, disc
         return entry
 
     def norm(self, a: FieldElement) -> Fraction:
@@ -395,13 +413,13 @@ def squarefree_parts(K: NumberField,
                      p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """f mod p = prod g_m^m as (g_m, m) pairs, the g_m monic, squarefree and
     pairwise coprime, under split_prime's certificate.  At p not dividing
-    disc(f) this is ((f mod p, 1),) with no polynomial work.
+    disc(f) this is ((f, 1),) unreduced: no reader needs f mod p there.
 
     Since p does not divide the index, each irreducible factor g of g_m
     gives the prime ideal (p, g(alpha)) with e = m and f = deg g.
     """
     if K.poly_disc % p != 0:
-        return ((tuple([c % p for c in K.poly]), 1),)  # monic: normalized
+        return ((K.poly, 1),)
     parts = tuple(ring._sqf_decomposition(ring._mp(K.poly, p), p))
     _require_certificate(K, p, parts)
     return parts

@@ -104,16 +104,16 @@ def screen(spec: RecurrenceSpec, p: int) -> ScreenResult:
 
 
 def minimal_poly_spec(K: NumberField, unit: FieldElement) -> RecurrenceSpec:
-    """RecurrenceSpec from the characteristic polynomial of the unit and its
-    discriminant, both as NumberField.cached_char_poly keeps them; rejects
+    """RecurrenceSpec from the minimal polynomial of the unit and its
+    discriminant, both as NumberField.cached_min_poly keeps them; rejects
     units generating a proper subfield."""
     if K.n != 3:
         raise ValueError("recurrence screen is for cubic fields")
-    c, disc = K.cached_char_poly(unit)  # ValueError unless integral
+    c, disc = K.cached_min_poly(unit)  # ValueError unless integral
+    if degree(c) < 3:
+        raise ValueError("unit generates a proper subfield (degree drop)")
     spec = RecurrenceSpec(a2=-c[2], a1=-c[1], a0=-c[0])
     spec.__dict__["companion_disc"] = disc  # the field's, not computed again
-    if spec.companion_disc == 0:
-        raise ValueError("unit generates a proper subfield (degree drop)")
     return spec
 
 
@@ -121,13 +121,13 @@ def cross_check(K: NumberField, unit: FieldElement, spec: RecurrenceSpec,
                 p: int) -> ConsistencyReport:
     """Assert the screen's implication against the direct congruence test,
     condition (2) read off the screen's own gamma = t^p in Z[t]/(chi, p^2)
-    as the chi-path of torsion.condition2_holds reads it: one power, no
-    splitting of f.  ValueError unless spec is chi, the characteristic
-    polynomial of the unit, which the field keeps.  At p dividing disc(f),
+    as torsion.condition2_holds reads it in the unit's ring: one power, no
+    splitting of f.  ValueError unless spec is chi, the minimal polynomial
+    of the unit, which the field keeps.  At p dividing disc(f),
     f mod p has a repeated factor: p ramifies, and divides disc(chi) too, or
     squarefree_parts refuses it; the refusal says how p ramifies.
     """
-    chi, _ = torsion_mod._unit_char_poly(K, unit)  # ValueError unless a unit
+    chi, _ = torsion_mod._unit_min_poly(K, unit)  # ValueError unless a unit
     if chi != spec.companion_poly:
         raise ValueError("spec does not match the minimal polynomial of the unit")
     if K.poly_disc % p == 0:

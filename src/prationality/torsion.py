@@ -7,55 +7,49 @@ p^2 (Gras, Canad. J. Math. 68, 2016, for the Fermat-quotient form of the
 test; Cohen, GTM 138, 4.8.2, for Kummer-Dedekind).  The parts are only
 returned when p does not divide the index of Z[alpha], so every P is
 (p, g(alpha)) for an irreducible factor g of some g_m, with e = m and
-f = deg g.  For the same reason O_K/p^2 = Z[alpha]/p^2 and the unit's
-denominator, which divides the index, is prime to p: the branches below
-compute in Z[x]/(f, p^2) on the power-basis coordinates of eps (or in the
-unit's own ring, see the unramified branch), by
-ring.mulmod and ring.powmod's packed kernel (ring.kernel): each element is
-one int from start to end, and each sum of products below is reduced once.
+f = deg g.  Both branches compute on ring.kernel's packed ints, and each
+sum of products below is reduced once.
 Let F be any common multiple of the residue degrees.  For P of degree f,
 eps^(p^F - 1) = u^k with u = eps^(p^f - 1) in 1 + P and
 k = (p^F - 1)/(p^f - 1) = 1 (mod p); when e + 1 <= p,
 (1 + P)/(1 + P^(e+1)) has exponent p (for y in P, (1 + y)^p - 1 is p*y plus
 multiples of p*y^2 plus y^p), so u^k = u (mod P^(e+1)).
 
-At p not dividing disc(f) the parts are ((f mod p, 1),), Z_p[alpha] is
-etale and has a Frobenius lift phi (phi(y) = y^p mod p, phi^F = id for F
-the lcm of the residue degrees).  With e(x) the power-basis coordinates of
-eps and gamma = x^p in Z[x]/(f, p^2), no factorization and no F are needed
-(Buium, J. Algebra 198, 1997: (phi(eps) - eps^p)/p is the p-derivation of
-eps):
+At p unramified in K and prime to disc(mu), mu the minimal polynomial of
+eps, condition2_holds works in the unit's own ring Z[t]/(mu, p^2), eps = t.
+By the above, condition (2) fails iff eps^(p^F - 1) = 1 (mod p^2 O_K).  For
+k = Q(eps), O_K meets k in O_k, so this holds iff it holds mod p^2 O_k; p is
+unramified in k, and each residue degree in k divides one in K, so F is a
+common multiple of those too.  As p does not divide
+disc(mu) = [O_k : Z[eps]]^2 d_k, O_k (x) Z_p = Z_p[t]/(mu) is etale, with
+a Frobenius lift phi: phi(y) = y^p (mod p), phi^F = id (Buium, J. Algebra
+198, 1997: (phi(eps) - eps^p)/p is the p-derivation of eps).
 
-- phi(alpha) = gamma - f(gamma)/f'(gamma) (mod p^2), one Newton step from
-  gamma = phi(alpha) (mod p); f'(gamma) = f'(alpha)^p (mod p) is a unit.
-  So phi(eps) = e(gamma) - e'(gamma) f(gamma)/f'(gamma) (mod p^2).
 - If y = z (mod p) then y^p = z^p (mod p^2); with y = eps^p and
-  z = phi(eps), induction gives eps^(p^k) = phi^(k-1)(eps^p) (mod p^2).
-- As phi^F = id, eps^(p^F - 1) = 1 iff eps^p = phi(eps) (mod p^2).  Times
-  the unit f'(gamma): condition (2) fails iff
-  X = f'(gamma) (eps^p - e(gamma)) + e'(gamma) f(gamma) = 0 (mod p^2).
-  The Fermat check, which holds in characteristic p and raises
-  InvariantViolation if not, is f(gamma) = 0 and eps^p = e(gamma) (mod p).
-  The argument holds at p = 3.
+  z = phi(eps), induction gives eps^(p^j) = phi^(j-1)(eps^p) (mod p^2).
+  As phi is invertible and phi^F = id, eps^(p^F - 1) = 1 iff
+  eps^p = phi(eps) (mod p^2).
+- phi(t) is the root of mu that is gamma = t^p (mod p), so by Taylor at
+  phi(t), X = mu(gamma) = mu'(phi(t)) (gamma - phi(t)) (mod p^2), with
+  mu'(phi(t)) = mu'(t)^p (mod p) a unit.  So condition (2) fails iff X = 0
+  (mod p^2): one p-th power, which the recurrence screen takes for its own
+  (recurrence.cross_check).  The Fermat check, true in characteristic p and
+  raising InvariantViolation if not, is X = 0 (mod p).  This holds at p = 3.
 
-It holds for any monic g with Z_p[t]/(g) = O_K (x) Z_p in place of f.
-condition2_holds takes g = chi, the unit's characteristic polynomial, and
-eps = t whenever p does not divide disc(chi) = [O_K : Z[eps]]^2 d_K, which
-makes Z_p[eps] = O_K (x) Z_p: then e(t) = t and eps^p = gamma, so
-X = chi(gamma) and one p-th power decides, the one the recurrence screen
-takes for its own (recurrence.cross_check).  _value_at takes chi(gamma),
-and the alpha-path's f(gamma), by Horner, then the Fermat check slot by
-slot on the packed int.  The field keeps chi and disc(chi) once per unit
-(NumberField.cached_char_poly, filled by the loaders' harness.unit_problem).
-This is the screen's hypothesis, p not dividing companion_disc: the same
-ring and discriminant.  Where p divides [O_K : Z[eps]], or eps lies in a
-proper subfield (disc(chi) = 0), it uses Z[x]/(f, p^2).
+_value_at takes mu(gamma) by Horner, then the Fermat check slot by slot.
+The field keeps mu and disc(mu) once per unit (NumberField.cached_min_poly,
+filled by the loaders' harness.unit_problem): the recurrence screen's ring
+and companion_disc.
 
-At ramified p no Frobenius lift exists.  Let c be the lift of
+Everywhere else, at ramified p and where p divides disc(mu) (so
+[O_k : Z[eps]]), the radical cofactor decides in Z[x]/(f, p^2) on the
+power-basis coordinates of eps: O_K/p^2 = Z[alpha]/p^2, and the unit's
+denominator, which divides the index, is prime to p.  Let c be the lift of
 prod g_m^(m-1) and x = eps^(p^F - 1) - 1 mod p^2, with
 F = lcm(1, ..., max deg g_m): every residue degree is the degree of a
-factor of some g_m, so it divides F, and no factorization is needed.  In
-degree n <= 4 with some m >= 2 every g_m has degree at most 2, so F <= 2.
+factor of some g_m, so it divides F, and no factorization is needed.  At
+unramified p, c = 1 and F = lcm(1, ..., n); in degree n <= 4 with some
+m >= 2 every g_m has degree at most 2, so F <= 2.
 
 - v_P(x) >= e + 1 iff eps^(p^f - 1) = 1 (mod P^(e+1)), by the above.
 - v_P(c) = e - 1.  The other factors g'(alpha) are units at P.  When
@@ -134,13 +128,13 @@ def applicability_guard(K: NumberField, p: int, max_e: int) -> str | None:
     return None
 
 
-def _unit_char_poly(K: NumberField, unit: FieldElement):
-    """(chi, disc(chi)) of NumberField.cached_char_poly; ValueError unless
-    unit is integral with N(unit) = (-1)^n chi(0) = +-1."""
-    chi, disc = K.cached_char_poly(unit)
-    if abs(chi[0]) != 1:
+def _unit_min_poly(K: NumberField, unit: FieldElement):
+    """(mu, disc(mu)) of NumberField.cached_min_poly; ValueError unless
+    unit is integral with mu(0) = +-1, that is with norm +-1."""
+    mu, disc = K.cached_min_poly(unit)
+    if abs(mu[0]) != 1:
         raise ValueError("unit norm is not +-1")
-    return chi, disc
+    return mu, disc
 
 
 def _fermat_checked(k: ring.Kernel, p: int, v: int) -> int:
@@ -151,8 +145,8 @@ def _fermat_checked(k: ring.Kernel, p: int, v: int) -> int:
 
 
 def _value_at(k: ring.Kernel, g, p: int, gamma: int) -> int:
-    """Fermat-checked g(gamma) in Z[x]/(f, p^2), packed by k, for monic g
-    of degree n >= 2 and gamma = x^p packed by k: X on the chi-path.  Horner
+    """Fermat-checked g(gamma) in Z[x]/(g, p^2), packed by k, for monic g
+    of degree n >= 2 and gamma = x^p packed by k: X for g = mu.  Horner
     takes n - 1 reduces: slot 0 of gamma + c is <= 2(p^2 - 1), so each
     product slot is <= (n + 1)(p^2 - 1)^2 + (p^2 - 1) <= 2n(p^2 - 1)^2."""
     pp = p * p
@@ -160,26 +154,6 @@ def _value_at(k: ring.Kernel, g, p: int, gamma: int) -> int:
     for c in g[-3::-1]:
         v = k.reduce(v * gamma + c % pp)
     return _fermat_checked(k, p, v)
-
-
-def _frobenius_defect(k: ring.Kernel, f, p: int, e, gamma: int) -> int:
-    """X in Z[x]/(f, p^2), packed by k, for the unit coordinates e at p not
-    dividing disc(f) and gamma = x^p packed by k (module docstring);
-    X = f(gamma) when e is x, as then eps^p = gamma."""
-    pp, n = p * p, ring.degree(f)
-    f_g = _value_at(k, f, p, gamma)
-    powers = [k.pack((1,)), gamma]  # gamma^0 .. gamma^(n - 1)
-    while len(powers) < n:
-        powers.append(k.reduce(powers[-1] * gamma))
-
-    def at_gamma(g):  # slots <= n (p^2 - 1)^2, within reduce's bound
-        return k.reduce(sum(c % pp * w for c, w in zip(g, powers)))
-
-    # eps^p - e(gamma) with p^2 added to every slot, so no slot goes negative
-    d = k.reduce(k.pow(k.pack(e), p) - at_gamma(e)
-                 + sum(pp << s for s in range(0, n * k.w, k.w)))
-    return k.reduce(at_gamma(ring.derivative(f)) * _fermat_checked(k, p, d)
-                    + at_gamma(ring.derivative(e)) * f_g)
 
 
 def _unit_defect(k: ring.Kernel, p: int, u: int, c) -> int:
@@ -194,20 +168,17 @@ def condition2_holds(K: NumberField, p: int, unit: FieldElement,
                      parts) -> bool:
     """Condition (2) at p for every prime factor at once, from the
     squarefree parts of f mod p that numberfield.squarefree_parts returns:
-    by the Frobenius lift at unramified p, in Z[t]/(chi, p^2) when p does
-    not divide disc(chi), by the radical cofactor at ramified p (module
-    docstring)."""
+    in Z[t]/(mu, p^2) at unramified p not dividing disc(mu), by the radical
+    cofactor everywhere else (module docstring)."""
     unramified = len(parts) == 1 and parts[0][1] == 1
     if p == 2 or not unramified and max(m for _, m in parts) >= p:
         raise ValueError("p must be odd and exceed every multiplicity")
-    chi, disc_chi = _unit_char_poly(K, unit)
-    if unramified and disc_chi % p:  # the unit as t in Z[t]/(chi, p^2)
-        k = ring.kernel(chi, p * p)
-        return bool(_value_at(k, chi, p, k.pow(k.x, p)))
+    mu, disc_mu = _unit_min_poly(K, unit)
+    if unramified and disc_mu % p:  # the unit as t in Z[t]/(mu, p^2)
+        k = ring.kernel(mu, p * p)
+        return bool(_value_at(k, mu, p, k.pow(k.x, p)))
     # in Z[x]/(f, p^2), where the unit's denominator divides the index
     e, k = K.power_coords_mod(unit, p * p), ring.kernel(K.poly, p * p)
-    if unramified:
-        return bool(_frobenius_defect(k, K.poly, p, e, k.pow(k.x, p)))
     F = lcm(*range(1, max(ring.degree(g) for g, _ in parts) + 1))
     return bool(_unit_defect(k, p, k.pow(k.pack(e), p**F - 1),
                              radical_cofactor(parts, p)))
@@ -218,7 +189,7 @@ def condition2(K: NumberField, p: int, unit: FieldElement,
     """The per-P report over the prime factors of p that split_prime
     returns, each P = (p, g(alpha)) decided by its cofactor congruence
     x g^(e-1) h^2 = 0 (mod p^2) (module docstring)."""
-    _unit_char_poly(K, unit)  # ValueError unless a unit
+    _unit_min_poly(K, unit)  # ValueError unless a unit
     pp, fbar = p * p, ring._mp(K.poly, p)
     k = ring.kernel(K.poly, pp)
     per, witness = [], None

@@ -23,9 +23,9 @@ from prationality.numberfield import (
     squarefree_parts,
 )
 from prationality.recurrence import minimal_poly_spec
-from prationality.ring import (det_bareiss, discriminant, factor_mod_p, poly,
-                              poly_mul)
-from prationality import ring, selftest
+from prationality.ring import (degree, det_bareiss, discriminant, factor_mod_p,
+                              poly, poly_mul)
+from prationality import numberfield, ring, selftest
 from prationality.selftest import suite_ef_sum
 from prationality.torsion import condition2_holds
 
@@ -564,5 +564,30 @@ def test_z_alpha_field_matches_the_generic_path_on_identity_rows(monkeypatch):
         assert u_K == u_G, f
         assert K.char_poly(u_K) == G.char_poly(u_G), f
         for x in (u_K, K.element_from_power_coords((0, 1))):
-            chi, disc = K.cached_char_poly(x)
-            assert disc == discriminant(chi), (f, x)
+            mu, disc = K.cached_min_poly(x)
+            assert disc == discriminant(mu), (f, x)
+
+
+def test_cached_min_poly_is_the_unit_minimal_polynomial_on_bundled_records():
+    # mu(eps) = 0 and mu^(n / deg mu) = chi on every bundled record: mu = chi
+    # but for the two quartic units in a quadratic subfield, where chi = mu^2
+    degrees = Counter()
+    for name in ("table1", "table2", "examples"):
+        for record in bundled_records(name):
+            K = record.build_field()
+            eps = record.unit_element()
+            mu, disc = K.cached_min_poly(eps)
+            value = K.zero()
+            for c in reversed(mu):
+                value = K.add(K.mul(value, eps), K.from_int(c))
+            assert not any(value.coords), record.label
+            power = (1,)
+            for _ in range(K.n // degree(mu)):
+                power = poly_mul(power, mu)
+            assert K.n % degree(mu) == 0 and power == K.char_poly(eps)
+            assert disc == discriminant(mu) != 0, record.label
+            degrees[K.n, degree(mu)] += 1
+    assert degrees[4, 2] == 2 and sum(degrees.values()) >= 47
+    assert set(degrees) == {(3, 3), (4, 4), (4, 2)}
+    with pytest.raises(InvariantViolation):
+        numberfield._min_poly((1, 0, 0, 0, 1))  # t^4 + 1 is no power

@@ -359,8 +359,11 @@ def test_frobenius_lift_matches_exponent_form_on_bundled_records():
 
 def _list_frobenius_defect(f, p, e):
     """X = f'(gamma)(eps^p - e(gamma)) + e'(gamma) f(gamma) in
-    Z[x]/(f, p^2) on coefficient lists, gamma = x^p (torsion's module
-    docstring); the reference for the packed torsion._frobenius_defect."""
+    Z[x]/(f, p^2) on coefficient lists, gamma = x^p, e the coordinates of
+    eps at p not dividing disc(f): phi(alpha) = gamma - f(gamma)/f'(gamma)
+    (mod p^2) is one Newton step from gamma, so X = 0 iff eps^p = phi(eps),
+    iff condition (2) fails; X = f(gamma) at e = x.  The reference for
+    condition2_holds, which decides without it."""
     pp, n = p * p, degree(f)
     powers = [(1,), powmod((0, 1), p, f, pp)]
     while len(powers) <= n:
@@ -380,54 +383,49 @@ def _list_frobenius_defect(f, p, e):
         mulmod(at_gamma(derivative(e)), f_g, f, pp)))
 
 
-def test_packed_frobenius_defect_matches_list_reference_on_bundled_records():
-    # the packed defect X against the list computation at every odd p <= 300
-    # not dividing disc(f), at p = 1699 for ex. 6.2 and at the first primes
-    # above 2^16, 2^64 and 2^100, whose slots are the widest the kernel's
-    # folds read, in both presentations: Z[x]/(f, p^2) on the unit's
-    # coordinates, and Z[t]/(c, p^2) with eps = t, c the unit's
-    # characteristic polynomial, where p does not divide disc(c);
-    # condition2_holds takes the second whenever it can, and both decide
-    # like the alpha-presentation
+def test_condition2_holds_matches_list_frobenius_defect_on_bundled_records():
+    # condition2_holds against the list X in Z[x]/(f, p^2) on the unit's
+    # coordinates at every odd p <= 300 not dividing disc(f), at p = 1699
+    # for ex. 6.2 and at the first primes above 2^16, 2^64 and 2^100, whose
+    # slots are the widest the kernel's folds read.  Where p does not divide
+    # disc(mu), mu the unit's minimal polynomial, the packed X = mu(gamma) in
+    # Z[t]/(mu, p^2) is the list X there at e = t.  The cells where p divides
+    # disc(chi), chi the characteristic polynomial, are those that took
+    # Z[x]/(f, p^2) before mu: the two quartics whose unit lies in a
+    # quadratic subfield, decided in Z[t]/(mu, p^2), and primes dividing
+    # [O_k : Z[eps]], decided by the radical cofactor
     cells = {False: 0, True: 0}  # keyed by "holds"
-    alpha_path = set()  # (label, p) where p divides disc(c)
+    mu_ring, cofactor = set(), set()  # (label, p) where p divides disc(chi)
     for name in ("table1", "table2", "examples"):
         for record in bundled_records(name):
             K = record.build_field()
             eps = record.unit_element()
-            c, disc_c = K.cached_char_poly(eps)
-            assert c == K.char_poly(eps) and disc_c == ring.discriminant(c)
+            mu, disc_mu = K.cached_min_poly(eps)
+            disc_chi = ring.discriminant(K.char_poly(eps))
             primes = (primes_up_to(300)[1:] + [1699] * (K.poly == EX62)
                       + WIDE_PRIMES)
             for p in primes:
                 if K.poly_disc % p == 0:
                     continue
                 pp = p * p
-                e = K.power_coords_mod(eps, pp)
-                expected = _list_frobenius_defect(K.poly, p, e)
-                k = ring.kernel(K.poly, pp)
-                packed = torsion._frobenius_defect(k, K.poly, p, e,
-                                                   k.pow(k.pack((0, 1)), p))
-                assert k.unpack(packed) == expected, (record.label, p)
-                if disc_c % p:
-                    by_c = _list_frobenius_defect(c, p, (0, 1))
-                    kc = ring.kernel(c, pp)
-                    gamma = kc.pow(kc.x, p)
-                    # the chi-path's X = c(gamma), and the general formula
-                    # at e = x
-                    packed = torsion._value_at(kc, c, p, gamma)
-                    assert kc.unpack(packed) == by_c, (record.label, p)
-                    packed = torsion._frobenius_defect(kc, c, p, (0, 1), gamma)
-                    assert kc.unpack(packed) == by_c, (record.label, p)
-                    assert bool(by_c) == bool(expected), (record.label, p)
-                else:
-                    alpha_path.add((record.label, p))
+                expected = _list_frobenius_defect(
+                    K.poly, p, K.power_coords_mod(eps, pp))
+                if disc_mu % p:
+                    k = ring.kernel(mu, pp)
+                    packed = torsion._value_at(k, mu, p, k.pow(k.x, p))
+                    by_mu = _list_frobenius_defect(mu, p, (0, 1))
+                    assert k.unpack(packed) == by_mu, (record.label, p)
+                    assert bool(by_mu) == bool(expected), (record.label, p)
+                if disc_chi % p == 0:
+                    (mu_ring if disc_mu % p else cofactor).add((record.label, p))
                 holds = condition2_holds(K, p, eps, squarefree_parts(K, p))
                 assert holds == bool(expected), (record.label, p)
                 cells[holds] += 1
     assert cells[False] > 0 and cells[True] > 1000
-    assert {("x^3-4*x+27", 3), ("x^3-4*x+27", 1699)} <= alpha_path
-    assert len(alpha_path) < sum(cells.values()) // 2
+    assert {("x^3-4*x+27", 3), ("x^3-4*x+27", 1699)} <= cofactor
+    assert {label for label, _ in mu_ring} == {"x^4+4*x^2+2",
+                                               "x^4-2*x^3+5*x^2-4*x+2"}
+    assert len(mu_ring) > 100 and len(cofactor) < 30
 
 
 def _is_prime(n):
@@ -536,16 +534,16 @@ def test_one_pth_power_per_unramified_verdict(monkeypatch):
     assert pows == primes
 
 
-def test_unit_of_a_quadratic_subfield_takes_the_alpha_path(monkeypatch):
+def test_unit_of_a_quadratic_subfield_takes_its_own_ring(monkeypatch):
     # the unit of x^4 + 4x^2 + 2 lies in a quadratic subfield: its
-    # characteristic polynomial is a square, disc(c) = 0, and every
-    # unramified p is decided in Z[x]/(f, p^2)
+    # characteristic polynomial is mu^2, disc = 0, and every unramified p
+    # not dividing disc(mu) is decided in Z[t]/(mu, p^2) with deg mu = 2
     record = next(r for r in bundled_records("table2")
                   if r.label == "x^4+4*x^2+2")
     K = record.build_field()
     eps = record.unit_element()
-    c = K.char_poly(eps)
-    assert ring.discriminant(c) == 0
+    mu, disc_mu = K.cached_min_poly(eps)
+    assert len(mu) == 3 and K.char_poly(eps) == poly_mul(mu, mu)
     built, _ = _counted_kernels(monkeypatch)
     cells = 0
     for p in primes_up_to(100)[1:]:
@@ -555,8 +553,8 @@ def test_unit_of_a_quadratic_subfield_takes_the_alpha_path(monkeypatch):
         F = lcm(*(pf.f for pf in split_prime(K, p)))
         slow = K.pow_mod(eps, p**F - 1, p * p) != K.one()
         assert condition2_holds(K, p, eps, parts) == slow, p
-        assert built[-1] == (K.poly, p * p)
-        cells += 1
+        assert built[-1] == ((mu, p * p) if disc_mu % p else (K.poly, p * p))
+        cells += disc_mu % p != 0
     assert cells > 20
 
 
@@ -613,32 +611,26 @@ def test_fermat_check_reads_every_slot():
 
 
 def test_fermat_check_fires_for_a_wrong_frobenius():
-    # gamma = x^p + 1 is not x^p (mod p), so f(gamma) != 0 (mod p) and both
-    # the chi-path (eps = t) and the alpha-path raise, and so does the
-    # Fermat-checked g(gamma) that both take.  On the alpha-path
-    # gamma = x^(p^2) has f(gamma) = 0 (mod p) but is not x^p where p is not
-    # completely split, and eps^p = e(gamma) (mod p) fails alone
-    for f, unit in ((EX62, (-3280, -3462, -729)), (EX63, (-2, -1, 1, 1))):
+    # gamma = x^p + 1 is not x^p (mod p), so g(gamma) != 0 (mod p) and the
+    # Fermat-checked g(gamma) raises, in Z[t]/(chi, p^2) for the units of
+    # ex. 6.2 and 6.3 (mu = chi), in Z[t]/(mu, p^2) for the unit of
+    # x^4 + 4x^2 + 2 (deg mu = 2), and in Z[x]/(f, p^2) for each
+    fields = ((EX62, (-3280, -3462, -729)), (EX63, (-2, -1, 1, 1)),
+              ((2, 0, 4, 0, 1), (-3, 0, -1, 0)))
+    for f, unit in fields:
         K = make_field(f)
         eps = K.element_from_power_coords(unit)
-        chi, disc_chi = K.cached_char_poly(eps)
-        not_split = 0
+        mu, disc_mu = K.cached_min_poly(eps)
+        assert (mu == K.char_poly(eps)) == (f != fields[2][0]), f
+        checked = 0
         for p in (5, 7, 11, 13, 17, 19, 23):
-            pp = p * p
-            if K.poly_disc * disc_chi % p == 0:
+            if K.poly_disc * disc_mu % p == 0:
                 continue
-            for g, e in ((chi, (0, 1)), (K.poly, K.power_coords_mod(eps, pp))):
-                k = ring.kernel(g, pp)
-                x_p = k.pow(k.pack((0, 1)), p)
-                torsion._frobenius_defect(k, g, p, e, x_p)
+            for g in (mu, K.poly):
+                k = ring.kernel(g, p * p)
+                x_p = k.pow(k.x, p)
                 torsion._value_at(k, g, p, x_p)
                 with pytest.raises(InvariantViolation, match="Fermat"):
-                    torsion._frobenius_defect(k, g, p, e, k.reduce(x_p + 1))
-                with pytest.raises(InvariantViolation, match="Fermat"):
                     torsion._value_at(k, g, p, k.reduce(x_p + 1))
-            # k, g and e are the alpha-path's, the loop's last
-            if not rationality._completely_split(K, p, squarefree_parts(K, p)):
-                with pytest.raises(InvariantViolation, match="Fermat"):
-                    torsion._frobenius_defect(k, g, p, e, k.pow(x_p, p))
-                not_split += 1
-        assert not_split >= 2, f
+            checked += 1
+        assert checked >= 4, f
