@@ -171,33 +171,10 @@ def _validate(record: FieldRecord, line: int) -> str | None:
     if n not in (3, 4):
         return f"line {line}: polynomial degree {n} is not 3 or 4"
     try:  # make_field refuses a polynomial that is not monic
-        problem = unit_problem(record.build_field(), record.unit_element())
+        record.build_field().unit_min_poly(record.unit_element())
     except ValueError as exc:
         return f"line {line}: {exc}"
-    return None if problem is None else f"line {line}: {problem}"
-
-
-def unit_problem(K: NumberField, unit: FieldElement) -> str | None:
-    """Why unit cannot be a field's fundamental unit, or None: it is not
-    integral, its norm is not +-1, which holds iff mu(0) = +-1 for
-    mu = cached_min_poly (which the verdicts then read), or it is a root of
-    unity, whose minimal polynomial is some Phi_k."""
-    try:
-        mu, _ = K.cached_min_poly(unit)
-    except ValueError:
-        return "unit is not integral"
-    if abs(mu[0]) != 1:
-        return "unit norm is not +-1"
-    if mu in _CYCLOTOMIC:
-        return "unit is a root of unity"
     return None
-
-
-# Phi_k for the k with phi(k) <= 4 (k = 1, 2, 3, 4, 6, 5, 8, 10, 12): the
-# minimal polynomials of the roots of unity in a field of degree <= 4
-_CYCLOTOMIC = ((-1, 1), (1, 1), (1, 1, 1), (1, 0, 1), (1, -1, 1),
-               (1, 1, 1, 1, 1), (1, 0, 0, 0, 1), (1, -1, 1, -1, 1),
-               (1, 0, -1, 0, 1))
 
 
 def load_records(source, fmt: str = "csv") -> list[FieldRecord]:

@@ -105,16 +105,23 @@ def _real_root_count(f, disc: int) -> int:
 
 
 def _min_poly(chi) -> tuple[int, ...]:
-    """(mu, disc(mu)) for chi = mu^(n/d), n = deg chi <= 4, d the least
-    divisor of n that admits one: mu = t + a with n a = chi_(n-1), or
-    t^2 + b t + c with 2b = chi_3, 2c = chi_2 - b^2 (n = 4), confirmed by one
-    product; disc 0 for a linear mu.  InvariantViolation when no d does."""
+    """mu for chi = mu^(n/d), n = deg chi <= 4, d the least divisor of n
+    that admits one: mu = t + a with n a = chi_(n-1), or t^2 + b t + c with
+    2b = chi_3, 2c = chi_2 - b^2 (n = 4), confirmed by one product.
+    InvariantViolation when no d does."""
     n, b = ring.degree(chi), chi[-2] // 2
     for mu in ((chi[-2] // n, 1), ((chi[-3] - b * b) // 2, b, 1)):
         k, r = divmod(n, len(mu) - 1)
         if not r and reduce(ring.poly_mul, [mu] * k) == chi:
-            return mu, ring.discriminant(mu) if k < n else 0
+            return mu
     raise InvariantViolation("characteristic polynomial is not a power")
+
+
+# Phi_k for the k with phi(k) <= 4 (k = 1, 2, 3, 4, 6, 5, 8, 10, 12): the
+# minimal polynomials of the roots of unity in a field of degree <= 4
+_CYCLOTOMIC = ((-1, 1), (1, 1), (1, 1, 1), (1, 0, 1), (1, -1, 1),
+               (1, 1, 1, 1, 1), (1, 0, 0, 0, 1), (1, -1, 1, -1, 1),
+               (1, 0, -1, 0, 1))
 
 
 class NumberField:
@@ -260,19 +267,26 @@ class NumberField:
             raise ValueError("element is not integral")
         return tuple(ci // den ** (n - i) for i, ci in enumerate(c))
 
-    def cached_min_poly(self, a: FieldElement) -> tuple[tuple[int, ...], int]:
-        """(mu, disc(mu)) for the minimal polynomial mu of a, computed once
-        per element of this field: the loaders' unit check, the recurrence
-        screen and condition (2) all read a unit's.  mu is char_poly(a) unless
-        a lies in a proper subfield; a linear mu keeps disc 0, as the rings
-        that read mu need degree >= 2.  ValueError unless a is integral."""
-        entry = self._min_polys.get(a)
+    def unit_min_poly(self, u: FieldElement) -> tuple[tuple[int, ...], int]:
+        """(mu, disc(mu)) for the minimal polynomial mu of a unit u, computed
+        once per unit of this field: the loaders, the recurrence screen and
+        condition (2) all read it.  chi = char_poly(u) is mu^(n / deg mu), so
+        u has norm +-1 iff chi(0) = +-1, and chi is mu unless disc(chi) = 0;
+        u is a root of unity iff mu is some Phi_k.  ValueError unless u is
+        integral, of norm +-1 and no root of unity."""
+        entry = self._min_polys.get(u)
         if entry is None:
-            mu = self.char_poly(a)
-            disc = self.poly_disc if mu == self.poly else ring.discriminant(mu)
-            if disc == 0:
-                mu, disc = _min_poly(mu)
-            entry = self._min_polys[a] = mu, disc
+            try:
+                chi = self.char_poly(u)
+            except ValueError:
+                raise ValueError("unit is not integral") from None
+            if abs(chi[0]) != 1:
+                raise ValueError("unit norm is not +-1")
+            disc = self.poly_disc if chi == self.poly else ring.discriminant(chi)
+            mu = chi if disc else _min_poly(chi)
+            if mu in _CYCLOTOMIC:
+                raise ValueError("unit is a root of unity")
+            entry = self._min_polys[u] = mu, disc or ring.discriminant(mu)
         return entry
 
     def norm(self, a: FieldElement) -> Fraction:

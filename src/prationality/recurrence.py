@@ -105,13 +105,12 @@ def screen(spec: RecurrenceSpec, p: int) -> ScreenResult:
 
 def minimal_poly_spec(K: NumberField, unit: FieldElement) -> RecurrenceSpec:
     """RecurrenceSpec from the minimal polynomial of the unit and its
-    discriminant, both as NumberField.cached_min_poly keeps them; rejects
-    units generating a proper subfield."""
+    discriminant, both as NumberField.unit_min_poly keeps them.  That
+    polynomial is a cubic: the only proper subfield of a cubic field is Q,
+    whose units +-1 are roots of unity, which unit_min_poly refuses."""
     if K.n != 3:
         raise ValueError("recurrence screen is for cubic fields")
-    c, disc = K.cached_min_poly(unit)  # ValueError unless integral
-    if degree(c) < 3:
-        raise ValueError("unit generates a proper subfield (degree drop)")
+    c, disc = K.unit_min_poly(unit)  # ValueError unless a unit
     spec = RecurrenceSpec(a2=-c[2], a1=-c[1], a0=-c[0])
     spec.__dict__["companion_disc"] = disc  # the field's, not computed again
     return spec
@@ -127,7 +126,7 @@ def cross_check(K: NumberField, unit: FieldElement, spec: RecurrenceSpec,
     f mod p has a repeated factor: p ramifies, and divides disc(chi) too, or
     squarefree_parts refuses it; the refusal says how p ramifies.
     """
-    chi, _ = torsion_mod._unit_min_poly(K, unit)  # ValueError unless a unit
+    chi, _ = K.unit_min_poly(unit)  # ValueError unless a unit
     if chi != spec.companion_poly:
         raise ValueError("spec does not match the minimal polynomial of the unit")
     if K.poly_disc % p == 0:

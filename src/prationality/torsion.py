@@ -37,9 +37,9 @@ a Frobenius lift phi: phi(y) = y^p (mod p), phi^F = id (Buium, J. Algebra
   raising InvariantViolation if not, is X = 0 (mod p).  This holds at p = 3.
 
 _value_at takes mu(gamma) by Horner, then the Fermat check slot by slot.
-The field keeps mu and disc(mu) once per unit (NumberField.cached_min_poly,
-filled by the loaders' harness.unit_problem): the recurrence screen's ring
-and companion_disc.
+The field keeps mu and disc(mu) once per unit (NumberField.unit_min_poly,
+which refuses any other element for every caller): the recurrence screen's
+ring and companion_disc.
 
 Everywhere else, at ramified p and where p divides disc(mu) (so
 [O_k : Z[eps]]), the radical cofactor decides in Z[x]/(f, p^2) on the
@@ -128,15 +128,6 @@ def applicability_guard(K: NumberField, p: int, max_e: int) -> str | None:
     return None
 
 
-def _unit_min_poly(K: NumberField, unit: FieldElement):
-    """(mu, disc(mu)) of NumberField.cached_min_poly; ValueError unless
-    unit is integral with mu(0) = +-1, that is with norm +-1."""
-    mu, disc = K.cached_min_poly(unit)
-    if abs(mu[0]) != 1:
-        raise ValueError("unit norm is not +-1")
-    return mu, disc
-
-
 def _fermat_checked(k: ring.Kernel, p: int, v: int) -> int:
     """v packed by k; InvariantViolation unless each slot is 0 mod p."""
     if not ring.slots_divisible(k, v, p):
@@ -173,7 +164,7 @@ def condition2_holds(K: NumberField, p: int, unit: FieldElement,
     unramified = len(parts) == 1 and parts[0][1] == 1
     if p == 2 or not unramified and max(m for _, m in parts) >= p:
         raise ValueError("p must be odd and exceed every multiplicity")
-    mu, disc_mu = _unit_min_poly(K, unit)
+    mu, disc_mu = K.unit_min_poly(unit)
     if unramified and disc_mu % p:  # the unit as t in Z[t]/(mu, p^2)
         k = ring.kernel(mu, p * p)
         return bool(_value_at(k, mu, p, k.pow(k.x, p)))
@@ -189,7 +180,7 @@ def condition2(K: NumberField, p: int, unit: FieldElement,
     """The per-P report over the prime factors of p that split_prime
     returns, each P = (p, g(alpha)) decided by its cofactor congruence
     x g^(e-1) h^2 = 0 (mod p^2) (module docstring)."""
-    _unit_min_poly(K, unit)  # ValueError unless a unit
+    K.unit_min_poly(unit)  # ValueError unless a unit
     pp, fbar = p * p, ring._mp(K.poly, p)
     k = ring.kernel(K.poly, pp)
     per, witness = [], None

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from prationality.errors import InvariantViolation
 from prationality.cli import cli
 from prationality.harness import (
+    CELL_ERROR,
     CELL_NOT_APPLICABLE,
     CELL_P_RATIONAL,
     CELL_TORSION,
@@ -22,10 +24,12 @@ from prationality.harness import (
     render_table_csv,
     render_table_text,
     reproduce_table,
-    unit_problem,
 )
-from prationality.numberfield import FieldElement, NumberField, make_field, split_prime
-from prationality.torsion import condition2
+from prationality.numberfield import (FieldElement, NumberField, make_field,
+                                      split_prime, squarefree_parts)
+from prationality.rationality import verdict
+from prationality.recurrence import cross_check, minimal_poly_spec
+from prationality.torsion import condition2, condition2_holds
 
 EX63_CSV = """label,degree,poly,h,unit,unit_den,torsion_order,basis,aux_q,aux_gen_poly,aux_power_gen
 x^4-2*x^2+3,4,3;0;-2;0;1,1,-2;-1;1;1,1,2,,,,
@@ -85,7 +89,7 @@ def test_load_skips_invalid_unit(caplog):
 
 def _root_of_unity_by_powers(K, unit):
     """The former check: unit^j = 1 for some j <= 12, which covers every
-    order k with phi(k) <= 4; the reference for unit_problem."""
+    order k with phi(k) <= 4; the reference for NumberField.unit_min_poly."""
     power = unit
     for _ in range(12):
         if K.equals(power, K.one()):
@@ -128,12 +132,50 @@ def _unit_cases():
 def test_root_of_unity_read_off_char_poly_matches_powers():
     seen = {True: 0, False: 0}
     for K, unit in _unit_cases():
-        problem = unit_problem(K, unit)
+        try:
+            K.unit_min_poly(unit)
+            problem = None
+        except ValueError as exc:
+            problem = str(exc)
         assert problem in (None, "unit is a root of unity"), (K.poly, unit)
         expected = _root_of_unity_by_powers(K, unit)
         assert (problem is not None) == expected, (K.poly, unit)
         seen[expected] += 1
     assert seen[True] > 80 and seen[False] > 60
+
+
+def test_every_unit_entry_refuses_what_the_loaders_refuse():
+    # zeta_8 in x^4 + 1, -1 and a/(a - 2) in ex. 6.2, 2 in ex. 6.3: each
+    # engine entry that takes a unit raises the loaders' message
+    zeta8_field, ex62, ex63 = (make_field(f) for f in (
+        (1, 0, 0, 0, 1), (27, -4, 0, 1), (3, 0, -2, 0, 1)))
+    cases = [
+        (zeta8_field, FieldElement((0, 1, 0, 0)), "unit is a root of unity"),
+        (ex62, ex62.from_int(-1), "unit is a root of unity"),
+        (ex63, ex63.from_int(2), "unit norm is not +-1"),
+        (ex62, ex62.element_from_power_coords((27, -4, -2), 27),
+         "unit is not integral"),
+    ]
+    spec = minimal_poly_spec(ex62, FieldElement((-3280, -3462, -729)))
+    p = 17
+    for K, unit, message in cases:
+        calls = [
+            lambda: verdict(K, p, unit=unit, class_number=1),
+            lambda: condition2_holds(K, p, unit, squarefree_parts(K, p)),
+            lambda: condition2(K, p, unit, split_prime(K, p)),
+        ]
+        if K.n == 3:
+            calls += [lambda: minimal_poly_spec(K, unit),
+                      lambda: cross_check(K, unit, spec, p)]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+    # a record built past the loaders gives error cells, not a verdict
+    record = FieldRecord(label="zeta8", poly_coeffs=(1, 0, 0, 0, 1),
+                         class_number=1, unit_coeffs=(0, 1, 0, 0))
+    (row,) = reproduce_table([record], 5, 29)
+    assert len(row.cells) == 8
+    assert set(row.cells.values()) == {CELL_ERROR}
 
 
 def test_csv_round_trip():

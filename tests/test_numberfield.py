@@ -563,12 +563,15 @@ def test_z_alpha_field_matches_the_generic_path_on_identity_rows(monkeypatch):
         u_G = G.element_from_power_coords(unit, den)
         assert u_K == u_G, f
         assert K.char_poly(u_K) == G.char_poly(u_G), f
-        for x in (u_K, K.element_from_power_coords((0, 1))):
-            mu, disc = K.cached_min_poly(x)
-            assert disc == discriminant(mu), (f, x)
+        mu, disc = K.unit_min_poly(u_K)
+        assert disc == discriminant(mu), f
+        alpha = (0, 1) + (0,) * (K.n - 2)
+        chi = K.char_poly(FieldElement(alpha))
+        assert chi == G.char_poly(FieldElement(alpha)) == K.poly, f
+        assert discriminant(chi) == K.poly_disc, f
 
 
-def test_cached_min_poly_is_the_unit_minimal_polynomial_on_bundled_records():
+def test_unit_min_poly_is_the_unit_minimal_polynomial_on_bundled_records():
     # mu(eps) = 0 and mu^(n / deg mu) = chi on every bundled record: mu = chi
     # but for the two quartic units in a quadratic subfield, where chi = mu^2
     degrees = Counter()
@@ -576,7 +579,7 @@ def test_cached_min_poly_is_the_unit_minimal_polynomial_on_bundled_records():
         for record in bundled_records(name):
             K = record.build_field()
             eps = record.unit_element()
-            mu, disc = K.cached_min_poly(eps)
+            mu, disc = K.unit_min_poly(eps)
             value = K.zero()
             for c in reversed(mu):
                 value = K.add(K.mul(value, eps), K.from_int(c))

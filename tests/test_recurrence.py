@@ -148,8 +148,12 @@ def test_minimal_poly_spec_example_62():
 
 
 def test_minimal_poly_rejects_subfield_unit():
+    # the units of Q, +-1, are roots of unity; 2 is no unit
     K = make_field(EX62)
-    with pytest.raises(ValueError):
+    for x in (1, -1):
+        with pytest.raises(ValueError, match="unit is a root of unity"):
+            minimal_poly_spec(K, K.from_int(x))
+    with pytest.raises(ValueError, match="unit norm is not"):
         minimal_poly_spec(K, K.from_int(2))
 
 
@@ -348,7 +352,7 @@ def test_table_and_cross_check_compute_each_discriminant_once(
     expected = [r.build_field().poly for r in records]
     expected += [r.build_field().char_poly(r.unit_element()) for r in records]
     subfield = [mu for r in records
-                if len(mu := r.build_field().cached_min_poly(r.unit_element())[0])
+                if len(mu := r.build_field().unit_min_poly(r.unit_element())[0])
                 < len(r.poly_coeffs)]
     assert len(subfield) == 2 and all(len(mu) == 3 for mu in subfield)
     assert sorted(discriminant_calls) == sorted(expected + subfield)
