@@ -1,9 +1,10 @@
 """Record ingestion and table reproduction.
 
-Field records (polynomial, class number, fundamental unit, optional torsion
-generator, optional integral basis, optional auxiliary ideal data) arrive as
-CSV or JSON; the harness validates them on load, evaluates the verdict per
-(record, prime) cell, and renders the exception table plus a density scan.
+Field records (polynomial, class number, fundamental unit, optional integral
+basis, optional auxiliary ideal data) arrive as CSV or JSON; columns the
+loaders do not read are ignored.  The harness validates records on load,
+evaluates the verdict per (record, prime) cell, and renders the exception
+table plus a density scan.
 """
 
 from __future__ import annotations
@@ -38,13 +39,10 @@ CSV_COLUMNS = [
     "h",
     "unit",
     "unit_den",
-    "torsion_order",
     "basis",
     "aux_q",
     "aux_gen_poly",
     "aux_power_gen",
-    "torsion_gen",
-    "torsion_gen_den",
 ]
 
 # table cell values
@@ -57,9 +55,8 @@ CELL_ERROR = "error"
 
 
 class FieldRecord(namedtuple("FieldRecord", (
-        "label poly_coeffs class_number unit_coeffs unit_den torsion_order "
-        "torsion_gen_coeffs torsion_gen_den integral_basis aux"),
-        defaults=(1, 2, None, 1, None, None))):
+        "label poly_coeffs class_number unit_coeffs unit_den integral_basis aux"),
+        defaults=(1, None, None))):
     """One field as CSV or JSON gives it: coefficient tuples over the power
     basis, class_number None when unknown, integral_basis None for Z[alpha]
     and aux an optional rationality.AuxIdealData.  No __slots__: the instance
@@ -73,10 +70,6 @@ class FieldRecord(namedtuple("FieldRecord", (
             raise ValueError("class number must be positive")
         if self.unit_den < 1:
             raise ValueError("unit_den must be positive")
-        if self.torsion_order < 2:  # every field holds +-1
-            raise ValueError("torsion_order must be at least 2")
-        if self.torsion_gen_den < 1:
-            raise ValueError("torsion_gen_den must be positive")
         return self
 
     @property
@@ -151,11 +144,6 @@ def _record_from_fields(fields: dict[str, str], line: int) -> FieldRecord:
             class_number=int(h) if h else None,
             unit_coeffs=parse_ints(fields["unit"]),
             unit_den=int(fields.get("unit_den", "") or 1),
-            torsion_order=int(fields.get("torsion_order", "") or 2),
-            torsion_gen_coeffs=parse_ints(fields["torsion_gen"]) or None
-            if fields.get("torsion_gen", "").strip()
-            else None,
-            torsion_gen_den=int(fields.get("torsion_gen_den", "") or 1),
             integral_basis=_parse_basis(fields.get("basis", ""), degree),
             aux=aux,
         )
@@ -275,15 +263,10 @@ def records_to_csv(records: list[FieldRecord]) -> str:
                 "" if r.class_number is None else r.class_number,
                 ";".join(str(c) for c in r.unit_coeffs),
                 r.unit_den,
-                r.torsion_order,
                 basis,
                 "" if r.aux is None else r.aux.q,
                 "" if r.aux is None else ";".join(str(c) for c in r.aux.gen_poly),
                 "" if r.aux is None else ";".join(str(c) for c in r.aux.power_gen),
-                ""
-                if r.torsion_gen_coeffs is None
-                else ";".join(str(c) for c in r.torsion_gen_coeffs),
-                r.torsion_gen_den,
             ]
         )
     return out.getvalue()

@@ -169,17 +169,49 @@ def test_report_determinism():
     assert a == b
 
 
+# (label, w, power coordinates, denominator) of a generator of the roots of
+# unity of each bundled field with w > 2; all ten fields are in table2
+ROOTS_OF_UNITY = (
+    ("x^4-x^3+x^2-x+1", 10, (0, 0, -1, 0), 1),
+    ("x^4+1", 8, (0, -1, 0, 0), 1),
+    ("x^4-2*x^2+4", 6, (2, 0, -1, 0), 2),
+    ("x^4+2*x^2+4", 6, (0, 0, -1, 0), 2),
+    ("x^4-2*x^3-2*x+5", 4, (3, 1, 0, -1), 1),
+    ("x^4-x^3-4*x^2+4*x+7", 6, (-4, 1, 2, -1), 1),
+    ("x^4-x^3-2*x^2-3*x+9", 6, (9, 2, -2, -1), 6),
+    ("x^4-2*x^3-4*x^2+5*x+7", 6, (3, 1, -1, 0), 1),
+    ("x^4-2*x^3-3*x^2+4*x+5", 4, (2, 1, -1, 0), 1),
+    ("x^4+9", 4, (0, 0, -1, 0), 3),
+)
+
+
+def roots_of_unity():
+    """(record, w, zeta) per ROOTS_OF_UNITY entry, zeta in the record's field."""
+    records = {r.label: r for r in bundled_records("table2")}
+    for label, w, coords, den in ROOTS_OF_UNITY:
+        record = records[label]
+        yield record, w, record.build_field().element_from_power_coords(coords, den)
+
+
+def test_roots_of_unity_have_their_order():
+    # ROOTS_OF_UNITY is hand-kept data: each zeta must have order exactly w
+    for record, w, zeta in roots_of_unity():
+        K = record.build_field()
+        with pytest.raises(ValueError, match="unit is a root of unity"):
+            K.unit_min_poly(zeta)
+        power = zeta
+        for _ in range(w - 1):
+            assert not K.equals(power, K.one()), record.label
+            power = K.mul(power, zeta)
+        assert K.equals(power, K.one()), record.label
+
+
 def test_torsion_never_changes_condition2():
     # the guard admits no p dividing w, so zeta^(p^f-1) = 1 and every
     # eps * zeta^j has the report of eps
-    records = [r for name in ("table1", "table2", "examples")
-               for r in bundled_records(name) if r.torsion_order > 2]
-    assert records
-    for record in records:
+    for record, w, zeta in roots_of_unity():
         K = record.build_field()
         eps = record.unit_element()
-        zeta = K.element_from_power_coords(record.torsion_gen_coeffs,
-                                           record.torsion_gen_den)
         for p in primes_up_to(100):
             try:
                 factors = split_prime(K, p)
@@ -187,10 +219,10 @@ def test_torsion_never_changes_condition2():
                 continue
             if applicability_guard(K, p, max(pf.e for pf in factors)) is not None:
                 continue
-            assert record.torsion_order % p != 0, (record.label, p)
+            assert w % p != 0, (record.label, p)
             base = condition2(K, p, eps, factors)
             variant = eps
-            for _ in range(record.torsion_order - 1):
+            for _ in range(w - 1):
                 variant = K.mul(variant, zeta)
                 assert condition2(K, p, variant, factors) == base, (record.label, p)
                 assert _hnf_holds(K, p, variant, factors) == base.holds, (

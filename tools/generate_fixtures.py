@@ -1,8 +1,9 @@
 """Offline fixture generator for the bundled field records.
 
-Computes, for each table field: the maximal order, a fundamental unit, the
-torsion subgroup for quartic fields, and the class number. The maximal order
-is built exactly from Z[alpha]: at each prime q with q^2 dividing the
+Computes, for each table field: the maximal order, a fundamental unit and
+the class number.  The number w of roots of unity enters only the analytic
+class number estimate and is not written: no verdict reads it.  The maximal
+order is built exactly from Z[alpha]: at each prime q with q^2 dividing the
 order's discriminant, integral y/q are added until an exhaustive search of
 O/qO proves it q-maximal. That search is capped at q^n <= BRUTE_FORCE_CAP
 (20000), so a polynomial whose discriminant is divisible by q^2 for some
@@ -399,12 +400,12 @@ def find_fundamental_unit(K, emb: Embeddings, collect=None):
 
 
 def find_torsion(K, emb: Embeddings):
-    """Torsion order and a generator; (2, None) for fields with a real place."""
+    """The number w of roots of unity in K; 2 for fields with a real place."""
     if K.signature[0] > 0:
-        return 2, None
+        return 2
     weights = [1.0] * len(emb.places)
     cols = [tuple(int(i == j) for i in range(K.n)) for j in range(K.n)]
-    best_order, best_gen = 2, None
+    w = 2
     for vec in enumerate_lattice(emb, weights, cols, 4.0 + 1e-6):
         elt = from_basis(K, vec)
         if abs(K.norm(elt)) != 1:
@@ -415,9 +416,8 @@ def find_torsion(K, emb: Embeddings):
         order = _mult_order(K, elt)
         if order is None:
             raise RuntimeError("unit-circle element is not a root of unity")
-        if order > best_order:
-            best_order, best_gen = order, elt
-    return best_order, best_gen
+        w = max(w, order)
+    return w
 
 
 def _mult_order(K, elt, cap=24):
@@ -697,25 +697,19 @@ def build_record(label, coeffs, expect, verbose=True, unit_override=None):
             1.0, math.log(tval)
         ), (t_cand, tval)
         unit, tval = cand, t_cand
-    w, tors_gen = find_torsion(K, emb)
+    w = find_torsion(K, emb)
     reg = math.log(tval) if K.signature[0] == 1 else 2 * math.log(tval)
     h = class_number(K, emb, extra_elements=harvested)
     est = analytic_class_number_estimate(K, reg, w)
     if abs(h - est) / max(est, 1e-9) > 0.25:
         raise RuntimeError(f"{label}: computed h = {h} vs analytic estimate {est:.3f}")
     ucoeffs, uden = unit
-    tg_coeffs, tg_den = None, 1
-    if tors_gen is not None and w > 2:
-        tg_coeffs, tg_den = tors_gen
     record = FieldRecord(
         label=label,
         poly_coeffs=tuple(coeffs),
         class_number=h,
         unit_coeffs=ucoeffs,
         unit_den=uden,
-        torsion_order=w,
-        torsion_gen_coeffs=tg_coeffs,
-        torsion_gen_den=tg_den,
         integral_basis=None if is_power else tuple(basis_rows),
     )
     if verbose:
