@@ -1,45 +1,3 @@
 """Decision engine for p-rationality of complex cubic and pure imaginary
 quartic number fields via fundamental-unit congruences, with a recurrence
 screen, family scanners, and a table-reproduction harness."""
-
-from .errors import InvariantViolation, PrecisionExhausted, SplittingUndetermined
-from .numberfield import (
-    FieldElement,
-    IdealHNF,
-    NumberField,
-    PrimeFactor,
-    dedekind_p_maximal,
-    ideal_contains,
-    ideal_from_two_generators,
-    ideal_multiply,
-    ideal_pow,
-    make_field,
-    split_prime,
-)
-from .rationality import AuxIdealData, Verdict, condition1, log_index_split_cyclic, verdict
-from .torsion import Condition2Report, applicability_guard, condition2
-
-__all__ = [
-    "AuxIdealData",
-    "Condition2Report",
-    "FieldElement",
-    "IdealHNF",
-    "InvariantViolation",
-    "NumberField",
-    "PrecisionExhausted",
-    "PrimeFactor",
-    "SplittingUndetermined",
-    "Verdict",
-    "applicability_guard",
-    "condition1",
-    "condition2",
-    "dedekind_p_maximal",
-    "ideal_contains",
-    "ideal_from_two_generators",
-    "ideal_multiply",
-    "ideal_pow",
-    "log_index_split_cyclic",
-    "make_field",
-    "split_prime",
-    "verdict",
-]

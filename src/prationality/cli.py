@@ -154,7 +154,7 @@ def _cmd_scan(args) -> int:
         print(
             f"{record.label}: {res.count} p-rational primes <= {args.xmax} "
             f"({res.undetermined} undetermined), count/log(x) = "
-            f"{res.ratio_to_log_x:.3f}"
+            f"{res.count / math.log(args.xmax):.3f}"
         )
     return 0
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -401,8 +400,7 @@ def render_table_csv(rows: list[TableRow]) -> str:
 
 
 # per_prime holds (p, verdict status) for every prime 5 <= p <= xmax
-DensityResult = namedtuple("DensityResult",
-                           "count undetermined ratio_to_log_x per_prime")
+DensityResult = namedtuple("DensityResult", "count undetermined per_prime")
 
 
 def density_scan(record: FieldRecord, xmax: int) -> DensityResult:
@@ -421,4 +419,4 @@ def density_scan(record: FieldRecord, xmax: int) -> DensityResult:
             count += 1
         elif v.status == VERDICT_UNDETERMINED:
             undetermined += 1
-    return DensityResult(count, undetermined, count / math.log(xmax), tuple(per))
+    return DensityResult(count, undetermined, tuple(per))

@@ -65,9 +65,9 @@ class FieldElement(namedtuple("FieldElement", "coords den")):
         return FieldElement(tuple(c // g for c in self.coords), self.den // g)
 
 
-class PrimeFactor(namedtuple("PrimeFactor", "p generator e f label")):
-    """A prime ideal (p, g(alpha)) with ramification index e and residue
-    degree f; label is its 1-based position in the deterministic ordering."""
+class PrimeFactor(namedtuple("PrimeFactor", "generator e f label")):
+    """A prime ideal (p, generator(alpha)) of split_prime(K, p) with index e
+    and degree f; label is its 1-based position in the deterministic ordering."""
 
     __slots__ = ()
 
@@ -445,7 +445,7 @@ def split_prime(K: NumberField, p: int) -> list[PrimeFactor]:
     factors = ring.factor_mod_p(K.poly, p)
     _require_certificate(K, p, factors)
     out = [
-        PrimeFactor(p, g, mult, ring.degree(g), i + 1)
+        PrimeFactor(g, mult, ring.degree(g), i + 1)
         for i, (g, mult) in enumerate(factors)
     ]
     assert sum(pf.e * pf.f for pf in out) == K.n

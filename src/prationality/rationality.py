@@ -76,59 +76,31 @@ def _completely_split(K: NumberField, p: int, parts) -> bool:
     return splits_completely(k, k.pow(k.x, p), p)
 
 
-def log_index_split_cyclic(K: NumberField, p: int, Q, g: FieldElement,
-                           unit: FieldElement, precision: int = 4) -> int:
+def _log_index_at_precision(K: NumberField, p: int, g: FieldElement,
+                            unit: FieldElement, k: int) -> int:
     """The index (Log(I_p) : Log(P_p)) in {1, p} for a completely split
-    odd prime p, computed from a generator g of Q^p (Gras, Class Field
-    Theory: From Theory to Practice, Springer 2003, ch. III; Movahhedi,
-    Math. Nachr. 149, 1990).  Log(Q) = log(g^(p-1)) / (p (p-1)) and the
-    unit's log(eps^(p-1)) are taken in Z[x]/(f, p^k) on power-basis
+    odd prime p at precision k, from a generator g of Q^p (Gras, Class
+    Field Theory: From Theory to Practice, Springer 2003, ch. III;
+    Movahhedi, Math. Nachr. 149, 1990).  Log(Q) = log(g^(p-1)) / (p (p-1))
+    and the unit's log(eps^(p-1)) are taken in Z[x]/(f, p^k) on power-basis
     coordinates; the index is 1 iff Log(Q) mod p lies on the F_p line of
-    the unit's log divided by its least power of p.
+    the unit's log divided by its least power of p.  PrecisionExhausted
+    when the unit's log vanishes mod p^(k - 1); ValueError when g or the
+    unit is not a unit at p (NumberField.power_coords_mod).
 
     For p not dividing the index, evaluation at the Hensel lifts of the n
     roots of f mod p is a ring isomorphism (Z/p^k)[x]/(f) -> (Z/p^k)^n
     whose Vandermonde matrix is invertible mod p, so log commutes with it
     and valuations and F_p lines are the same in both coordinates.
-
-    Valuations that stay undecided at the working precision trigger a retry
-    with doubled precision, capped at 16 digits; past the cap the decision is
-    abandoned (PrecisionExhausted).
     """
-    if p == 2:
-        raise ValueError("p must be odd")
-    if Q.norm % p == 0:
-        raise ValueError("auxiliary ideal must be prime to p")
-    if principal_ideal(K, g).rows != ideal_pow(K, Q, p).rows:
-        raise ValueError("generator does not generate Q^p")
-    if not _completely_split(K, p, squarefree_parts(K, p)):
-        raise ValueError("p is not completely split")
-    # k = 2 never decides: the unit's log is divisible by p = p^(k - 1)
-    k = precision if precision > 2 else 4
-    while True:
-        try:
-            return _log_index_at_precision(K, p, g, unit, k)
-        except PrecisionExhausted:
-            if 2 * k > PRECISION_CAP:
-                raise
-            k *= 2
-
-
-def _log_power(K: NumberField, p: int, k: int, x: FieldElement,
-               name: str) -> list[int]:
-    """log(x^(p-1)) mod p^k on power-basis coordinates; ValueError when
-    x's denominator is not prime to p (NumberField.power_coords_mod)."""
     pk = p**k
-    v = powmod(K.power_coords_mod(x, pk), p - 1, K.poly, pk)
-    if any(c % p for c in poly_sub(v, (1,))):
-        raise ValueError(f"{name} is not a unit at p")
-    return log_principal(v, K.poly, p, k)
-
-
-def _log_index_at_precision(K: NumberField, p: int, g: FieldElement,
-                            unit: FieldElement, k: int) -> int:
-    u = _log_power(K, p, k, g, "generator")
-    w = _log_power(K, p, k, unit, "unit")
+    logs = []
+    for x, name in ((g, "generator"), (unit, "unit")):
+        v = powmod(K.power_coords_mod(x, pk), p - 1, K.poly, pk)
+        if any(c % p for c in poly_sub(v, (1,))):
+            raise ValueError(f"{name} is not a unit at p")
+        logs.append(log_principal(v, K.poly, p, k))
+    u, w = logs
     assert all(c % p == 0 for c in u), "log of a principal unit is 0 mod p"
     d = gcd(p ** (k - 1), *w)  # p^min(v(w), k - 1)
     if d == p ** (k - 1):
@@ -152,7 +124,8 @@ def condition1(K: NumberField, p: int, *, class_number: int | None,
     branch requires: p completely split, p-part of the class group cyclic of
     order exactly p, and record-supplied auxiliary ideal data.  Anything
     else is Undetermined.  parts are the squarefree parts of f mod p
-    (squarefree_parts), which the verdict already holds.
+    (squarefree_parts), which the verdict already holds.  The Log index is
+    tried at precision k = 4, 8, ... up to PRECISION_CAP, else Undetermined.
     """
     if class_number is None:
         return Condition1Report(UNDETERMINED, detail="class number unknown")
@@ -176,11 +149,21 @@ def condition1(K: NumberField, p: int, *, class_number: int | None,
     Q = ideal_from_two_generators(
         K, aux.q, poly(c % aux.q for c in aux.gen_poly))
     g = K.element_from_power_coords(aux.power_gen)
-    try:
-        idx = log_index_split_cyclic(K, p, Q, g, unit)
-    except PrecisionExhausted as exc:
-        return Condition1Report(UNDETERMINED, detail=str(exc))
-    return Condition1Report(SPLIT_CYCLIC_INDEX, index=idx, holds=(idx == p))
+    if Q.norm % p == 0:
+        raise ValueError("auxiliary ideal must be prime to p")
+    if principal_ideal(K, g).rows != ideal_pow(K, Q, p).rows:
+        raise ValueError("generator does not generate Q^p")
+    k = 4  # k = 2 never decides: the unit's log is divisible by p = p^(k - 1)
+    while True:
+        try:
+            idx = _log_index_at_precision(K, p, g, unit, k)
+        except PrecisionExhausted as exc:
+            if 2 * k > PRECISION_CAP:
+                return Condition1Report(UNDETERMINED, detail=str(exc))
+            k *= 2
+        else:
+            return Condition1Report(SPLIT_CYCLIC_INDEX, index=idx,
+                                    holds=(idx == p))
 
 
 def verdict(K: NumberField, p: int, *, unit: FieldElement,

@@ -382,13 +382,19 @@ def test_table_cells_deterministic():
     assert a == b
 
 
-def test_density_scan_example_63():
+def test_density_scan_example_63(tmp_path, capsys):
     records = load_records(io.StringIO(EX63_CSV), "csv")
     res = density_scan(records[0], 100)
     # 23 primes in [5, 100]; the spec's derived bound
     assert res.count + res.undetermined <= 23
     assert res.count >= 21
-    assert res.ratio_to_log_x == pytest.approx(res.count / math.log(100))
+    # prat scan prints count / log(x) next to the count
+    path = tmp_path / "ex63.csv"
+    path.write_text(EX63_CSV)
+    assert cli(["scan", "--input", str(path), "--xmax", "100"]) == 0
+    assert (f"{res.count} p-rational primes <= 100 ({res.undetermined} "
+            f"undetermined), count/log(x) = {res.count / math.log(100):.3f}"
+            in capsys.readouterr().out)
     # monotone in xmax
     res50 = density_scan(records[0], 50)
     assert res50.count <= res.count

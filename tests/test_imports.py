@@ -1,5 +1,5 @@
-"""Every name a package module imports is read somewhere in that module,
-every private function or method is read somewhere in the package, and
+"""Every name a package module imports is read somewhere in that module
+(an __all__ entry is not a read, so nothing re-exports), every private function or method is read somewhere in the package, and
 every engine name the benchmark tracer patches or the fixture generator
 imports exists, and importing the engine loads none of the standard modules
 that are slow to import."""
@@ -28,12 +28,6 @@ def _unread_imports(tree: ast.Module) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in ast.walk(tree):
-        # __all__ re-exports count as reads
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            read |= {elt.value for elt in node.value.elts}
     return [f"{name} (line {line})" for name, line in imported.items()
             if name not in read]
 

@@ -13,7 +13,7 @@ from prationality.harness import (
 )
 from prationality.numberfield import (
     FieldElement,
-    ideal_from_two_generators,
+    ideal_pow,
     identity_ideal,
     make_field,
     principal_ideal,
@@ -31,7 +31,6 @@ from prationality.rationality import (
     UNDETERMINED,
     VERDICT_UNDETERMINED,
     condition1,
-    log_index_split_cyclic,
     verdict,
 )
 from test_torsion import _first_prime_above, _unit_inverse
@@ -43,10 +42,6 @@ EPS62 = FieldElement((-3280, -3462, -729))
 EPS63 = FieldElement((-2, -1, 1, 1))
 AUX62 = AuxIdealData(q=2, gen_poly=(1, 1), power_gen=(-604, 265, -77))
 G62 = FieldElement((-604, 265, -77))
-
-
-def _q62(K):
-    return ideal_from_two_generators(K, 2, (1, 1))
 
 
 def _scalar_log(u: int, p: int, k: int) -> int:
@@ -114,9 +109,9 @@ def _reference_at_precision(K, p, g, unit, k):
     return 1 if all(u == c * w % p for u, w in zip(ubar, wbar)) else p
 
 
-def _reference_log_index(K, p, g, unit, precision):
-    """The embedding path with the engine's precision doubling."""
-    k = max(precision, 2)
+def _reference_log_index(K, p, g, unit):
+    """The embedding path with condition1's precision ladder."""
+    k = 4
     while True:
         try:
             return _reference_at_precision(K, p, g, unit, k)
@@ -168,7 +163,7 @@ def test_condition1_split_cyclic_example_62():
 
 def test_verdict_hands_its_parts_to_condition1(monkeypatch):
     # the split-cyclic branch reads complete splitting off the verdict's
-    # parts; only log_index_split_cyclic's own check computes them again
+    # parts and never computes them again
     calls = []
     original = rationality.squarefree_parts
 
@@ -179,7 +174,7 @@ def test_verdict_hands_its_parts_to_condition1(monkeypatch):
     monkeypatch.setattr(rationality, "squarefree_parts", counted)
     K = make_field(EX62)
     v = verdict(K, 3, unit=EPS62, class_number=3, aux=AUX62)
-    assert v.condition1.branch == SPLIT_CYCLIC_INDEX and calls == [3, 3]
+    assert v.condition1.branch == SPLIT_CYCLIC_INDEX and calls == [3]
     calls.clear()
     v = verdict(K, 5, unit=EPS62, class_number=5, aux=AUX62)
     assert v.condition1.detail == "p is not completely split"
@@ -193,19 +188,19 @@ def test_condition1_undetermined_without_aux():
     assert rep.branch == UNDETERMINED and rep.holds is None
 
 
-def test_log_index_example_62_at_low_precision():
+def test_condition1_takes_x_to_the_p_once(kernel_pows):
+    # complete splitting is tested once, on the verdict's parts
     K = make_field(EX62)
-    Q = _q62(K)
-    assert log_index_split_cyclic(K, 3, Q, G62, EPS62, precision=2) == 3
-    # doubling precision never changes a decided index
-    assert log_index_split_cyclic(K, 3, Q, G62, EPS62, precision=4) == 3
-    assert log_index_split_cyclic(K, 3, Q, G62, EPS62, precision=8) == 3
+    parts = squarefree_parts(K, 3)
+    del kernel_pows[:]
+    rep = condition1(K, 3, class_number=3, unit=EPS62, parts=parts, aux=AUX62)
+    assert rep.index == 3
+    assert kernel_pows.count((EX62, 3, 3)) == 1
 
 
 def test_log_index_skips_the_undecidable_k_2_round(monkeypatch):
     # at k = 2 the unit's log, divisible by p, always vanishes mod p^(k - 1)
     K = make_field(EX62)
-    Q = _q62(K)
     with pytest.raises(PrecisionExhausted):
         rationality._log_index_at_precision(K, 3, G62, EPS62, 2)
     seen = []
@@ -216,10 +211,9 @@ def test_log_index_skips_the_undecidable_k_2_round(monkeypatch):
         return original(K, p, g, unit, k)
 
     monkeypatch.setattr(rationality, "_log_index_at_precision", spy)
-    for precision in (1, 2):
-        assert log_index_split_cyclic(K, 3, Q, G62, EPS62,
-                                      precision=precision) == 3
-    assert seen and min(seen) == 4
+    rep = condition1(K, 3, class_number=3, unit=EPS62,
+                     parts=squarefree_parts(K, 3), aux=AUX62)
+    assert rep.index == 3 and seen == [4]
 
 
 def test_log_index_invariant_under_principal_unit_shift():
@@ -234,10 +228,13 @@ def test_log_index_invariant_under_principal_unit_shift():
 
 def test_log_index_matches_embedding_reference_on_example_62():
     K = make_field(EX62)
-    Q = _q62(K)
     for k in range(2, PRECISION_CAP + 1):
-        assert (log_index_split_cyclic(K, 3, Q, G62, EPS62, precision=k)
-                == _reference_log_index(K, 3, G62, EPS62, k) == 3), k
+        assert (_outcome(rationality._log_index_at_precision,
+                         K, 3, G62, EPS62, k)
+                == _outcome(_reference_at_precision, K, 3, G62, EPS62, k)), k
+    rep = condition1(K, 3, class_number=3, unit=EPS62,
+                     parts=squarefree_parts(K, 3), aux=AUX62)
+    assert rep.index == _reference_log_index(K, 3, G62, EPS62) == 3
 
 
 def test_log_index_matches_embedding_reference_on_bundled_records():
@@ -321,39 +318,42 @@ def test_log_index_principal_ideal_gives_one():
     assert g0 is not None
     Q0 = principal_ideal(K, g0)
     g = K.mul(K.mul(g0, g0), g0)
-    assert log_index_split_cyclic(K, 3, Q0, g, EPS62,
-                                  precision=4) == 1
+    assert principal_ideal(K, g).rows == ideal_pow(K, Q0, 3).rows
+    assert rationality._log_index_at_precision(K, 3, g, EPS62, 4) == 1
 
 
 def test_log_index_validates_generator():
     K = make_field(EX62)
-    with pytest.raises(ValueError):
-        log_index_split_cyclic(K, 3, _q62(K), FieldElement((1, 1, 0)), EPS62)
+    with pytest.raises(ValueError, match="does not generate"):
+        condition1(K, 3, class_number=3, unit=EPS62,
+                   parts=squarefree_parts(K, 3),
+                   aux=AUX62._replace(power_gen=(1, 1, 0)))
 
 
 def test_log_index_refuses_a_prime_that_is_not_completely_split():
     # x^3 - 4x + 27 mod 5 has one root and an irreducible quadratic factor
     K = make_field(EX62)
     assert sorted((pf.e, pf.f) for pf in split_prime(K, 5)) == [(1, 1), (1, 2)]
-    g0 = FieldElement((2, 1, 0))  # N(2 + alpha) = -f(-2) = -27
-    g = K.one()
-    for _ in range(5):
-        g = K.mul(g, g0)
-    with pytest.raises(ValueError, match="not completely split"):
-        log_index_split_cyclic(K, 5, principal_ideal(K, g0), g, EPS62)
+    rep = condition1(K, 5, class_number=5, unit=EPS62,
+                     parts=squarefree_parts(K, 5), aux=AUX62)
+    assert rep.branch == UNDETERMINED and rep.holds is None
+    assert rep.detail == "p is not completely split"
 
 
 def test_log_index_invariant_under_unit_changes():
     # the unit's line is the same for -eps, eps^-1 and eps^2, and g * eps
     # generates Q^3 as g does
     K = make_field(EX62)
-    Q = _q62(K)
-    units = (FieldElement(tuple(-c for c in EPS62.coords)),
-             _unit_inverse(K, EPS62), K.mul(EPS62, EPS62))
-    for unit in units:
-        assert log_index_split_cyclic(K, 3, Q, G62, unit, precision=4) == 3
-    assert log_index_split_cyclic(K, 3, Q, K.mul(G62, EPS62), EPS62,
-                                  precision=4) == 3
+    parts = squarefree_parts(K, 3)
+    ge = K.mul(G62, EPS62)
+    assert ge.den == 1
+    cases = [(FieldElement(tuple(-c for c in EPS62.coords)), AUX62),
+             (_unit_inverse(K, EPS62), AUX62),
+             (K.mul(EPS62, EPS62), AUX62),
+             (EPS62, AUX62._replace(power_gen=ge.coords))]
+    for unit, aux in cases:
+        rep = condition1(K, 3, class_number=3, unit=unit, parts=parts, aux=aux)
+        assert (rep.branch, rep.index) == (SPLIT_CYCLIC_INDEX, 3)
 
 
 def test_log_index_invariant_under_shift_of_alpha():
