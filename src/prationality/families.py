@@ -2,6 +2,21 @@
 own prime, and the biquadratic GGC checker driven by square divisors of
 p -+ 1, reduced-form class numbers of imaginary quadratic fields and the
 analytic class number bound.
+
+The pure cubic scan builds no field.  With alpha^3 = p^3 - 1, p >= 5, the
+unit eps = p^2 + p alpha + alpha^2 = 1/(p - alpha) has minimal polynomial
+mu_p = t^3 - 3p^2 t^2 + 3p t - 1, from (p - 1/eps)^3 = p^3 - 1.  As
+alpha = p - 1/eps and 1/eps = eps^2 - 3p^2 eps + 3p, Z[eps] = Z[alpha] and
+disc(mu_p) = disc(f) = -27 (p^3 - 1)^2, prime to p.  So p is unramified,
+condition (2) is X = mu_p(gamma) != 0 in Z[t]/(mu_p, p^2), gamma = t^p
+(torsion), and gamma gives the splitting (recurrence.cubic_splitting):
+mu_p = t^3 - 1 (mod p) splits completely at p = 1 (mod 3), and as 1+2 at
+p = 2 (mod 3), where t^2 + t + 1 has the non-square discriminant -3.
+Mod p^2, t^3 = 1 - 3pt and p t^3 = p, so t^(3k) = 1 - 3kpt.  At p = 3k + 1
+this gives gamma = t + p t^2 (-3kp = p - p^2) and gamma^3 = t^3 + 3p t^4 = 1;
+at p = 3k + 2, gamma = t^2 + 2p (-3kp = 2p - p^2) and
+gamma^3 = t^6 + 6p t^4 = 1.  As X = gamma^3 + 3p gamma - 1, X = 3p t, resp.
+3p t^2: condition (2) holds at every p >= 5, a known answer for the kernel.
 """
 
 from __future__ import annotations
@@ -12,9 +27,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .numberfield import FieldElement, make_field, squarefree_parts
 from .recurrence import MIXED_1_2, SPLIT_COMPLETELY, cubic_splitting
-from .ring import kernel, poly_mul, poly_rem
+from .ring import kernel
 from . import torsion as torsion_mod
 
 EULER_GAMMA = 0.5772156649015329
@@ -75,57 +89,39 @@ def squarefree_part(n: int) -> int:
 # pure cubic family
 
 
-class PureCubicInstance(namedtuple("PureCubicInstance", "p field unit")):
-    """Q(cbrt(p^3 - 1)) and its unit eps = p^2 + p*alpha + alpha^2
-    = 1/(p - alpha)."""
-
-    __slots__ = ()
-
-    @classmethod
-    def build(cls, p: int) -> "PureCubicInstance":
-        if p < 5:
-            raise ValueError("family starts at p = 5")
-        K = make_field((1 - p**3, 0, 0, 1))
-        eps = FieldElement((p * p, p, 1))
-        # validate eps * (p - alpha) = 1 exactly in Z[x]/(f), the power basis
-        if poly_rem(poly_mul(eps.coords, (p, -1)), K.poly) != (1,):
-            raise InvariantViolation("unit identity eps*(p-alpha) = 1 failed")
-        return cls(p, K, eps)
-
-
 # h_flag is "h-unknown", "p|h" or "p coprime to h"
 PureCubicResult = namedtuple("PureCubicResult", "p splitting condition2_holds h_flag")
 
 
 def pure_cubic_scan(pmin: int, pmax: int,
                     h_data: dict[int, int] | None = None) -> list[PureCubicResult]:
-    """Evaluate condition (2) for Q(cbrt(p^3-1)) at p over a prime range.
-
-    Class numbers are only reported when ingested through h_data.  Every
-    p >= 5 is unramified, as disc = -27 (p^3 - 1)^2, so f mod p is its own
-    squarefree part; its splitting is read off x^p on ring.kernel(f, p)
-    (recurrence.cubic_splitting) and checked against the p mod 3 law.
-    """
+    """Evaluate condition (2) for Q(cbrt(p^3-1)) at p over a prime range,
+    with class numbers only as ingested through h_data: one kernel
+    Z[t]/(mu_p, p^2) and one power gamma = t^p per p, the splitting and X
+    checked against their closed forms (module docstring), or
+    InvariantViolation."""
     if not (5 <= pmin <= pmax):
         raise ValueError("range must satisfy 5 <= pmin <= pmax")
     results = []
     for p in primes_up_to(pmax):
         if p < pmin:
             continue
-        inst = PureCubicInstance.build(p)
-        parts = squarefree_parts(inst.field, p)
-        k = kernel(inst.field.poly, p)
-        splitting, _ = cubic_splitting(k, k.pow(k.x, p), p,
-                                       inst.field.poly_disc)
+        pp = p * p
+        mu = (-1, 3 * p, -3 * pp, 1)
+        k = kernel(mu, pp)
+        gamma = k.pow(k.x, p)
+        splitting, _ = cubic_splitting(k, gamma, p, -27 * (pp * p - 1) ** 2)
         expected = {SPLIT_COMPLETELY: 1, MIXED_1_2: 2}.get(splitting)
         if p % 3 != expected:
             raise InvariantViolation("splitting does not match p mod 3 law")
-        holds = torsion_mod.condition2_holds(inst.field, p, inst.unit, parts)
+        X = torsion_mod._value_at(k, mu, p, gamma)
+        if X != 3 * p << p % 3 * k.w:  # 3p t or 3p t^2, reduced as 3p < p^2
+            raise InvariantViolation("X = mu(t^p) does not match its closed form")
         if h_data and p in h_data:
             flag = "p|h" if h_data[p] % p == 0 else "p coprime to h"
         else:
             flag = "h-unknown"
-        results.append(PureCubicResult(p, splitting, holds, flag))
+        results.append(PureCubicResult(p, splitting, bool(X), flag))
     return results
 
 

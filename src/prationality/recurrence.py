@@ -15,7 +15,7 @@ F_p[t]/(chi): chi splits into linear factors iff t^p = t mod (chi, p)
 (ring.splits_completely; condition 1 reads complete splitting of f so).
 Otherwise Stickelberger's parity theorem, (disc chi / p) = (-1)^(3 - r)
 for r irreducible factors (Swan, Pacific J. Math. 12, 1962), tells 1+2
-(r = 2) from inert (r = 1); the pure-cubic scan reads f's splitting so.
+(r = 2) from inert (r = 1), as the pure-cubic scan does for its unit's mu.
 This is how p splits in K: disc(chi) = [O_K : Z[eps]]^2 disc(K), so p
 prime to it gives Z_p[eps] = O_K (x) Z_p, as in the torsion module, and
 the irreducible factors of chi mod p are the prime ideals over p with their

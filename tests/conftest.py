@@ -72,6 +72,33 @@ def discriminant_calls(monkeypatch):
 
 
 @pytest.fixture
+def make_field_calls(monkeypatch):
+    """f of every numberfield.make_field call."""
+    return _record_calls(monkeypatch, numberfield.make_field,
+                         lambda f, *rest: tuple(f))
+
+
+@pytest.fixture
+def unit_min_poly_calls(monkeypatch):
+    """The unit's coordinates at every NumberField.unit_min_poly call."""
+    calls = []
+    original = numberfield.NumberField.unit_min_poly
+
+    def counted(K, unit):
+        calls.append(unit.coords)
+        return original(K, unit)
+
+    monkeypatch.setattr(numberfield.NumberField, "unit_min_poly", counted)
+    return calls
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """(f, m) of every ring.kernel call."""
+    return _record_calls(monkeypatch, ring.kernel, lambda f, m: (tuple(f), m))
+
+
+@pytest.fixture
 def kernel_pows(monkeypatch):
     """(f, m, e) of every pow v^e on a ring.kernel(f, m)."""
     pows = []

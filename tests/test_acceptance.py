@@ -7,10 +7,8 @@ every other tolerance is exact as stated.
 import sys
 import time
 
-import pytest
-
 from prationality.cli import cli
-from prationality.families import ggc_scan, lemma_a_scan, pure_cubic_scan
+from prationality.families import ggc_scan, pure_cubic_scan
 from prationality.harness import (
     CELL_NOT_APPLICABLE,
     CELL_P_DIVIDES_H,
@@ -25,7 +23,6 @@ from prationality.numberfield import (FieldElement, make_field, split_prime,
 from prationality.rationality import P_RATIONAL, condition1, verdict
 from prationality.recurrence import cross_check, minimal_poly_spec
 from prationality.ring import discriminant
-from prationality.torsion import condition2
 
 # Table 1 exception columns: label -> (tor primes, p|h primes)
 TABLE1_EXPECT = {

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prationality import families, numberfield, ring, torsion
+from prationality.errors import InvariantViolation
 from prationality.families import (
     GgcCandidate,
-    PureCubicInstance,
     _crt_pairs,
     _sqrts_mod_prime_power,
     _two_adic_roots,
@@ -121,12 +121,6 @@ def _window_forms(D: int):
             if (b * b - D) % (4 * a) == 0]
 
 
-def test_pure_cubic_instance_identity():
-    for p in (5, 7, 11, 2791):
-        inst = PureCubicInstance.build(p)
-        assert inst.field.n == 3
-
-
 def test_pure_cubic_scan_examples():
     res = {r.p: r for r in pure_cubic_scan(5, 23)}
     assert res[7].splitting == "split-completely" and res[7].condition2_holds
@@ -136,14 +130,57 @@ def test_pure_cubic_scan_examples():
     assert all(r.h_flag == "h-unknown" for r in res.values())
 
 
+def test_pure_cubic_instance_identity():
+    # K = Q(alpha), alpha^3 = p^3 - 1, and eps = p^2 + p alpha + alpha^2
+    # inverts p - alpha, so eps is the unit the scan decides at p
+    for p in primes_up_to(3000)[2:]:
+        f = (1 - p**3, 0, 0, 1)
+        assert ring.poly_rem(ring.poly_mul((p * p, p, 1), (p, -1)), f) == (1,)
+    for p in (5, 7, 11, 2791):
+        assert numberfield.make_field((1 - p**3, 0, 0, 1)).n == 3
+
+
 def test_pure_cubic_splitting_matches_split_prime():
-    # the splitting read off x^p against the number of prime factors
+    # the scan against the built field: the minimal polynomial and
+    # discriminant the scan writes down, condition 2 as the verdict decides
+    # it, and the number of prime factors
     names = {3: SPLIT_COMPLETELY, 2: MIXED_1_2, 1: INERT}
     results = pure_cubic_scan(5, 3000)
     assert len(results) == 428
     for r in results:
-        field = PureCubicInstance.build(r.p).field
-        assert r.splitting == names[len(numberfield.split_prime(field, r.p))], r.p
+        p = r.p
+        field = numberfield.make_field((1 - p**3, 0, 0, 1))
+        eps = numberfield.FieldElement((p * p, p, 1))
+        assert field.unit_min_poly(eps) == ((-1, 3 * p, -3 * p * p, 1),
+                                            -27 * (p**3 - 1) ** 2)
+        parts = numberfield.squarefree_parts(field, p)
+        assert r.condition2_holds == torsion.condition2_holds(field, p, eps, parts)
+        assert r.splitting == names[len(numberfield.split_prime(field, p))], p
+
+
+def test_pure_cubic_scan_builds_one_kernel_and_takes_one_power(
+        kernel_builds, kernel_pows, make_field_calls, unit_min_poly_calls,
+        squarefree_parts_calls):
+    results = pure_cubic_scan(5, 3000)
+    mus = [((-1, 3 * r.p, -3 * r.p**2, 1), r.p**2) for r in results]
+    assert kernel_builds == mus
+    assert kernel_pows == [(mu, m, r.p) for (mu, m), r in zip(mus, results)]
+    assert make_field_calls == unit_min_poly_calls == squarefree_parts_calls == []
+
+
+@pytest.mark.parametrize("p", [5, 7, 2791])
+def test_pure_cubic_scan_refuses_a_power_off_its_closed_form(monkeypatch, p):
+    # gamma + p keeps gamma = t^p (mod p), so the splitting and the Fermat
+    # check pass, but X moves by p mu'(gamma), a unit times p
+    original = families.kernel
+
+    def perturbed(f, m):
+        k = original(f, m)
+        return k._replace(pow=lambda v, e: k.reduce(k.pow(v, e) + p))
+
+    monkeypatch.setattr(families, "kernel", perturbed)
+    with pytest.raises(InvariantViolation, match="closed form"):
+        pure_cubic_scan(p, p)
 
 
 def test_pure_cubic_scan_h_ingestion():

@@ -11,7 +11,6 @@ from prationality.cli import cli
 from prationality.harness import (
     CELL_ERROR,
     CELL_NOT_APPLICABLE,
-    CELL_P_RATIONAL,
     CELL_TORSION,
     CELL_UNDETERMINED,
     FieldRecord,

@@ -1,8 +1,9 @@
-"""Every name a package module imports is read somewhere in that module
-(an __all__ entry is not a read, so nothing re-exports), every private function or method is read somewhere in the package, and
-every engine name the benchmark tracer patches or the fixture generator
-imports exists, and importing the engine loads none of the standard modules
-that are slow to import."""
+"""Every name a package, test or tool module imports is read somewhere in
+that module (an __all__ entry is not a read, so nothing re-exports), every
+private function or method is read somewhere in the package, and every
+engine name the benchmark tracer patches or the fixture generator imports
+exists, and importing the engine loads none of the standard modules that
+are slow to import."""
 
 import ast
 import importlib
@@ -32,7 +33,9 @@ def _unread_imports(tree: ast.Module) -> list[str]:
             if name not in read]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [path for folder in (SRC, ROOT / "tests", ROOT / "tools")
+                                  for path in sorted(folder.glob("*.py"))],
+                         ids=lambda p: p.name)
 def test_no_unread_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _unread_imports(tree) == []

@@ -385,7 +385,8 @@ def test_verdict_examples():
 def test_verdict_never_factors_on_the_split_cyclic_branch(
         factor_mod_p_calls, distinct_degree_calls):
     # complete splitting is read off x^p on the kernel, as the pure-cubic
-    # scan reads its splitting: neither splits a polynomial by degree
+    # scan reads its splitting off t^p in Z[t]/(mu, p^2), checked against
+    # the closed form there: neither splits a polynomial by degree
     rec = [r for r in bundled_records("examples") if r.poly_coeffs == EX62][0]
     K = rec.build_field()
     v = verdict(K, 3, unit=rec.unit_element(), class_number=rec.class_number,

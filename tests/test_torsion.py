@@ -1,9 +1,10 @@
 import random
 from collections import Counter
-from math import lcm, log
+from math import isqrt, lcm, log
 
 import pytest
 
+from prationality.cli import MR_BASES, MR_BOUND, _strong_probable_prime
 from prationality.errors import InvariantViolation, SplittingUndetermined
 from prationality.families import primes_up_to
 from prationality.harness import bundled_records
@@ -19,7 +20,8 @@ from prationality.numberfield import (
 from prationality import rationality, ring, torsion
 from prationality.ring import (degree, derivative, det_adjugate, mulmod, poly,
                                poly_add, poly_mul, poly_rem, poly_sub, powmod)
-from prationality.rationality import verdict
+from prationality.rationality import (NOT_P_RATIONAL, P_RATIONAL,
+                                      TORSION_NONTRIVIAL, verdict)
 from prationality.torsion import applicability_guard, condition2, condition2_holds
 
 EX62 = (27, -4, 0, 1)
@@ -666,3 +668,120 @@ def test_fermat_check_fires_for_a_wrong_frobenius():
                     torsion._value_at(k, g, p, k.reduce(x_p + 1))
             checked += 1
         assert checked >= 4, f
+
+
+def _prime_from(n, step):
+    """The first prime from n > 41 on, going by step = 1 or -1, by the
+    Miller-Rabin test that is deterministic below MR_BOUND."""
+    while not all(_strong_probable_prime(n, a) for a in MR_BASES):
+        n += step
+    return n
+
+
+def _known_answer_primes():
+    """Primes from 5 to just below MR_BOUND, with the pairs whose p^2
+    straddles 2^k and the pairs across which the slot width w of a cubic
+    kernel mod p^2 steps."""
+    primes = [5, 7, 11, 1009, 10**6 + 3, 2**61 - 1, _prime_from(MR_BOUND - 1, -1)]
+    for k in (64, 65, 89, 128, 161):
+        r = isqrt(2**k)  # p <= r has p^2 < 2^k, p > r has p^2 > 2^k
+        primes += [_prime_from(r, -1), _prime_from(r + 1, 1)]
+
+    def width(q):
+        return ring.kernel((0, 0, 0, 1), q * q).w
+
+    for w in (65, 129, 257):
+        lo, hi = 41, 1 << w // 4 + 1  # width(lo) < w <= width(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if width(mid) >= w else (mid, hi)
+        below, above = _prime_from(lo, -1), _prime_from(hi, 1)
+        assert width(below) < w <= width(above)
+        primes += [below, above]
+    return primes
+
+
+def test_pure_cubic_family_known_answers():
+    # K_m = Q(cbrt(m^3 - 1)), eps = m^2 + m a + a^2 = 1/(m - a), at p | m:
+    # the families docstring, with m for p, gives mu and X = mu(t^p) = 3m t
+    # or 3m t^2 (mod p^2) as p = 1 or 2 (mod 3), so condition 2 holds iff
+    # p^2 does not divide m.  The verdict at h = 1 follows; that K_m is then
+    # not p-rational would also need eps not to be a p-th power, which
+    # nothing here checks, so only condition 2's value is claimed.
+    for p in _known_answer_primes():
+        pp = p * p
+        for m in (p, pp, 2 * pp, 3 * p):
+            K = make_field((1 - m**3, 0, 0, 1))
+            eps = FieldElement((m * m, m, 1))
+            mu = (-1, 3 * m, -3 * m * m, 1)
+            assert K.unit_min_poly(eps) == (mu, -27 * (m**3 - 1) ** 2), (p, m)
+            k = ring.kernel(mu, pp)
+            X = torsion._value_at(k, mu, p, k.pow(k.x, p))
+            assert X == 3 * m % pp << p % 3 * k.w, (p, m)
+            fails = m % pp == 0
+            parts = squarefree_parts(K, p)
+            assert condition2_holds(K, p, eps, parts) is not fails, (p, m)
+            v = verdict(K, p, unit=eps, class_number=1)
+            assert (v.status, v.reasons) == (
+                (NOT_P_RATIONAL, (TORSION_NONTRIVIAL,)) if fails
+                else (P_RATIONAL, ())), (p, m)
+
+
+def _frobenius_fixes_mod_p2(a, b, d, p):
+    """Whether (a + b sqrt d)^p = a + (d/p) b sqrt d (mod p^2), on pairs of
+    ints, for p prime to 2d.  That is eps^p = phi(eps) for the Frobenius
+    lift phi of Z_p[sqrt d], phi(sqrt d) = (d/p) sqrt d, so condition 2
+    fails for eps in any field containing Q(sqrt d) (module docstring)."""
+    pp, legendre = p * p, 1 if pow(d, (p - 1) // 2, p) == 1 else -1
+    target = (a % pp, legendre * b % pp)
+    rx, ry, e = 1, 0, p
+    while e:
+        if e & 1:
+            rx, ry = (rx * a + d * ry * b) % pp, (rx * b + ry * a) % pp
+        a, b, e = (a * a + d * b * b) % pp, 2 * a * b % pp, e >> 1
+    return (rx, ry) == target
+
+
+# table2 quartics whose unit lies in Q(sqrt d), with that field's
+# fundamental unit a + b sqrt d; the record units differ from it by a root
+# of unity, a sign or an inverse, which the invariance tests cover
+SUBFIELD_UNITS = {
+    "x^4+1": (1, 1, 2),
+    "x^4+4*x^2+2": (1, 1, 2),
+    "x^4-2*x^3+5*x^2-4*x+2": (1, 1, 2),
+    "x^4-2*x^2+4": (5, 2, 6),
+    "x^4+9": (5, 2, 6),
+}
+
+
+def test_subfield_units_match_a_z_sqrt_d_oracle():
+    # the Frobenius-lift form, not eps^(p - (d/p)) = 1, which misses the
+    # inert primes: at p = 13, (2/13) = -1, condition 2 fails
+    primes = primes_up_to(10**4)[2:]
+    oracle = {(a, b, d): {p for p in primes if _frobenius_fixes_mod_p2(a, b, d, p)}
+              for a, b, d in set(SUBFIELD_UNITS.values())}
+    assert oracle == {(1, 1, 2): {13, 31}, (5, 2, 6): {7, 523}}
+    records = {r.label: r for r in bundled_records("table2")}
+    for label, unit in SUBFIELD_UNITS.items():
+        K, eps = records[label].build_field(), records[label].unit_element()
+        for p in primes:
+            if K.poly_disc % p:
+                parts = squarefree_parts(K, p)
+                assert condition2_holds(K, p, eps, parts) is not (
+                    p in oracle[unit]), (label, p)
+
+
+@pytest.mark.parametrize("label", [label for label, unit in SUBFIELD_UNITS.items()
+                                   if unit == (1, 1, 2)])
+def test_pell_wieferich_primes_are_not_p_rational(label):
+    # 13, 31 and 1,546,463 are the Pell-Wieferich primes of 1 + sqrt 2 up to
+    # there; 1,546,469 is the next prime above the last
+    record = next(r for r in bundled_records("table2") if r.label == label)
+    K, eps = record.build_field(), record.unit_element()
+    for p in (13, 31, 1546463, 1546469):
+        fails = p != 1546469
+        assert _frobenius_fixes_mod_p2(1, 1, 2, p) is fails
+        v = verdict(K, p, unit=eps, class_number=record.class_number)
+        assert (v.status, v.reasons) == (
+            (NOT_P_RATIONAL, (TORSION_NONTRIVIAL,)) if fails
+            else (P_RATIONAL, ())), p
