@@ -9,7 +9,8 @@ mu_p = t^3 - 3p^2 t^2 + 3p t - 1, from (p - 1/eps)^3 = p^3 - 1.  As
 alpha = p - 1/eps and 1/eps = eps^2 - 3p^2 eps + 3p, Z[eps] = Z[alpha] and
 disc(mu_p) = disc(f) = -27 (p^3 - 1)^2, prime to p.  So p is unramified,
 condition (2) is X = mu_p(gamma) != 0 in Z[t]/(mu_p, p^2), gamma = t^p
-(torsion), and gamma gives the splitting (recurrence.cubic_splitting):
+(torsion), both from one ring.frobenius_defect and no kernel built, and
+gamma, at its slot width, gives the splitting (recurrence.cubic_splitting):
 mu_p = t^3 - 1 (mod p) splits completely at p = 1 (mod 3), and as 1+2 at
 p = 2 (mod 3), where t^2 + t + 1 has the non-square discriminant -3.
 Mod p^2, t^3 = 1 - 3pt and p t^3 = p, so t^(3k) = 1 - 3kpt.  At p = 3k + 1
@@ -28,8 +29,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation
 from .recurrence import MIXED_1_2, SPLIT_COMPLETELY, cubic_splitting
-from .ring import kernel
-from . import torsion as torsion_mod
+from .ring import frobenius_defect
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -96,10 +96,10 @@ PureCubicResult = namedtuple("PureCubicResult", "p splitting condition2_holds h_
 def pure_cubic_scan(pmin: int, pmax: int,
                     h_data: dict[int, int] | None = None) -> list[PureCubicResult]:
     """Evaluate condition (2) for Q(cbrt(p^3-1)) at p over a prime range,
-    with class numbers only as ingested through h_data: one kernel
-    Z[t]/(mu_p, p^2) and one power gamma = t^p per p, the splitting and X
-    checked against their closed forms (module docstring), or
-    InvariantViolation."""
+    with class numbers only as ingested through h_data: one
+    ring.frobenius_defect per p, which takes gamma = t^p and X in
+    Z[t]/(mu_p, p^2), the splitting and X checked against their closed
+    forms (module docstring), or InvariantViolation."""
     if not (5 <= pmin <= pmax):
         raise ValueError("range must satisfy 5 <= pmin <= pmax")
     results = []
@@ -108,14 +108,12 @@ def pure_cubic_scan(pmin: int, pmax: int,
             continue
         pp = p * p
         mu = (-1, 3 * p, -3 * pp, 1)
-        k = kernel(mu, pp)
-        gamma = k.pow(k.x, p)
-        splitting, _ = cubic_splitting(k, gamma, p, -27 * (pp * p - 1) ** 2)
+        w, gamma, X = frobenius_defect(mu, p)
+        splitting, _ = cubic_splitting(w, gamma, p, -27 * (pp * p - 1) ** 2)
         expected = {SPLIT_COMPLETELY: 1, MIXED_1_2: 2}.get(splitting)
         if p % 3 != expected:
             raise InvariantViolation("splitting does not match p mod 3 law")
-        X = torsion_mod._value_at(k, mu, p, gamma)
-        if X != 3 * p << p % 3 * k.w:  # 3p t or 3p t^2, reduced as 3p < p^2
+        if X != 3 * p << p % 3 * w:  # 3p t or 3p t^2, reduced as 3p < p^2
             raise InvariantViolation("X = mu(t^p) does not match its closed form")
         if h_data and p in h_data:
             flag = "p|h" if h_data[p] % p == 0 else "p coprime to h"

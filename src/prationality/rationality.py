@@ -73,7 +73,7 @@ def _completely_split(K: NumberField, p: int, parts) -> bool:
     if len(parts) != 1 or parts[0][1] != 1:
         return False
     k = kernel(K.poly, p)
-    return splits_completely(k, k.pow(k.x, p), p)
+    return splits_completely(k.w, k.pow(k.x, p), p)
 
 
 def _log_index_at_precision(K: NumberField, p: int, g: FieldElement,

@@ -6,7 +6,8 @@ with F0 = F1 = 0, F2 = 1 is evaluated at the index matching the splitting
 type of p (p-1, p^2-1 or p^3-1) modulo p^2, read off t^n in Z[t]/(chi, p^2).
 A nonzero value implies the existence of a witness prime for the
 unit-congruence test; the implication is one directional, and cross_check
-tests it against condition (2) decided from the screen's own t^p (torsion).
+tests it against condition (2), X = chi(gamma) by ring.frobenius_defect on
+the screen's own gamma = t^p (torsion).
 
 The screen needs p not dividing disc(chi), and then reads the splitting
 off the same chain of powers (cubic_splitting).  chi is squarefree mod p,
@@ -28,9 +29,8 @@ from collections import namedtuple
 from functools import cached_property
 
 from .numberfield import FieldElement, NumberField, squarefree_parts
-from .ring import (Kernel, degree, discriminant, kernel, poly, powmod,
+from .ring import (degree, discriminant, frobenius_defect, kernel, poly, powmod,
                    splits_completely)
-from . import torsion as torsion_mod
 
 SPLIT_COMPLETELY = "split-completely"
 MIXED_1_2 = "1+2"
@@ -72,11 +72,11 @@ def f_index_mod(spec: RecurrenceSpec, n: int, modulus: int) -> int:
     return r[2] if len(r) > 2 else 0
 
 
-def cubic_splitting(k: Kernel, gamma: int, p: int, disc: int) -> tuple[str, int]:
+def cubic_splitting(w: int, gamma: int, p: int, disc: int) -> tuple[str, int]:
     """The name and residue degree F of the splitting of odd p for a cubic
-    g with disc(g) = disc prime to p, from k = kernel(g, m), p | m, and
-    gamma = t^p packed by k (module docstring)."""
-    if splits_completely(k, gamma, p):
+    g with disc(g) = disc prime to p, from gamma = t^p packed by
+    kernel(g, m), p | m, at its slot width w (module docstring)."""
+    if splits_completely(w, gamma, p):
         return SPLIT_COMPLETELY, 1
     if pow(disc, (p - 1) // 2, p) == p - 1:
         return MIXED_1_2, 2
@@ -95,7 +95,7 @@ def screen(spec: RecurrenceSpec, p: int) -> ScreenResult:
     k = kernel(spec.companion_poly, p * p)
     u1 = k.pow(k.x, p - 1)
     gamma = k.reduce(u1 << k.w)
-    splitting, F = cubic_splitting(k, gamma, p, spec.companion_disc)
+    splitting, F = cubic_splitting(k.w, gamma, p, spec.companion_disc)
     u = u1
     for _ in range(F - 1):
         u = k.reduce(k.pow(u, p) * u1)
@@ -133,6 +133,6 @@ def cross_check(K: NumberField, unit: FieldElement, spec: RecurrenceSpec,
         shapes = sorted((m, degree(g)) for g, m in squarefree_parts(K, p))
         raise ValueError(f"unramified cubic splitting expected, got {shapes}")
     sres = screen(spec, p)
-    holds = bool(torsion_mod._value_at(kernel(chi, p * p), chi, p, sres.gamma))
+    holds = bool(frobenius_defect(chi, p, sres.gamma)[2])
     violation = sres.nonzero and not holds
     return ConsistencyReport(p, sres.splitting, sres, holds, violation)

@@ -5,7 +5,8 @@ the zero polynomial is the empty tuple and has degree -1.  On top of that
 convention this module provides exact determinants and adjugates by
 fraction-free elimination, discriminants from power sums, products and
 powers in Z[x]/(f, m) for monic f on Kronecker-packed ints (kernel: one int
-per element; mulmod, powmod and splits_completely use it), the truncated
+per element; mulmod, powmod and splits_completely use it; frobenius_defect
+is condition 2's t^p and g(t^p) in its packing), the truncated
 p-adic logarithm on the same kernel (condition 1's Log index),
 deterministic factorization over prime fields and Hensel lifting of simple
 roots (used for integer roots in `numberfield.make_field`).
@@ -208,21 +209,31 @@ def _mp_gcd(f, g, p):
 
 
 Kernel = namedtuple("Kernel", "w x pack unpack reduce pow")
+FERMAT_FAILURE = "Fermat failure: eps^(p^f-1) - 1 not in the first power"
 
 
 @lru_cache(maxsize=16)
 def _straight_line(n: int):
-    """make(slot, m, w, x, row) -> (reduce, pow) of kernel at degree n."""
+    """(make, frobenius) at degree n: make(slot, m, w, x, row) -> (reduce,
+    pow) of kernel, and frobenius_defect's body, on the same fold lines."""
     folds = [f"u += (u >> s{k} & slot) % m * h{k - n}"
              for k in range(2 * n - 1, n - 1, -1)]
-    in_reduce, in_power = (("\n" + pad * " ").join(folds) for pad in (8, 12))
+    in_horner, in_reduce, in_power = (("\n" + pad * " ").join(folds)
+                                      for pad in (4, 8, 12))
     low = " | ".join(["(u & slot) % m"][:n] + [
         f"(u >> s{j} & slot) % m << s{j}" for j in range(1, n)]) or "0"
+    offsets = (f"[{', '.join(f's{j}' for j in range(2 * n))}] = "
+               f"range(0, {2 * n} * w, w)")
+    rows = (f"[{', '.join(f'h{j}' for j in range(n))}] = "
+            f"[{', '.join(f'row << s{j}' for j in range(n))}]")
+    horner = "".join(f"u = v * gamma + g[{i}] % m\n    {in_horner}\n"
+                     f"    v = {low}\n    " for i in range(n - 2, -1, -1))
+    fermat = " or ".join(["(v & slot) % p"][:n] + [
+        f"(v >> s{j} & slot) % p" for j in range(1, n)]) or "0"
     src = f"""\
 def make(slot, m, w, x, row):
-    [{", ".join(f"s{j}" for j in range(2 * n))}] = range(0, {2 * n} * w, w)
-    [{", ".join(f"h{j}" for j in range(n))}] = [
-        {", ".join(f"row << s{j}" for j in range(n))}]
+    {offsets}
+    {rows}
     def reduce(u):
         {in_reduce}
         return {low}
@@ -236,9 +247,27 @@ def make(slot, m, w, x, row):
                 r = reduce(r * v)
         return r
     return reduce, power
+def frobenius(g, p, gamma):
+    m = p * p
+    w = ({2 * (2 * n - 1)} * (m - 1) ** 2).bit_length()
+    slot = (1 << w) - 1
+    {offsets}
+    row = {" | ".join(f"-g[{j}] % m << s{j}" for j in range(n)) or "0"}
+    {rows}
+    if gamma is None:
+        gamma = 1 << w
+        for bit in bin(p)[3:]:
+            u = gamma * gamma << w if bit == "1" else gamma * gamma
+            {in_power}
+            gamma = {low}
+    v = gamma + g[{n - 1}] % m
+    {horner}if {fermat}:
+        raise InvariantViolation({FERMAT_FAILURE!r})
+    return w, gamma, v
 """
-    exec(compile(src, f"<ring.kernel, degree {n}>", "exec"), namespace := {})
-    return namespace["make"]
+    exec(compile(src, f"<ring straight-line code, degree {n}>", "exec"),
+         namespace := {"InvariantViolation": InvariantViolation})
+    return namespace["make"], namespace["frobenius"]
 
 
 @lru_cache(maxsize=8)  # kept kernels scatter over the heap and raise RSS
@@ -275,7 +304,7 @@ def kernel(f: tuple[int, ...], m: int) -> Kernel:
     for c in reversed(f[:n]):
         row = row << w | -c % m
     x = 1 << w if n > 1 else row  # reduced; x^n = x at n = 1, and 0 at n = 0
-    reduce, power = _straight_line(n)(slot, m, w, x, row)
+    reduce, power = _straight_line(n)[0](slot, m, w, x, row)
 
     def lift(a):
         return sum(c % m << w * i for i, c in enumerate(a))
@@ -310,20 +339,38 @@ def powmod(a, e, f, m):
     return k.unpack(k.pow(k.pack(a), e))
 
 
-def slots_divisible(k: Kernel, v: int, p: int) -> bool:
-    """Whether every slot of v, packed by k, is divisible by p."""
-    slot = (1 << k.w) - 1
+def frobenius_defect(g, p: int, gamma: int | None = None) -> tuple[int, int, int]:
+    """(w, gamma, X) in Z[t]/(g, m), m = p^2, p prime, g monic of degree
+    n >= 2, packed as kernel(g, m) packs, at w = bitlen(2(2n - 1)(m - 1)^2):
+    gamma = t^p unless passed in, X = g(gamma), and InvariantViolation
+    unless each slot of X is 0 mod p (the Fermat check, g(t^p) = g(t)^p).
+    Generated once per degree from the kernel's fold and low-slot lines
+    (_straight_line); no kernel is built.  A reduced element is the int of
+    its residues at width w, so kernel(g, m).pow(x, p) is this gamma.  The
+    power is the kernel's, one reduce per bit; Horner takes n - 1.  Slot 0
+    of gamma + c is <= 2(m - 1), so a product's slot j < n is
+    <= (j + 2)(m - 1)^2 (+ c at j = 0) and takes min(j + 1, n - 1) folds of
+    <= (m - 1)^2, and its slot j >= n ends <= (4n - 3 - 2j)(m - 1)^2: as in
+    the power (kernel), every slot stays <= 2n (m - 1)^2 < 2^w."""
+    if len(g) < 3 or g[-1] != 1:
+        raise ValueError("frobenius_defect needs monic g of degree >= 2")
+    return _straight_line(len(g) - 1)[1](g, p, gamma)
+
+
+def slots_divisible(w: int, v: int, p: int) -> bool:
+    """Whether every slot of v, packed at slot width w, is divisible by p."""
+    slot = (1 << w) - 1
     while v and not (v & slot) % p:
-        v >>= k.w
+        v >>= w
     return not v
 
 
-def splits_completely(k: Kernel, gamma: int, p: int) -> bool:
+def splits_completely(w: int, gamma: int, p: int) -> bool:
     """Whether g of degree >= 2, squarefree mod p, splits into linear
-    factors mod p, for k = kernel(g, m), p | m, and gamma = x^p packed by k:
+    factors mod p, for gamma = x^p packed by kernel(g, m), p | m, at width w:
     iff gamma = x mod p slot by slot, as x^p - x = prod (x - c) over F_p.
     gamma + (p - 1) x adds p - 1 < m to slot 1 and carries nowhere."""
-    return slots_divisible(k, gamma + (p - 1) * k.x, p)
+    return slots_divisible(w, gamma + (p - 1 << w), p)
 
 
 def _sqf_decomposition(f, p):

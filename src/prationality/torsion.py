@@ -36,7 +36,8 @@ a Frobenius lift phi: phi(y) = y^p (mod p), phi^F = id (Buium, J. Algebra
   (recurrence.cross_check).  The Fermat check, true in characteristic p and
   raising InvariantViolation if not, is X = 0 (mod p).  This holds at p = 3.
 
-_value_at takes mu(gamma) by Horner, then the Fermat check slot by slot.
+ring.frobenius_defect takes gamma, X and the Fermat check slot by slot in
+one straight-line function (its docstring bounds the Horner slots).
 The field keeps mu and disc(mu) once per unit (NumberField.unit_min_poly,
 which refuses any other element for every caller): the recurrence screen's
 ring and companion_disc.
@@ -83,9 +84,6 @@ from .errors import InvariantViolation
 from . import ring
 from .numberfield import FieldElement, NumberField, checked_make, radical_cofactor
 
-_FERMAT_FAILURE = "Fermat failure: eps^(p^f-1) - 1 not in the first power"
-
-
 # factor is a numberfield.PrimeFactor P; residue holds the coordinates of
 # eps^exponent mod p^(e+1), exponent = N(P) - 1
 PerPrimeResult = namedtuple("PerPrimeResult", "factor exponent residue congruent")
@@ -130,21 +128,9 @@ def applicability_guard(K: NumberField, p: int, max_e: int) -> str | None:
 
 def _fermat_checked(k: ring.Kernel, p: int, v: int) -> int:
     """v packed by k; InvariantViolation unless each slot is 0 mod p."""
-    if not ring.slots_divisible(k, v, p):
-        raise InvariantViolation(_FERMAT_FAILURE)
+    if not ring.slots_divisible(k.w, v, p):
+        raise InvariantViolation(ring.FERMAT_FAILURE)
     return v
-
-
-def _value_at(k: ring.Kernel, g, p: int, gamma: int) -> int:
-    """Fermat-checked g(gamma) in Z[x]/(g, p^2), packed by k, for monic g
-    of degree n >= 2 and gamma = x^p packed by k: X for g = mu.  Horner
-    takes n - 1 reduces: slot 0 of gamma + c is <= 2(p^2 - 1), so each
-    product slot is <= (n + 1)(p^2 - 1)^2 + (p^2 - 1) <= 2n(p^2 - 1)^2."""
-    pp = p * p
-    v = gamma + g[-2] % pp
-    for c in g[-3::-1]:
-        v = k.reduce(v * gamma + c % pp)
-    return _fermat_checked(k, p, v)
 
 
 def _unit_defect(k: ring.Kernel, p: int, u: int, c) -> int:
@@ -166,8 +152,7 @@ def condition2_holds(K: NumberField, p: int, unit: FieldElement,
         raise ValueError("p must be odd and exceed every multiplicity")
     mu, disc_mu = K.unit_min_poly(unit)
     if unramified and disc_mu % p:  # the unit as t in Z[t]/(mu, p^2)
-        k = ring.kernel(mu, p * p)
-        return bool(_value_at(k, mu, p, k.pow(k.x, p)))
+        return bool(ring.frobenius_defect(mu, p)[2])
     # in Z[x]/(f, p^2), where the unit's denominator divides the index
     e, k = K.power_coords_mod(unit, p * p), ring.kernel(K.poly, p * p)
     F = lcm(*range(1, max(ring.degree(g) for g, _ in parts) + 1))

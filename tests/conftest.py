@@ -118,6 +118,14 @@ def kernel_pows(monkeypatch):
 
 
 @pytest.fixture
+def frobenius_defect_calls(monkeypatch):
+    """(g, p, gamma) of every ring.frobenius_defect call, gamma None where
+    the call takes t^p itself."""
+    return _record_calls(monkeypatch, ring.frobenius_defect,
+                         lambda g, p, gamma=None: (tuple(g), p, gamma))
+
+
+@pytest.fixture
 def pow_mod_calls(monkeypatch):
     """(exponent, modulus) of every NumberField.pow_mod call."""
     calls = []

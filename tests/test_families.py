@@ -158,13 +158,14 @@ def test_pure_cubic_splitting_matches_split_prime():
         assert r.splitting == names[len(numberfield.split_prime(field, p))], p
 
 
-def test_pure_cubic_scan_builds_one_kernel_and_takes_one_power(
-        kernel_builds, kernel_pows, make_field_calls, unit_min_poly_calls,
-        squarefree_parts_calls):
+def test_pure_cubic_scan_takes_one_frobenius_defect_and_builds_no_kernel(
+        kernel_builds, frobenius_defect_calls, make_field_calls,
+        unit_min_poly_calls, squarefree_parts_calls):
+    # one t^p per prime, taken inside frobenius_defect (gamma None)
     results = pure_cubic_scan(5, 3000)
-    mus = [((-1, 3 * r.p, -3 * r.p**2, 1), r.p**2) for r in results]
-    assert kernel_builds == mus
-    assert kernel_pows == [(mu, m, r.p) for (mu, m), r in zip(mus, results)]
+    assert frobenius_defect_calls == [((-1, 3 * r.p, -3 * r.p**2, 1), r.p, None)
+                                      for r in results]
+    assert kernel_builds == []
     assert make_field_calls == unit_min_poly_calls == squarefree_parts_calls == []
 
 
@@ -172,13 +173,13 @@ def test_pure_cubic_scan_builds_one_kernel_and_takes_one_power(
 def test_pure_cubic_scan_refuses_a_power_off_its_closed_form(monkeypatch, p):
     # gamma + p keeps gamma = t^p (mod p), so the splitting and the Fermat
     # check pass, but X moves by p mu'(gamma), a unit times p
-    original = families.kernel
+    original = ring.frobenius_defect
 
-    def perturbed(f, m):
-        k = original(f, m)
-        return k._replace(pow=lambda v, e: k.reduce(k.pow(v, e) + p))
+    def perturbed(g, q):
+        gamma = original(g, q)[1]
+        return original(g, q, ring.kernel(g, q * q).reduce(gamma + q))
 
-    monkeypatch.setattr(families, "kernel", perturbed)
+    monkeypatch.setattr(families, "frobenius_defect", perturbed)
     with pytest.raises(InvariantViolation, match="closed form"):
         pure_cubic_scan(p, p)
 

@@ -304,19 +304,22 @@ def test_cross_check_decides_condition2_like_condition2_holds():
 
 
 def test_cross_check_takes_one_frobenius_power(kernel_pows,
+                                               frobenius_defect_calls,
                                                squarefree_parts_calls):
     # past the screen's own chain t^(p-1), then (F - 1) p-th powers, the
-    # cross-check takes no power and splits no polynomial at p prime to disc(f)
+    # cross-check takes no power and splits no polynomial at p prime to
+    # disc(f): frobenius_defect reads X off the screen's gamma
     K = make_field(EX62)
     spec = minimal_poly_spec(K, EPS62)
     chi, seen = spec.companion_poly, set()
     for p in primes_up_to(200)[2:] + list(LARGE_PRIMES):
         if spec.companion_disc % p == 0 or K.poly_disc % p == 0:
             continue
-        del kernel_pows[:]
+        del kernel_pows[:], frobenius_defect_calls[:]
         rep = cross_check(K, EPS62, spec, p)
         F = {SPLIT_COMPLETELY: 1, MIXED_1_2: 2, INERT: 3}[rep.splitting]
         assert kernel_pows == [(chi, p * p, p - 1)] + [(chi, p * p, p)] * (F - 1)
+        assert frobenius_defect_calls == [(chi, p, rep.screen.gamma)]
         seen.add(rep.splitting)
     assert seen == {SPLIT_COMPLETELY, MIXED_1_2, INERT}
     assert squarefree_parts_calls == []

@@ -1,12 +1,17 @@
 import gc
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prationality import ring
-from prationality.errors import InvariantViolation
+from prationality.errors import InvariantViolation, SplittingUndetermined
+from prationality.families import primes_up_to
 from prationality.harness import bundled_records
+from prationality.numberfield import squarefree_parts
 from prationality.ring import (
     _equal_degree_split,
     _mp_quo,
@@ -17,6 +22,7 @@ from prationality.ring import (
     det_bareiss,
     discriminant,
     factor_mod_p,
+    frobenius_defect,
     hensel_lift_root,
     kernel,
     log_principal,
@@ -30,6 +36,9 @@ from prationality.ring import (
     power_sums,
     powmod,
 )
+from test_torsion import _known_answer_primes
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_discriminant_examples():
@@ -484,12 +493,103 @@ def test_straight_line_kernel_matches_the_loops(n, m, data):
 
 
 def test_straight_line_code_is_built_once_per_degree():
+    # importing the engine generates nothing; then the kernel and
+    # frobenius_defect at one degree come from one generated source
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "import prationality.cli, prationality.families, "
+            "prationality.harness, prationality.recurrence, "
+            "prationality.selftest, prationality.torsion; "
+            "from prationality import ring; "
+            "print(ring._straight_line.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0"
     _straight_line.cache_clear()
     for m in (2, 49, 1155):
         for n in range(7):
             kernel.__wrapped__((1,) * (n + 1), m)
+    for p in (3, 7, 1009):
+        for n in range(2, 7):
+            frobenius_defect((1,) * (n + 1), p)
     info = _straight_line.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (7, 14, 7)
+    assert (info.misses, info.hits, info.currsize) == (7, 29, 7)
+
+
+def _loop_value_at(k, g, p, gamma):
+    """g(gamma) on k = kernel(g, p^2) by a Horner loop of n - 1 reduces;
+    the reference for frobenius_defect's straight-line Horner."""
+    pp = p * p
+    v = gamma + g[-2] % pp
+    for c in g[-3::-1]:
+        v = k.reduce(v * gamma + c % pp)
+    return v
+
+
+def _list_value_at(g, p, gamma):
+    """g(gamma) in Z[t]/(g, p^2) by Horner on coefficient lists."""
+    v = (1,)
+    for c in reversed(g[:-1]):
+        v = _list_mulmod(poly_add(_list_mulmod(v, gamma, g, p * p), (c,)), (1,),
+                         g, p * p)
+    return v
+
+
+def _check_frobenius_defect(g, p):
+    """frobenius_defect(g, p) against the kernel's power and the loop
+    Horner, against the list reference, and with its gamma passed back."""
+    k = kernel(g, p * p)
+    w, gamma, X = frobenius_defect(g, p)
+    assert (w, gamma) == (k.w, k.pow(k.x, p)), (g, p)
+    assert X == _loop_value_at(k, g, p, gamma), (g, p)
+    assert k.unpack(gamma) == _list_powmod((0, 1), p, g, p * p), (g, p)
+    X_list = _list_value_at(g, p, k.unpack(gamma))
+    assert k.unpack(X) == X_list and all(c % p == 0 for c in X_list), (g, p)
+    assert frobenius_defect(g, p, gamma) == (w, gamma, X), (g, p)
+
+
+def test_frobenius_defect_matches_references_on_bundled_records():
+    # every unit ring Z[t]/(mu, p^2) that condition 2 takes at p <= 300:
+    # unramified p not dividing disc(mu)
+    cells = set()
+    for name in ("table1", "table2", "examples"):
+        for record in bundled_records(name):
+            K = record.build_field()
+            mu, disc_mu = K.unit_min_poly(record.unit_element())
+            for p in primes_up_to(300)[1:]:
+                try:
+                    parts = squarefree_parts(K, p)
+                except SplittingUndetermined:
+                    continue
+                if len(parts) == 1 and parts[0][1] == 1 and disc_mu % p:
+                    _check_frobenius_defect(mu, p)
+                    cells.add((mu, p))
+    assert len({len(mu) for mu, _ in cells}) == 3 and len(cells) > 1500
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4), st.sampled_from([3, 5, 101, 999983, 2**61 - 1, _Q,
+                                           2**89 - 1]), st.data())
+def test_frobenius_defect_matches_references_on_drawn_polys(n, p, data):
+    # full rows (f_i = +-1 mod p^2) and wide coefficients alike
+    g = tuple(data.draw(st.lists(st.sampled_from([1, -1, 0])
+                                 | st.integers(-10**6, 10**6),
+                                 min_size=n, max_size=n))) + (1,)
+    _check_frobenius_defect(g, p)
+
+
+def test_frobenius_defect_matches_references_at_known_answer_primes():
+    # p^2 on both sides of 2^k, both sides of each step of the cubic slot
+    # width, and primes up to MR_BOUND
+    for p in _known_answer_primes():
+        for g in ((-1, -1, 1), (27, -4, 0, 1), (-1, 3 * p, -3 * p * p, 1),
+                  (1, 1, 1, 1, 1)):
+            _check_frobenius_defect(g, p)
+
+
+def test_frobenius_defect_refuses_g_not_monic_of_degree_2_or_more():
+    for g in ((), (3, 1), (1, 0, 2), (1, 2, 3, 0)):
+        with pytest.raises(ValueError, match="monic"):
+            frobenius_defect(g, 7)
 
 
 def test_a_dropped_kernel_needs_no_cycle_collector():

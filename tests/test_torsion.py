@@ -446,7 +446,7 @@ def test_condition2_holds_matches_list_frobenius_defect_on_bundled_records():
                     K.poly, p, K.power_coords_mod(eps, pp))
                 if disc_mu % p:
                     k = ring.kernel(mu, pp)
-                    packed = torsion._value_at(k, mu, p, k.pow(k.x, p))
+                    packed = ring.frobenius_defect(mu, p)[2]
                     by_mu = _list_frobenius_defect(mu, p, (0, 1))
                     assert k.unpack(packed) == by_mu, (record.label, p)
                     assert bool(by_mu) == bool(expected), (record.label, p)
@@ -533,52 +533,36 @@ def test_condition2_holds_matches_report_on_random_fields_at_large_primes():
     assert len(shapes) == 8, shapes
 
 
-def _counted_kernels(monkeypatch):
-    """Record (f, m) of every ring.kernel built and the exponent of every
-    pow on it."""
-    built, pows = [], []
-    original = ring.kernel
-
-    def spy(f, m):
-        built.append((tuple(f), m))
-        k = original(f, m)
-
-        def power(v, e):
-            pows.append(e)
-            return k.pow(v, e)
-
-        return k._replace(pow=power)
-
-    monkeypatch.setattr(ring, "kernel", spy)
-    return built, pows
-
-
-def test_one_pth_power_per_unramified_verdict(monkeypatch):
+def test_one_pth_power_per_unramified_verdict(kernel_builds,
+                                              frobenius_defect_calls):
     # at p prime to disc(f) and disc(c) condition (2) is decided in
-    # Z[t]/(c, p^2), where eps = t and gamma = t^p is the only power taken
+    # Z[t]/(c, p^2), where eps = t: one frobenius_defect, which takes
+    # gamma = t^p itself (gamma None), and no kernel built
     K = make_field(EX62)
     eps = FieldElement((-3280, -3462, -729))
     c = K.char_poly(eps)
-    built, pows = _counted_kernels(monkeypatch)
     primes = [p for p in primes_up_to(300)[1:]
               if K.poly_disc % p and ring.discriminant(c) % p]
+    del kernel_builds[:]
     for p in primes:
         verdict(K, p, unit=eps, class_number=1)
-    assert built == [(c, p * p) for p in primes]
-    assert pows == primes
+    assert frobenius_defect_calls == [(c, p, None) for p in primes]
+    assert kernel_builds == []
 
 
-def test_unit_of_a_quadratic_subfield_takes_its_own_ring(monkeypatch):
+def test_unit_of_a_quadratic_subfield_takes_its_own_ring(kernel_builds,
+                                                         frobenius_defect_calls):
     # the unit of x^4 + 4x^2 + 2 lies in a quadratic subfield: its
     # characteristic polynomial is mu^2, disc = 0, and every unramified p
-    # not dividing disc(mu) is decided in Z[t]/(mu, p^2) with deg mu = 2
+    # not dividing disc(mu) is decided in Z[t]/(mu, p^2) with deg mu = 2,
+    # by one frobenius_defect and no kernel; the others by the cofactor on
+    # kernel(f, p^2)
     record = next(r for r in bundled_records("table2")
                   if r.label == "x^4+4*x^2+2")
     K = record.build_field()
     eps = record.unit_element()
     mu, disc_mu = K.unit_min_poly(eps)
     assert len(mu) == 3 and K.char_poly(eps) == poly_mul(mu, mu)
-    built, _ = _counted_kernels(monkeypatch)
     cells = 0
     for p in primes_up_to(100)[1:]:
         if K.poly_disc % p == 0:
@@ -586,8 +570,14 @@ def test_unit_of_a_quadratic_subfield_takes_its_own_ring(monkeypatch):
         parts = squarefree_parts(K, p)
         F = lcm(*(pf.f for pf in split_prime(K, p)))
         slow = K.pow_mod(eps, p**F - 1, p * p) != K.one()
+        del kernel_builds[:], frobenius_defect_calls[:]
         assert condition2_holds(K, p, eps, parts) == slow, p
-        assert built[-1] == ((mu, p * p) if disc_mu % p else (K.poly, p * p))
+        if disc_mu % p:
+            assert frobenius_defect_calls == [(mu, p, None)], p
+            assert kernel_builds == [], p
+        else:
+            assert frobenius_defect_calls == [], p
+            assert kernel_builds == [(K.poly, p * p)], p
         cells += disc_mu % p != 0
     assert cells > 20
 
@@ -645,10 +635,10 @@ def test_fermat_check_reads_every_slot():
 
 
 def test_fermat_check_fires_for_a_wrong_frobenius():
-    # gamma = x^p + 1 is not x^p (mod p), so g(gamma) != 0 (mod p) and the
-    # Fermat-checked g(gamma) raises, in Z[t]/(chi, p^2) for the units of
-    # ex. 6.2 and 6.3 (mu = chi), in Z[t]/(mu, p^2) for the unit of
-    # x^4 + 4x^2 + 2 (deg mu = 2), and in Z[x]/(f, p^2) for each
+    # gamma = x^p + 1 is not x^p (mod p), so g(gamma) != 0 (mod p) and
+    # frobenius_defect, passed that gamma, raises, in Z[t]/(chi, p^2) for
+    # the units of ex. 6.2 and 6.3 (mu = chi), in Z[t]/(mu, p^2) for the
+    # unit of x^4 + 4x^2 + 2 (deg mu = 2), and in Z[x]/(f, p^2) for each
     fields = ((EX62, (-3280, -3462, -729)), (EX63, (-2, -1, 1, 1)),
               ((2, 0, 4, 0, 1), (-3, 0, -1, 0)))
     for f, unit in fields:
@@ -661,11 +651,9 @@ def test_fermat_check_fires_for_a_wrong_frobenius():
             if K.poly_disc * disc_mu % p == 0:
                 continue
             for g in (mu, K.poly):
-                k = ring.kernel(g, p * p)
-                x_p = k.pow(k.x, p)
-                torsion._value_at(k, g, p, x_p)
+                x_p = ring.frobenius_defect(g, p)[1]
                 with pytest.raises(InvariantViolation, match="Fermat"):
-                    torsion._value_at(k, g, p, k.reduce(x_p + 1))
+                    ring.frobenius_defect(g, p, x_p + 1)
             checked += 1
         assert checked >= 4, f
 
@@ -715,9 +703,8 @@ def test_pure_cubic_family_known_answers():
             eps = FieldElement((m * m, m, 1))
             mu = (-1, 3 * m, -3 * m * m, 1)
             assert K.unit_min_poly(eps) == (mu, -27 * (m**3 - 1) ** 2), (p, m)
-            k = ring.kernel(mu, pp)
-            X = torsion._value_at(k, mu, p, k.pow(k.x, p))
-            assert X == 3 * m % pp << p % 3 * k.w, (p, m)
+            w, _, X = ring.frobenius_defect(mu, p)
+            assert X == 3 * m % pp << p % 3 * w, (p, m)
             fails = m % pp == 0
             parts = squarefree_parts(K, p)
             assert condition2_holds(K, p, eps, parts) is not fails, (p, m)
