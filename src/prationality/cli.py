@@ -171,7 +171,7 @@ def _cmd_recurrence(args) -> int:
         spec = minimal_poly_spec(K, unit)
         try:
             rep = cross_check(K, unit, spec, p)
-        except ValueError as exc:
+        except (ValueError, SplittingUndetermined) as exc:
             print(f"{record.label}: not applicable at {p}: {exc}")
             continue
         sres = rep.screen

@@ -3,8 +3,9 @@
 Condition (1) is decided on two branches: trivially when p does not divide
 the class number, and through the split-cyclic Log-index procedure when the
 record supplies an auxiliary non-principal prime ideal Q with a generator of
-Q^p.  The latter takes truncated p-adic logarithms in Z[x]/(f, p^k) on
-power-basis coordinates, on the same packed kernel as condition (2), and
+Q^p.  The latter asks whether p splits completely by x^p = x in
+Z[x]/(f, p) (ring.x_power), then takes truncated p-adic logarithms in
+Z[x]/(f, p^k) on power-basis coordinates, on the packed kernel, and
 compares the image of Q against the line spanned by the fundamental unit's
 log modulo p.  No verdict factors f mod p into irreducibles.
 """
@@ -24,7 +25,7 @@ from .numberfield import (
     principal_ideal,
     squarefree_parts,
 )
-from .ring import kernel, log_principal, poly, poly_sub, powmod, splits_completely
+from .ring import log_principal, poly, poly_sub, powmod, splits_completely, x_power
 from . import torsion as torsion_mod
 
 PRECISION_CAP = 16
@@ -69,11 +70,10 @@ Verdict = namedtuple("Verdict", "status reasons condition1 guard_reason",
 def _completely_split(K: NumberField, p: int, parts) -> bool:
     """Whether p splits into n primes of degree 1: the squarefree parts of
     f mod p are one part of multiplicity 1 (else p ramifies) and x^p = x
-    on ring.kernel(f, p) (ring.splits_completely)."""
+    in Z[x]/(f, p) (ring.x_power, ring.splits_completely)."""
     if len(parts) != 1 or parts[0][1] != 1:
         return False
-    k = kernel(K.poly, p)
-    return splits_completely(k.w, k.pow(k.x, p), p)
+    return splits_completely(*x_power(K.poly, p, p), p)
 
 
 def _log_index_at_precision(K: NumberField, p: int, g: FieldElement,

@@ -3,14 +3,15 @@
 From the minimal polynomial chi = x^3 - a2 x^2 - a1 x - a0 of a cubic
 fundamental unit, the sequence F_{n+3} = a2 F_{n+2} + a1 F_{n+1} + a0 F_n
 with F0 = F1 = 0, F2 = 1 is evaluated at the index matching the splitting
-type of p (p-1, p^2-1 or p^3-1) modulo p^2, read off t^n in Z[t]/(chi, p^2).
+type of p (p-1, p^2-1 or p^3-1) modulo p^2, read off t^n in Z[t]/(chi, p^2),
+which ring.x_power takes with no kernel built.
 A nonzero value implies the existence of a witness prime for the
 unit-congruence test; the implication is one directional, and cross_check
 tests it against condition (2), X = chi(gamma) by ring.frobenius_defect on
 the screen's own gamma = t^p (torsion).
 
 The screen needs p not dividing disc(chi), and then reads the splitting
-off the same chain of powers (cubic_splitting).  chi is squarefree mod p,
+off gamma (cubic_splitting).  chi is squarefree mod p,
 so its residue degrees are those of the Frobenius t -> t^p on
 F_p[t]/(chi): chi splits into linear factors iff t^p = t mod (chi, p)
 (ring.splits_completely; condition 1 reads complete splitting of f so).
@@ -29,8 +30,8 @@ from collections import namedtuple
 from functools import cached_property
 
 from .numberfield import FieldElement, NumberField, squarefree_parts
-from .ring import (degree, discriminant, frobenius_defect, kernel, poly, powmod,
-                   splits_completely)
+from .ring import (degree, discriminant, frobenius_defect, poly, powmod,
+                   splits_completely, x_power)
 
 SPLIT_COMPLETELY = "split-completely"
 MIXED_1_2 = "1+2"
@@ -50,7 +51,7 @@ class RecurrenceSpec(namedtuple("RecurrenceSpec", "a2 a1 a0")):
         return discriminant(self.companion_poly)
 
 
-# gamma is t^p in Z[t]/(chi, p^2), packed by kernel(chi, p^2)
+# gamma is t^p in Z[t]/(chi, p^2), packed at ring.x_power's width
 ScreenResult = namedtuple("ScreenResult", "splitting index value nonzero gamma")
 
 
@@ -74,8 +75,8 @@ def f_index_mod(spec: RecurrenceSpec, n: int, modulus: int) -> int:
 
 def cubic_splitting(w: int, gamma: int, p: int, disc: int) -> tuple[str, int]:
     """The name and residue degree F of the splitting of odd p for a cubic
-    g with disc(g) = disc prime to p, from gamma = t^p packed by
-    kernel(g, m), p | m, at its slot width w (module docstring)."""
+    g with disc(g) = disc prime to p, from gamma = t^p in Z[t]/(g, m),
+    p | m, at slot width w, as ring.x_power gives it (module docstring)."""
     if splits_completely(w, gamma, p):
         return SPLIT_COMPLETELY, 1
     if pow(disc, (p - 1) // 2, p) == p - 1:
@@ -85,21 +86,17 @@ def cubic_splitting(w: int, gamma: int, p: int, disc: int) -> tuple[str, int]:
 
 def screen(spec: RecurrenceSpec, p: int) -> ScreenResult:
     """F_(p^F - 1) mod p^2 for the residue degree F of the splitting of p,
-    which gamma = u_1 t, u_1 = t^(p-1) in Z[t]/(chi, p^2), gives (module
-    docstring); then u_F = u_(F-1)^p u_1 = t^(p^F - 1), whose t^2
-    coordinate is the value (f_index_mod).  gamma is handed out too."""
+    which gamma = t^p in Z[t]/(chi, p^2) gives (module docstring): the t^2
+    coordinate of t^(p^F - 1) (f_index_mod).  Both powers of t come from
+    ring.x_power; gamma is handed out too."""
     if p == 2:
         raise ValueError("p must be odd")
     if spec.companion_disc % p == 0:
         raise ValueError("p divides the discriminant of the companion polynomial")
-    k = kernel(spec.companion_poly, p * p)
-    u1 = k.pow(k.x, p - 1)
-    gamma = k.reduce(u1 << k.w)
-    splitting, F = cubic_splitting(k.w, gamma, p, spec.companion_disc)
-    u = u1
-    for _ in range(F - 1):
-        u = k.reduce(k.pow(u, p) * u1)
-    value = u >> 2 * k.w  # the t^2 slot, the top one of a reduced u
+    chi, m = spec.companion_poly, p * p
+    w, gamma = x_power(chi, m, p)
+    splitting, F = cubic_splitting(w, gamma, p, spec.companion_disc)
+    value = x_power(chi, m, p**F - 1)[1] >> 2 * w  # the top slot, t^2
     return ScreenResult(splitting, p**F - 1, value, value != 0, gamma)
 
 

@@ -5,8 +5,9 @@ the zero polynomial is the empty tuple and has degree -1.  On top of that
 convention this module provides exact determinants and adjugates by
 fraction-free elimination, discriminants from power sums, products and
 powers in Z[x]/(f, m) for monic f on Kronecker-packed ints (kernel: one int
-per element; mulmod, powmod and splits_completely use it; frobenius_defect
-is condition 2's t^p and g(t^p) in its packing), the truncated
+per element; mulmod and powmod use it; frobenius_defect is condition 2's
+t^p and g(t^p), and x_power is x^e, in its packing with no kernel built;
+splits_completely reads x^p at that width), the truncated
 p-adic logarithm on the same kernel (condition 1's Log index),
 deterministic factorization over prime fields and Hensel lifting of simple
 roots (used for integer roots in `numberfield.make_field`).
@@ -214,20 +215,34 @@ FERMAT_FAILURE = "Fermat failure: eps^(p^f-1) - 1 not in the first power"
 
 @lru_cache(maxsize=16)
 def _straight_line(n: int):
-    """(make, frobenius) at degree n: make(slot, m, w, x, row) -> (reduce,
-    pow) of kernel, and frobenius_defect's body, on the same fold lines."""
-    folds = [f"u += (u >> s{k} & slot) % m * h{k - n}"
-             for k in range(2 * n - 1, n - 1, -1)]
-    in_horner, in_reduce, in_power = (("\n" + pad * " ").join(folds)
-                                      for pad in (4, 8, 12))
+    """(make, frobenius, x_power) at degree n: make(slot, m, w, x, row) ->
+    (reduce, pow) of kernel, frobenius_defect's body and x_power's, on the
+    same fold lines; frobenius inlines x_power's text for its t^p."""
+    def at(pad, text):  # text with its later lines indented by pad
+        return text.replace("\n", "\n" + pad * " ")
+
+    folds = "\n".join(f"u += (u >> s{k} & slot) % m * h{k - n}"
+                      for k in range(2 * n - 1, n - 1, -1))
     low = " | ".join(["(u & slot) % m"][:n] + [
         f"(u >> s{j} & slot) % m << s{j}" for j in range(1, n)]) or "0"
     offsets = (f"[{', '.join(f's{j}' for j in range(2 * n))}] = "
                f"range(0, {2 * n} * w, w)")
     rows = (f"[{', '.join(f'h{j}' for j in range(n))}] = "
             f"[{', '.join(f'row << s{j}' for j in range(n))}]")
-    horner = "".join(f"u = v * gamma + g[{i}] % m\n    {in_horner}\n"
-                     f"    v = {low}\n    " for i in range(n - 2, -1, -1))
+    setup = f"""\
+w = ({2 * (2 * n - 1)} * (m - 1) ** 2).bit_length()
+slot = (1 << w) - 1
+{offsets}
+row = {" | ".join(f"-g[{j}] % m << s{j}" for j in range(n)) or "0"}
+{rows}"""
+    x_loop = f"""\
+gamma = 1 << w
+for bit in bin(e)[3:]:
+    u = gamma * gamma << w if bit == "1" else gamma * gamma
+    {at(4, folds)}
+    gamma = {low}"""
+    horner = "".join(f"u = v * gamma + g[{i}] % m\n{folds}\nv = {low}\n"
+                     for i in range(n - 2, -1, -1))
     fermat = " or ".join(["(v & slot) % p"][:n] + [
         f"(v >> s{j} & slot) % p" for j in range(1, n)]) or "0"
     src = f"""\
@@ -235,39 +250,35 @@ def make(slot, m, w, x, row):
     {offsets}
     {rows}
     def reduce(u):
-        {in_reduce}
+        {at(8, folds)}
         return {low}
     def power(v, e):
         r, shift = v if e else reduce(1), w if v == x else 0
         for bit in bin(e)[3:]:
             u = r * r << shift if bit == "1" else r * r
-            {in_power}
+            {at(12, folds)}
             r = {low}
             if not shift and bit == "1":
                 r = reduce(r * v)
         return r
     return reduce, power
 def frobenius(g, p, gamma):
-    m = p * p
-    w = ({2 * (2 * n - 1)} * (m - 1) ** 2).bit_length()
-    slot = (1 << w) - 1
-    {offsets}
-    row = {" | ".join(f"-g[{j}] % m << s{j}" for j in range(n)) or "0"}
-    {rows}
+    m, e = p * p, p
+    {at(4, setup)}
     if gamma is None:
-        gamma = 1 << w
-        for bit in bin(p)[3:]:
-            u = gamma * gamma << w if bit == "1" else gamma * gamma
-            {in_power}
-            gamma = {low}
+        {at(8, x_loop)}
     v = gamma + g[{n - 1}] % m
-    {horner}if {fermat}:
+    {at(4, horner)}if {fermat}:
         raise InvariantViolation({FERMAT_FAILURE!r})
     return w, gamma, v
+def x_power(g, m, e):
+    {at(4, setup)}
+    {at(4, x_loop)}
+    return w, gamma
 """
     exec(compile(src, f"<ring straight-line code, degree {n}>", "exec"),
          namespace := {"InvariantViolation": InvariantViolation})
-    return namespace["make"], namespace["frobenius"]
+    return namespace["make"], namespace["frobenius"], namespace["x_power"]
 
 
 @lru_cache(maxsize=8)  # kept kernels scatter over the heap and raise RSS
@@ -357,6 +368,16 @@ def frobenius_defect(g, p: int, gamma: int | None = None) -> tuple[int, int, int
     return _straight_line(len(g) - 1)[1](g, p, gamma)
 
 
+def x_power(g, m: int, e: int) -> tuple[int, int]:
+    """(w, x^e) in Z[x]/(g, m), g monic of degree n >= 2, m >= 2, e >= 1,
+    at width w = bitlen(2(2n - 1)(m - 1)^2): kernel(g, m)'s (w, pow(x, e)),
+    from the same generated lines as its power (_straight_line), one reduce
+    per bit with the multiply by x a shift, and no kernel built."""
+    if len(g) < 3 or g[-1] != 1 or m < 2 or e < 1:
+        raise ValueError("x_power needs monic g of degree >= 2, m >= 2, e >= 1")
+    return _straight_line(len(g) - 1)[2](g, m, e)
+
+
 def slots_divisible(w: int, v: int, p: int) -> bool:
     """Whether every slot of v, packed at slot width w, is divisible by p."""
     slot = (1 << w) - 1
@@ -367,7 +388,7 @@ def slots_divisible(w: int, v: int, p: int) -> bool:
 
 def splits_completely(w: int, gamma: int, p: int) -> bool:
     """Whether g of degree >= 2, squarefree mod p, splits into linear
-    factors mod p, for gamma = x^p packed by kernel(g, m), p | m, at width w:
+    factors mod p, for gamma = x^p in Z[x]/(g, m), p | m, at width w:
     iff gamma = x mod p slot by slot, as x^p - x = prod (x - c) over F_p.
     gamma + (p - 1) x adds p - 1 < m to slot 1 and carries nowhere."""
     return slots_divisible(w, gamma + (p - 1 << w), p)

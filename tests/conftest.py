@@ -99,22 +99,10 @@ def kernel_builds(monkeypatch):
 
 
 @pytest.fixture
-def kernel_pows(monkeypatch):
-    """(f, m, e) of every pow v^e on a ring.kernel(f, m)."""
-    pows = []
-    original = ring.kernel
-
-    def spy(f, m):
-        k = original(f, m)
-
-        def power(v, e):
-            pows.append((tuple(f), m, e))
-            return k.pow(v, e)
-
-        return k._replace(pow=power)
-
-    _patch_everywhere(monkeypatch, original, spy)
-    return pows
+def x_power_calls(monkeypatch):
+    """(g, m, e) of every ring.x_power call."""
+    return _record_calls(monkeypatch, ring.x_power,
+                         lambda g, m, e: (tuple(g), m, e))
 
 
 @pytest.fixture

@@ -257,6 +257,20 @@ def test_recurrence_output_over_the_bundled_records_is_pinned(capsys):
         "e3901865608bff6a2266a53148ed090fb6fade6d13cba154c105b3500da998d0")
 
 
+def test_recurrence_reports_an_index_divisor_prime_and_goes_on(capsys):
+    # at p = 3 four records of table1 may have 3 | [O_K : Z[alpha]]; their
+    # refusal is a line like the ramified ones, and every cubic is reported
+    data = Path(prationality.__file__).parent / "data"
+    rc = cli(["recurrence", "--input", str(data / "table1.csv"),
+              "--prime", "3"])
+    out, err = capsys.readouterr()
+    assert (rc, err, out.count("\n")) == (0, "", 35)
+    assert out.count(": not applicable at 3: p = 3 may divide the index; "
+                     "splitting undetermined\n") == 4
+    assert "x^3-x^2+x-24: not applicable at 3: p = 3 may divide" in out
+    assert out.splitlines()[-1].startswith("x^3-x^2+9*x-21: ")
+
+
 def test_scan_cli(tmp_path, capsys):
     csv_text = (
         "label,degree,poly,h,unit,unit_den,torsion_order\n"

@@ -188,14 +188,17 @@ def test_condition1_undetermined_without_aux():
     assert rep.branch == UNDETERMINED and rep.holds is None
 
 
-def test_condition1_takes_x_to_the_p_once(kernel_pows):
-    # complete splitting is tested once, on the verdict's parts
+def test_condition1_takes_x_to_the_p_once(x_power_calls, kernel_builds):
+    # complete splitting is tested once, on the verdict's parts, by x^p
+    # from ring.x_power: no kernel mod p is built (the Log index builds
+    # its own at p^k, k >= 4)
     K = make_field(EX62)
     parts = squarefree_parts(K, 3)
-    del kernel_pows[:]
+    del x_power_calls[:], kernel_builds[:]
     rep = condition1(K, 3, class_number=3, unit=EPS62, parts=parts, aux=AUX62)
     assert rep.index == 3
-    assert kernel_pows.count((EX62, 3, 3)) == 1
+    assert x_power_calls == [(EX62, 3, 3)]
+    assert kernel_builds and all(m % 81 == 0 for _, m in kernel_builds)
 
 
 def test_log_index_skips_the_undecidable_k_2_round(monkeypatch):

@@ -5,7 +5,7 @@ from prationality.errors import SplittingUndetermined
 from prationality.families import primes_up_to
 from prationality.harness import CELL_ERROR, bundled_records, reproduce_table
 from prationality.numberfield import (FieldElement, NumberField, make_field,
-                                      squarefree_parts)
+                                      split_prime, squarefree_parts)
 from prationality.recurrence import (
     INERT,
     MIXED_1_2,
@@ -20,6 +20,7 @@ from prationality.ring import discriminant
 from prationality.selftest import (suite_recurrence_matrix_vs_iteration,
                                    suite_screen_oracles)
 from prationality.torsion import condition2_holds
+from test_torsion import _known_answer_primes
 
 EX62 = (27, -4, 0, 1)
 EPS62 = FieldElement((-3280, -3462, -729))
@@ -105,6 +106,32 @@ def test_screen_reads_the_splitting_off_chi():
 def test_screen_agrees_with_split_prime_on_bundled_cubics():
     _, ok, detail = suite_screen_oracles()
     assert ok, detail
+
+
+def test_screen_agrees_with_its_oracles_at_large_primes():
+    # past the selftest's p <= 100: ex. 6.2's unit and the tribonacci
+    # recurrence at the known-answer primes, up to the Miller-Rabin bound
+    # and across the steps of the slot width; the value against
+    # f_index_mod, a general power on the kernel, and the splitting against
+    # the prime factors of split_prime
+    names = {3: SPLIT_COMPLETELY, 2: MIXED_1_2, 1: INERT}
+    tribonacci = RecurrenceSpec(1, 1, 1)
+    K62 = make_field(EX62)
+    seen, checked = set(), 0
+    for K, spec in ((K62, minimal_poly_spec(K62, EPS62)),
+                    (make_field(tribonacci.companion_poly), tribonacci)):
+        for p in _known_answer_primes():
+            if spec.companion_disc % p == 0:
+                continue
+            factors = split_prime(K, p)
+            F = max(pf.f for pf in factors)
+            res = screen(spec, p)
+            assert (res.splitting, res.index) == (names[len(factors)],
+                                                  p**F - 1), p
+            assert res.value == f_index_mod(spec, p**F - 1, p * p), p
+            seen.add(res.splitting)
+            checked += 1
+    assert seen == {SPLIT_COMPLETELY, MIXED_1_2, INERT} and checked > 40
 
 
 def test_screen_rejects_bad_p():
@@ -303,23 +330,24 @@ def test_cross_check_decides_condition2_like_condition2_holds():
     assert witnesses[False] > 0 and witnesses[True] > 1500
 
 
-def test_cross_check_takes_one_frobenius_power(kernel_pows,
+def test_cross_check_takes_one_frobenius_power(kernel_builds, x_power_calls,
                                                frobenius_defect_calls,
                                                squarefree_parts_calls):
-    # past the screen's own chain t^(p-1), then (F - 1) p-th powers, the
-    # cross-check takes no power and splits no polynomial at p prime to
-    # disc(f): frobenius_defect reads X off the screen's gamma
+    # past the screen's two powers of t, t^p and t^(p^F - 1), the
+    # cross-check takes no power, builds no kernel and splits no polynomial
+    # at p prime to disc(f): frobenius_defect reads X off the screen's gamma
     K = make_field(EX62)
     spec = minimal_poly_spec(K, EPS62)
     chi, seen = spec.companion_poly, set()
     for p in primes_up_to(200)[2:] + list(LARGE_PRIMES):
         if spec.companion_disc % p == 0 or K.poly_disc % p == 0:
             continue
-        del kernel_pows[:], frobenius_defect_calls[:]
+        del x_power_calls[:], frobenius_defect_calls[:]
         rep = cross_check(K, EPS62, spec, p)
         F = {SPLIT_COMPLETELY: 1, MIXED_1_2: 2, INERT: 3}[rep.splitting]
-        assert kernel_pows == [(chi, p * p, p - 1)] + [(chi, p * p, p)] * (F - 1)
+        assert x_power_calls == [(chi, p * p, p), (chi, p * p, p**F - 1)]
         assert frobenius_defect_calls == [(chi, p, rep.screen.gamma)]
+        assert kernel_builds == [], p
         seen.add(rep.splitting)
     assert seen == {SPLIT_COMPLETELY, MIXED_1_2, INERT}
     assert squarefree_parts_calls == []
@@ -327,6 +355,37 @@ def test_cross_check_takes_one_frobenius_power(kernel_pows,
     with pytest.raises(ValueError, match="unramified cubic splitting expected"):
         cross_check(K, EPS62, spec, 19427)
     assert squarefree_parts_calls == [19427]
+
+
+def test_no_kernel_is_built_for_a_power_of_t(kernel_builds):
+    # the table's verdicts build a kernel only where a general element is
+    # powered: the radical cofactor, kernel(f, p^2) at p dividing
+    # disc(f) disc(mu); complete splitting takes x^p by ring.x_power.  The
+    # cross-check builds none at any p prime to disc(f)
+    records = [r for name in ("table1", "table2", "examples")
+               for r in bundled_records(name)]
+    reproduce_table(records, 5, 100)
+    cofactor = set()
+    for record in records:
+        K = record.build_field()
+        disc_mu = K.unit_min_poly(record.unit_element())[1]
+        cofactor |= {(K.poly, p * p) for p in primes_up_to(100)[2:]
+                     if K.poly_disc * disc_mu % p == 0}
+    assert kernel_builds and set(kernel_builds) <= cofactor
+    del kernel_builds[:]
+    checked = 0
+    for record, K, unit in _bundled_cubics():
+        spec = minimal_poly_spec(K, unit)
+        for p in primes_up_to(300)[1:] + list(LARGE_PRIMES):
+            if K.poly_disc % p == 0:
+                continue
+            if spec.companion_disc % p == 0:
+                with pytest.raises(ValueError, match="companion"):
+                    cross_check(K, unit, spec, p)
+            else:
+                cross_check(K, unit, spec, p)
+                checked += 1
+    assert kernel_builds == [] and checked > 1500
 
 
 def test_table_and_cross_check_compute_each_discriminant_once(

@@ -35,6 +35,7 @@ from prationality.ring import (
     poly_sub,
     power_sums,
     powmod,
+    x_power,
 )
 from test_torsion import _known_answer_primes
 
@@ -493,8 +494,9 @@ def test_straight_line_kernel_matches_the_loops(n, m, data):
 
 
 def test_straight_line_code_is_built_once_per_degree():
-    # importing the engine generates nothing; then the kernel and
-    # frobenius_defect at one degree come from one generated source
+    # importing the engine generates nothing; then the kernel,
+    # frobenius_defect and x_power at one degree come from one generated
+    # source
     code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
             "import prationality.cli, prationality.families, "
             "prationality.harness, prationality.recurrence, "
@@ -513,6 +515,11 @@ def test_straight_line_code_is_built_once_per_degree():
             frobenius_defect((1,) * (n + 1), p)
     info = _straight_line.cache_info()
     assert (info.misses, info.hits, info.currsize) == (7, 29, 7)
+    for p in (3, 7, 1009):
+        for n in range(2, 7):
+            x_power((1,) * (n + 1), p * p, p)
+    info = _straight_line.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (7, 44, 7)
 
 
 def _loop_value_at(k, g, p, gamma):
@@ -590,6 +597,64 @@ def test_frobenius_defect_refuses_g_not_monic_of_degree_2_or_more():
     for g in ((), (3, 1), (1, 0, 2), (1, 2, 3, 0)):
         with pytest.raises(ValueError, match="monic"):
             frobenius_defect(g, 7)
+
+
+def _check_x_power(g, m, e):
+    """x_power(g, m, e) against the kernel's power of x."""
+    k = kernel(g, m)
+    assert x_power(g, m, e) == (k.w, k.pow(k.x, e)), (g, m, e)
+
+
+def test_x_power_matches_the_kernel_on_bundled_records():
+    # every unit mu of the bundled records at m = p and p^2, p <= 300, at
+    # e = p (gamma, and the complete-splitting test) and the screen's
+    # p^F - 1 for each F
+    cells = set()
+    for name in ("table1", "table2", "examples"):
+        for record in bundled_records(name):
+            K = record.build_field()
+            mu, _ = K.unit_min_poly(record.unit_element())
+            cells.add(mu)
+            for p in primes_up_to(300):
+                for m in (p, p * p):
+                    for e in (1, p, p - 1, p**2 - 1, p**3 - 1):
+                        _check_x_power(mu, m, e)
+    assert {len(mu) for mu in cells} == {3, 4, 5} and len(cells) > 40
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4),
+       st.sampled_from([3, 5, 101, 999983, 2**61 - 1, _Q, 2**89 - 1]
+                       + _known_answer_primes()),
+       st.booleans(), st.data())
+def test_x_power_matches_the_kernel_on_drawn_polys(n, p, square, data):
+    # full rows (g_i = +-1 mod m) and wide coefficients alike, at m = p and
+    # p^2 across the steps of the slot width, e from 1 to p^3
+    g = tuple(data.draw(st.lists(st.sampled_from([1, -1, 0])
+                                 | st.integers(-10**6, 10**6),
+                                 min_size=n, max_size=n))) + (1,)
+    e = data.draw(st.sampled_from([1, 2, p - 1, p, p**3 - 1, p**3])
+                  | st.integers(1, p**3))
+    _check_x_power(g, p * p if square else p, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.sampled_from([12, 1155, 101 * 103, 2**64 - 1]),
+       st.integers(1, 2**40), st.data())
+def test_x_power_matches_the_kernel_at_a_composite_modulus(n, m, e, data):
+    g = tuple(data.draw(st.lists(st.integers(-3 * m, 3 * m), min_size=n,
+                                 max_size=n))) + (1,)
+    _check_x_power(g, m, e)
+
+
+def test_x_power_refuses_e_below_1_and_bad_g_or_m():
+    for e in (0, -1, -7):
+        with pytest.raises(ValueError, match="e >= 1"):
+            x_power((1, 0, 1), 49, e)
+    for g, m in (((), 7), ((3, 1), 7), ((1, 0, 2), 7), ((1, 2, 3, 0), 7),
+                 ((1, 0, 1), 1)):
+        with pytest.raises(ValueError, match="monic"):
+            x_power(g, m, 3)
 
 
 def test_a_dropped_kernel_needs_no_cycle_collector():
