@@ -7,8 +7,8 @@ type of p (p-1, p^2-1 or p^3-1) modulo p^2, read off t^n in Z[t]/(chi, p^2),
 which ring.x_power takes with no kernel built.
 A nonzero value implies the existence of a witness prime for the
 unit-congruence test; the implication is one directional, and cross_check
-tests it against condition (2), X = chi(gamma) by ring.frobenius_defect on
-the screen's own gamma = t^p (torsion).
+tests it against condition (2), X = chi(gamma) for gamma = t^p (torsion),
+which the screen takes with gamma from one ring.frobenius_defect.
 
 The screen needs p not dividing disc(chi), and then reads the splitting
 off gamma (cubic_splitting).  chi is squarefree mod p,
@@ -51,8 +51,9 @@ class RecurrenceSpec(namedtuple("RecurrenceSpec", "a2 a1 a0")):
         return discriminant(self.companion_poly)
 
 
-# gamma is t^p in Z[t]/(chi, p^2), packed at ring.x_power's width
-ScreenResult = namedtuple("ScreenResult", "splitting index value nonzero gamma")
+# defect is X = chi(t^p) in Z[t]/(chi, p^2), packed at the kernel's width:
+# condition (2) holds iff it is nonzero (torsion)
+ScreenResult = namedtuple("ScreenResult", "splitting index value nonzero defect")
 
 
 class ConsistencyReport(namedtuple(
@@ -76,7 +77,8 @@ def f_index_mod(spec: RecurrenceSpec, n: int, modulus: int) -> int:
 def cubic_splitting(w: int, gamma: int, p: int, disc: int) -> tuple[str, int]:
     """The name and residue degree F of the splitting of odd p for a cubic
     g with disc(g) = disc prime to p, from gamma = t^p in Z[t]/(g, m),
-    p | m, at slot width w, as ring.x_power gives it (module docstring)."""
+    p | m, at slot width w, as ring.frobenius_defect gives it (module
+    docstring)."""
     if splits_completely(w, gamma, p):
         return SPLIT_COMPLETELY, 1
     if pow(disc, (p - 1) // 2, p) == p - 1:
@@ -87,17 +89,18 @@ def cubic_splitting(w: int, gamma: int, p: int, disc: int) -> tuple[str, int]:
 def screen(spec: RecurrenceSpec, p: int) -> ScreenResult:
     """F_(p^F - 1) mod p^2 for the residue degree F of the splitting of p,
     which gamma = t^p in Z[t]/(chi, p^2) gives (module docstring): the t^2
-    coordinate of t^(p^F - 1) (f_index_mod).  Both powers of t come from
-    ring.x_power; gamma is handed out too."""
+    coordinate of t^(p^F - 1) (f_index_mod), by ring.x_power.  gamma and
+    X = chi(gamma) come from one ring.frobenius_defect, whose Fermat check
+    raises InvariantViolation at some composite p; X is handed out."""
     if p == 2:
         raise ValueError("p must be odd")
     if spec.companion_disc % p == 0:
         raise ValueError("p divides the discriminant of the companion polynomial")
     chi, m = spec.companion_poly, p * p
-    w, gamma = x_power(chi, m, p)
+    w, gamma, X = frobenius_defect(chi, p)
     splitting, F = cubic_splitting(w, gamma, p, spec.companion_disc)
     value = x_power(chi, m, p**F - 1)[1] >> 2 * w  # the top slot, t^2
-    return ScreenResult(splitting, p**F - 1, value, value != 0, gamma)
+    return ScreenResult(splitting, p**F - 1, value, value != 0, X)
 
 
 def minimal_poly_spec(K: NumberField, unit: FieldElement) -> RecurrenceSpec:
@@ -116,10 +119,10 @@ def minimal_poly_spec(K: NumberField, unit: FieldElement) -> RecurrenceSpec:
 def cross_check(K: NumberField, unit: FieldElement, spec: RecurrenceSpec,
                 p: int) -> ConsistencyReport:
     """Assert the screen's implication against the direct congruence test,
-    condition (2) read off the screen's own gamma = t^p in Z[t]/(chi, p^2)
-    as torsion.condition2_holds reads it in the unit's ring: one power, no
-    splitting of f.  ValueError unless spec is chi, the minimal polynomial
-    of the unit, which the field keeps.  At p dividing disc(f),
+    condition (2) read off the screen's X = chi(t^p) in Z[t]/(chi, p^2) as
+    torsion.condition2_holds reads it in the unit's ring: no power of its
+    own, no splitting of f.  ValueError unless spec is chi, the minimal
+    polynomial of the unit, which the field keeps.  At p dividing disc(f),
     f mod p has a repeated factor: p ramifies, and divides disc(chi) too, or
     squarefree_parts refuses it; the refusal says how p ramifies.
     """
@@ -130,6 +133,6 @@ def cross_check(K: NumberField, unit: FieldElement, spec: RecurrenceSpec,
         shapes = sorted((m, degree(g)) for g, m in squarefree_parts(K, p))
         raise ValueError(f"unramified cubic splitting expected, got {shapes}")
     sres = screen(spec, p)
-    holds = bool(frobenius_defect(chi, p, sres.gamma)[2])
+    holds = bool(sres.defect)
     violation = sres.nonzero and not holds
     return ConsistencyReport(p, sres.splitting, sres, holds, violation)

@@ -6,8 +6,8 @@ convention this module provides exact determinants and adjugates by
 fraction-free elimination, discriminants from power sums, products and
 powers in Z[x]/(f, m) for monic f on Kronecker-packed ints (kernel: one int
 per element; mulmod and powmod use it; frobenius_defect is condition 2's
-t^p and g(t^p), and x_power is x^e, in its packing with no kernel built;
-splits_completely reads x^p at that width), the truncated
+t^p and g(t^p), and x_power is x^e, from the kernel's generated set-up with
+no kernel built; splits_completely reads x^p at that width), the truncated
 p-adic logarithm on the same kernel (condition 1's Log index),
 deterministic factorization over prime fields and Hensel lifting of simple
 roots (used for integer roots in `numberfield.make_field`).
@@ -209,15 +209,17 @@ def _mp_gcd(f, g, p):
     return _mp_monic(a, p)
 
 
-Kernel = namedtuple("Kernel", "w x pack unpack reduce pow")
+Kernel = namedtuple("Kernel", "w pack unpack reduce pow")
 FERMAT_FAILURE = "Fermat failure: eps^(p^f-1) - 1 not in the first power"
 
 
 @lru_cache(maxsize=16)
 def _straight_line(n: int):
-    """(make, frobenius, x_power) at degree n: make(slot, m, w, x, row) ->
-    (reduce, pow) of kernel, frobenius_defect's body and x_power's, on the
-    same fold lines; frobenius inlines x_power's text for its t^p."""
+    """(make, frobenius, x_power) at degree n, from one set-up text (the
+    width w, the offsets, row = x^n mod (g, m) and its shifts) and one fold
+    and low-slot text: make(g, m) -> (w, slot, row, reduce, power) of
+    kernel, and the bodies of frobenius_defect and x_power, which share the
+    x^e loop."""
     def at(pad, text):  # text with its later lines indented by pad
         return text.replace("\n", "\n" + pad * " ")
 
@@ -225,16 +227,14 @@ def _straight_line(n: int):
                       for k in range(2 * n - 1, n - 1, -1))
     low = " | ".join(["(u & slot) % m"][:n] + [
         f"(u >> s{j} & slot) % m << s{j}" for j in range(1, n)]) or "0"
-    offsets = (f"[{', '.join(f's{j}' for j in range(2 * n))}] = "
-               f"range(0, {2 * n} * w, w)")
-    rows = (f"[{', '.join(f'h{j}' for j in range(n))}] = "
-            f"[{', '.join(f'row << s{j}' for j in range(n))}]")
+    slots = ", ".join(f"s{j}" for j in range(2 * n))
+    shifts = ", ".join(f"row << s{j}" for j in range(n))
     setup = f"""\
-w = ({2 * (2 * n - 1)} * (m - 1) ** 2).bit_length()
+w = ({2 * (2 * n - 1)} * (m - 1) ** 2).bit_length()  # n = 0: every v is 0
 slot = (1 << w) - 1
-{offsets}
+[{slots}] = range(0, {2 * n} * w, w)
 row = {" | ".join(f"-g[{j}] % m << s{j}" for j in range(n)) or "0"}
-{rows}"""
+[{", ".join(f"h{j}" for j in range(n))}] = [{shifts}]"""
     x_loop = f"""\
 gamma = 1 << w
 for bit in bin(e)[3:]:
@@ -246,27 +246,25 @@ for bit in bin(e)[3:]:
     fermat = " or ".join(["(v & slot) % p"][:n] + [
         f"(v >> s{j} & slot) % p" for j in range(1, n)]) or "0"
     src = f"""\
-def make(slot, m, w, x, row):
-    {offsets}
-    {rows}
+def make(g, m):
+    {at(4, setup)}
     def reduce(u):
         {at(8, folds)}
         return {low}
     def power(v, e):
-        r, shift = v if e else reduce(1), w if v == x else 0
+        r = v if e else reduce(1)
         for bit in bin(e)[3:]:
-            u = r * r << shift if bit == "1" else r * r
+            u = r * r
             {at(12, folds)}
             r = {low}
-            if not shift and bit == "1":
+            if bit == "1":
                 r = reduce(r * v)
         return r
-    return reduce, power
-def frobenius(g, p, gamma):
+    return w, slot, row, reduce, power
+def frobenius(g, p):
     m, e = p * p, p
     {at(4, setup)}
-    if gamma is None:
-        {at(8, x_loop)}
+    {at(4, x_loop)}
     v = gamma + g[{n - 1}] % m
     {at(4, horner)}if {fermat}:
         raise InvariantViolation({FERMAT_FAILURE!r})
@@ -287,14 +285,15 @@ def kernel(f: tuple[int, ...], m: int) -> Kernel:
     (Kronecker substitution; von zur Gathen-Gerhard, Modern Computer
     Algebra, 8.4).  The reduced element sum c_i x^i, i < n, 0 <= c_i < m,
     is the int sum c_i 2^(w i).  pack(a) reduces any a in Z[x]; unpack(v)
-    is the poly of a reduced v; x is x reduced, 1 << w when n >= 2, and
-    needs no pack; pow(v, e) is v^e for e >= 0.  reduce and pow's squaring
-    step are straight-line code built once per degree (_straight_line), as
-    loops over the slots cost more than their int arithmetic.  reduce(v)
-    takes a sum of T = 2 products of reduced elements, slot j < 2n - 1 at
-    most T min(j + 1, 2n - 1 - j)(m - 1)^2, or a square times x, 2n slots
-    of at most n (m - 1)^2.  It folds the high slots top-down: for
-    k = 2n - 1, ..., n it adds slot k mod m, times row = x^n mod (f, m)
+    is the poly of a reduced v; pow(v, e) is v^e for e >= 0, by square and
+    multiply.  w, row = x^n mod (f, m), reduce and pow's squaring step are
+    straight-line code built once per degree (_straight_line), as loops
+    over the slots cost more than their int arithmetic; frobenius_defect
+    and x_power run the same set-up and fold lines.  reduce(v) takes a sum
+    of T = 2 products of reduced elements, slot j < 2n - 1 at most
+    T min(j + 1, 2n - 1 - j)(m - 1)^2, or a square times x (x_power's
+    1-bits), 2n slots of at most n (m - 1)^2.  It folds the high slots
+    top-down: for k = 2n - 1, ..., n it adds slot k mod m, times row
     shifted to slot k - n, to v, which changes slots k - n .. k - 1 only,
     so each slot is final when read; then it ORs each low slot, mod m,
     back in at its offset w i.  A fold adds <= (m - 1)^2 to a slot, and
@@ -303,19 +302,13 @@ def kernel(f: tuple[int, ...], m: int) -> Kernel:
     j >= n starts <= T (2n - 1 - j)(m - 1)^2 and takes 2n - 2 - j folds)
     and a shifted square's <= 2n (m - 1)^2, both <= T (2n - 1)(m - 1)^2
     < 2^w for w = bitlen(T (2n - 1)(m - 1)^2): no slot ever carries into
-    the next.  So pow(x, e) takes one reduce per bit, its multiplications
-    by x being shifts.
+    the next.
     """
     if not is_monic(f) or m < 2:
         raise ValueError("the kernel needs monic f and m >= 2")
     n = len(f) - 1
-    w = (2 * (2 * n - 1) * (m - 1) ** 2).bit_length()  # n = 0: every v is 0
-    slot, offsets = (1 << w) - 1, range(0, n * w, w)
-    row = 0  # x^n mod (f, m); the fold of slot k adds row << w (k - n)
-    for c in reversed(f[:n]):
-        row = row << w | -c % m
-    x = 1 << w if n > 1 else row  # reduced; x^n = x at n = 1, and 0 at n = 0
-    reduce, power = _straight_line(n)[0](slot, m, w, x, row)
+    w, slot, row, reduce, power = _straight_line(n)[0](f, m)
+    offsets = range(0, n * w, w)
 
     def lift(a):
         return sum(c % m << w * i for i, c in enumerate(a))
@@ -332,7 +325,7 @@ def kernel(f: tuple[int, ...], m: int) -> Kernel:
     def unpack(v):
         return poly(v >> s & slot for s in offsets)
 
-    return Kernel(w, x, pack, unpack, reduce, power)
+    return Kernel(w, pack, unpack, reduce, power)
 
 
 def mulmod(a, b, f, m):
@@ -350,29 +343,28 @@ def powmod(a, e, f, m):
     return k.unpack(k.pow(k.pack(a), e))
 
 
-def frobenius_defect(g, p: int, gamma: int | None = None) -> tuple[int, int, int]:
+def frobenius_defect(g, p: int) -> tuple[int, int, int]:
     """(w, gamma, X) in Z[t]/(g, m), m = p^2, p prime, g monic of degree
-    n >= 2, packed as kernel(g, m) packs, at w = bitlen(2(2n - 1)(m - 1)^2):
-    gamma = t^p unless passed in, X = g(gamma), and InvariantViolation
-    unless each slot of X is 0 mod p (the Fermat check, g(t^p) = g(t)^p).
-    Generated once per degree from the kernel's fold and low-slot lines
-    (_straight_line); no kernel is built.  A reduced element is the int of
-    its residues at width w, so kernel(g, m).pow(x, p) is this gamma.  The
-    power is the kernel's, one reduce per bit; Horner takes n - 1.  Slot 0
-    of gamma + c is <= 2(m - 1), so a product's slot j < n is
-    <= (j + 2)(m - 1)^2 (+ c at j = 0) and takes min(j + 1, n - 1) folds of
-    <= (m - 1)^2, and its slot j >= n ends <= (4n - 3 - 2j)(m - 1)^2: as in
-    the power (kernel), every slot stays <= 2n (m - 1)^2 < 2^w."""
+    n >= 2, packed as kernel(g, m) packs, at its width w: gamma = t^p,
+    X = g(gamma), and InvariantViolation unless each slot of X is 0 mod p
+    (the Fermat check, g(t^p) = g(t)^p).  Generated once per degree from
+    the kernel's set-up, fold and low-slot lines (_straight_line); no
+    kernel is built.  gamma is x_power(g, m, p)'s, one reduce per bit;
+    Horner takes n - 1.  Slot 0 of gamma + c is <= 2(m - 1), so a
+    product's slot j < n is <= (j + 2)(m - 1)^2 (+ c at j = 0) and takes
+    min(j + 1, n - 1) folds of <= (m - 1)^2, and its slot j >= n ends
+    <= (4n - 3 - 2j)(m - 1)^2: as in x_power (kernel), every slot stays
+    <= 2n (m - 1)^2 < 2^w."""
     if len(g) < 3 or g[-1] != 1:
         raise ValueError("frobenius_defect needs monic g of degree >= 2")
-    return _straight_line(len(g) - 1)[1](g, p, gamma)
+    return _straight_line(len(g) - 1)[1](g, p)
 
 
 def x_power(g, m: int, e: int) -> tuple[int, int]:
     """(w, x^e) in Z[x]/(g, m), g monic of degree n >= 2, m >= 2, e >= 1,
-    at width w = bitlen(2(2n - 1)(m - 1)^2): kernel(g, m)'s (w, pow(x, e)),
-    from the same generated lines as its power (_straight_line), one reduce
-    per bit with the multiply by x a shift, and no kernel built."""
+    packed as kernel(g, m) packs, at its width w: square and shift, one
+    reduce per bit, from the kernel's set-up and fold lines
+    (_straight_line), with no kernel built."""
     if len(g) < 3 or g[-1] != 1 or m < 2 or e < 1:
         raise ValueError("x_power needs monic g of degree >= 2, m >= 2, e >= 1")
     return _straight_line(len(g) - 1)[2](g, m, e)

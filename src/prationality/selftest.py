@@ -31,13 +31,13 @@ from .ring import degree
 from .torsion import applicability_guard, condition2, condition2_holds
 
 
-def suite_forms_vs_dirichlet(limit: int = 200):
+def suite_forms_vs_dirichlet():
     checked = 0
-    for radicand in range(-limit, 0):
+    for radicand in range(-200, 0):
         if squarefree_part(radicand) != radicand:
             continue
         D = fundamental_discriminant(radicand)
-        if abs(D) > limit:
+        if abs(D) > 200:
             continue
         forms = imag_quadratic_class_number(radicand)
         expected = dirichlet_class_number(D)
@@ -51,14 +51,14 @@ def suite_forms_vs_dirichlet(limit: int = 200):
     return ("forms-vs-dirichlet", True, f"{checked} fundamental discriminants")
 
 
-def suite_recurrence_matrix_vs_iteration(specs: int = 100, nmax: int = 2000):
+def suite_recurrence_matrix_vs_iteration():
     rng = random.Random(90125)
-    for _ in range(specs):
+    for _ in range(100):
         spec = RecurrenceSpec(
             rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9)
         )
         m = rng.choice([4, 9, 25, 49, 121, 169, 1000003])
-        n = rng.randint(0, nmax)
+        n = rng.randint(0, 2000)
         seq = [0, 0, 1]
         while len(seq) <= n:
             seq.append(
@@ -70,7 +70,7 @@ def suite_recurrence_matrix_vs_iteration(specs: int = 100, nmax: int = 2000):
                 False,
                 f"spec {spec} n={n} m={m}",
             )
-    return ("recurrence-matrix-vs-iteration", True, f"{specs} random specs")
+    return ("recurrence-matrix-vs-iteration", True, "100 random specs")
 
 
 def suite_ef_sum(pairs: int = 1000):
@@ -101,16 +101,16 @@ def _bundled():
             + bundled_records("examples"))
 
 
-def suite_condition2_oracles(pmax: int = 100):
+def suite_condition2_oracles():
     """condition2_holds against the per-P report, and the degree of each
     squarefree part g_m against the sum of the residue degrees of the prime
-    factors with e = m, on every bundled field at every certified prime the
-    guard admits, ramified primes included."""
+    factors with e = m, on every bundled field at every certified prime
+    up to 100 the guard admits, ramified primes included."""
     compared = {False: 0, True: 0}  # keyed by "ramified"
     for record in _bundled():
         K = record.build_field()
         unit = record.unit_element()
-        for p in primes_up_to(pmax):
+        for p in primes_up_to(100):
             try:
                 factors = split_prime(K, p)
             except SplittingUndetermined:
@@ -138,18 +138,18 @@ def suite_condition2_oracles(pmax: int = 100):
     )
 
 
-def suite_screen_oracles(pmax: int = 100):
+def suite_screen_oracles():
     """The splitting that the recurrence screen reads off the Frobenius
     power against the number of prime factors of split_prime, and its value
     against f_index_mod at p^F - 1, on every bundled cubic at every odd
-    certified prime that does not divide disc(chi)."""
+    certified prime up to 100 that does not divide disc(chi)."""
     checked, names = 0, {3: SPLIT_COMPLETELY, 2: MIXED_1_2, 1: INERT}
     for record in _bundled():
         if record.degree != 3:
             continue
         K = record.build_field()
         spec = minimal_poly_spec(K, record.unit_element())
-        for p in primes_up_to(pmax)[1:]:
+        for p in primes_up_to(100)[1:]:
             if spec.companion_disc % p == 0:
                 continue
             try:

@@ -32,9 +32,10 @@ a Frobenius lift phi: phi(y) = y^p (mod p), phi^F = id (Buium, J. Algebra
 - phi(t) is the root of mu that is gamma = t^p (mod p), so by Taylor at
   phi(t), X = mu(gamma) = mu'(phi(t)) (gamma - phi(t)) (mod p^2), with
   mu'(phi(t)) = mu'(t)^p (mod p) a unit.  So condition (2) fails iff X = 0
-  (mod p^2): one p-th power, which the recurrence screen takes for its own
-  (recurrence.cross_check).  The Fermat check, true in characteristic p and
-  raising InvariantViolation if not, is X = 0 (mod p).  This holds at p = 3.
+  (mod p^2): one p-th power, which the recurrence screen takes too, so
+  recurrence.cross_check reads condition (2) off the screen's X.  The
+  Fermat check, true in characteristic p and raising InvariantViolation
+  if not, is X = 0 (mod p).  This holds at p = 3.
 
 ring.frobenius_defect takes gamma, X and the Fermat check slot by slot in
 one straight-line function (its docstring bounds the Horner slots).

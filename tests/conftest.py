@@ -107,10 +107,9 @@ def x_power_calls(monkeypatch):
 
 @pytest.fixture
 def frobenius_defect_calls(monkeypatch):
-    """(g, p, gamma) of every ring.frobenius_defect call, gamma None where
-    the call takes t^p itself."""
+    """(g, p) of every ring.frobenius_defect call."""
     return _record_calls(monkeypatch, ring.frobenius_defect,
-                         lambda g, p, gamma=None: (tuple(g), p, gamma))
+                         lambda g, p: (tuple(g), p))
 
 
 @pytest.fixture

@@ -161,9 +161,9 @@ def test_pure_cubic_splitting_matches_split_prime():
 def test_pure_cubic_scan_takes_one_frobenius_defect_and_builds_no_kernel(
         kernel_builds, frobenius_defect_calls, make_field_calls,
         unit_min_poly_calls, squarefree_parts_calls):
-    # one t^p per prime, taken inside frobenius_defect (gamma None)
+    # one t^p per prime, taken inside frobenius_defect
     results = pure_cubic_scan(5, 3000)
-    assert frobenius_defect_calls == [((-1, 3 * r.p, -3 * r.p**2, 1), r.p, None)
+    assert frobenius_defect_calls == [((-1, 3 * r.p, -3 * r.p**2, 1), r.p)
                                       for r in results]
     assert kernel_builds == []
     assert make_field_calls == unit_min_poly_calls == squarefree_parts_calls == []
@@ -171,13 +171,14 @@ def test_pure_cubic_scan_takes_one_frobenius_defect_and_builds_no_kernel(
 
 @pytest.mark.parametrize("p", [5, 7, 2791])
 def test_pure_cubic_scan_refuses_a_power_off_its_closed_form(monkeypatch, p):
-    # gamma + p keeps gamma = t^p (mod p), so the splitting and the Fermat
-    # check pass, but X moves by p mu'(gamma), a unit times p
+    # X + p in slot 0, where the closed form 3p t or 3p t^2 has 0: gamma
+    # is untouched, so the splitting passes, and X + p is still 0 mod p in
+    # every slot, so only the closed-form check can fire
     original = ring.frobenius_defect
 
     def perturbed(g, q):
-        gamma = original(g, q)[1]
-        return original(g, q, ring.kernel(g, q * q).reduce(gamma + q))
+        w, gamma, X = original(g, q)
+        return w, gamma, X + q
 
     monkeypatch.setattr(families, "frobenius_defect", perturbed)
     with pytest.raises(InvariantViolation, match="closed form"):

@@ -281,8 +281,7 @@ def test_log_principal_matches_embeddings_at_a_large_split_prime():
     # isomorphism (Z/p^k)[x]/(f) -> (Z/p^k)^3 that commutes with log
     K = make_field(EX62)
     p = _first_prime_above(2**64)
-    while not ring.splits_completely((kp := ring.kernel(K.poly, p)).w,
-                                     kp.pow(kp.x, p), p):
+    while not ring.splits_completely(*ring.x_power(K.poly, p, p), p):
         p = _first_prime_above(p)
         assert p < 2**64 + 2**16
     assert K.poly_disc % p

@@ -333,9 +333,9 @@ def test_cross_check_decides_condition2_like_condition2_holds():
 def test_cross_check_takes_one_frobenius_power(kernel_builds, x_power_calls,
                                                frobenius_defect_calls,
                                                squarefree_parts_calls):
-    # past the screen's two powers of t, t^p and t^(p^F - 1), the
-    # cross-check takes no power, builds no kernel and splits no polynomial
-    # at p prime to disc(f): frobenius_defect reads X off the screen's gamma
+    # the screen's t^p and X = chi(t^p) from one frobenius_defect and its
+    # t^(p^F - 1) from one x_power; past them the cross-check takes no
+    # power, builds no kernel and splits no polynomial at p prime to disc(f)
     K = make_field(EX62)
     spec = minimal_poly_spec(K, EPS62)
     chi, seen = spec.companion_poly, set()
@@ -345,8 +345,8 @@ def test_cross_check_takes_one_frobenius_power(kernel_builds, x_power_calls,
         del x_power_calls[:], frobenius_defect_calls[:]
         rep = cross_check(K, EPS62, spec, p)
         F = {SPLIT_COMPLETELY: 1, MIXED_1_2: 2, INERT: 3}[rep.splitting]
-        assert x_power_calls == [(chi, p * p, p), (chi, p * p, p**F - 1)]
-        assert frobenius_defect_calls == [(chi, p, rep.screen.gamma)]
+        assert frobenius_defect_calls == [(chi, p)], p
+        assert x_power_calls == [(chi, p * p, p**F - 1)], p
         assert kernel_builds == [], p
         seen.add(rep.splitting)
     assert seen == {SPLIT_COMPLETELY, MIXED_1_2, INERT}

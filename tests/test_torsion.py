@@ -537,7 +537,7 @@ def test_one_pth_power_per_unramified_verdict(kernel_builds,
                                               frobenius_defect_calls):
     # at p prime to disc(f) and disc(c) condition (2) is decided in
     # Z[t]/(c, p^2), where eps = t: one frobenius_defect, which takes
-    # gamma = t^p itself (gamma None), and no kernel built
+    # gamma = t^p itself, and no kernel built
     K = make_field(EX62)
     eps = FieldElement((-3280, -3462, -729))
     c = K.char_poly(eps)
@@ -546,7 +546,7 @@ def test_one_pth_power_per_unramified_verdict(kernel_builds,
     del kernel_builds[:]
     for p in primes:
         verdict(K, p, unit=eps, class_number=1)
-    assert frobenius_defect_calls == [(c, p, None) for p in primes]
+    assert frobenius_defect_calls == [(c, p) for p in primes]
     assert kernel_builds == []
 
 
@@ -573,7 +573,7 @@ def test_unit_of_a_quadratic_subfield_takes_its_own_ring(kernel_builds,
         del kernel_builds[:], frobenius_defect_calls[:]
         assert condition2_holds(K, p, eps, parts) == slow, p
         if disc_mu % p:
-            assert frobenius_defect_calls == [(mu, p, None)], p
+            assert frobenius_defect_calls == [(mu, p)], p
             assert kernel_builds == [], p
         else:
             assert frobenius_defect_calls == [], p
@@ -634,28 +634,34 @@ def test_fermat_check_reads_every_slot():
                 torsion._fermat_checked(k, p, ok + (1 << k.w * i))
 
 
+def _off_slots(g, q):
+    """The slots of g(t^q) in Z[t]/(g, q^2) that are not 0 mod q, by powmod
+    and a mulmod Horner: the Fermat check's reference."""
+    m = q * q
+    gamma, v = powmod((0, 1), q, g, m), (1,)
+    for c in reversed(g[:-1]):
+        v = poly_add(mulmod(v, gamma, g, m), (c,))
+    return [j for j, c in enumerate(v) if c % q]
+
+
 def test_fermat_check_fires_for_a_wrong_frobenius():
-    # gamma = x^p + 1 is not x^p (mod p), so g(gamma) != 0 (mod p) and
-    # frobenius_defect, passed that gamma, raises, in Z[t]/(chi, p^2) for
-    # the units of ex. 6.2 and 6.3 (mu = chi), in Z[t]/(mu, p^2) for the
-    # unit of x^4 + 4x^2 + 2 (deg mu = 2), and in Z[x]/(f, p^2) for each
-    fields = ((EX62, (-3280, -3462, -729)), (EX63, (-2, -1, 1, 1)),
-              ((2, 0, 4, 0, 1), (-3, 0, -1, 0)))
-    for f, unit in fields:
-        K = make_field(f)
-        eps = K.element_from_power_coords(unit)
-        mu, disc_mu = K.unit_min_poly(eps)
-        assert (mu == K.char_poly(eps)) == (f != fields[2][0]), f
-        checked = 0
-        for p in (5, 7, 11, 13, 17, 19, 23):
-            if K.poly_disc * disc_mu % p == 0:
-                continue
-            for g in (mu, K.poly):
-                x_p = ring.frobenius_defect(g, p)[1]
-                with pytest.raises(InvariantViolation, match="Fermat"):
-                    ring.frobenius_defect(g, p, x_p + 1)
-            checked += 1
-        assert checked >= 4, f
+    # at composite q, t^q is no Frobenius mod q, and g(t^q) = 0 (mod q)
+    # fails: for ex. 6.2's f, mu_5 of the pure-cubic family and x^4 + x + 1
+    # at q = 35, 91 and 561 in slot 0, and at the q below in one slot above
+    # 0 alone, each slot of a cubic and the top one of a quadratic.  The
+    # check is necessary only: x^2 - 2x - 1 passes it at q = 1105.
+    mu5, quartic, quadratic = (-1, 15, -75, 1), (1, 1, 0, 0, 1), (-1, -2, 1)
+    cases = [(g, q, 0) for g in (EX62, mu5, quartic) for q in (35, 91, 561)]
+    cases += [(EX62, 9, 1), (EX62, 18, 2), (mu5, 25, 1), (mu5, 50, 2),
+              (quartic, 9, 2), (quadratic, 6, 1)]
+    for g, q, first in cases:
+        off = _off_slots(g, q)
+        assert off[0] == first and (first == 0 or off == [first]), (g, q)
+        with pytest.raises(InvariantViolation, match="Fermat"):
+            ring.frobenius_defect(g, q)
+    assert _off_slots(quadratic, 1105) == []
+    w, _, X = ring.frobenius_defect(quadratic, 1105)  # no InvariantViolation
+    assert ring.slots_divisible(w, X, 1105)
 
 
 def _prime_from(n, step):
