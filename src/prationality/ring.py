@@ -279,7 +279,6 @@ def x_power(g, m, e):
     return namespace["make"], namespace["frobenius"], namespace["x_power"]
 
 
-@lru_cache(maxsize=8)  # kept kernels scatter over the heap and raise RSS
 def kernel(f: tuple[int, ...], m: int) -> Kernel:
     """Z[x]/(f, m) on packed ints, for monic f of degree n and m >= 2
     (Kronecker substitution; von zur Gathen-Gerhard, Modern Computer

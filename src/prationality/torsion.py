@@ -7,21 +7,23 @@ p^2 (Gras, Canad. J. Math. 68, 2016, for the Fermat-quotient form of the
 test; Cohen, GTM 138, 4.8.2, for Kummer-Dedekind).  The parts are only
 returned when p does not divide the index of Z[alpha], so every P is
 (p, g(alpha)) for an irreducible factor g of some g_m, with e = m and
-f = deg g.  Both branches compute on ring.kernel's packed ints, and each
-sum of products below is reduced once.
+f = deg g.  The cofactor congruences compute on ring.kernel's packed ints,
+each sum of products reduced once; the unit's ring builds no kernel.
 Let F be any common multiple of the residue degrees.  For P of degree f,
 eps^(p^F - 1) = u^k with u = eps^(p^f - 1) in 1 + P and
 k = (p^F - 1)/(p^f - 1) = 1 (mod p); when e + 1 <= p,
 (1 + P)/(1 + P^(e+1)) has exponent p (for y in P, (1 + y)^p - 1 is p*y plus
 multiples of p*y^2 plus y^p), so u^k = u (mod P^(e+1)).
 
-At p unramified in K and prime to disc(mu), mu the minimal polynomial of
-eps, condition2_holds works in the unit's own ring Z[t]/(mu, p^2), eps = t.
-By the above, condition (2) fails iff eps^(p^F - 1) = 1 (mod p^2 O_K).  For
-k = Q(eps), O_K meets k in O_k, so this holds iff it holds mod p^2 O_k; p is
-unramified in k, and each residue degree in k divides one in K, so F is a
-common multiple of those too.  As p does not divide
-disc(mu) = [O_k : Z[eps]]^2 d_k, O_k (x) Z_p = Z_p[t]/(mu) is etale, with
+Wherever p does not divide disc(mu) = [O_k : Z[eps]]^2 d_k, mu the minimal
+polynomial of eps and k = Q(eps), condition2_holds works in the unit's own
+ring Z[t]/(mu, p^2) = O_k/p^2, eps = t, whether or not p ramifies in K: p
+is unramified in k, and O_k (x) Z_p = Z_p[t]/(mu) is etale.  For P over the
+prime q of k, e = e(P/p) = e(P/q) and v_P = e v_q on k, so y in k lies in
+P^(e+1) iff it lies in q^2; by the above at q, where e = 1 and f(q)
+divides f(P), eps^(N(P) - 1) = eps^(N(q) - 1) (mod q^2).  Every q lies
+under some P, so condition (2) fails iff eps^(p^F - 1) = 1 (mod p^2 O_k),
+F a common multiple of the residue degrees of k at p.  The etale ring has
 a Frobenius lift phi: phi(y) = y^p (mod p), phi^F = id (Buium, J. Algebra
 198, 1997: (phi(eps) - eps^p)/p is the p-derivation of eps).
 
@@ -43,9 +45,8 @@ The field keeps mu and disc(mu) once per unit (NumberField.unit_min_poly,
 which refuses any other element for every caller): the recurrence screen's
 ring and companion_disc.
 
-Everywhere else, at ramified p and where p divides disc(mu) (so
-[O_k : Z[eps]]), the radical cofactor decides in Z[x]/(f, p^2) on the
-power-basis coordinates of eps: O_K/p^2 = Z[alpha]/p^2, and the unit's
+Where p divides disc(mu), the radical cofactor decides in Z[x]/(f, p^2) on
+the power-basis coordinates of eps: O_K/p^2 = Z[alpha]/p^2, and the unit's
 denominator, which divides the index, is prime to p.  Let c be the lift of
 prod g_m^(m-1) and x = eps^(p^F - 1) - 1 mod p^2, with
 F = lcm(1, ..., max deg g_m): every residue degree is the degree of a
@@ -83,25 +84,22 @@ from math import lcm
 
 from .errors import InvariantViolation
 from . import ring
-from .numberfield import FieldElement, NumberField, checked_make, radical_cofactor
+from .numberfield import FieldElement, NumberField, radical_cofactor
 
 # factor is a numberfield.PrimeFactor P; residue holds the coordinates of
 # eps^exponent mod p^(e+1), exponent = N(P) - 1
 PerPrimeResult = namedtuple("PerPrimeResult", "factor exponent residue congruent")
 
 
-class Condition2Report(namedtuple("Condition2Report", "p per_prime witness holds")):
-    """per_prime holds a PerPrimeResult for each prime factor; witness is the
-    label of a witnessing prime ideal, or None when there is none."""
+class Condition2Report(namedtuple("Condition2Report", "p per_prime")):
+    """per_prime holds a PerPrimeResult for each prime factor; condition (2)
+    holds iff some entry is not congruent."""
 
     __slots__ = ()
-    _make = classmethod(checked_make)
 
-    def __new__(cls, p, per_prime, witness, holds):
-        some = any(not e.congruent for e in per_prime)
-        if holds != some or (witness is not None) != some:
-            raise InvariantViolation("inconsistent Condition2Report")
-        return super().__new__(cls, p, per_prime, witness, holds)
+    @property
+    def holds(self) -> bool:
+        return any(not e.congruent for e in self.per_prime)
 
 
 def applicability_guard(K: NumberField, p: int, max_e: int) -> str | None:
@@ -127,32 +125,28 @@ def applicability_guard(K: NumberField, p: int, max_e: int) -> str | None:
     return None
 
 
-def _fermat_checked(k: ring.Kernel, p: int, v: int) -> int:
-    """v packed by k; InvariantViolation unless each slot is 0 mod p."""
-    if not ring.slots_divisible(k.w, v, p):
-        raise InvariantViolation(ring.FERMAT_FAILURE)
-    return v
-
-
 def _unit_defect(k: ring.Kernel, p: int, u: int, c) -> int:
     """(u - 1) c in Z[x]/(f, p^2), packed by k, for a power u of the unit
     packed by k and c in Z[x]; InvariantViolation unless it is 0 mod p,
     the Fermat check of both cofactor congruences (module docstring)."""
     # (x - 1) c as x c + (p^2 - 1) c: a sum of two products, one reduce
-    return _fermat_checked(k, p, k.reduce((u + p * p - 1) * k.pack(c)))
+    v = k.reduce((u + p * p - 1) * k.pack(c))
+    if not ring.slots_divisible(k.w, v, p):
+        raise InvariantViolation(ring.FERMAT_FAILURE)
+    return v
 
 
 def condition2_holds(K: NumberField, p: int, unit: FieldElement,
                      parts) -> bool:
     """Condition (2) at p for every prime factor at once, from the
     squarefree parts of f mod p that numberfield.squarefree_parts returns:
-    in Z[t]/(mu, p^2) at unramified p not dividing disc(mu), by the radical
-    cofactor everywhere else (module docstring)."""
+    in Z[t]/(mu, p^2) wherever p does not divide disc(mu), ramified in K or
+    not, and by the radical cofactor where it does (module docstring)."""
     unramified = len(parts) == 1 and parts[0][1] == 1
     if p == 2 or not unramified and max(m for _, m in parts) >= p:
         raise ValueError("p must be odd and exceed every multiplicity")
     mu, disc_mu = K.unit_min_poly(unit)
-    if unramified and disc_mu % p:  # the unit as t in Z[t]/(mu, p^2)
+    if disc_mu % p:  # the unit as t in Z[t]/(mu, p^2)
         return bool(ring.frobenius_defect(mu, p)[2])
     # in Z[x]/(f, p^2), where the unit's denominator divides the index
     e, k = K.power_coords_mod(unit, p * p), ring.kernel(K.poly, p * p)
@@ -169,7 +163,7 @@ def condition2(K: NumberField, p: int, unit: FieldElement,
     K.unit_min_poly(unit)  # ValueError unless a unit
     pp, fbar = p * p, ring._mp(K.poly, p)
     k = ring.kernel(K.poly, pp)
-    per, witness = [], None
+    per = []
     for pf in factors:
         exponent, g = p**pf.f - 1, pf.generator
         h = ring._mp_quo(fbar, radical_cofactor(((g, pf.e + 1),), p), p)
@@ -178,6 +172,4 @@ def condition2(K: NumberField, p: int, unit: FieldElement,
         r = K.pow_mod(unit, exponent, p ** (pf.e + 1))
         congruent = not _unit_defect(k, p, k.pack(r.coords), c)
         per.append(PerPrimeResult(pf, exponent, r.coords, congruent))
-        if not congruent and witness is None:
-            witness = pf.label
-    return Condition2Report(p, tuple(per), witness, witness is not None)
+    return Condition2Report(p, tuple(per))

@@ -299,9 +299,6 @@ def test_replace_keeps_the_checks():
         with pytest.raises(ValueError):
             valid._replace(**change)
     K = record.build_field()
-    report = condition2(K, 5, record.unit_element(), split_prime(K, 5))
-    with pytest.raises(InvariantViolation, match="inconsistent Condition2Report"):
-        report._replace(holds=not report.holds)
     assert record._replace(label="y").build_field() is not K  # caches not shared
 
 

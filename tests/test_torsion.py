@@ -90,7 +90,7 @@ def test_condition2_example_63():
     eps = FieldElement((-2, -1, 1, 1))
     factors = split_prime(L, 5)
     rep = condition2(L, 5, eps, factors)
-    assert rep.holds and rep.witness == 1
+    assert rep.holds
     entry = rep.per_prime[0]
     assert entry.exponent == 624
     assert entry.residue == (1, 5, 0, 15)
@@ -582,6 +582,33 @@ def test_unit_of_a_quadratic_subfield_takes_its_own_ring(kernel_builds,
     assert cells > 20
 
 
+def test_ramified_p_prime_to_disc_mu_takes_the_units_ring(
+        kernel_builds, frobenius_defect_calls):
+    # q ramifies in Q(sqrt 2, sqrt -q), the root field of
+    # x^4 + 2(q - 2)x^2 + (q + 2)^2, but not in Q(1 + sqrt 2): the unit's
+    # ring decides by one frobenius_defect and no kernel, and agrees with
+    # the per-P report, the HNF reference and the Z[sqrt 2] oracle, which
+    # fails at the Pell-Wieferich primes 13 and 31; likewise the bundled
+    # quartic with that unit at 17, which ramifies there
+    record = next(r for r in bundled_records("table2")
+                  if r.label == "x^4-2*x^3+5*x^2-4*x+2")
+    cells = [(record.build_field(), record.unit_element(), 17)] + [
+        (make_field(((q + 2) ** 2, 0, 2 * (q - 2), 0, 1)),
+         FieldElement((2 * q + 4, 6 - q, 0, -1), 2 * q + 4), q)
+        for q in (5, 7, 11, 13, 19, 31)]
+    for K, eps, p in cells:
+        mu, _ = K.unit_min_poly(eps)
+        parts, factors = squarefree_parts(K, p), split_prime(K, p)
+        assert len(mu) == 3 and max(m for _, m in parts) == 2
+        del kernel_builds[:], frobenius_defect_calls[:]
+        holds = condition2_holds(K, p, eps, parts)
+        assert frobenius_defect_calls == [(mu, p)], p
+        assert kernel_builds == [], p
+        assert holds == condition2(K, p, eps, factors).holds, p
+        assert holds == _hnf_holds(K, p, eps, factors), p
+        assert holds is not _frobenius_fixes_mod_p2(1, 1, 2, p), p
+
+
 def _inverse_by_char_poly(K, eps):
     """eps^-1 = -c_0 (eps^(n-1) + c_(n-1) eps^(n-2) + ... + c_1) for the
     characteristic polynomial c of eps, whose c_0 = N(eps) = +-1."""
@@ -623,15 +650,16 @@ def test_condition2_invariant_under_sign_and_inversion_on_bundled_records():
 
 def test_fermat_check_reads_every_slot():
     # a packed value passes iff every slot is 0 mod p: p^2 - p or 0 in all
-    # slots passes, and one slot off a multiple of p raises, whichever slot
+    # slots passes, and one slot off a multiple of p raises, whichever slot;
+    # with c = 1, _unit_defect(k, p, v + 1, c) is v
     for f, p in ((EX62, 5), (EX63, 7), (EX63, LARGE_PRIMES[0])):
         k, n = ring.kernel(f, p * p), degree(f)
         ok = k.pack([p * p - p] * n)
-        assert torsion._fermat_checked(k, p, ok) == ok
-        assert torsion._fermat_checked(k, p, 0) == 0
+        assert torsion._unit_defect(k, p, ok + 1, (1,)) == ok
+        assert torsion._unit_defect(k, p, 1, (1,)) == 0
         for i in range(n):
             with pytest.raises(InvariantViolation, match="Fermat"):
-                torsion._fermat_checked(k, p, ok + (1 << k.w * i))
+                torsion._unit_defect(k, p, ok + (1 << k.w * i) + 1, (1,))
 
 
 def _off_slots(g, q):
