@@ -39,6 +39,7 @@ from .rationality import (
 )
 from .recurrence import cross_check, minimal_poly_spec
 from .numberfield import split_prime
+from .ring import MR_BOUND, is_prime
 from .torsion import condition2
 
 
@@ -57,29 +58,13 @@ def _poly_str(coords) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-# Miller-Rabin on the 13 primes up to 41 decides primality below MR_BOUND
-# (Sorenson-Webster, Math. Comp. 86, 2017)
-MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MR_BOUND = 3317044064679887385961981
-
-
-def _strong_probable_prime(n: int, a: int) -> bool:
-    """a^d = 1 or a^(2^i d) = -1 mod n for some i < s, n - 1 = 2^s d with d
-    odd.  A base a dividing n > a fails: a^d and its squares share a
-    factor with n, so are neither 1 nor -1."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1
-    x = pow(a, (n - 1) >> s, n)
-    return x == 1 or any(pow(x, 1 << i, n) == n - 1 for i in range(s))
-
-
 def _prime_arg(p: int) -> int:
     """--prime as given, or ValueError (exit 1) when it is not a prime or
     not below MR_BOUND."""
     if p >= MR_BOUND:
         raise ValueError(f"--prime must be below {MR_BOUND}, the bound of "
                          f"the deterministic primality test, got {p}")
-    if not (p in MR_BASES or p > 41 and all(
-            _strong_probable_prime(p, a) for a in MR_BASES)):
+    if not is_prime(p):
         raise ValueError(f"--prime must be a prime, got {p}")
     return p
 

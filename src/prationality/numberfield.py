@@ -378,72 +378,69 @@ def _has_quadratic_factor(f, disc: int) -> bool:
 # Dedekind's criterion and prime splitting
 
 
-def radical_cofactor(factors, p: int) -> tuple[int, ...]:
-    """prod g^(m - 1) over F_p for (g, m) pairs that multiply to f mod p,
-    so that f = rad(f) * cofactor mod p."""
-    out = (1,)
+def radical_cofactor(factors, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(prod g, prod g^(m - 1)) over F_p for (g, m) pairs that multiply to
+    f mod p: the radical of f mod p and its cofactor, f = radical * cofactor."""
+    rad = cof = (1,)
     for g, mult in factors:
+        rad = ring._mp(ring.poly_mul(rad, g), p)
         for _ in range(mult - 1):
-            out = ring._mp(ring.poly_mul(out, g), p)
-    return out
+            cof = ring._mp(ring.poly_mul(cof, g), p)
+    return rad, cof
 
 
-def dedekind_p_maximal(f, p: int, factors) -> bool:
-    """Dedekind's criterion: is Z[alpha] maximal at p?
-
-    f is the monic defining polynomial and factors its factorization mod p
-    as (g, multiplicity) pairs, g a residue tuple: the irreducible factors
-    of ring.factor_mod_p or the squarefree parts of squarefree_parts.  Only
-    the radical and its cofactor are read, and they are the same for both.
-    """
-    gbar = (1,)
-    for g, _ in factors:
-        gbar = ring._mp(ring.poly_mul(gbar, g), p)
-    hbar = radical_cofactor(factors, p)
-    glift = ring.poly(gbar)
-    hlift = ring.poly(hbar)
-    diff = ring.poly_sub(f, ring.poly_mul(glift, hlift))
-    tbar = ring.poly((c // p) % p for c in diff)
+def dedekind_p_maximal(f, p: int, gbar, hbar) -> bool:
+    """Dedekind's criterion: is Z[alpha] maximal at p?  gbar is the radical
+    of f mod p and hbar its cofactor (radical_parts); Z[alpha] is p-maximal
+    iff gcd(gbar, hbar) is prime to (f - gbar hbar)/p mod p (Cohen, GTM 138,
+    6.1.4)."""
+    diff = ring.poly_sub(f, ring.poly_mul(gbar, hbar))
     assert all(c % p == 0 for c in diff), "f - g*h must vanish mod p"
-    g1 = ring._mp_gcd(tbar, gbar, p)
-    g2 = ring._mp_gcd(g1, hbar, p)
-    return ring.degree(g2) == 0
+    tbar = ring.poly((c // p) % p for c in diff)
+    return ring.degree(ring._mp_gcd(ring._mp_gcd(tbar, gbar, p), hbar, p)) == 0
 
 
-def _require_certificate(K: NumberField, p: int, factors) -> None:
-    """Refuse p unless it provably does not divide the index i: p^2 not
-    dividing disc(f) = i^2 d_K (Cohen, GTM 138, ch. 4), so Dedekind's test
-    runs only where p^2 does, or Dedekind p-maximality of the power basis,
-    or a basis denominator prime to p (p divides it only if p divides i)."""
+RadicalParts = namedtuple("RadicalParts", "radical cofactor max_e")
+
+
+def radical_parts(f, p: int) -> RadicalParts:
+    """(r, c, max_e): f = r c mod p with r = prod g and c = prod g^(m - 1)
+    over the monic irreducible factors g of multiplicity m, the largest m
+    max_e, for monic f of degree n <= 4.  At p > n, c = gcd(f, f'); below,
+    where an m may be p, from ring.factor_mod_p.  max_e is 2 where r = c
+    and n + 1 - deg r otherwise (torsion module docstring)."""
+    fbar = ring._mp(f, p)
+    if p > len(f) - 1:
+        c = ring._mp_gcd(fbar, ring.derivative(fbar), p)
+        r = ring._mp_quo(fbar, c, p)
+    else:
+        r, c = radical_cofactor(ring.factor_mod_p(f, p), p)
+    return RadicalParts(r, c, 2 if r == c else len(f) - len(r) + 1)
+
+
+def certified_parts(K: NumberField, p: int) -> RadicalParts:
+    """radical_parts of f mod p, or SplittingUndetermined unless p provably
+    does not divide the index i: p^2 not dividing disc(f) = i^2 d_K (Cohen,
+    GTM 138, ch. 4), so Dedekind's test runs only where p^2 does, Dedekind
+    p-maximality of the power basis, or a basis denominator prime to p.
+    Then each factor g of f mod p gives the prime ideal (p, g(alpha)), e its
+    multiplicity, f = deg g.  At p prime to disc(f): (f, 1, 1), unreduced."""
+    if K.poly_disc % p != 0:
+        return RadicalParts(K.poly, (1,), 1)
+    parts = radical_parts(K.poly, p)
     if K.poly_disc % (p * p) == 0 and not (
-            dedekind_p_maximal(K.poly, p, factors) if K.is_power_basis
+            dedekind_p_maximal(K.poly, p, *parts[:2]) if K.is_power_basis
             else K.basis_den % p != 0):
         raise SplittingUndetermined(
-            f"p = {p} may divide the index; splitting undetermined"
-        )
-
-
-def squarefree_parts(K: NumberField,
-                     p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """f mod p = prod g_m^m as (g_m, m) pairs, the g_m monic, squarefree and
-    pairwise coprime, under split_prime's certificate.  At p not dividing
-    disc(f) this is ((f, 1),) unreduced: no reader needs f mod p there.
-
-    Since p does not divide the index, each irreducible factor g of g_m
-    gives the prime ideal (p, g(alpha)) with e = m and f = deg g.
-    """
-    if K.poly_disc % p != 0:
-        return ((K.poly, 1),)
-    parts = tuple(ring._sqf_decomposition(ring._mp(K.poly, p), p))
-    _require_certificate(K, p, parts)
+            f"p = {p} may divide the index; splitting undetermined")
     return parts
 
 
 def split_prime(K: NumberField, p: int) -> list[PrimeFactor]:
     """Prime ideals over p with (e, f), read off from factoring f mod p,
-    under the certificate of _require_certificate."""
+    under the certificate of certified_parts."""
+    certified_parts(K, p)
     factors = ring.factor_mod_p(K.poly, p)
-    _require_certificate(K, p, factors)
     out = [
         PrimeFactor(g, mult, ring.degree(g), i + 1)
         for i, (g, mult) in enumerate(factors)

@@ -15,17 +15,18 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .errors import PrecisionExhausted
+from .errors import InvariantViolation, PrecisionExhausted
 from .numberfield import (
     FieldElement,
     NumberField,
+    certified_parts,
     checked_make,
     ideal_from_two_generators,
     ideal_pow,
     principal_ideal,
-    squarefree_parts,
 )
-from .ring import log_principal, poly, poly_sub, powmod, splits_completely, x_power
+from .ring import (log_principal, poly, poly_sub, powmod, require_prime,
+                   splits_completely, x_power)
 from . import torsion as torsion_mod
 
 PRECISION_CAP = 16
@@ -68,12 +69,10 @@ Verdict = namedtuple("Verdict", "status reasons condition1 guard_reason",
 
 
 def _completely_split(K: NumberField, p: int, parts) -> bool:
-    """Whether p splits into n primes of degree 1: the squarefree parts of
-    f mod p are one part of multiplicity 1 (else p ramifies) and x^p = x
-    in Z[x]/(f, p) (ring.x_power, ring.splits_completely)."""
-    if len(parts) != 1 or parts[0][1] != 1:
-        return False
-    return splits_completely(*x_power(K.poly, p, p), p)
+    """Whether p splits into n primes of degree 1: the radical cofactor of
+    f mod p is 1 (else p ramifies) and x^p = x in Z[x]/(f, p)."""
+    return parts.cofactor == (1,) and splits_completely(
+        *x_power(K.poly, p, p), p)
 
 
 def _log_index_at_precision(K: NumberField, p: int, g: FieldElement,
@@ -123,8 +122,8 @@ def condition1(K: NumberField, p: int, *, class_number: int | None,
     it Undetermined.  Otherwise the split-cyclic
     branch requires: p completely split, p-part of the class group cyclic of
     order exactly p, and record-supplied auxiliary ideal data.  Anything
-    else is Undetermined.  parts are the squarefree parts of f mod p
-    (squarefree_parts), which the verdict already holds.  The Log index is
+    else is Undetermined.  parts are the radical parts of f mod p
+    (certified_parts), which the verdict already holds.  The Log index is
     tried at precision k = 4, 8, ... up to PRECISION_CAP, else Undetermined.
     """
     if class_number is None:
@@ -171,19 +170,23 @@ def verdict(K: NumberField, p: int, *, unit: FieldElement,
             aux: AuxIdealData | None = None) -> Verdict:
     """Assemble the final p-rationality verdict for one (field, prime).
 
-    One path for every p: the squarefree parts of f mod p (certified, and
+    One path for every p: the radical parts of f mod p (certified, and
     free at p not dividing disc(f)), the applicability guard on their
-    multiplicities, condition (2) from the parts, then condition (1).
+    largest multiplicity, condition (2) from the parts, then condition (1).
+    A Fermat failure at a composite p is a ValueError naming p.
     """
     if not K.criterion_eligible:
         return Verdict(NOT_APPLICABLE, (GUARD,), guard_reason=
                        "field is not complex cubic or pure imaginary quartic")
-    parts = squarefree_parts(K, p)  # SplittingUndetermined propagates
-    max_e = parts[0][1] if len(parts) == 1 else max(m for _, m in parts)
-    reason = torsion_mod.applicability_guard(K, p, max_e)
+    parts = certified_parts(K, p)  # SplittingUndetermined propagates
+    reason = torsion_mod.applicability_guard(K, p, parts.max_e)
     if reason is not None:
         return Verdict(NOT_APPLICABLE, (GUARD,), guard_reason=reason)
-    holds2 = torsion_mod.condition2_holds(K, p, unit, parts)
+    try:
+        holds2 = torsion_mod.condition2_holds(K, p, unit, parts)
+    except InvariantViolation:
+        require_prime(p)
+        raise
     rep1 = condition1(K, p, class_number=class_number, unit=unit,
                       parts=parts, aux=aux)
     reasons = []

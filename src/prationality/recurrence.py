@@ -29,8 +29,9 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .numberfield import FieldElement, NumberField, squarefree_parts
-from .ring import (degree, discriminant, frobenius_defect, poly, powmod,
+from .errors import InvariantViolation
+from .numberfield import FieldElement, NumberField, certified_parts
+from .ring import (discriminant, frobenius_defect, poly, powmod, require_prime,
                    splits_completely, x_power)
 
 SPLIT_COMPLETELY = "split-completely"
@@ -90,14 +91,18 @@ def screen(spec: RecurrenceSpec, p: int) -> ScreenResult:
     """F_(p^F - 1) mod p^2 for the residue degree F of the splitting of p,
     which gamma = t^p in Z[t]/(chi, p^2) gives (module docstring): the t^2
     coordinate of t^(p^F - 1) (f_index_mod), by ring.x_power.  gamma and
-    X = chi(gamma) come from one ring.frobenius_defect, whose Fermat check
-    raises InvariantViolation at some composite p; X is handed out."""
+    X = chi(gamma) come from one ring.frobenius_defect; its Fermat check,
+    failing at a composite p, is then a ValueError naming p."""
     if p == 2:
         raise ValueError("p must be odd")
     if spec.companion_disc % p == 0:
         raise ValueError("p divides the discriminant of the companion polynomial")
     chi, m = spec.companion_poly, p * p
-    w, gamma, X = frobenius_defect(chi, p)
+    try:
+        w, gamma, X = frobenius_defect(chi, p)
+    except InvariantViolation:
+        require_prime(p)
+        raise
     splitting, F = cubic_splitting(w, gamma, p, spec.companion_disc)
     value = x_power(chi, m, p**F - 1)[1] >> 2 * w  # the top slot, t^2
     return ScreenResult(splitting, p**F - 1, value, value != 0, X)
@@ -124,13 +129,14 @@ def cross_check(K: NumberField, unit: FieldElement, spec: RecurrenceSpec,
     own, no splitting of f.  ValueError unless spec is chi, the minimal
     polynomial of the unit, which the field keeps.  At p dividing disc(f),
     f mod p has a repeated factor: p ramifies, and divides disc(chi) too, or
-    squarefree_parts refuses it; the refusal says how p ramifies.
+    certified_parts refuses it; the refusal says how p ramifies.
     """
     chi, _ = K.unit_min_poly(unit)  # ValueError unless a unit
     if chi != spec.companion_poly:
         raise ValueError("spec does not match the minimal polynomial of the unit")
     if K.poly_disc % p == 0:
-        shapes = sorted((m, degree(g)) for g, m in squarefree_parts(K, p))
+        e = certified_parts(K, p).max_e  # f = g^e h^(3 - e), g, h linear
+        shapes = [(1, 1), (2, 1)] if e == 2 else [(3, 1)]  # (m, deg g)
         raise ValueError(f"unramified cubic splitting expected, got {shapes}")
     sres = screen(spec, p)
     holds = bool(sres.defect)

@@ -165,6 +165,35 @@ def content(f) -> int:
     return c
 
 
+# Miller-Rabin on the 13 primes up to 41 decides primality below MR_BOUND
+# (Sorenson-Webster, Math. Comp. 86, 2017)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """a^d = 1 or a^(2^i d) = -1 mod n for some i < s, n - 1 = 2^s d with d
+    odd.  A base a dividing n > a fails: a^d and its squares share a
+    factor with n, so are neither 1 nor -1."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    return x == 1 or any(pow(x, 1 << i, n) == n - 1 for i in range(s))
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is a prime, by Miller-Rabin on MR_BASES: exact below
+    MR_BOUND; a False, a failing base, proves n composite at any size."""
+    return n in MR_BASES or n > 41 and all(
+        _strong_probable_prime(n, a) for a in MR_BASES)
+
+
+def require_prime(p: int) -> None:
+    """ValueError naming p where a Fermat check failed at a composite p:
+    the input is at fault there, not the engine."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
+
+
 # ---------------------------------------------------------------------------
 # polynomials over F_p: normalized tuples of residues in [0, p)
 

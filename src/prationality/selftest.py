@@ -23,11 +23,10 @@ from .families import (
     squarefree_part,
 )
 from .harness import bundled_records
-from .numberfield import (make_field, radical_cofactor, split_prime,
-                          squarefree_parts)
+from .numberfield import (certified_parts, make_field, radical_cofactor,
+                          split_prime)
 from .recurrence import (INERT, MIXED_1_2, SPLIT_COMPLETELY, RecurrenceSpec,
                          f_index_mod, minimal_poly_spec, screen)
-from .ring import degree
 from .torsion import applicability_guard, condition2, condition2_holds
 
 
@@ -90,7 +89,7 @@ def suite_ef_sum(pairs: int = 1000):
             continue
         factors = split_prime(K, p)
         product = radical_cofactor([(pf.generator, pf.e + 1) for pf in factors], p)
-        if product != tuple(c % p for c in f):  # prod g^e, as (g, e + 1) pairs
+        if product[1] != tuple(c % p for c in f):  # prod g^e, as (g, e + 1) pairs
             return ("ef-sum", False, f"f={f} p={p}")
         checked += 1
     return ("ef-sum", True, f"{pairs} random (field, prime) pairs")
@@ -102,10 +101,10 @@ def _bundled():
 
 
 def suite_condition2_oracles():
-    """condition2_holds against the per-P report, and the degree of each
-    squarefree part g_m against the sum of the residue degrees of the prime
-    factors with e = m, on every bundled field at every certified prime
-    up to 100 the guard admits, ramified primes included."""
+    """condition2_holds against the per-P report, and the radical parts of
+    f mod p against the radical, cofactor and largest e of the prime
+    factors, on every bundled field at every certified prime up to 100 the
+    guard admits, ramified primes included."""
     compared = {False: 0, True: 0}  # keyed by "ramified"
     for record in _bundled():
         K = record.build_field()
@@ -115,13 +114,12 @@ def suite_condition2_oracles():
                 factors = split_prime(K, p)
             except SplittingUndetermined:
                 continue
-            if applicability_guard(K, p, max(pf.e for pf in factors)) is not None:
+            max_e = max(pf.e for pf in factors)
+            if applicability_guard(K, p, max_e) is not None:
                 continue
-            parts = squarefree_parts(K, p)
-            degrees = {}
-            for pf in factors:
-                degrees[pf.e] = degrees.get(pf.e, 0) + pf.f
-            if (sorted((m, degree(g)) for g, m in parts) != sorted(degrees.items())
+            r, c, e = parts = certified_parts(K, p)
+            if ((tuple(x % p for x in r), c, e) != (*radical_cofactor(
+                    [(pf.generator, pf.e) for pf in factors], p), max_e)
                     or condition2_holds(K, p, unit, parts)
                     != condition2(K, p, unit, factors).holds):
                 return (

@@ -1,14 +1,15 @@
 """The unit-congruence test: is there a prime ideal P over p with
 eps^(p^f - 1) != 1 (mod P^(e+1))?
 
-condition2_holds decides this for every P at once from the squarefree parts
-f = prod g_m^m (mod p) of numberfield.squarefree_parts, with one residue mod
-p^2 (Gras, Canad. J. Math. 68, 2016, for the Fermat-quotient form of the
-test; Cohen, GTM 138, 4.8.2, for Kummer-Dedekind).  The parts are only
-returned when p does not divide the index of Z[alpha], so every P is
-(p, g(alpha)) for an irreducible factor g of some g_m, with e = m and
-f = deg g.  The cofactor congruences compute on ring.kernel's packed ints,
-each sum of products reduced once; the unit's ring builds no kernel.
+condition2_holds decides this for every P at once from the radical and
+cofactor of f = prod g^m (mod p), g the monic irreducible factors, that
+numberfield.certified_parts returns, with one residue mod p^2 (Gras,
+Canad. J. Math. 68, 2016, for the Fermat-quotient form of the test; Cohen,
+GTM 138, 4.8.2, for Kummer-Dedekind).  The parts are only returned when p
+does not divide the index of Z[alpha], so every P is (p, g(alpha)) with
+e = m and f = deg g.  The cofactor congruences compute on ring.kernel's
+packed ints, each sum of products reduced once; the unit's ring builds no
+kernel.
 Let F be any common multiple of the residue degrees.  For P of degree f,
 eps^(p^F - 1) = u^k with u = eps^(p^f - 1) in 1 + P and
 k = (p^F - 1)/(p^f - 1) = 1 (mod p); when e + 1 <= p,
@@ -47,12 +48,28 @@ ring and companion_disc.
 
 Where p divides disc(mu), the radical cofactor decides in Z[x]/(f, p^2) on
 the power-basis coordinates of eps: O_K/p^2 = Z[alpha]/p^2, and the unit's
-denominator, which divides the index, is prime to p.  Let c be the lift of
-prod g_m^(m-1) and x = eps^(p^F - 1) - 1 mod p^2, with
-F = lcm(1, ..., max deg g_m): every residue degree is the degree of a
-factor of some g_m, so it divides F, and no factorization is needed.  At
-unramified p, c = 1 and F = lcm(1, ..., n); in degree n <= 4 with some
-m >= 2 every g_m has degree at most 2, so F <= 2.
+denominator, which divides the index, is prime to p.  Let r = prod g, c the
+lift of prod g^(m-1), x = eps^(p^F - 1) - 1 mod p^2 and F a common
+multiple of the residue degrees; at p > n none needs a factorization
+(numberfield.radical_parts, _degree_multiple):
+
+- If every m < p, c = gcd(f, f') mod p: f' = sum m Dg f/g, and g divides
+  f/g exactly m - 1 times, the other terms m times, and not m Dg (g is
+  separable, p does not divide m).
+- If c != 1, some g has m >= 2.  A factor of degree >= 2 is that g, with
+  2m <= n, or another, of degree <= n - m; so for n <= 4 every residue
+  degree is 1, or 1 or 2 where n = 4 and the largest m is 2: F = 1, or 2
+  there.  If the g with m >= 2 have degrees summing to 2 or more, their
+  part prod g^m has degree >= 4 >= n, so f = r^2 = r c.  Otherwise c = 1
+  or g^(m-1) for one linear g, and m = n + 1 - deg r is the largest.
+- If c = 1, the residue degrees are the cycle lengths of x -> x^p on
+  F_p[x]/(f): F = 1 if x^p = x, else 2 if x^(p^2) = x.  Otherwise a cubic
+  is inert (F = 3) and a quartic 1 + 3 (F = 3) or inert (F = 4), told
+  apart by Stickelberger's (disc f / p) = (-1)^(n - k) for k factors
+  (Swan, Pacific J. Math. 12, 1962), which also tells a cubic's F = 2 from
+  3, as recurrence.cubic_splitting does.
+
+With such an F:
 
 - v_P(x) >= e + 1 iff eps^(p^f - 1) = 1 (mod P^(e+1)), by the above.
 - v_P(c) = e - 1.  The other factors g'(alpha) are units at P.  When
@@ -80,11 +97,11 @@ eps^(p^f - 1) = 1 (mod P^(e+1)), with the Fermat check mod p.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import lcm
 
 from .errors import InvariantViolation
 from . import ring
 from .numberfield import FieldElement, NumberField, radical_cofactor
+from .recurrence import cubic_splitting
 
 # factor is a numberfield.PrimeFactor P; residue holds the coordinates of
 # eps^exponent mod p^(e+1), exponent = N(P) - 1
@@ -106,7 +123,7 @@ def applicability_guard(K: NumberField, p: int, max_e: int) -> str | None:
     """The reason a guard from the criterion's hypotheses refuses p, or
     None when the criterion applies.
 
-    max_e is the largest m of the squarefree parts of f mod p, which is the
+    max_e is the largest multiplicity of a factor of f mod p, which is the
     largest e of the prime factors.
 
     No (K, p) that passes has p | w, the number of roots of unity in K, so
@@ -136,23 +153,37 @@ def _unit_defect(k: ring.Kernel, p: int, u: int, c) -> int:
     return v
 
 
+def _degree_multiple(f, p: int, parts, disc: int) -> int:
+    """F, a common multiple of the residue degrees of f mod p, odd p, for
+    f of degree <= 4 with disc(f) = disc and radical parts parts mod p
+    (module docstring)."""
+    if parts.cofactor != (1,):
+        return 2 if len(f) == 5 and parts.max_e == 2 else 1
+    w, gamma = ring.x_power(f, p, p)
+    if len(f) == 4:
+        return cubic_splitting(w, gamma, p, disc)[1]
+    if ring.splits_completely(w, gamma, p):
+        return 1
+    if ring.splits_completely(*ring.x_power(f, p, p * p), p):
+        return 2
+    return 3 if pow(disc, (p - 1) // 2, p) == 1 else 4
+
+
 def condition2_holds(K: NumberField, p: int, unit: FieldElement,
                      parts) -> bool:
-    """Condition (2) at p for every prime factor at once, from the
-    squarefree parts of f mod p that numberfield.squarefree_parts returns:
-    in Z[t]/(mu, p^2) wherever p does not divide disc(mu), ramified in K or
+    """Condition (2) at p for every prime factor at once, from the radical
+    parts of f mod p that numberfield.certified_parts returns: in
+    Z[t]/(mu, p^2) wherever p does not divide disc(mu), ramified in K or
     not, and by the radical cofactor where it does (module docstring)."""
-    unramified = len(parts) == 1 and parts[0][1] == 1
-    if p == 2 or not unramified and max(m for _, m in parts) >= p:
+    if p == 2 or parts.max_e >= p:
         raise ValueError("p must be odd and exceed every multiplicity")
     mu, disc_mu = K.unit_min_poly(unit)
     if disc_mu % p:  # the unit as t in Z[t]/(mu, p^2)
         return bool(ring.frobenius_defect(mu, p)[2])
     # in Z[x]/(f, p^2), where the unit's denominator divides the index
     e, k = K.power_coords_mod(unit, p * p), ring.kernel(K.poly, p * p)
-    F = lcm(*range(1, max(ring.degree(g) for g, _ in parts) + 1))
-    return bool(_unit_defect(k, p, k.pow(k.pack(e), p**F - 1),
-                             radical_cofactor(parts, p)))
+    F = _degree_multiple(K.poly, p, parts, K.poly_disc)
+    return bool(_unit_defect(k, p, k.pow(k.pack(e), p**F - 1), parts.cofactor))
 
 
 def condition2(K: NumberField, p: int, unit: FieldElement,
@@ -166,8 +197,8 @@ def condition2(K: NumberField, p: int, unit: FieldElement,
     per = []
     for pf in factors:
         exponent, g = p**pf.f - 1, pf.generator
-        h = ring._mp_quo(fbar, radical_cofactor(((g, pf.e + 1),), p), p)
-        c = ring.poly_mul(radical_cofactor(((g, pf.e),), p), ring.poly_mul(h, h))
+        h = ring._mp_quo(fbar, radical_cofactor(((g, pf.e + 1),), p)[1], p)
+        c = ring.poly_mul(radical_cofactor(((g, pf.e),), p)[1], ring.poly_mul(h, h))
         # one power: pack reduces eps^exponent mod p^(e+1) to it mod p^2
         r = K.pow_mod(unit, exponent, p ** (pf.e + 1))
         congruent = not _unit_defect(k, p, k.pack(r.coords), c)

@@ -52,9 +52,9 @@ def distinct_degree_calls(monkeypatch):
 
 
 @pytest.fixture
-def squarefree_parts_calls(monkeypatch):
-    """p of every numberfield.squarefree_parts call."""
-    return _record_calls(monkeypatch, numberfield.squarefree_parts,
+def certified_parts_calls(monkeypatch):
+    """p of every numberfield.certified_parts call."""
+    return _record_calls(monkeypatch, numberfield.certified_parts,
                          lambda K, p: p)
 
 
@@ -62,7 +62,7 @@ def squarefree_parts_calls(monkeypatch):
 def dedekind_calls(monkeypatch):
     """(f, p) of every numberfield.dedekind_p_maximal call."""
     return _record_calls(monkeypatch, numberfield.dedekind_p_maximal,
-                         lambda f, p, factors: (tuple(f), p))
+                         lambda f, p, gbar, hbar: (tuple(f), p))
 
 
 @pytest.fixture

@@ -153,20 +153,20 @@ def test_pure_cubic_splitting_matches_split_prime():
         eps = numberfield.FieldElement((p * p, p, 1))
         assert field.unit_min_poly(eps) == ((-1, 3 * p, -3 * p * p, 1),
                                             -27 * (p**3 - 1) ** 2)
-        parts = numberfield.squarefree_parts(field, p)
+        parts = numberfield.certified_parts(field, p)
         assert r.condition2_holds == torsion.condition2_holds(field, p, eps, parts)
         assert r.splitting == names[len(numberfield.split_prime(field, p))], p
 
 
 def test_pure_cubic_scan_takes_one_frobenius_defect_and_builds_no_kernel(
         kernel_builds, frobenius_defect_calls, make_field_calls,
-        unit_min_poly_calls, squarefree_parts_calls):
+        unit_min_poly_calls, certified_parts_calls):
     # one t^p per prime, taken inside frobenius_defect
     results = pure_cubic_scan(5, 3000)
     assert frobenius_defect_calls == [((-1, 3 * r.p, -3 * r.p**2, 1), r.p)
                                       for r in results]
     assert kernel_builds == []
-    assert make_field_calls == unit_min_poly_calls == squarefree_parts_calls == []
+    assert make_field_calls == unit_min_poly_calls == certified_parts_calls == []
 
 
 @pytest.mark.parametrize("p", [5, 7, 2791])

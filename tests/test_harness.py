@@ -25,8 +25,8 @@ from prationality.harness import (
     render_table_text,
     reproduce_table,
 )
-from prationality.numberfield import (FieldElement, NumberField, make_field,
-                                      split_prime, squarefree_parts)
+from prationality.numberfield import (FieldElement, NumberField,
+                                      certified_parts, make_field, split_prime)
 from prationality.rationality import verdict
 from prationality.recurrence import cross_check, minimal_poly_spec
 from prationality.torsion import condition2, condition2_holds
@@ -161,7 +161,7 @@ def test_every_unit_entry_refuses_what_the_loaders_refuse():
     for K, unit, message in cases:
         calls = [
             lambda: verdict(K, p, unit=unit, class_number=1),
-            lambda: condition2_holds(K, p, unit, squarefree_parts(K, p)),
+            lambda: condition2_holds(K, p, unit, certified_parts(K, p)),
             lambda: condition2(K, p, unit, split_prime(K, p)),
         ]
         if K.n == 3:

@@ -10,6 +10,7 @@ from prationality.harness import bundled_records
 from prationality.numberfield import (
     FieldElement,
     NumberField,
+    certified_parts,
     dedekind_p_maximal,
     ideal_contains,
     ideal_from_two_generators,
@@ -19,8 +20,8 @@ from prationality.numberfield import (
     _real_root_count,
     make_field,
     principal_ideal,
+    radical_cofactor,
     split_prime,
-    squarefree_parts,
 )
 from prationality.recurrence import minimal_poly_spec
 from prationality.ring import (degree, det_bareiss, discriminant, factor_mod_p,
@@ -256,7 +257,7 @@ def test_char_poly_refuses_non_integral_and_checks_cayley_hamilton(
         minimal_poly_spec(K, FieldElement((0, 1, 0), 3))
     with pytest.raises(ValueError, match="not integral"):
         condition2_holds(K, 5, FieldElement((0, 1, 0), 3),
-                         squarefree_parts(K, 5))
+                         certified_parts(K, 5))
     # a wrong trace Tr(1) = 4, not 3, makes Tr(alpha^3) = Tr(4 alpha - 27)
     # = -108: the power sums of alpha give t^3 - 4t + 36, which alpha does
     # not satisfy
@@ -267,7 +268,7 @@ def test_char_poly_refuses_non_integral_and_checks_cayley_hamilton(
 
 
 def _dedekind(f, p):
-    return dedekind_p_maximal(f, p, factor_mod_p(f, p))
+    return dedekind_p_maximal(f, p, *radical_cofactor(factor_mod_p(f, p), p))
 
 
 def test_dedekind_examples():
@@ -337,25 +338,24 @@ def test_p_squared_not_dividing_disc_agrees_with_dedekind():
     assert len(cases) > 100
     assert any(not K.is_power_basis for K, _ in cases)
     for K, p in cases:
-        assert dedekind_p_maximal(K.poly, p, factor_mod_p(K.poly, p)) is True, (
-            K.poly, p)
+        assert _dedekind(K.poly, p) is True, (K.poly, p)
         assert K.basis_den % p and K.index % p, (K.poly, p)
 
 
 def test_dedekind_runs_only_where_p_squared_divides_disc(dedekind_calls):
     # p divides disc(f) but not the index, so p ramifies
     for K, p in _primes_dividing_disc_once():
-        assert max(m for _, m in squarefree_parts(K, p)) > 1, (K.poly, p)
+        assert certified_parts(K, p).max_e > 1, (K.poly, p)
         assert max(pf.e for pf in split_prime(K, p)) > 1, (K.poly, p)
     assert dedekind_calls == []
     # disc(f) = 125: the test runs and certifies 5
     K = make_field((1, -1, 1, -1, 1))
-    assert squarefree_parts(K, 5) == (((1, 1), 4),)
+    assert certified_parts(K, 5) == ((1, 1), (1, 3, 3, 1), 4)  # (x + 1)^4
     assert dedekind_calls == [(K.poly, 5)]
     # disc(f) = -2012 = -4 * 503: the test runs and refuses 2
     K = make_field((-8, -2, -1, 1))
     with pytest.raises(SplittingUndetermined):
-        squarefree_parts(K, 2)
+        certified_parts(K, 2)
     assert dedekind_calls[1:] == [(K.poly, 2)]
 
 

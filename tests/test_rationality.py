@@ -13,12 +13,12 @@ from prationality.harness import (
 )
 from prationality.numberfield import (
     FieldElement,
+    certified_parts,
     ideal_pow,
     identity_ideal,
     make_field,
     principal_ideal,
     split_prime,
-    squarefree_parts,
 )
 from prationality.rationality import (
     PRECISION_CAP,
@@ -131,14 +131,14 @@ def _outcome(decide, *args):
 def test_condition1_trivial_class_number():
     L = make_field(EX63)
     rep = condition1(L, 5, class_number=1, unit=EPS63,
-                     parts=squarefree_parts(L, 5))
+                     parts=certified_parts(L, 5))
     assert rep.branch == TRIVIAL_CLASS_NUMBER and rep.holds is True
 
 
 def test_condition1_without_class_number_is_undetermined():
     L = make_field(EX63)
     rep = condition1(L, 5, class_number=None, unit=EPS63,
-                     parts=squarefree_parts(L, 5))
+                     parts=certified_parts(L, 5))
     assert rep.branch == UNDETERMINED and rep.holds is None
     assert rep.detail == "class number unknown"
 
@@ -149,13 +149,13 @@ def test_condition1_refuses_nonpositive_class_number(deadline, h):
     K = make_field(EX62)
     with deadline(5), pytest.raises(ValueError, match="must be positive"):
         condition1(K, 3, class_number=h, unit=EPS62,
-                   parts=squarefree_parts(K, 3), aux=AUX62)
+                   parts=certified_parts(K, 3), aux=AUX62)
 
 
 def test_condition1_split_cyclic_example_62():
     K = make_field(EX62)
     rep = condition1(K, 3, class_number=3, unit=EPS62,
-                     parts=squarefree_parts(K, 3), aux=AUX62)
+                     parts=certified_parts(K, 3), aux=AUX62)
     assert rep.branch == SPLIT_CYCLIC_INDEX
     assert rep.index == 3
     assert rep.holds is True
@@ -165,13 +165,13 @@ def test_verdict_hands_its_parts_to_condition1(monkeypatch):
     # the split-cyclic branch reads complete splitting off the verdict's
     # parts and never computes them again
     calls = []
-    original = rationality.squarefree_parts
+    original = rationality.certified_parts
 
     def counted(K, p):
         calls.append(p)
         return original(K, p)
 
-    monkeypatch.setattr(rationality, "squarefree_parts", counted)
+    monkeypatch.setattr(rationality, "certified_parts", counted)
     K = make_field(EX62)
     v = verdict(K, 3, unit=EPS62, class_number=3, aux=AUX62)
     assert v.condition1.branch == SPLIT_CYCLIC_INDEX and calls == [3]
@@ -184,7 +184,7 @@ def test_verdict_hands_its_parts_to_condition1(monkeypatch):
 def test_condition1_undetermined_without_aux():
     K = make_field(EX62)
     rep = condition1(K, 3, class_number=3, unit=EPS62,
-                     parts=squarefree_parts(K, 3))
+                     parts=certified_parts(K, 3))
     assert rep.branch == UNDETERMINED and rep.holds is None
 
 
@@ -193,7 +193,7 @@ def test_condition1_takes_x_to_the_p_once(x_power_calls, kernel_builds):
     # from ring.x_power: no kernel mod p is built (the Log index builds
     # its own at p^k, k >= 4)
     K = make_field(EX62)
-    parts = squarefree_parts(K, 3)
+    parts = certified_parts(K, 3)
     del x_power_calls[:], kernel_builds[:]
     rep = condition1(K, 3, class_number=3, unit=EPS62, parts=parts, aux=AUX62)
     assert rep.index == 3
@@ -215,7 +215,7 @@ def test_log_index_skips_the_undecidable_k_2_round(monkeypatch):
 
     monkeypatch.setattr(rationality, "_log_index_at_precision", spy)
     rep = condition1(K, 3, class_number=3, unit=EPS62,
-                     parts=squarefree_parts(K, 3), aux=AUX62)
+                     parts=certified_parts(K, 3), aux=AUX62)
     assert rep.index == 3 and seen == [4]
 
 
@@ -236,7 +236,7 @@ def test_log_index_matches_embedding_reference_on_example_62():
                          K, 3, G62, EPS62, k)
                 == _outcome(_reference_at_precision, K, 3, G62, EPS62, k)), k
     rep = condition1(K, 3, class_number=3, unit=EPS62,
-                     parts=squarefree_parts(K, 3), aux=AUX62)
+                     parts=certified_parts(K, 3), aux=AUX62)
     assert rep.index == _reference_log_index(K, 3, G62, EPS62) == 3
 
 
@@ -328,7 +328,7 @@ def test_log_index_validates_generator():
     K = make_field(EX62)
     with pytest.raises(ValueError, match="does not generate"):
         condition1(K, 3, class_number=3, unit=EPS62,
-                   parts=squarefree_parts(K, 3),
+                   parts=certified_parts(K, 3),
                    aux=AUX62._replace(power_gen=(1, 1, 0)))
 
 
@@ -337,7 +337,7 @@ def test_log_index_refuses_a_prime_that_is_not_completely_split():
     K = make_field(EX62)
     assert sorted((pf.e, pf.f) for pf in split_prime(K, 5)) == [(1, 1), (1, 2)]
     rep = condition1(K, 5, class_number=5, unit=EPS62,
-                     parts=squarefree_parts(K, 5), aux=AUX62)
+                     parts=certified_parts(K, 5), aux=AUX62)
     assert rep.branch == UNDETERMINED and rep.holds is None
     assert rep.detail == "p is not completely split"
 
@@ -346,7 +346,7 @@ def test_log_index_invariant_under_unit_changes():
     # the unit's line is the same for -eps, eps^-1 and eps^2, and g * eps
     # generates Q^3 as g does
     K = make_field(EX62)
-    parts = squarefree_parts(K, 3)
+    parts = certified_parts(K, 3)
     ge = K.mul(G62, EPS62)
     assert ge.den == 1
     cases = [(FieldElement(tuple(-c for c in EPS62.coords)), AUX62),
@@ -364,7 +364,7 @@ def test_log_index_invariant_under_shift_of_alpha():
         shifted = _shifted_record(rec, c)
         K = shifted.build_field()
         rep = condition1(K, 3, class_number=3, unit=shifted.unit_element(),
-                         parts=squarefree_parts(K, 3), aux=shifted.aux)
+                         parts=certified_parts(K, 3), aux=shifted.aux)
         assert (rep.branch, rep.index) == (SPLIT_CYCLIC_INDEX, 3), c
 
 
@@ -418,7 +418,7 @@ def test_verdict_does_not_factor_at_p_prime_to_h(factor_mod_p_calls,
 def test_verdict_never_splits_by_degree_nor_calls_pow_mod(
         distinct_degree_calls, pow_mod_calls, poly, unit, h, p):
     # both branches of condition (2) run on the Z[x]/(f, p^2) kernel from
-    # the squarefree parts alone: no residue degrees, no structure constants
+    # the radical parts alone: no residue degrees, no structure constants
     K = make_field(poly)
     v = verdict(K, p, unit=unit, class_number=h)
     assert v.status == P_RATIONAL
@@ -457,7 +457,7 @@ def _shifted_record(record, c):
 
 
 def test_verdicts_invariant_under_shift_of_alpha():
-    # alpha -> alpha + c changes the lifts of the squarefree parts of f mod p
+    # alpha -> alpha + c changes the lifts of the radical parts of f mod p
     # and every coordinate, but neither the field, the unit nor the index
     records = (bundled_records("table1") + bundled_records("table2")
                + bundled_records("examples"))

@@ -3,9 +3,10 @@ import pytest
 from prationality import recurrence, ring
 from prationality.errors import SplittingUndetermined
 from prationality.families import primes_up_to
-from prationality.harness import CELL_ERROR, bundled_records, reproduce_table
-from prationality.numberfield import (FieldElement, NumberField, make_field,
-                                      split_prime, squarefree_parts)
+from prationality.harness import (CELL_ERROR, bundled_records, reproduce_table,
+                                  verdict_for_record)
+from prationality.numberfield import (FieldElement, NumberField,
+                                      certified_parts, make_field, split_prime)
 from prationality.recurrence import (
     INERT,
     MIXED_1_2,
@@ -241,6 +242,23 @@ def test_cross_check_splits_no_polynomial(distinct_degree_calls):
     assert distinct_degree_calls == [(tuple(c % 5 for c in K.poly), 5)]
 
 
+def test_a_composite_p_is_an_input_error():
+    # the Fermat check fails at these composite p on ex. 6.2: the verdict
+    # and the screen then test p and blame the input, not the engine
+    record = next(r for r in bundled_records("examples")
+                  if r.poly_coeffs == EX62)
+    for p in (35, 91):
+        with pytest.raises(ValueError, match=f"p = {p} is not a prime"):
+            verdict_for_record(record, p)
+    K = make_field(EX62)
+    spec = minimal_poly_spec(K, EPS62)
+    for q in (35, 91, 561, 1105):
+        with pytest.raises(ValueError, match=f"p = {q} is not a prime"):
+            screen(spec, q)
+        with pytest.raises(ValueError, match=f"p = {q} is not a prime"):
+            cross_check(K, EPS62, spec, q)
+
+
 def test_cross_check_rejects_mismatched_spec():
     K = make_field(EX62)
     with pytest.raises(ValueError):
@@ -318,12 +336,12 @@ def test_cross_check_decides_condition2_like_condition2_holds():
             if K.poly_disc % p == 0:
                 # p divides the index of Z[alpha]; both refuse it alike
                 with pytest.raises(SplittingUndetermined) as direct:
-                    squarefree_parts(K, p)
+                    certified_parts(K, p)
                 with pytest.raises(SplittingUndetermined) as fused:
                     cross_check(K, unit, spec, p)
                 assert str(fused.value) == str(direct.value)
                 continue
-            holds = condition2_holds(K, p, unit, squarefree_parts(K, p))
+            holds = condition2_holds(K, p, unit, certified_parts(K, p))
             rep = cross_check(K, unit, spec, p)
             assert rep.witness_exists is holds, (record.label, p)
             witnesses[holds] += 1
@@ -332,7 +350,7 @@ def test_cross_check_decides_condition2_like_condition2_holds():
 
 def test_cross_check_takes_one_frobenius_power(kernel_builds, x_power_calls,
                                                frobenius_defect_calls,
-                                               squarefree_parts_calls):
+                                               certified_parts_calls):
     # the screen's t^p and X = chi(t^p) from one frobenius_defect and its
     # t^(p^F - 1) from one x_power; past them the cross-check takes no
     # power, builds no kernel and splits no polynomial at p prime to disc(f)
@@ -350,11 +368,11 @@ def test_cross_check_takes_one_frobenius_power(kernel_builds, x_power_calls,
         assert kernel_builds == [], p
         seen.add(rep.splitting)
     assert seen == {SPLIT_COMPLETELY, MIXED_1_2, INERT}
-    assert squarefree_parts_calls == []
-    # a ramified p is still refused through the squarefree parts
+    assert certified_parts_calls == []
+    # a ramified p is still refused through the radical parts
     with pytest.raises(ValueError, match="unramified cubic splitting expected"):
         cross_check(K, EPS62, spec, 19427)
-    assert squarefree_parts_calls == [19427]
+    assert certified_parts_calls == [19427]
 
 
 def test_no_kernel_is_built_for_a_power_of_t(kernel_builds):

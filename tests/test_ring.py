@@ -11,7 +11,7 @@ from prationality import ring
 from prationality.errors import InvariantViolation, SplittingUndetermined
 from prationality.families import primes_up_to
 from prationality.harness import bundled_records
-from prationality.numberfield import squarefree_parts
+from prationality.numberfield import certified_parts
 from prationality.ring import (
     _equal_degree_split,
     _mp_quo,
@@ -563,7 +563,7 @@ def test_frobenius_defect_matches_references_on_bundled_records():
             mu, disc_mu = K.unit_min_poly(record.unit_element())
             for p in primes_up_to(300)[1:]:
                 try:  # condition 2 needs p prime to the index
-                    squarefree_parts(K, p)
+                    certified_parts(K, p)
                 except SplittingUndetermined:
                     continue
                 if disc_mu % p:

@@ -4,21 +4,23 @@ from math import isqrt, lcm, log
 
 import pytest
 
-from prationality.cli import MR_BASES, MR_BOUND, _strong_probable_prime
 from prationality.errors import InvariantViolation, SplittingUndetermined
 from prationality.families import primes_up_to
 from prationality.harness import bundled_records
 from prationality.numberfield import (
     FieldElement,
+    certified_parts,
     ideal_contains,
     ideal_from_two_generators,
     ideal_pow,
     make_field,
+    radical_cofactor,
+    radical_parts,
     split_prime,
-    squarefree_parts,
 )
 from prationality import rationality, ring, torsion
-from prationality.ring import (degree, derivative, det_adjugate, mulmod, poly,
+from prationality.ring import (MR_BASES, MR_BOUND, _strong_probable_prime,
+                               degree, derivative, det_adjugate, mulmod, poly,
                                poly_add, poly_mul, poly_rem, poly_sub, powmod)
 from prationality.rationality import (NOT_P_RATIONAL, P_RATIONAL,
                                       TORSION_NONTRIVIAL, verdict)
@@ -28,10 +30,6 @@ EX62 = (27, -4, 0, 1)
 EX63 = (3, 0, -2, 0, 1)
 # the first primes above 2^16, 2^32 and 2^64
 LARGE_PRIMES = (65537, 4294967311, 18446744073709551629)
-
-
-def _multiplicities(K, p):
-    return [m for _, m in squarefree_parts(K, p)]
 
 
 def _pow_by_mul(K, a, k, m):
@@ -74,15 +72,88 @@ def _hnf_holds(K, p, unit, factors):
     return not all(congruent for _, congruent in _hnf_report(K, p, unit, factors))
 
 
+# (degree, multiplicity) of the random factors of one f mod p
+FACTOR_SHAPES = (
+    ((2, 1),), ((1, 1), (1, 1)), ((1, 2),),
+    ((3, 1),), ((2, 1), (1, 1)), ((1, 2), (1, 1)), ((1, 3),),
+    ((4, 1),), ((3, 1), (1, 1)), ((2, 1), (2, 1)), ((2, 1), (1, 1), (1, 1)),
+    ((2, 2),), ((1, 2), (2, 1)), ((1, 2), (1, 1), (1, 1)), ((1, 2), (1, 2)),
+    ((1, 3), (1, 1)), ((1, 4),),
+)
+
+
+def test_radical_parts_and_degree_multiple_match_factor_mod_p():
+    # f mod p a product of random monic factors to chosen multiplicities,
+    # so that repeated factors occur, at 5 <= p <= 100: the radical,
+    # cofactor and largest multiplicity against factor_mod_p, and the F the
+    # cofactor path takes is a multiple of every residue degree
+    rng = random.Random(41)
+    primes = primes_up_to(100)[2:]
+    seen = Counter()
+    for _ in range(700):
+        p, f = rng.choice(primes), (1,)
+        for d, m in rng.choice(FACTOR_SHAPES):
+            g = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+            for _ in range(m):
+                f = poly(c % p for c in poly_mul(f, g))
+        factors = ring.factor_mod_p(f, p)
+        parts = radical_parts(f, p)
+        assert parts == (*radical_cofactor(factors, p),
+                         max(m for _, m in factors)), (f, p)
+        F = torsion._degree_multiple(f, p, parts, ring.discriminant(f))
+        assert all(F % degree(g) == 0 for g, _ in factors), (f, p, F)
+        seen[tuple(sorted((m, degree(g)) for g, m in factors))] += 1
+    # inert cubics and quartics, 1 + 3, and ramified quartics with a
+    # quadratic factor, where F = 2 is needed
+    assert {((1, 3),), ((1, 4),), ((1, 1), (1, 3)), ((2, 2),),
+            ((1, 2), (2, 1)), ((3, 1),), ((4, 1),)} <= set(seen), seen
+
+
+# x^3 + 3x + 3 = x^3 and x^4 - x^3 + 3x^2 + 3x + 3 = x^3 (x - 1) mod 3: a
+# multiplicity equal to p, where gcd(f, f') mod p is not the cofactor
+MULTIPLICITY_P = ((3, 3, 0, 1), (3, 3, 3, -1, 1))
+
+
+def test_verdict_at_p_2_and_3_follows_split_prime():
+    # on every bundled record and the two fields above, the verdict refuses
+    # p = 2 and 3 where split_prime does, and otherwise gives the guard
+    # reason that split_prime's largest e gives
+    cases = [(record.build_field(), record.unit_element())
+             for name in ("table1", "table2", "examples")
+             for record in bundled_records(name)]
+    cases += [(make_field(f), FieldElement((0, 1) + (0,) * (len(f) - 3)))
+              for f in MULTIPLICITY_P]
+    seen = Counter()
+    for K, unit in cases:
+        assert K.criterion_eligible
+        for p in (2, 3):
+            try:
+                factors = split_prime(K, p)
+            except SplittingUndetermined:
+                with pytest.raises(SplittingUndetermined):
+                    verdict(K, p, unit=unit, class_number=1)
+                seen["refused"] += 1
+                continue
+            reason = applicability_guard(K, p, max(pf.e for pf in factors))
+            v = verdict(K, p, unit=unit, class_number=1)
+            assert (v.guard_reason or None) == reason, (K.poly, p)
+            seen[reason] += 1
+    assert len(seen) == 4, seen  # refused, p = 2, ramified 3, admitted 3
+    for f, radical in zip(MULTIPLICITY_P, ((0, 1), (0, 2, 1))):
+        fbar = poly(c % 3 for c in f)
+        assert ring._mp_gcd(fbar, derivative(fbar), 3) == (0, 0, 0, 1)
+        assert radical_parts(f, 3) == (radical, (0, 0, 1), 3)
+
+
 def test_guard_examples():
     K10 = make_field((1, -1, 1, -1, 1))
-    guard = applicability_guard(K10, 5, max(_multiplicities(K10, 5)))
+    guard = applicability_guard(K10, 5, certified_parts(K10, 5).max_e)
     assert guard is not None and "ramified" in guard
     assert guard == applicability_guard(
         K10, 5, max(pf.e for pf in split_prime(K10, 5)))
     K = make_field(EX62)
-    assert applicability_guard(K, 3, max(_multiplicities(K, 3))) is None
-    assert applicability_guard(K, 2, max(_multiplicities(K, 2))) is not None
+    assert applicability_guard(K, 3, certified_parts(K, 3).max_e) is None
+    assert applicability_guard(K, 2, certified_parts(K, 2).max_e) is not None
 
 
 def test_condition2_example_63():
@@ -112,21 +183,23 @@ def test_condition2_requires_unit():
     with pytest.raises(ValueError):
         condition2(K, 3, FieldElement((2, 0, 0)), split_prime(K, 3))
     with pytest.raises(ValueError):
-        condition2_holds(K, 3, FieldElement((2, 0, 0)), squarefree_parts(K, 3))
+        condition2_holds(K, 3, FieldElement((2, 0, 0)), certified_parts(K, 3))
     eps = FieldElement((-3280, -3462, -729))
     with pytest.raises(ValueError):
-        condition2_holds(K, 2, eps, squarefree_parts(K, 2))
+        condition2_holds(K, 2, eps, certified_parts(K, 2))
     # disc(f) = -19427, a prime: 19427 ramifies with e = 2 < p and is decided
     # like any other prime
-    assert _multiplicities(K, 19427) == [1, 2]
+    parts = certified_parts(K, 19427)  # f = g h^2, g and h linear
+    assert (degree(parts.radical), degree(parts.cofactor), parts.max_e) == (
+        2, 1, 2)
     factors = split_prime(K, 19427)
-    holds = condition2_holds(K, 19427, eps, squarefree_parts(K, 19427))
+    holds = condition2_holds(K, 19427, eps, parts)
     assert holds == condition2(K, 19427, eps, factors).holds
     assert holds == _hnf_holds(K, 19427, eps, factors)
     # x^3 + 3x + 3 is Eisenstein at 3, so f = x^3 (mod 3) with m = p
     E = make_field((3, 3, 0, 1))
     with pytest.raises(ValueError, match="exceed every multiplicity"):
-        condition2_holds(E, 3, E.one(), squarefree_parts(E, 3))
+        condition2_holds(E, 3, E.one(), certified_parts(E, 3))
 
 
 def test_sign_and_inversion_invariance():
@@ -264,7 +337,7 @@ def test_completely_split_matches_split_prime():
             except SplittingUndetermined:
                 continue
             split = len(factors) == K.n
-            parts = squarefree_parts(K, p)
+            parts = certified_parts(K, p)
             assert rationality._completely_split(K, p, parts) is split, (
                 K.poly, p)
             seen[split, p in large] += 1
@@ -290,8 +363,8 @@ def test_global_test_matches_report_on_random_unit_fields():
             if K.poly_disc % p == 0:
                 continue
             factors = split_prime(K, p)
-            parts = squarefree_parts(K, p)
-            assert [(m, degree(g)) for g, m in parts] == [(1, K.n)], (K.poly, p)
+            parts = certified_parts(K, p)
+            assert parts == (K.poly, (1,), 1), (K.poly, p)
             shapes = sorted((pf.e, pf.f) for pf in factors)
             fast = condition2_holds(K, p, alpha, parts)
             assert fast == condition2(K, p, alpha, factors).holds, (K.poly, p)
@@ -307,10 +380,9 @@ def test_condition2_matches_hnf_on_random_unit_fields():
     # condition (2) like the per-P HNF report at every certified prime the
     # guard admits, ramified ones included.  The unit alpha^p fails
     # condition (2) everywhere, since (1 + P)/(1 + P^(e+1)) has exponent p;
-    # at ramified p only c tells that apart from a witness.  F is
-    # lcm(1..max deg g_m), a common multiple of the residue degrees that
-    # is not always their lcm, as for p = P1 P2 P3^2 in a quartic, all of
-    # degree 1, where g_1 = g(P1) g(P2) has degree 2
+    # at ramified p only c tells that apart from a witness.  F is a common
+    # multiple of the residue degrees that is not always their lcm, as for
+    # p = P1 P2 P3^2 in a quartic, all of degree 1, where F = 2
     ramified = {False: 0, True: 0}  # keyed by "holds"
     coarse_F = 0
     for K, alpha in _random_unit_fields():
@@ -321,12 +393,11 @@ def test_condition2_matches_hnf_on_random_unit_fields():
                 continue
             if applicability_guard(K, p, max(pf.e for pf in factors)) is not None:
                 continue
-            parts = squarefree_parts(K, p)
-            degrees = Counter()  # the sum of f over the P with e = m, per m
-            for pf in factors:
-                degrees[pf.e] += pf.f
-            assert (sorted((m, degree(g)) for g, m in parts)
-                    == sorted(degrees.items())), (K.poly, p)
+            parts = certified_parts(K, p)
+            assert (poly(c % p for c in parts.radical), parts.cofactor,
+                    parts.max_e) == (*radical_cofactor(
+                        [(pf.generator, pf.e) for pf in factors], p),
+                        max(pf.e for pf in factors)), (K.poly, p)
             is_ramified = any(pf.e > 1 for pf in factors)
             for unit in (alpha, _power(K, alpha, p)):
                 holds = _hnf_holds(K, p, unit, factors)
@@ -334,8 +405,8 @@ def test_condition2_matches_hnf_on_random_unit_fields():
                 assert condition2_holds(K, p, unit, parts) == holds, (K.poly, p)
                 ramified[holds] += is_ramified
             if is_ramified:
-                max_deg = max(degree(g) for g, _ in parts)
-                coarse_F += (lcm(*range(1, max_deg + 1))
+                coarse_F += (torsion._degree_multiple(K.poly, p, parts,
+                                                      K.poly_disc)
                              != lcm(*(pf.f for pf in factors)))
     assert ramified[False] > 0 and ramified[True] > 0
     assert coarse_F > 0
@@ -382,7 +453,7 @@ def test_frobenius_lift_matches_exponent_form_on_bundled_records():
             for p in primes_up_to(200)[1:]:
                 if K.poly_disc % p == 0:
                     continue
-                parts = squarefree_parts(K, p)
+                parts = certified_parts(K, p)
                 F = lcm(*(pf.f for pf in split_prime(K, p)))
                 slow = K.pow_mod(eps, p**F - 1, p * p) != K.one()
                 holds = condition2_holds(K, p, eps, parts)
@@ -452,7 +523,7 @@ def test_condition2_holds_matches_list_frobenius_defect_on_bundled_records():
                     assert bool(by_mu) == bool(expected), (record.label, p)
                 if disc_chi % p == 0:
                     (mu_ring if disc_mu % p else cofactor).add((record.label, p))
-                holds = condition2_holds(K, p, eps, squarefree_parts(K, p))
+                holds = condition2_holds(K, p, eps, certified_parts(K, p))
                 assert holds == bool(expected), (record.label, p)
                 cells[holds] += 1
     assert cells[False] > 0 and cells[True] > 1000
@@ -512,7 +583,7 @@ def test_condition2_holds_matches_report_at_large_primes():
             for p in LADDER:
                 factors = split_prime(K, p)
                 assert applicability_guard(K, p, max(pf.e for pf in factors)) is None
-                holds = condition2_holds(K, p, eps, squarefree_parts(K, p))
+                holds = condition2_holds(K, p, eps, certified_parts(K, p))
                 assert holds == condition2(K, p, eps, factors).holds, (
                     record.label, p)
                 pairs += 1
@@ -527,7 +598,7 @@ def test_condition2_holds_matches_report_on_random_fields_at_large_primes():
     for K, alpha in _random_unit_fields():
         for p in LADDER:
             factors = split_prime(K, p)
-            holds = condition2_holds(K, p, alpha, squarefree_parts(K, p))
+            holds = condition2_holds(K, p, alpha, certified_parts(K, p))
             assert holds == condition2(K, p, alpha, factors).holds, (K.poly, p)
             shapes.add(tuple(sorted((pf.e, pf.f) for pf in factors)))
     assert len(shapes) == 8, shapes
@@ -567,7 +638,7 @@ def test_unit_of_a_quadratic_subfield_takes_its_own_ring(kernel_builds,
     for p in primes_up_to(100)[1:]:
         if K.poly_disc % p == 0:
             continue
-        parts = squarefree_parts(K, p)
+        parts = certified_parts(K, p)
         F = lcm(*(pf.f for pf in split_prime(K, p)))
         slow = K.pow_mod(eps, p**F - 1, p * p) != K.one()
         del kernel_builds[:], frobenius_defect_calls[:]
@@ -598,8 +669,8 @@ def test_ramified_p_prime_to_disc_mu_takes_the_units_ring(
         for q in (5, 7, 11, 13, 19, 31)]
     for K, eps, p in cells:
         mu, _ = K.unit_min_poly(eps)
-        parts, factors = squarefree_parts(K, p), split_prime(K, p)
-        assert len(mu) == 3 and max(m for _, m in parts) == 2
+        parts, factors = certified_parts(K, p), split_prime(K, p)
+        assert len(mu) == 3 and parts.max_e == 2
         del kernel_builds[:], frobenius_defect_calls[:]
         holds = condition2_holds(K, p, eps, parts)
         assert frobenius_defect_calls == [(mu, p)], p
@@ -634,10 +705,10 @@ def test_condition2_invariant_under_sign_and_inversion_on_bundled_records():
                         inverse)
             for p in primes_up_to(200) + WIDE_PRIMES:
                 try:
-                    parts = squarefree_parts(K, p)
+                    parts = certified_parts(K, p)
                 except SplittingUndetermined:
                     continue
-                if applicability_guard(K, p, max(m for _, m in parts)):
+                if applicability_guard(K, p, parts.max_e):
                     continue
                 base = condition2_holds(K, p, eps, parts)
                 for unit in variants:
@@ -740,7 +811,7 @@ def test_pure_cubic_family_known_answers():
             w, _, X = ring.frobenius_defect(mu, p)
             assert X == 3 * m % pp << p % 3 * w, (p, m)
             fails = m % pp == 0
-            parts = squarefree_parts(K, p)
+            parts = certified_parts(K, p)
             assert condition2_holds(K, p, eps, parts) is not fails, (p, m)
             v = verdict(K, p, unit=eps, class_number=1)
             assert (v.status, v.reasons) == (
@@ -787,7 +858,7 @@ def test_subfield_units_match_a_z_sqrt_d_oracle():
         K, eps = records[label].build_field(), records[label].unit_element()
         for p in primes:
             if K.poly_disc % p:
-                parts = squarefree_parts(K, p)
+                parts = certified_parts(K, p)
                 assert condition2_holds(K, p, eps, parts) is not (
                     p in oracle[unit]), (label, p)
 
